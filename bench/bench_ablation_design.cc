@@ -97,20 +97,34 @@ main(int argc, char **argv)
     std::cout << "\nPrefetch degree x memory latency (AMAT on MV, "
                  "Soft.+Prefetching)\n\n";
     {
-        util::Table table({"Latency", "degree 1", "degree 2",
-                           "degree 4"});
-        for (const Cycle lat : {15u, 20u, 25u, 30u, 40u}) {
-            const auto row = table.addRow();
-            table.set(row, 0, std::to_string(lat));
-            std::size_t col = 1;
-            for (const std::uint32_t degree : {1u, 2u, 4u}) {
+        const Cycle latencies[] = {15u, 20u, 25u, 30u, 40u};
+        const std::uint32_t degrees[] = {1u, 2u, 4u};
+        std::vector<core::Config> configs;
+        for (const Cycle lat : latencies) {
+            for (const std::uint32_t degree : degrees) {
                 auto c = core::presets().get("soft-prefetch");
                 c.timing.memoryLatency = lat;
                 c.prefetchDegree = degree;
                 c.name = "pf d" + std::to_string(degree) + " l" +
                          std::to_string(lat);
-                table.setNumber(row, col++,
-                                bench::cachedRun("MV", c).amat());
+                configs.push_back(std::move(c));
+            }
+        }
+        std::vector<harness::Workload> mv;
+        for (auto &w : bench::suiteWorkloads()) {
+            if (w.name == "MV")
+                mv.push_back(std::move(w));
+        }
+        const auto sweep = bench::exactSweep(mv, configs);
+        util::Table table({"Latency", "degree 1", "degree 2",
+                           "degree 4"});
+        for (std::size_t l = 0; l < std::size(latencies); ++l) {
+            const auto row = table.addRow();
+            table.set(row, 0, std::to_string(latencies[l]));
+            for (std::size_t d = 0; d < std::size(degrees); ++d) {
+                table.setNumber(
+                    row, d + 1,
+                    sweep.at(0, l * std::size(degrees) + d).stats.amat());
             }
         }
         table.print(std::cout);
@@ -157,26 +171,25 @@ main(int argc, char **argv)
             {"1 ref / 8 cycles (slow)",
              util::DiscreteDistribution({{8, 1.0}})},
         };
+        const auto configs =
+            bench::presetConfigs({"standard", "soft", "soft-prefetch"});
+        const std::uint64_t seed = bench::options().traceSeed;
         util::Table table({"Issue rate", "Stand.", "Soft.",
                            "Soft.+Prefetching"});
         for (const auto &rate : rates) {
-            const auto t = workloads::makeTaggedTraceWithTiming(
-                workloads::buildMv(), rate.dist);
+            harness::Runner row_runner;
+            const auto sweep = bench::exactSweep(
+                {{std::string("MV-issue-rate-") + rate.label,
+                  [&rate, seed] {
+                      return workloads::makeTaggedTraceWithTiming(
+                          workloads::buildMv(), rate.dist, seed);
+                  },
+                  {}}},
+                configs, &row_runner);
             const auto row = table.addRow();
             table.set(row, 0, rate.label);
-            const std::string cell = std::string("MV-issue-rate-") +
-                                     rate.label;
-            table.setNumber(
-                row, 1,
-                bench::runCell(t, core::presets().get("standard"), cell)
-                    .amat());
-            table.setNumber(
-                row, 2,
-                bench::runCell(t, core::presets().get("soft"), cell).amat());
-            table.setNumber(
-                row, 3,
-                bench::runCell(t, core::presets().get("soft-prefetch"), cell)
-                    .amat());
+            for (std::size_t c = 0; c < configs.size(); ++c)
+                table.setNumber(row, c + 1, sweep.at(0, c).stats.amat());
         }
         table.print(std::cout);
     }

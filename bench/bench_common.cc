@@ -1,13 +1,10 @@
 #include "bench_common.hh"
 
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <set>
 #include <utility>
 
-#include "src/harness/experiment.hh"
-#include "src/harness/sweep.hh"
 #include "src/util/thread_pool.hh"
 
 namespace sac {
@@ -42,17 +39,19 @@ runner()
     return instance;
 }
 
-harness::Workload
-workloadOf(const std::string &name)
+/** Run @p request with the process-wide manifest dedup; exit on I/O
+ *  failure. */
+harness::SweepResult
+runRequest(harness::Runner &r, harness::SweepRequest &request)
 {
-    const std::uint64_t seed = options().traceSeed;
-    return {name,
-            [name, seed] {
-                return workloads::makeBenchmarkTrace(name, seed);
-            },
-            [name, seed](const trace::RecordSink &sink) {
-                workloads::streamBenchmarkTrace(name, sink, seed);
-            }};
+    request.telemetry.dedup = &emittedCells();
+    harness::SweepResult result = r.run(request);
+    if (result.manifestFailures > 0) {
+        std::cerr << "failed to write run manifest under '"
+                  << options().emitJsonDir << "'\n";
+        std::exit(1);
+    }
+    return result;
 }
 
 } // namespace
@@ -67,94 +66,6 @@ const harness::BenchOptions &
 options()
 {
     return optionsSetting();
-}
-
-unsigned
-jobs()
-{
-    return options().jobs;
-}
-
-const std::string &
-emitJsonDir()
-{
-    return options().emitJsonDir;
-}
-
-namespace {
-
-bool
-isRegisteredBenchmark(const std::string &name)
-{
-    for (const auto &b : workloads::paperBenchmarks()) {
-        if (b.name == name)
-            return true;
-    }
-    return false;
-}
-
-void
-writeCell(const std::string &workload, const core::Config &cfg,
-          const trace::Trace *t, const sim::RunStats &stats,
-          double sim_seconds)
-{
-    const std::string &dir = emitJsonDir();
-    if (dir.empty())
-        return;
-    if (!emittedCells().emplace(workload, cfg.cacheKey()).second)
-        return;
-    const harness::BenchOptions &o = options();
-    const bool instrument = o.interval > 0 || o.heatmap;
-    // Suite sweeps emit by workload name only; registered benchmarks
-    // resolve through the trace cache so they get instrumented too.
-    if (instrument && t == nullptr && isRegisteredBenchmark(workload))
-        t = &benchmarkTrace(workload);
-    std::string path;
-    if (instrument && t != nullptr) {
-        const harness::InstrumentOptions io{o.interval, o.heatmap};
-        path = harness::writeInstrumentedCellManifest(
-            dir, workload, cfg, *t, stats, io, sim_seconds);
-    } else {
-        path = harness::writeCellManifest(dir, workload, cfg, stats,
-                                          sim_seconds);
-    }
-    if (path.empty()) {
-        std::cerr << "failed to write run manifest under '" << dir
-                  << "'\n";
-        std::exit(1);
-    }
-}
-
-} // namespace
-
-void
-emitCellManifest(const std::string &workload, const core::Config &cfg,
-                 const sim::RunStats &stats, double sim_seconds)
-{
-    writeCell(workload, cfg, nullptr, stats, sim_seconds);
-}
-
-void
-emitCellManifest(const std::string &workload, const core::Config &cfg,
-                 const trace::Trace &t, const sim::RunStats &stats,
-                 double sim_seconds)
-{
-    writeCell(workload, cfg, &t, stats, sim_seconds);
-}
-
-sim::RunStats
-runCell(const trace::Trace &t, const core::Config &cfg,
-        const std::string &workload)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    const sim::RunStats stats = core::simulateTrace(t, cfg);
-    const double seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    const std::string &name = workload.empty() ? t.name() : workload;
-    emitCellManifest(name, cfg, t, stats, seconds);
-    return stats;
 }
 
 double
@@ -175,18 +86,21 @@ wordsOf(const sim::RunStats &s)
     return s.wordsFetchedPerAccess();
 }
 
+std::vector<harness::Workload>
+suiteWorkloads()
+{
+    return harness::paperWorkloads(options().traceSeed);
+}
+
 const trace::Trace &
 benchmarkTrace(const std::string &name)
 {
-    return runner().traceOf(workloadOf(name));
-}
-
-const sim::RunStats &
-cachedRun(const std::string &bench_name, const core::Config &cfg)
-{
-    const auto &cell = runner().cell(workloadOf(bench_name), cfg);
-    emitCellManifest(bench_name, cfg, cell.stats, cell.simSeconds);
-    return cell.stats;
+    for (const auto &w : suiteWorkloads()) {
+        if (w.name == name)
+            return runner().traceOf(w);
+    }
+    std::cerr << "unknown benchmark '" << name << "'\n";
+    std::exit(2);
 }
 
 std::vector<core::Config>
@@ -211,22 +125,40 @@ util::Table
 suiteTable(const std::vector<core::Config> &configs,
            const harness::Metric &m)
 {
-    // Thin adapter: one SweepRequest expresses the whole bench
-    // command line; Runner::run() routes, sweeps, and emits the
-    // manifests (engine tags, suite totals, instrumentation).
-    const auto workloads = harness::paperWorkloads();
+    // One SweepRequest expresses the whole bench command line;
+    // Runner::run() routes, sweeps, and emits the manifests (engine
+    // tags, suite totals, instrumentation).
+    const auto workloads = suiteWorkloads();
     runner().warmup(workloads);
+    harness::SweepRequest request =
+        harness::SweepRequest::fromBenchOptions(options(), workloads,
+                                                configs, m);
+    return runRequest(runner(), request).table;
+}
 
-    harness::SweepRequest request = harness::SweepRequest::
-        fromBenchOptions(options(), workloads, configs, m);
-    request.telemetry.dedup = &emittedCells();
-    const harness::SweepResult result = runner().run(request);
-    if (result.manifestFailures > 0) {
-        std::cerr << "failed to write run manifest under '"
-                  << emitJsonDir() << "'\n";
-        std::exit(1);
-    }
-    return result.table;
+harness::SweepResult
+exactSweep(const std::vector<harness::Workload> &workloads,
+           const std::vector<core::Config> &configs,
+           harness::Runner *r)
+{
+    // Generate the traces on this thread, as suiteTable() does, and
+    // replay a row runner's cells here too: work on pool workers
+    // allocates in per-thread malloc arenas that cannot reuse the
+    // memory freed by trace generation, which raises the peak RSS of
+    // the large ad-hoc traces by about half.
+    harness::Runner &target = r ? *r : runner();
+    target.warmup(workloads);
+    const harness::BenchOptions &o = options();
+    harness::SweepRequest request;
+    request.workloads = workloads;
+    request.configs = configs;
+    request.metric = harness::amatMetric();
+    request.jobs = r ? 1 : o.jobs;
+    request.engine = harness::EngineSelect::Exact;
+    request.telemetry.manifestDir = o.emitJsonDir;
+    request.telemetry.intervalRecords = o.interval;
+    request.telemetry.heatmap = o.heatmap;
+    return runRequest(target, request);
 }
 
 void

@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared infrastructure for the figure-reproduction binaries: trace
- * caching (each benchmark is generated once per process), config x
- * benchmark result matrices, and uniform headers so EXPERIMENTS.md
- * can quote the output verbatim.
+ * Shared infrastructure for the figure-reproduction binaries: the
+ * process-wide runner (each benchmark trace is generated once per
+ * process), the seeded paper workloads, config x benchmark sweeps
+ * expressed as harness::SweepRequest, and uniform headers so
+ * EXPERIMENTS.md can quote the output verbatim.
  */
 
 #ifndef SAC_BENCH_BENCH_COMMON_HH
@@ -17,6 +18,7 @@
 #include "src/core/soft_cache.hh"
 #include "src/harness/bench_options.hh"
 #include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/util/table.hh"
 #include "src/workloads/workloads.hh"
 
@@ -33,7 +35,7 @@ using Metric = std::function<double(const sim::RunStats &)>;
  * 1` forces the serial path), `--emit-json DIR` (write one telemetry
  * run manifest per sweep cell under DIR; see DESIGN.md §6),
  * `--preset NAME` (a core::presets() configuration), `--trace-seed
- * N` (timing seed of the generated traces), `--trace-chunk N`
+ * N` (timing seed of every generated trace), `--trace-chunk N`
  * (records per chunk in streamed replay), `--sample` with its
  * tuning flags `--sample-window/-stride/-warmup/-ci/-error` (estimate
  * suite tables with the windowed sampling engine; cells then read
@@ -49,46 +51,6 @@ void initBench(int argc, const char *const *argv);
 /** All shared options configured by initBench() (or defaults). */
 const harness::BenchOptions &options();
 
-/** Worker-thread count configured by initBench() (or the default). */
-unsigned jobs();
-
-/** Manifest output directory of --emit-json; empty = no emission. */
-const std::string &emitJsonDir();
-
-/**
- * Write the run manifest of one sweep cell under emitJsonDir() (a
- * no-op without --emit-json; cells are deduplicated on (workload,
- * cacheKey) so repeated cached runs emit once).
- */
-void emitCellManifest(const std::string &workload,
-                      const core::Config &cfg,
-                      const sim::RunStats &stats,
-                      double sim_seconds = 0.0);
-
-/**
- * Trace-aware overload: under --interval/--heatmap the cell is
- * re-replayed with the time-resolved instrumentation attached, so the
- * manifest gains its "profile" block and/or the sibling
- * `<stem>.intervals.jsonl` series (harness::
- * writeInstrumentedCellManifest). Without those flags, identical to
- * the plain overload. The no-trace overload resolves registered
- * benchmark workloads through the trace cache, so suite sweeps are
- * instrumented too.
- */
-void emitCellManifest(const std::string &workload,
-                      const core::Config &cfg, const trace::Trace &t,
-                      const sim::RunStats &stats,
-                      double sim_seconds = 0.0);
-
-/**
- * Simulate @p t under @p cfg and emit the cell's manifest when
- * --emit-json is active: the hook for benches that build ad-hoc
- * traces instead of going through the registered suite. @p workload
- * names the manifest (falls back to the trace name).
- */
-sim::RunStats runCell(const trace::Trace &t, const core::Config &cfg,
-                      const std::string &workload = "");
-
 /** The AMAT metric (the paper's main y-axis). */
 double amatOf(const sim::RunStats &s);
 
@@ -99,14 +61,16 @@ double missRatioOf(const sim::RunStats &s);
 double wordsOf(const sim::RunStats &s);
 
 /**
- * The trace of a registered paper benchmark, generated once per
- * process and cached.
+ * The nine paper benchmarks as workloads, generated with the
+ * --trace-seed timing seed.
+ */
+std::vector<harness::Workload> suiteWorkloads();
+
+/**
+ * The trace of a registered paper benchmark (--trace-seed), generated
+ * once per process and cached.
  */
 const trace::Trace &benchmarkTrace(const std::string &name);
-
-/** Cached simulation: one run per (benchmark, config-name) pair. */
-const sim::RunStats &cachedRun(const std::string &bench_name,
-                               const core::Config &cfg);
 
 /**
  * Resolve registry preset keys into configurations, in order — the
@@ -132,6 +96,20 @@ util::Table suiteTable(const std::vector<core::Config> &configs,
  */
 util::Table suiteTable(const std::vector<core::Config> &configs,
                        const harness::Metric &metric);
+
+/**
+ * Replay every (workload, config) cell exactly — whatever --sample
+ * says — and emit their manifests under --emit-json (each cell once
+ * per process): the sweep of sections that derive their columns from
+ * the cells' RunStats. Runs on the process-wide runner at --jobs
+ * workers unless @p runner is given; sections with ad-hoc traces pass
+ * a row-scoped runner, so only one row's traces are alive at a time,
+ * and its cells replay serially on the calling thread.
+ */
+harness::SweepResult
+exactSweep(const std::vector<harness::Workload> &workloads,
+           const std::vector<core::Config> &configs,
+           harness::Runner *runner = nullptr);
 
 /** Print a figure banner with the paper reference. */
 void printBanner(const std::string &figure, const std::string &what);

@@ -29,13 +29,13 @@ main(int argc, char **argv)
 
     std::cout << "\nFigure 6b: repartition of cache hits (Soft.)\n\n";
     util::Table table({"Benchmark", "Main cache", "Bounce-back"});
-    const auto soft = core::presets().get("soft");
-    for (const auto &b : workloads::paperBenchmarks()) {
-        const auto &s = bench::cachedRun(b.name, soft);
+    const auto soft = bench::exactSweep(bench::suiteWorkloads(),
+                                        bench::presetConfigs({"soft"}));
+    for (const auto &cell : soft.cells) {
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
-        table.setNumber(row, 1, s.mainHitShare(), 3);
-        table.setNumber(row, 2, s.auxHitShare(), 3);
+        table.set(row, 0, cell.workload);
+        table.setNumber(row, 1, cell.stats.mainHitShare(), 3);
+        table.setNumber(row, 2, cell.stats.auxHitShare(), 3);
     }
     table.print(std::cout);
 

@@ -35,21 +35,22 @@ main(int argc, char **argv)
     std::cout << "\nFigure 9a: % of misses removed by software "
                  "control\n\n";
     std::vector<std::string> headers{"Benchmark"};
-    for (const auto &pt : points)
+    std::vector<core::Config> pairs; // (Stand., Soft.) per point
+    for (const auto &pt : points) {
         headers.push_back(pt.label);
+        for (const char *key : {"standard", "soft"})
+            pairs.push_back(core::scaledConfig(core::presets().get(key),
+                                               pt.bytes, pt.line));
+    }
+    const auto ws = bench::suiteWorkloads();
+    const auto sweep = bench::exactSweep(ws, pairs);
     util::Table table(std::move(headers));
-    for (const auto &b : workloads::paperBenchmarks()) {
+    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
+        table.set(row, 0, ws[wi].name);
         for (std::size_t c = 0; c < std::size(points); ++c) {
-            const auto stand = bench::cachedRun(
-                b.name, core::scaledConfig(core::presets().get("standard"),
-                                           points[c].bytes,
-                                           points[c].line));
-            const auto soft = bench::cachedRun(
-                b.name, core::scaledConfig(core::presets().get("soft"),
-                                           points[c].bytes,
-                                           points[c].line));
+            const auto &stand = sweep.at(wi, 2 * c).stats;
+            const auto &soft = sweep.at(wi, 2 * c + 1).stats;
             const double removed =
                 stand.misses == 0
                     ? 0.0

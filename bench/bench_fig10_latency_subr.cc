@@ -24,18 +24,23 @@ main(int argc, char **argv)
     std::cout << "\nFigure 10a: most time-consuming Perfect Club "
                  "subroutines (AMAT)\n\n";
     util::Table ta({"Subroutine", "Stand.", "Soft.", "Improvement"});
+    const std::uint64_t seed = bench::options().traceSeed;
     for (const auto &b : workloads::kernelOnlyBenchmarks()) {
-        const auto t = workloads::makeTaggedTrace(b.build());
-        const std::string cell = b.name + "-kernel";
-        const auto stand =
-            bench::runCell(t, core::presets().get("standard"), cell);
-        const auto soft = bench::runCell(t, core::presets().get("soft"), cell);
+        harness::Runner row_runner;
+        const auto sweep = bench::exactSweep(
+            {{b.name + "-kernel",
+              [&b, seed] {
+                  return workloads::makeTaggedTrace(b.build(), seed);
+              },
+              {}}},
+            bench::presetConfigs({"standard", "soft"}), &row_runner);
+        const double stand = sweep.at(0, 0).stats.amat();
+        const double soft = sweep.at(0, 1).stats.amat();
         const auto row = ta.addRow();
         ta.set(row, 0, b.name);
-        ta.setNumber(row, 1, stand.amat());
-        ta.setNumber(row, 2, soft.amat());
-        ta.set(row, 3,
-               util::formatPercent(1.0 - soft.amat() / stand.amat()));
+        ta.setNumber(row, 1, stand);
+        ta.setNumber(row, 2, soft);
+        ta.set(row, 3, util::formatPercent(1.0 - soft / stand));
     }
     ta.print(std::cout);
 
@@ -43,22 +48,25 @@ main(int argc, char **argv)
                  "(AMAT Stand. - AMAT Soft.)\n\n";
     const Cycle latencies[] = {5, 10, 15, 20, 25, 30};
     std::vector<std::string> headers{"Benchmark"};
-    for (const auto lat : latencies)
+    std::vector<core::Config> pairs; // (Stand., Soft.) per latency
+    for (const auto lat : latencies) {
         headers.push_back("lat=" + std::to_string(lat));
+        for (const char *key : {"standard", "soft"}) {
+            auto cfg = core::presets().get(key);
+            cfg.timing.memoryLatency = lat;
+            cfg.name += " lat" + std::to_string(lat);
+            pairs.push_back(std::move(cfg));
+        }
+    }
+    const auto ws = bench::suiteWorkloads();
+    const auto sweep = bench::exactSweep(ws, pairs);
     util::Table tb(std::move(headers));
-    for (const auto &b : workloads::paperBenchmarks()) {
+    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
         const auto row = tb.addRow();
-        tb.set(row, 0, b.name);
+        tb.set(row, 0, ws[wi].name);
         for (std::size_t c = 0; c < std::size(latencies); ++c) {
-            auto stand = core::presets().get("standard");
-            auto soft = core::presets().get("soft");
-            stand.timing.memoryLatency = latencies[c];
-            soft.timing.memoryLatency = latencies[c];
-            stand.name += " lat" + std::to_string(latencies[c]);
-            soft.name += " lat" + std::to_string(latencies[c]);
-            const double gap =
-                bench::cachedRun(b.name, stand).amat() -
-                bench::cachedRun(b.name, soft).amat();
+            const double gap = sweep.at(wi, 2 * c).stats.amat() -
+                               sweep.at(wi, 2 * c + 1).stats.amat();
             tb.setNumber(row, c + 1, gap, 3);
         }
     }

@@ -25,20 +25,24 @@ main(int argc, char **argv)
     const std::int64_t n = 1200;
     const std::int64_t blocks[] = {10,  20,  30,  40,  50,
                                    100, 400, 600, 1200};
+    const auto configs = bench::presetConfigs({"standard", "soft"});
+    const std::uint64_t seed = bench::options().traceSeed;
     util::Table ta({"Block size", "Stand.", "Soft."});
     for (const auto b : blocks) {
-        const auto t = workloads::makeTaggedTrace(
-            workloads::buildBlockedMv(n, b));
+        // One runner per row: only this row's trace is alive.
+        harness::Runner row_runner;
+        const auto sweep = bench::exactSweep(
+            {{"BlockedMV-b" + std::to_string(b),
+              [n, b, seed] {
+                  return workloads::makeTaggedTrace(
+                      workloads::buildBlockedMv(n, b), seed);
+              },
+              {}}},
+            configs, &row_runner);
         const auto row = ta.addRow();
         ta.set(row, 0, std::to_string(b));
-        const std::string cell =
-            "BlockedMV-b" + std::to_string(b);
-        ta.setNumber(row, 1,
-                     bench::runCell(t, core::presets().get("standard"), cell)
-                         .amat());
-        ta.setNumber(
-            row, 2,
-            bench::runCell(t, core::presets().get("soft"), cell).amat());
+        ta.setNumber(row, 1, sweep.at(0, 0).stats.amat());
+        ta.setNumber(row, 2, sweep.at(0, 1).stats.amat());
     }
     ta.print(std::cout);
 
@@ -46,36 +50,29 @@ main(int argc, char **argv)
                  "multiply (AMAT), leading dimension sweep\n\n";
     util::Table tb({"Leading dim", "NoCopy (stand.)", "Copy (stand.)",
                     "NoCopy (soft.)", "Copy (soft.)"});
-    const std::int64_t mm_n = 80;
-    const std::int64_t mm_block = 16;
+    constexpr std::int64_t mm_n = 80;
+    constexpr std::int64_t mm_block = 16;
     for (std::int64_t ld = 116; ld <= 126; ++ld) {
-        const auto plain = workloads::makeTaggedTrace(
-            workloads::buildCopiedMm(mm_n, ld, mm_block, false));
-        const auto copied = workloads::makeTaggedTrace(
-            workloads::buildCopiedMm(mm_n, ld, mm_block, true));
+        const auto kernel = [ld, seed](const char *tag, bool copy) {
+            return harness::Workload{
+                std::string("CopiedMM-") + tag + "-ld" + std::to_string(ld),
+                [ld, copy, seed] {
+                    return workloads::makeTaggedTrace(
+                        workloads::buildCopiedMm(mm_n, ld, mm_block, copy),
+                        seed);
+                },
+                {}};
+        };
+        harness::Runner row_runner;
+        const auto sweep = bench::exactSweep(
+            {kernel("nocopy", false), kernel("copy", true)}, configs,
+            &row_runner);
         const auto row = tb.addRow();
         tb.set(row, 0, std::to_string(ld));
-        const std::string plain_cell =
-            "CopiedMM-nocopy-ld" + std::to_string(ld);
-        const std::string copied_cell =
-            "CopiedMM-copy-ld" + std::to_string(ld);
-        tb.setNumber(
-            row, 1,
-            bench::runCell(plain, core::presets().get("standard"), plain_cell)
-                .amat());
-        tb.setNumber(
-            row, 2,
-            bench::runCell(copied, core::presets().get("standard"),
-                           copied_cell)
-                .amat());
-        tb.setNumber(
-            row, 3,
-            bench::runCell(plain, core::presets().get("soft"), plain_cell)
-                .amat());
-        tb.setNumber(
-            row, 4,
-            bench::runCell(copied, core::presets().get("soft"), copied_cell)
-                .amat());
+        tb.setNumber(row, 1, sweep.at(0, 0).stats.amat());
+        tb.setNumber(row, 2, sweep.at(1, 0).stats.amat());
+        tb.setNumber(row, 3, sweep.at(0, 1).stats.amat());
+        tb.setNumber(row, 4, sweep.at(1, 1).stats.amat());
     }
     tb.print(std::cout);
 

@@ -28,33 +28,50 @@ main(int argc, char **argv)
     util::Table table({"Benchmark", "Stand.", "Soft. no tags",
                        "Soft. compiler tags", "Soft. profile tags",
                        "headroom recovered"});
-    for (const auto &b : workloads::paperBenchmarks()) {
-        const auto &t = bench::benchmarkTrace(b.name);
-        const double stand =
-            bench::cachedRun(b.name, core::presets().get("standard")).amat();
-        const double none =
-            bench::runCell(analysis::stripAllTags(t),
-                           core::presets().get("soft"), b.name + "-notags")
-                .amat();
-        const double compiler =
-            bench::cachedRun(b.name, core::presets().get("soft")).amat();
-        const double profile =
-            bench::runCell(locality::retagFromProfile(t),
-                           core::presets().get("soft"),
-                           b.name + "-profiletags")
-                .amat();
+    const auto ws = bench::suiteWorkloads();
+    // The retagged variants first, each on its own runner so only one
+    // is alive; then the shared sweep, whose pool workers would
+    // otherwise hold memory the retagging could have reused.
+    std::vector<double> none;
+    std::vector<double> profile;
+    for (const auto &w : ws) {
+        const auto &t = bench::benchmarkTrace(w.name);
+        const auto soft_amat =
+            [&](const char *tag,
+                std::function<trace::Trace(const trace::Trace &)> f) {
+                harness::Runner variant_runner;
+                return bench::exactSweep(
+                           {{w.name + "-" + tag, [&t, &f] { return f(t); },
+                             {}}},
+                           bench::presetConfigs({"soft"}),
+                           &variant_runner)
+                    .at(0, 0)
+                    .stats.amat();
+            };
+        none.push_back(soft_amat("notags", analysis::stripAllTags));
+        profile.push_back(
+            soft_amat("profiletags", [](const trace::Trace &tr) {
+                return locality::retagFromProfile(tr);
+            }));
+    }
+    const auto tagged = bench::exactSweep(
+        ws, bench::presetConfigs({"standard", "soft"}));
+    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+        const double stand = tagged.at(wi, 0).stats.amat();
+        const double compiler = tagged.at(wi, 1).stats.amat();
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
+        table.set(row, 0, ws[wi].name);
         table.setNumber(row, 1, stand);
-        table.setNumber(row, 2, none);
+        table.setNumber(row, 2, none[wi]);
         table.setNumber(row, 3, compiler);
-        table.setNumber(row, 4, profile);
+        table.setNumber(row, 4, profile[wi]);
         // Of the distance from no-tags to the better of the two
         // informed variants, how much does the compiler already get?
-        const double best = std::min(compiler, profile);
+        const double best = std::min(compiler, profile[wi]);
         const double recovered =
-            none - best > 1e-9 ? (none - compiler) / (none - best)
-                               : 1.0;
+            none[wi] - best > 1e-9
+                ? (none[wi] - compiler) / (none[wi] - best)
+                : 1.0;
         table.set(row, 5, util::formatPercent(recovered));
     }
     table.print(std::cout);

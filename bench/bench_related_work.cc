@@ -27,13 +27,14 @@ main(int argc, char **argv)
                        "StreamBufs x4", "StreamBufs x8",
                        "Column-assoc", "Soft.",
                        "Soft.+Prefetching"});
-    for (const auto &b : workloads::paperBenchmarks()) {
-        const auto &t = bench::benchmarkTrace(b.name);
+    const auto ws = bench::suiteWorkloads();
+    const auto sweep = bench::exactSweep(
+        ws, bench::presetConfigs({"standard", "soft", "soft-prefetch"}));
+    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+        const auto &t = bench::benchmarkTrace(ws[wi].name);
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
-        table.setNumber(
-            row, 1, bench::cachedRun(b.name, core::presets().get("standard"))
-                        .amat());
+        table.set(row, 0, ws[wi].name);
+        table.setNumber(row, 1, sweep.at(wi, 0).stats.amat());
         std::size_t col = 2;
         for (const std::uint32_t n : {1u, 4u, 8u}) {
             core::StreamBufferConfig cfg;
@@ -45,13 +46,8 @@ main(int argc, char **argv)
             row, 5,
             core::simulateColumnAssoc(t, core::ColumnAssocConfig{})
                 .amat());
-        table.setNumber(
-            row, 6,
-            bench::cachedRun(b.name, core::presets().get("soft")).amat());
-        table.setNumber(
-            row, 7,
-            bench::cachedRun(b.name, core::presets().get("soft-prefetch"))
-                .amat());
+        table.setNumber(row, 6, sweep.at(wi, 1).stats.amat());
+        table.setNumber(row, 7, sweep.at(wi, 2).stats.amat());
     }
     table.print(std::cout);
 

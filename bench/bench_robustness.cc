@@ -30,29 +30,43 @@ main(int argc, char **argv)
                        "no spat", "no tags", "flip 10%", "flip 25%",
                        "flip 50%", "flip 100%"});
     std::size_t unsafe = 0;
-    for (const auto &b : workloads::paperBenchmarks()) {
-        const auto &t = bench::benchmarkTrace(b.name);
-        const double stand =
-            bench::cachedRun(b.name, core::presets().get("standard")).amat();
-        const auto soft_cfg = core::presets().get("soft");
-        auto amat_of = [&](const trace::Trace &tr,
-                           const std::string &variant) {
-            return bench::runCell(tr, soft_cfg,
-                                  b.name + "-" + variant)
-                .amat();
+    const auto ws = bench::suiteWorkloads();
+    const auto standard =
+        bench::exactSweep(ws, bench::presetConfigs({"standard"}));
+    const auto soft = bench::presetConfigs({"soft"});
+    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+        const auto &t = bench::benchmarkTrace(ws[wi].name);
+        // One runner per variant: only one variant trace is alive.
+        const auto amat_of =
+            [&](const char *tag,
+                std::function<trace::Trace(const trace::Trace &)> f) {
+                harness::Runner variant_runner;
+                return bench::exactSweep(
+                           {{ws[wi].name + "-" + tag,
+                             [&t, &f] { return f(t); },
+                             {}}},
+                           soft, &variant_runner)
+                    .at(0, 0)
+                    .stats.amat();
+            };
+        const auto flip = [](double fraction) {
+            return [fraction](const trace::Trace &tr) {
+                return analysis::corruptTags(tr, fraction);
+            };
         };
         const double variants[] = {
-            amat_of(t, "tags"),
-            amat_of(analysis::stripTemporalTags(t), "notemp"),
-            amat_of(analysis::stripSpatialTags(t), "nospat"),
-            amat_of(analysis::stripAllTags(t), "notags"),
-            amat_of(analysis::corruptTags(t, 0.10), "flip10"),
-            amat_of(analysis::corruptTags(t, 0.25), "flip25"),
-            amat_of(analysis::corruptTags(t, 0.50), "flip50"),
-            amat_of(analysis::corruptTags(t, 1.00), "flip100"),
+            amat_of("tags", [](const trace::Trace &tr) { return tr; }),
+            amat_of("notemp", analysis::stripTemporalTags),
+            amat_of("nospat", analysis::stripSpatialTags),
+            amat_of("notags", analysis::stripAllTags),
+            amat_of("flip10", flip(0.10)),
+            amat_of("flip25", flip(0.25)),
+            amat_of("flip50", flip(0.50)),
+            amat_of("flip100", flip(1.00)),
         };
+        const double stand = standard.at(wi, 0).stats.amat();
         const auto row = table.addRow();
-        table.set(row, 0, b.name);
+        table.set(row, 0, ws[wi].name);
         table.setNumber(row, 1, stand);
         for (std::size_t i = 0; i < std::size(variants); ++i) {
             table.setNumber(row, i + 2, variants[i]);

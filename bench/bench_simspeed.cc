@@ -14,7 +14,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -25,6 +24,7 @@
 #include "src/core/soft_cache.hh"
 #include "src/harness/bench_options.hh"
 #include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/sim/sampling.hh"
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/interval.hh"
@@ -278,8 +278,8 @@ BM_ReplayStreamedMemory(benchmark::State &state)
 BENCHMARK(BM_ReplayStreamedMemory);
 
 /**
- * Full-matrix sweep through harness::Runner::runMatrix at a given
- * worker count (Arg). Traces are pre-generated so the benchmark
+ * Full-matrix sweep through harness::Runner::run at a given worker
+ * count (Arg). Traces are pre-generated so the benchmark
  * isolates the sweep executor itself; a fresh Runner per iteration
  * keeps every cell uncached.
  */
@@ -319,11 +319,15 @@ BM_MatrixSweep(benchmark::State &state)
     for (std::size_t i = 0; i < traces.size(); ++i)
         ws.push_back({traces[i].name(),
                       [&traces, i] { return traces[i]; }, nullptr});
+    harness::SweepRequest request;
+    request.workloads = ws;
+    request.configs = sweepConfigs();
+    request.metric = harness::amatMetric();
+    request.jobs = jobs;
     for (auto _ : state) {
         harness::Runner r;
-        const auto table = r.runMatrix(ws, sweepConfigs(),
-                                       harness::amatMetric(), jobs);
-        benchmark::DoNotOptimize(table.rows());
+        const auto result = r.run(request);
+        benchmark::DoNotOptimize(result.table.rows());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * traces.front().size() * ws.size() *
@@ -689,23 +693,19 @@ main(int argc, char **argv)
     benchmark::Shutdown();
 
     if (!opts.emitJsonDir.empty()) {
-        for (const auto &key :
-             {"standard", "soft", "soft-prefetch"}) {
-            const core::Config cfg = core::presets().get(key);
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto stats = core::simulateTrace(mvTrace(), cfg);
-            const double secs =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            if (harness::writeCellManifest(opts.emitJsonDir,
-                                           "MV-simspeed", cfg, stats,
-                                           secs)
-                    .empty()) {
-                std::cerr << "failed to write manifest under "
-                          << opts.emitJsonDir << '\n';
-                return 1;
-            }
+        harness::SweepRequest request;
+        request.workloads = {
+            {"MV-simspeed", [] { return mvTrace(); }, nullptr}};
+        for (const auto &key : {"standard", "soft", "soft-prefetch"})
+            request.configs.push_back(core::presets().get(key));
+        request.metric = harness::amatMetric();
+        request.engine = harness::EngineSelect::Exact;
+        request.telemetry.manifestDir = opts.emitJsonDir;
+        harness::Runner r;
+        if (r.run(request).manifestFailures > 0) {
+            std::cerr << "failed to write manifest under "
+                      << opts.emitJsonDir << '\n';
+            return 1;
         }
     }
     return 0;

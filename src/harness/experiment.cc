@@ -59,12 +59,12 @@ auxHitShareMetric()
 const trace::Trace &
 Runner::traceOf(const Workload &w)
 {
-    Slot<trace::Trace> *slot = nullptr;
+    TraceSlot *slot = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto &entry = traces_[w.name];
         if (!entry)
-            entry = std::make_unique<Slot<trace::Trace>>();
+            entry = std::make_unique<TraceSlot>();
         slot = entry.get(); // stable: the map holds pointers
     }
     std::call_once(slot->once, [&] {
@@ -81,62 +81,6 @@ Runner::warmup(const std::vector<Workload> &workloads)
     const telemetry::ScopedPhase phase(phases_, "warmup");
     for (const auto &w : workloads)
         traceOf(w);
-}
-
-const Runner::CellResult &
-Runner::cell(const Workload &w, const core::Config &cfg)
-{
-    const auto key = std::make_pair(w.name, cfg.cacheKey());
-    Slot<CellResult> *slot = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto &entry = results_[key];
-        if (!entry)
-            entry = std::make_unique<Slot<CellResult>>();
-        slot = entry.get();
-    }
-    std::call_once(slot->once, [&] {
-        const trace::Trace &t = traceOf(w);
-        const telemetry::ScopedPhase phase(phases_, "sim");
-        slot->value.stats = core::simulateTrace(t, cfg);
-        slot->value.simSeconds = phase.elapsed();
-        runsExecuted_.fetch_add(1);
-    });
-    return slot->value;
-}
-
-const sim::RunStats &
-Runner::run(const Workload &w, const core::Config &cfg)
-{
-    return cell(w, cfg).stats;
-}
-
-Runner::SweepTiming
-Runner::lastSweep() const
-{
-    std::lock_guard<std::mutex> lock(sweepMutex_);
-    return lastSweep_;
-}
-
-util::Table
-Runner::matrix(const std::vector<Workload> &workloads,
-               const std::vector<core::Config> &configs,
-               const Metric &metric)
-{
-    std::vector<std::string> headers{"Benchmark"};
-    for (const auto &cfg : configs)
-        headers.push_back(cfg.name);
-    util::Table table(std::move(headers));
-    for (const auto &w : workloads) {
-        const auto row = table.addRow();
-        table.set(row, 0, w.name);
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            table.setNumber(row, c + 1,
-                            metric.extract(run(w, configs[c])),
-                            metric.decimals);
-        }
-    }
-    return table;
 }
 
 bool
@@ -183,269 +127,154 @@ stackStatsFor(const sim::StackDistanceEngine &eng,
     return s;
 }
 
-void
-Runner::runStackFamily(const Workload &w,
-                       const std::vector<const core::Config *> &family,
-                       unsigned intra_jobs)
+Runner::StoredCell &
+Runner::slot(const std::string &key)
 {
-    // Serialize passes per workload: a concurrent sweep requesting
-    // the same family waits here, then finds the store filled and
-    // skips its own traversal (cells shared, one pass total).
-    std::mutex *pass_mutex = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(stackMutex_);
-        auto &slot = stackPassMutexes_[w.name];
-        if (!slot)
-            slot = std::make_unique<std::mutex>();
-        pass_mutex = slot.get();
-    }
-    std::lock_guard<std::mutex> pass_lock(*pass_mutex);
-
-    std::size_t missing = 0;
-    {
-        std::lock_guard<std::mutex> lock(stackMutex_);
-        for (const core::Config *cfg : family) {
-            if (!stackResults_.count({w.name, cfg->cacheKey()}))
-                ++missing;
-        }
-        stackCounters_.counter("stack.pass.cached_cells",
-                               "sweep cells served from the stack "
-                               "store") += family.size() - missing;
-    }
-    if (missing == 0)
-        return;
-
-    // One traversal covers the whole family, so even a sweep that
-    // adds a single new point to a mostly-cached family costs one
-    // pass, never per-point replays.
-    std::vector<sim::StackPoint> points;
-    points.reserve(family.size());
-    for (const core::Config *cfg : family)
-        points.push_back(stackPointOf(*cfg));
-
-    const trace::Trace &t = traceOf(w);
-    std::uint64_t records = 0;
-    std::optional<sim::StackDistanceEngine> eng;
-    if (intra_jobs > 1) {
-        // Set-sharded pass: per-set LRU stacks never interact, so
-        // each shard profiles a disjoint slice of every profiler's
-        // set space over the full stream and the histograms sum to
-        // exactly the unsharded counts (proven by the
-        // ShardedStackDifferential tests).
-        const telemetry::ScopedPhase phase(phases_, "stack-pass");
-        const unsigned shards = intra_jobs;
-        std::vector<sim::StackDistanceEngine> slices;
-        slices.reserve(shards);
-        for (unsigned s = 0; s < shards; ++s)
-            slices.emplace_back(points, s, shards);
-        {
-            util::ThreadPool pool(shards);
-            std::vector<std::future<void>> tasks;
-            tasks.reserve(shards);
-            for (unsigned s = 0; s < shards; ++s) {
-                tasks.push_back(pool.submit([&slices, s, &t] {
-                    trace::MemoryTraceSource src(t);
-                    slices[s].run(src);
-                }));
-            }
-            for (auto &task : tasks)
-                task.get();
-        }
-        const auto merge0 = std::chrono::steady_clock::now();
-        for (unsigned s = 1; s < shards; ++s)
-            slices[0].absorb(slices[s]);
-        const auto merge_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - merge0)
-                .count());
-        records = slices[0].accesses();
-        eng.emplace(std::move(slices[0]));
-        {
-            std::lock_guard<std::mutex> lock(parallelMutex_);
-            parallelCounters_.counter(
-                "parallel.shards",
-                "set-shard stack-pass slices executed") += shards;
-            parallelCounters_.counter(
-                "parallel.merge_ns",
-                "nanoseconds merging parallel partial results") +=
-                merge_ns;
-        }
-    } else {
-        eng.emplace(points);
-        const telemetry::ScopedPhase phase(phases_, "stack-pass");
-        trace::MemoryTraceSource src(t);
-        records = eng->run(src);
-    }
-
-    std::lock_guard<std::mutex> lock(stackMutex_);
-    for (const core::Config *cfg : family) {
-        stackResults_.try_emplace({w.name, cfg->cacheKey()},
-                                  stackStatsFor(*eng, *cfg));
-    }
-    ++stackCounters_.counter("stack.pass.traversals",
-                             "single-pass stack traversals executed");
-    stackCounters_.counter("stack.pass.records",
-                           "records profiled by stack traversals") +=
-        records;
-    stackCounters_.counter("stack.pass.cells",
-                           "sweep cells served fresh from a stack "
-                           "pass") += missing;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto &entry = cells_[key];
+    if (!entry)
+        entry = std::make_unique<StoredCell>();
+    return *entry; // stable: the map holds pointers
 }
 
-const sim::RunStats *
-Runner::stackStats(const Workload &w, const core::Config &cfg) const
+void
+Runner::count(const char *name, const char *desc, std::uint64_t delta)
 {
-    std::lock_guard<std::mutex> lock(stackMutex_);
-    const auto it = stackResults_.find({w.name, cfg.cacheKey()});
-    return it == stackResults_.end() ? nullptr : &it->second;
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_.counter(name, desc) += delta;
 }
 
 std::uint64_t
 Runner::stackCounter(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(stackMutex_);
-    return stackCounters_.value(name);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return counters_.value(name);
 }
 
+// One registry holds every counter family; the per-family accessors
+// differ only in the names their callers pass.
 std::uint64_t
 Runner::checkpointCounter(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(checkpointMutex_);
-    return checkpointCounters_.value(name);
+    return stackCounter(name);
 }
 
 std::uint64_t
 Runner::parallelCounter(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(parallelMutex_);
-    return parallelCounters_.value(name);
+    return stackCounter(name);
 }
 
-util::Table
-Runner::runMatrix(const std::vector<Workload> &workloads,
-                  const std::vector<core::Config> &configs,
-                  const Metric &metric, unsigned jobs)
+void
+Runner::replayCell(StoredCell &cell, const Workload &w,
+                   const core::Config &cfg)
 {
-    return runMatrixWith(workloads, configs, metric, jobs, true);
+    std::call_once(cell.once, [&] {
+        const trace::Trace &t = traceOf(w);
+        const telemetry::ScopedPhase phase(phases_, "sim");
+        cell.stats = core::simulateTrace(t, cfg);
+        cell.seconds = phase.elapsed();
+        runsExecuted_.fetch_add(1);
+    });
 }
 
-util::Table
-Runner::runMatrixWith(const std::vector<Workload> &workloads,
-                      const std::vector<core::Config> &configs,
-                      const Metric &metric, unsigned jobs,
-                      bool allow_stack, unsigned intra_jobs)
+void
+Runner::runStackFamily(
+    const Workload &w,
+    const std::vector<std::pair<const core::Config *, StoredCell *>>
+        &family,
+    unsigned intra, util::ThreadPool *pool)
 {
-    const auto sweep_start = std::chrono::steady_clock::now();
-    // Per-worker busy time: summed wall time of the cell tasks
-    // (nanoseconds so workers can accumulate without a double CAS).
-    std::atomic<std::uint64_t> busy_ns{0};
-    const auto timed_cell = [this, &busy_ns](const Workload &w,
-                                             const core::Config &cfg) {
-        const auto t0 = std::chrono::steady_clock::now();
-        run(w, cfg);
-        busy_ns.fetch_add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-    };
-
-    // Partition into the stack family — served by one single-pass
-    // traversal per workload — and the exact remainder. A family of
-    // one gains nothing over a replay, so dispatch needs two members.
-    std::vector<const core::Config *> family;
-    std::vector<const core::Config *> exact;
-    if (allow_stack && stackDerivableMetric(metric)) {
-        for (const auto &cfg : configs) {
-            (stackFamilyEligible(cfg) ? family : exact).push_back(&cfg);
-        }
-    }
-    if (family.size() < 2) {
-        family.clear();
-        exact.clear();
-        for (const auto &cfg : configs)
-            exact.push_back(&cfg);
-    }
-
-    if (!family.empty()) {
-        // Stack passes run serially on this thread: each is already a
-        // whole-family batch, and the counter registry is
-        // single-threaded by design.
-        for (const auto &w : workloads) {
-            const auto t0 = std::chrono::steady_clock::now();
-            runStackFamily(w, family, intra_jobs);
-            busy_ns.fetch_add(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
-        }
-        if (!exact.empty()) {
-            std::lock_guard<std::mutex> lock(stackMutex_);
-            stackCounters_.counter("stack.pass.fallback_cells",
-                                   "cells exact-replayed in "
-                                   "stack-dispatched sweeps") +=
-                workloads.size() * exact.size();
-        }
-    }
-
-    const std::size_t n_exact = workloads.size() * exact.size();
-    if (jobs > 1 && n_exact > 1) {
-        // Simulate every exact cell concurrently. run() latches each
-        // trace and each result exactly once, so racing cells block
-        // on the first producer instead of duplicating work. The
-        // futures re-raise any exception a cell threw.
-        util::ThreadPool pool(jobs);
-        std::vector<std::future<void>> cells;
-        cells.reserve(n_exact);
-        for (const auto &w : workloads) {
-            for (const core::Config *cfg : exact) {
-                cells.push_back(pool.submit(
-                    [&timed_cell, &w, cfg] { timed_cell(w, *cfg); }));
-            }
-        }
-        for (auto &cell : cells)
-            cell.get();
-    } else {
-        for (const auto &w : workloads) {
-            for (const core::Config *cfg : exact)
-                timed_cell(w, *cfg);
-        }
-    }
-
-    const double sweep_wall =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - sweep_start)
-            .count();
-    phases_.add("sweep", sweep_wall);
+    // Serialize passes per workload: a concurrent request covering
+    // the same family waits here, then finds the store filled and
+    // skips its own traversal (cells shared, one pass total).
+    std::mutex *pass_mutex = nullptr;
     {
-        std::lock_guard<std::mutex> lock(sweepMutex_);
-        lastSweep_.wallSeconds = sweep_wall;
-        lastSweep_.busySeconds =
-            static_cast<double>(busy_ns.load()) * 1e-9;
-        lastSweep_.jobs = std::max(1u, jobs);
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto &entry = passMutexes_[w.name];
+        if (!entry)
+            entry = std::make_unique<std::mutex>();
+        pass_mutex = entry.get();
     }
+    std::lock_guard<std::mutex> pass_lock(*pass_mutex);
 
-    // Render serially: ordering, rounding and therefore bytes are
-    // identical to the serial path (stack-served cells extract the
-    // same integer counts replay would produce, so the rendered
-    // doubles match bit for bit).
-    const telemetry::ScopedPhase render(phases_, "report");
-    std::vector<std::string> headers{"Benchmark"};
-    for (const auto &cfg : configs)
-        headers.push_back(cfg.name);
-    util::Table table(std::move(headers));
-    for (const auto &w : workloads) {
-        const auto row = table.addRow();
-        table.set(row, 0, w.name);
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            const sim::RunStats *s =
-                family.empty() ? nullptr : stackStats(w, configs[c]);
-            table.setNumber(row, c + 1,
-                            metric.extract(s ? *s
-                                             : run(w, configs[c])),
-                            metric.decimals);
+    std::size_t missing = 0;
+    for (const auto &member : family)
+        missing += !member.second->filled.load();
+    count("stack.pass.cached_cells",
+          "sweep cells served from the stack store",
+          family.size() - missing);
+    if (missing == 0)
+        return;
+
+    // One traversal covers the whole family, so even a request that
+    // adds a single new point to a mostly-cached family costs one
+    // pass, never per-point replays.
+    std::vector<sim::StackPoint> points;
+    points.reserve(family.size());
+    for (const auto &member : family)
+        points.push_back(stackPointOf(*member.first));
+
+    const trace::Trace &t = traceOf(w);
+    std::optional<sim::StackDistanceEngine> eng;
+    {
+        const telemetry::ScopedPhase phase(phases_, "stack-pass");
+        if (intra > 1 && pool != nullptr) {
+            // Set-sharded pass: per-set LRU stacks never interact, so
+            // each shard profiles a disjoint slice of every profiler's
+            // set space over the full stream and the histograms sum to
+            // exactly the unsharded counts (proven by the
+            // ShardedStackDifferential tests).
+            std::vector<sim::StackDistanceEngine> slices;
+            slices.reserve(intra);
+            for (unsigned s = 0; s < intra; ++s)
+                slices.emplace_back(points, s, intra);
+            std::vector<std::future<void>> tasks;
+            tasks.reserve(intra);
+            for (unsigned s = 0; s < intra; ++s) {
+                tasks.push_back(pool->submit([&slices, s, &t] {
+                    trace::MemoryTraceSource src(t);
+                    slices[s].run(src);
+                }));
+            }
+            for (auto &task : tasks)
+                task.wait(); // all done before get() may re-raise
+            for (auto &task : tasks)
+                task.get();
+            const auto merge0 = std::chrono::steady_clock::now();
+            for (unsigned s = 1; s < intra; ++s)
+                slices[0].absorb(slices[s]);
+            const auto merge_ns = static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - merge0)
+                    .count());
+            eng.emplace(std::move(slices[0]));
+            count("parallel.shards",
+                  "set-shard stack-pass slices executed", intra);
+            count("parallel.merge_ns",
+                  "nanoseconds merging parallel partial results",
+                  merge_ns);
+        } else {
+            eng.emplace(points);
+            trace::MemoryTraceSource src(t);
+            eng->run(src);
         }
     }
-    return table;
+
+    for (const auto &member : family) {
+        StoredCell &cell = *member.second;
+        if (cell.filled.load())
+            continue;
+        cell.stats = stackStatsFor(*eng, *member.first);
+        cell.filled.store(true);
+    }
+    count("stack.pass.traversals",
+          "single-pass stack traversals executed", 1);
+    count("stack.pass.records", "records profiled by stack traversals",
+          eng->accesses());
+    count("stack.pass.cells", "sweep cells served fresh from a stack "
+                              "pass",
+          missing);
 }
 
 std::vector<sim::RunStats>
@@ -545,308 +374,99 @@ Runner::runStreamed(const Workload &w,
     return out;
 }
 
-std::vector<std::vector<Runner::SampledCell>>
-Runner::runSampled(const std::vector<Workload> &workloads,
-                   const std::vector<core::Config> &configs,
-                   const sim::SamplingOptions &opt, unsigned jobs)
+void
+Runner::sampleCell(StoredCell &cell, const Workload &w,
+                   const core::Config &cfg, const SweepRequest &request,
+                   const std::string &library_dir,
+                   std::uint64_t trace_hash, util::ThreadPool *pool,
+                   unsigned intra)
 {
-    return runSampled(workloads, configs, opt, jobs, std::string(),
-                      false);
-}
-
-Runner::SampledCell
-Runner::computeSampledCell(const Workload &w, const core::Config &cfg,
-                           const sim::SamplingOptions &opt,
-                           const std::string &checkpoint_dir,
-                           bool rebuild, std::uint64_t trace_hash,
-                           util::ThreadPool *intra_pool,
-                           unsigned intra_jobs)
-{
-    const sim::SampledEngine engine(opt);
-    SampledCell out;
-    const auto t0 = std::chrono::steady_clock::now();
-    const trace::Trace &t = traceOf(w);
-    core::SoftwareAssistedCache sim(cfg);
-    if (!checkpoint_dir.empty()) {
-        sim::CheckpointKey key;
-        key.traceHash = trace_hash;
-        key.configKey = cfg.cacheKey();
-        key.window = opt.window;
-        key.stride = opt.stride;
-        key.warmup = opt.warmup;
-        const std::string path = sim::CheckpointLibrary::pathFor(
-            checkpoint_dir, t.name(), key);
-
-        sim::CheckpointLibrary lib;
-        using LoadResult = sim::CheckpointLibrary::LoadResult;
-        const LoadResult r =
-            rebuild ? LoadResult::Missing : lib.load(path, key);
-        std::uint64_t bytes = 0;
-        if (r == LoadResult::Hit) {
-            bytes = lib.loadedBytes();
+    std::call_once(cell.once, [&] {
+        const sim::SamplingOptions &opt = request.sampling;
+        const sim::SampledEngine engine(opt);
+        const auto t0 = std::chrono::steady_clock::now();
+        const trace::Trace &t = traceOf(w);
+        trace::MemoryTraceSource src(t);
+        core::SoftwareAssistedCache sim(cfg);
+        if (library_dir.empty()) {
+            cell.report = engine.run(src, sim);
         } else {
-            // Warm once through the builder (a warming-only mirror of
-            // the sampled replay), persist, then run the same restore
-            // path a hit takes.
-            core::SoftwareAssistedCache warmer(cfg);
-            trace::MemoryTraceSource warm_src(t);
-            engine.buildLibrary(warm_src, warmer, lib);
-            bytes = lib.save(path, key);
-        }
-        {
-            std::lock_guard<std::mutex> lock(checkpointMutex_);
+            sim::CheckpointKey key;
+            key.traceHash = trace_hash;
+            key.configKey = cfg.cacheKey();
+            key.window = opt.window;
+            key.stride = opt.stride;
+            key.warmup = opt.warmup;
+            const std::string path = sim::CheckpointLibrary::pathFor(
+                library_dir, t.name(), key);
+
+            sim::CheckpointLibrary lib;
+            using LoadResult = sim::CheckpointLibrary::LoadResult;
+            const LoadResult r = request.checkpointRebuild
+                                     ? LoadResult::Missing
+                                     : lib.load(path, key);
+            std::uint64_t bytes = 0;
             if (r == LoadResult::Hit) {
-                ++checkpointCounters_.counter(
-                    "checkpoint.hits",
-                    "sampled cells served from a live-point "
-                    "library");
+                bytes = lib.loadedBytes();
+                count("checkpoint.hits",
+                      "sampled cells served from a live-point library",
+                      1);
             } else {
+                // Warm once through the builder (a warming-only mirror
+                // of the sampled replay), persist, then run the same
+                // restore path a hit takes.
+                core::SoftwareAssistedCache warmer(cfg);
+                trace::MemoryTraceSource warm_src(t);
+                engine.buildLibrary(warm_src, warmer, lib);
+                bytes = lib.save(path, key);
                 if (r == LoadResult::Stale)
-                    ++checkpointCounters_.counter(
-                        "checkpoint.stale",
-                        "libraries rejected as stale (key, "
-                        "version or file mismatch)");
-                ++checkpointCounters_.counter(
-                    "checkpoint.misses",
-                    "sampled cells that warmed and wrote a "
-                    "library");
+                    count("checkpoint.stale",
+                          "libraries rejected as stale (key, version or "
+                          "file mismatch)",
+                          1);
+                count("checkpoint.misses",
+                      "sampled cells that warmed and wrote a library",
+                      1);
             }
-            checkpointCounters_.counter(
-                "checkpoint.bytes",
-                "bytes moved through .saclp files") += bytes;
-        }
-        trace::MemoryTraceSource src(t);
-        if (intra_pool && intra_jobs > 1) {
-            sim::ParallelReplayStats ps;
-            out.report = engine.runCheckpointedParallel(
-                src,
-                [&cfg] { return core::SoftwareAssistedCache(cfg); },
-                lib, *intra_pool, intra_jobs, &ps);
-            if (ps.parallel) {
-                std::lock_guard<std::mutex> lock(parallelMutex_);
-                parallelCounters_.counter(
-                    "parallel.windows",
-                    "detailed windows replayed concurrently") +=
-                    ps.windows;
-                parallelCounters_.counter(
-                    "parallel.merge_ns",
-                    "nanoseconds merging parallel partial "
-                    "results") += ps.mergeNanos;
-            }
-        } else {
-            out.report = engine.runCheckpointed(src, sim, lib);
-        }
-        out.fromCheckpoints = true;
-    } else {
-        trace::MemoryTraceSource src(t);
-        out.report = engine.run(src, sim);
-    }
-    out.simSeconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    runsExecuted_.fetch_add(1);
-    return out;
-}
-
-namespace {
-
-/** Cache key of one sampled cell: identity + geometry + library. */
-std::string
-sampledCellKey(const std::string &workload,
-               const std::string &cache_key,
-               const sim::SamplingOptions &opt,
-               const std::string &checkpoint_dir)
-{
-    std::ostringstream os;
-    os << workload << '\x1f' << cache_key << '\x1f' << opt.window
-       << ',' << opt.stride << ',' << opt.warmup << ','
-       << opt.confidence << ',' << opt.targetRelativeError << ','
-       << opt.minWindows << ',' << opt.maxWindows << '\x1f'
-       << checkpoint_dir;
-    return os.str();
-}
-
-} // namespace
-
-const Runner::SampledCell &
-Runner::sampledCellShared(const Workload &w, const core::Config &cfg,
-                          const sim::SamplingOptions &opt,
-                          const std::string &checkpoint_dir,
-                          std::uint64_t trace_hash,
-                          util::ThreadPool *intra_pool,
-                          unsigned intra_jobs)
-{
-    const std::string key =
-        sampledCellKey(w.name, cfg.cacheKey(), opt, checkpoint_dir);
-    Slot<SampledCell> *slot = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto &entry = sampledResults_[key];
-        if (!entry)
-            entry = std::make_unique<Slot<SampledCell>>();
-        slot = entry.get();
-    }
-    std::call_once(slot->once, [&] {
-        slot->value =
-            computeSampledCell(w, cfg, opt, checkpoint_dir, false,
-                               trace_hash, intra_pool, intra_jobs);
-    });
-    return slot->value;
-}
-
-std::vector<std::vector<Runner::SampledCell>>
-Runner::runSampled(const std::vector<Workload> &workloads,
-                   const std::vector<core::Config> &configs,
-                   const sim::SamplingOptions &opt, unsigned jobs,
-                   const std::string &checkpoint_dir, bool rebuild,
-                   unsigned intra_jobs)
-{
-    const telemetry::ScopedPhase phase(phases_, "sweep-sampled");
-    const sim::SampledEngine engine(opt); // validates opt up front
-    const bool use_library =
-        !checkpoint_dir.empty() && engine.checkpointable();
-    const std::string library_dir =
-        use_library ? checkpoint_dir : std::string();
-    // Intra-cell window replay needs a live-point library to slice;
-    // plain sampled runs are a single sequential stream.
-    const unsigned intra =
-        use_library ? std::max(1u, intra_jobs) : 1u;
-
-    // Latch every trace first so the parallel phase below measures
-    // sampled replay alone (and workers never race a generation).
-    for (const auto &w : workloads)
-        traceOf(w);
-
-    // Library identity is the trace *content*, not its name: hash
-    // once per workload, outside the parallel phase.
-    std::vector<std::uint64_t> trace_hashes(workloads.size(), 0);
-    if (use_library) {
-        for (std::size_t wi = 0; wi < workloads.size(); ++wi)
-            trace_hashes[wi] = sim::hashTrace(traceOf(workloads[wi]));
-    }
-
-    std::vector<std::vector<SampledCell>> cells(
-        workloads.size(), std::vector<SampledCell>(configs.size()));
-
-    // --checkpoint-rebuild must warm-and-rewrite, so it bypasses the
-    // shared cell store (and never poisons it with its fresh result —
-    // a later plain run should still latch its own).
-    // One pool serves both levels of parallelism: cell tasks fan out
-    // across it, and each checkpointed cell may additionally shard
-    // its window replay onto the same workers (the replay waits with
-    // helpWait(), so nested submission cannot deadlock).
-    const std::size_t n_cells = workloads.size() * configs.size();
-    const unsigned pool_threads = std::max(jobs, intra);
-    std::optional<util::ThreadPool> pool;
-    if (pool_threads > 1 && (n_cells > 1 || intra > 1))
-        pool.emplace(pool_threads);
-    util::ThreadPool *intra_pool =
-        (intra > 1 && pool) ? &*pool : nullptr;
-
-    const auto run_cell = [&](std::size_t wi, std::size_t ci) {
-        cells[wi][ci] =
-            rebuild ? computeSampledCell(workloads[wi], configs[ci],
-                                         opt, library_dir, true,
-                                         trace_hashes[wi],
-                                         intra_pool, intra)
-                    : sampledCellShared(workloads[wi], configs[ci],
-                                        opt, library_dir,
-                                        trace_hashes[wi],
-                                        intra_pool, intra);
-    };
-
-    if (pool && jobs > 1 && n_cells > 1) {
-        std::vector<std::future<void>> tasks;
-        tasks.reserve(n_cells);
-        for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-            for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-                tasks.push_back(pool->submit(
-                    [&run_cell, wi, ci] { run_cell(wi, ci); }));
-            }
-        }
-        for (auto &t : tasks)
-            pool->helpWait(t);
-    } else {
-        for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-            for (std::size_t ci = 0; ci < configs.size(); ++ci)
-                run_cell(wi, ci);
-        }
-    }
-    return cells;
-}
-
-namespace {
-
-/** The report's sampled series matching @p metric, if any. */
-const sim::SampleStats *
-sampleSeriesOf(const Metric &metric, const sim::SampleReport &rep)
-{
-    if (metric.name == "miss ratio")
-        return &rep.missRatio;
-    if (metric.name == "AMAT")
-        return &rep.amat;
-    if (metric.name == "words/ref")
-        return &rep.wordsPerAccess;
-    return nullptr;
-}
-
-/** Point estimate matching @p series (one of the report's three). */
-double
-sampleEstimateOf(const sim::SampleStats *series,
-                 const sim::SampleReport &rep)
-{
-    if (series == &rep.missRatio)
-        return rep.missRatioEstimate();
-    if (series == &rep.amat)
-        return rep.amatEstimate();
-    return rep.wordsPerAccessEstimate();
-}
-
-} // namespace
-
-util::Table
-sampledMatrix(const std::vector<Workload> &workloads,
-              const std::vector<core::Config> &configs,
-              const std::vector<std::vector<Runner::SampledCell>> &cells,
-              const Metric &metric)
-{
-    std::vector<std::string> headers{"Benchmark"};
-    for (const auto &cfg : configs)
-        headers.push_back(cfg.name);
-    util::Table table(std::move(headers));
-    for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-        const auto row = table.addRow();
-        table.set(row, 0, workloads[wi].name);
-        for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-            const sim::SampleReport &rep = cells[wi][ci].report;
-            if (const auto *series = sampleSeriesOf(metric, rep)) {
-                table.set(row, ci + 1,
-                          sim::formatWithCi(
-                              sampleEstimateOf(series, rep),
-                              rep.halfWidthOf(*series),
-                              metric.decimals));
+            count("checkpoint.bytes", "bytes moved through .saclp files",
+                  bytes);
+            if (pool != nullptr && intra > 1) {
+                sim::ParallelReplayStats ps;
+                cell.report = engine.runCheckpointedParallel(
+                    src,
+                    [&cfg] { return core::SoftwareAssistedCache(cfg); },
+                    lib, *pool, intra, &ps);
+                if (ps.parallel) {
+                    count("parallel.windows",
+                          "detailed windows replayed concurrently",
+                          ps.windows);
+                    count("parallel.merge_ns",
+                          "nanoseconds merging parallel partial results",
+                          ps.mergeNanos);
+                }
             } else {
-                table.setNumber(row, ci + 1,
-                                metric.extract(rep.detailed),
-                                metric.decimals);
+                cell.report = engine.runCheckpointed(src, sim, lib);
             }
         }
-    }
-    return table;
+        cell.seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+        runsExecuted_.fetch_add(1);
+    });
 }
 
 std::vector<Workload>
-paperWorkloads()
+paperWorkloads(std::uint64_t seed)
 {
     std::vector<Workload> out;
     for (const auto &b : workloads::paperBenchmarks()) {
         out.push_back(
             {b.name,
-             [name = b.name] {
-                 return workloads::makeBenchmarkTrace(name);
+             [name = b.name, seed] {
+                 return workloads::makeBenchmarkTrace(name, seed);
              },
-             [name = b.name](const trace::RecordSink &sink) {
-                 workloads::streamBenchmarkTrace(name, sink);
+             [name = b.name, seed](const trace::RecordSink &sink) {
+                 workloads::streamBenchmarkTrace(name, sink, seed);
              }});
     }
     return out;
@@ -891,83 +511,6 @@ toCsv(const util::Table &table)
         os << '\n';
     }
     return os.str();
-}
-
-// The legacy per-engine writers are thin wrappers over the unified
-// writeCellManifest(dir, ManifestCell, EngineTag) in sweep.cc; they
-// remain for one release (see the @deprecated notes in the header).
-
-std::string
-writeCellManifest(const std::string &dir, const std::string &workload,
-                  const core::Config &cfg,
-                  const sim::RunStats &stats, double sim_seconds,
-                  const util::Json *extra_timing)
-{
-    ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.stats = &stats;
-    cell.simSeconds = sim_seconds;
-    cell.extraTiming = extra_timing;
-    return writeCellManifest(dir, cell, EngineTag::ExactReplay);
-}
-
-std::string
-writeInstrumentedCellManifest(const std::string &dir,
-                              const std::string &workload,
-                              const core::Config &cfg,
-                              const trace::Trace &t,
-                              const sim::RunStats &stats,
-                              const InstrumentOptions &opt,
-                              double sim_seconds,
-                              const util::Json *extra_timing)
-{
-    ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.stats = &stats;
-    cell.trace = &t;
-    cell.instrument = opt;
-    cell.simSeconds = sim_seconds;
-    cell.extraTiming = extra_timing;
-    return writeCellManifest(dir, cell, EngineTag::ExactReplay);
-}
-
-std::string
-writeSampledCellManifest(const std::string &dir,
-                         const std::string &workload,
-                         const core::Config &cfg,
-                         const sim::SampleReport &report,
-                         const sim::SamplingOptions &opt,
-                         double sim_seconds,
-                         const util::Json *checkpoint)
-{
-    ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.report = &report;
-    cell.sampling = &opt;
-    cell.checkpoint = checkpoint;
-    cell.simSeconds = sim_seconds;
-    return writeCellManifest(dir, cell,
-                             checkpoint ? EngineTag::SampledLivepoint
-                                        : EngineTag::Sampled);
-}
-
-std::string
-writeStackCellManifest(const std::string &dir,
-                       const std::string &workload,
-                       const core::Config &cfg,
-                       const sim::RunStats &stats,
-                       std::size_t family_size, double pass_seconds)
-{
-    ManifestCell cell;
-    cell.workload = workload;
-    cell.config = &cfg;
-    cell.stats = &stats;
-    cell.stackFamilySize = family_size;
-    cell.simSeconds = pass_seconds;
-    return writeCellManifest(dir, cell, EngineTag::StackSinglePass);
 }
 
 bool

@@ -68,45 +68,23 @@ struct Workload
 };
 
 /**
- * Runs (workload, config) pairs, caching each generated trace and
- * each simulation result so sweeps sharing points are free.
+ * Runs sweep requests, caching each generated trace and each cell
+ * result so requests sharing points are free.
  *
- * Thread safety: traceOf() and run() may be called concurrently from
- * any number of threads. Each trace is generated exactly once (a
- * per-workload once-latch blocks concurrent requesters until the
- * first generation finishes) and each (workload, config) cell is
- * simulated exactly once; results are keyed on the canonical
- * serialized configuration (core::Config::cacheKey()), never on the
- * display name, so two configs sharing a label cannot alias.
+ * Thread safety: traceOf(), warmup() and run() may be called
+ * concurrently from any number of threads. Each trace is generated
+ * exactly once (a per-workload once-latch blocks concurrent
+ * requesters until the first generation finishes) and each cell is
+ * computed exactly once. Cells live in one store keyed on the engine
+ * that produced them plus the canonical serialized configuration
+ * (core::Config::cacheKey()), never on the display name, so two
+ * configs sharing a label cannot alias, and an exact, a stack-derived
+ * and a sampled result of the same (workload, config) never do
+ * either.
  */
 class Runner
 {
   public:
-    /** One simulated sweep cell: statistics plus its wall-clock cost. */
-    struct CellResult
-    {
-        sim::RunStats stats;
-        double simSeconds = 0.0; //!< wall seconds of simulateTrace()
-    };
-
-    /** Wall-clock account of the last runMatrix() sweep. */
-    struct SweepTiming
-    {
-        double wallSeconds = 0.0; //!< sweep wall time
-        double busySeconds = 0.0; //!< summed per-worker cell time
-        unsigned jobs = 1;        //!< workers used
-
-        /** Fraction of worker-seconds spent in cells (0..1). */
-        double
-        utilization() const
-        {
-            return jobs > 0 && wallSeconds > 0.0
-                       ? busySeconds /
-                             (static_cast<double>(jobs) * wallSeconds)
-                       : 0.0;
-        }
-    };
-
     Runner() = default;
 
     /** The trace of @p w, generated on first use. Thread-safe. */
@@ -119,61 +97,17 @@ class Runner
     void warmup(const std::vector<Workload> &workloads);
 
     /**
-     * The statistics of @p w under @p cfg, simulated on first use.
-     * Thread-safe.
-     */
-    const sim::RunStats &run(const Workload &w,
-                             const core::Config &cfg);
-
-    /**
-     * THE sweep entry point: execute one batched request, routing
-     * each (workload, config) cell to the fastest eligible engine
-     * (see EngineSelect in sweep.hh), emit the requested telemetry,
-     * and return the rendered table plus the per-cell routing record.
-     * Tables and manifests are byte-identical to the legacy
-     * runMatrix()/runSampled()+writer sequence for the same options
-     * (the SweepRequestDifferential tests prove it). The request must
-     * be valid (SweepRequest::validationError()); thread-safe like
-     * every other entry — concurrent requests share the trace, cell,
-     * stack and sampled caches.
+     * THE sweep entry point: plan one batched request (route each
+     * (workload, config) cell to the fastest eligible engine, see
+     * EngineSelect in sweep.hh), execute the plan, emit the requested
+     * telemetry, and return the rendered table plus every cell's
+     * routing record and statistics. Stack families run serially on
+     * the calling thread, one single-pass traversal per workload;
+     * exact and sampled cells run on one pool of max(jobs, intra)
+     * workers built for the request. The request must be valid
+     * (SweepRequest::validationError()).
      */
     SweepResult run(const SweepRequest &request);
-
-    /** Like run(), including the cell's wall-clock cost. */
-    const CellResult &cell(const Workload &w,
-                           const core::Config &cfg);
-
-    /**
-     * Build the classic figure table: one row per workload, one
-     * column per configuration, cells = metric. Serial reference
-     * path.
-     */
-    util::Table matrix(const std::vector<Workload> &workloads,
-                       const std::vector<core::Config> &configs,
-                       const Metric &metric);
-
-    /**
-     * Parallel sweep executor: simulate every uncached (workload,
-     * config) cell on @p jobs worker threads, then render the table.
-     * The result is byte-identical to matrix() — cells are rendered
-     * serially in workload x config order after the sweep completes.
-     * @p jobs <= 1 degenerates to the serial path.
-     *
-     * Stack dispatch: when the metric is stack-derivable
-     * (stackDerivableMetric()) and at least two configurations form a
-     * stack family (stackFamilyEligible()), the family's cells are
-     * served by ONE single-pass Mattson stack traversal per workload
-     * (sim::StackDistanceEngine) instead of per-config replays; the
-     * remaining configurations fall back to exact replay. Stack miss
-     * counts are bit-identical to replay (the StackDifferential tests
-     * prove it), so the rendered table stays byte-identical to
-     * matrix() either way. Stack-derived stats live in their own
-     * store, never the exact cell cache, and the pass is accounted
-     * under the "stack.pass.*" counters (stackCounter()).
-     */
-    util::Table runMatrix(const std::vector<Workload> &workloads,
-                          const std::vector<core::Config> &configs,
-                          const Metric &metric, unsigned jobs);
 
     /**
      * Streamed sweep: simulate @p w under every configuration in one
@@ -185,9 +119,9 @@ class Runner
      * = serial), with a barrier per chunk so all simulators advance
      * in lockstep. Chunks are double-buffered: the next chunk is
      * pulled from the queue while the workers replay the current one.
-     * Results are NOT cached (the cell cache stores
-     * materialized-trace results only; the two are bit-identical, as
-     * the streaming differential tests prove).
+     * Results are NOT cached (the cell store holds materialized-trace
+     * results only; the two are bit-identical, as the streaming
+     * differential tests prove).
      *
      * @return one RunStats per configuration, in @p configs order
      */
@@ -198,61 +132,6 @@ class Runner
                 std::size_t chunk_records =
                     trace::TraceSource::defaultChunkRecords);
 
-    /** One sampled sweep cell: the estimate report plus its cost. */
-    struct SampledCell
-    {
-        sim::SampleReport report;
-        double simSeconds = 0.0; //!< wall seconds of the sampled replay
-        /**
-         * The cell ran on the live-point restore path (warming
-         * replaced by checkpoint restores); manifests then carry
-         * "engine": "sampled-livepoint".
-         */
-        bool fromCheckpoints = false;
-    };
-
-    /**
-     * Sampled sweep: estimate every (workload, config) cell with the
-     * windowed sampling engine (sim::SampledEngine) instead of a full
-     * simulation. Traces come from the shared trace cache; each cell
-     * replays an independent MemoryTraceSource over the cached trace,
-     * so cells are embarrassingly parallel and run on @p jobs pool
-     * workers (<= 1 = serial). Estimates are never stored in the
-     * exact-cell cache — a sampled figure cannot silently poison a
-     * later full-detail run of the same matrix.
-     *
-     * @return cells indexed [workload][config]
-     */
-    std::vector<std::vector<SampledCell>>
-    runSampled(const std::vector<Workload> &workloads,
-               const std::vector<core::Config> &configs,
-               const sim::SamplingOptions &opt, unsigned jobs = 0);
-
-    /**
-     * Sampled sweep backed by a live-point checkpoint library rooted
-     * at @p checkpoint_dir (sim::CheckpointLibrary): each cell first
-     * tries to load the `.saclp` for (trace content, config family,
-     * sampling geometry). On a hit the cell replays detailed windows
-     * from restored live-points and skips functional warming
-     * entirely; on a miss (or any stale library — wrong trace hash,
-     * config, geometry, version, or a corrupt/truncated file) the
-     * cell warms once through the library builder, rewrites the file,
-     * and then runs the same restore path. Either way the resulting
-     * RunStats are bit-identical to the plain runSampled() cell (the
-     * checkpoint differential tests prove it). Outcomes land in the
-     * "checkpoint.*" counters (checkpointCounter()). Geometries with
-     * no warming gap (stride == window) and an empty @p
-     * checkpoint_dir fall back to plain runSampled() cells.
-     * @p rebuild forces warm-and-rewrite even when a valid library
-     * exists (--checkpoint-rebuild).
-     */
-    std::vector<std::vector<SampledCell>>
-    runSampled(const std::vector<Workload> &workloads,
-               const std::vector<core::Config> &configs,
-               const sim::SamplingOptions &opt, unsigned jobs,
-               const std::string &checkpoint_dir, bool rebuild,
-               unsigned intra_jobs = 1);
-
     /** Number of simulations actually executed (not served cached). */
     std::size_t runsExecuted() const { return runsExecuted_.load(); }
 
@@ -262,7 +141,7 @@ class Runner
      *   stack.pass.traversals     single-pass traversals executed
      *   stack.pass.records        records profiled by those passes
      *   stack.pass.cells          cells served fresh from a pass
-     *   stack.pass.cached_cells   cells served from the stack store
+     *   stack.pass.cached_cells   cells served from the cell store
      *   stack.pass.fallback_cells exact-replay cells in stack sweeps
      */
     std::uint64_t stackCounter(const std::string &name) const;
@@ -289,15 +168,6 @@ class Runner
      */
     std::uint64_t parallelCounter(const std::string &name) const;
 
-    /**
-     * Stack-store stats of (w, cfg), or nullptr when no stack pass
-     * has served that cell. Lets manifest emitters record
-     * stack-served cells (writeStackCellManifest) without forcing an
-     * exact replay through run()/cell().
-     */
-    const sim::RunStats *stackStats(const Workload &w,
-                                    const core::Config &cfg) const;
-
     /** Number of traces actually generated. */
     std::size_t tracesGenerated() const
     {
@@ -306,142 +176,103 @@ class Runner
 
     /**
      * Wall-clock phase account of this runner: "trace-gen" (workload
-     * builds), "warmup" (warmup() calls), "sim" (simulateTrace
-     * cells), "sweep" (runMatrix execution) and "report" (table
-     * rendering). Phase adds are thread-safe.
+     * builds), "warmup" (warmup() calls), "sim" (exact replays),
+     * "stack-pass" (stack traversals), "sweep" (request execution)
+     * and "report" (table and manifest rendering). Phase adds are
+     * thread-safe.
      */
     const telemetry::PhaseTimer &phases() const { return phases_; }
 
-    /** Timing of the most recent runMatrix() sweep. */
-    SweepTiming lastSweep() const;
-
   private:
-    /** A once-latched cache slot: built exactly once, then immutable. */
-    template <typename T> struct Slot
+    /** One store entry: computed exactly once, then immutable. */
+    struct StoredCell
     {
+        /** Latch of exact and sampled cells. */
         std::once_flag once;
-        T value;
+        /**
+         * Stack cells are filled by a whole-family pass instead (under
+         * the workload's pass mutex); set once the stats are stored.
+         */
+        std::atomic<bool> filled{false};
+        sim::RunStats stats;      //!< exact and stack cells
+        sim::SampleReport report; //!< sampled cells
+        double seconds = 0.0;     //!< wall seconds of the replay
     };
 
-    /**
-     * Run one stack pass over @p w covering the whole @p family,
-     * storing per-config stats for any member not already in the
-     * stack store. Called from the sweep's issuing thread;
-     * @p intra_jobs > 1 splits the pass into that many set-shard
-     * slices (sim::StackDistanceEngine shard mode) run concurrently
-     * and absorbed in shard order — bit-identical counts, one
-     * traversal's wall time divided across cores.
-     */
-    void runStackFamily(const Workload &w,
-                        const std::vector<const core::Config *> &family,
-                        unsigned intra_jobs = 1);
+    /** A request's cells, each routed to an engine and a store slot. */
+    struct Plan;
+
+    /** Decide every cell's engine, stack family and store slot. */
+    Plan plan(const SweepRequest &request);
+
+    /** The store slot under @p key, created on first use. */
+    StoredCell &slot(const std::string &key);
+
+    /** Replay one exact cell into @p cell (once). */
+    void replayCell(StoredCell &cell, const Workload &w,
+                    const core::Config &cfg);
 
     /**
-     * runMatrix() with the stack dispatch gated: @p allow_stack false
-     * forces every cell onto exact replay (EngineSelect::Exact).
-     * @p intra_jobs > 1 shards each stack pass across that many
-     * workers (runStackFamily).
+     * Estimate one sampled cell into @p cell (once), over the
+     * live-point library at @p library_dir when non-empty (the
+     * trace's content hash is @p trace_hash). When @p pool is given
+     * with @p intra > 1, the live-point replay fans its detailed
+     * windows out over it — the report stays bit-identical to the
+     * serial path.
      */
-    util::Table runMatrixWith(const std::vector<Workload> &workloads,
-                              const std::vector<core::Config> &configs,
-                              const Metric &metric, unsigned jobs,
-                              bool allow_stack,
-                              unsigned intra_jobs = 1);
+    void sampleCell(StoredCell &cell, const Workload &w,
+                    const core::Config &cfg, const SweepRequest &request,
+                    const std::string &library_dir,
+                    std::uint64_t trace_hash, util::ThreadPool *pool,
+                    unsigned intra);
 
     /**
-     * Simulate one sampled cell (optionally over the live-point
-     * library at @p checkpoint_dir). Always executes; the cache is
-     * sampledCellShared()'s. When @p intra_pool is given with
-     * @p intra_jobs > 1, the live-point replay fans its detailed
-     * windows out over the pool (runCheckpointedParallel) — the
-     * report stays bit-identical to the serial path.
+     * Run one stack pass over @p w covering every config of
+     * @p family, storing the stats of each member slot not yet
+     * filled. @p intra > 1 splits the pass into that many set-shard
+     * slices (sim::StackDistanceEngine shard mode) run on @p pool and
+     * absorbed in shard order — bit-identical counts.
      */
-    SampledCell computeSampledCell(const Workload &w,
-                                   const core::Config &cfg,
-                                   const sim::SamplingOptions &opt,
-                                   const std::string &checkpoint_dir,
-                                   bool rebuild,
-                                   std::uint64_t trace_hash,
-                                   util::ThreadPool *intra_pool = nullptr,
-                                   unsigned intra_jobs = 1);
+    void runStackFamily(
+        const Workload &w,
+        const std::vector<std::pair<const core::Config *, StoredCell *>>
+            &family,
+        unsigned intra, util::ThreadPool *pool);
 
-    /**
-     * The once-latched sampled cell of (w, cfg, geometry, library):
-     * concurrent requests for the same cell share one sampled replay
-     * — and, on the live-point path, one library build. Keyed on the
-     * full sampling geometry plus the checkpoint directory, so a
-     * plain and a checkpointed run of the same cell never alias.
-     * (Not on intra_jobs: parallel and serial replays are
-     * bit-identical, so they may share one slot.)
-     */
-    const SampledCell &
-    sampledCellShared(const Workload &w, const core::Config &cfg,
-                      const sim::SamplingOptions &opt,
-                      const std::string &checkpoint_dir,
-                      std::uint64_t trace_hash,
-                      util::ThreadPool *intra_pool = nullptr,
-                      unsigned intra_jobs = 1);
+    /** Add @p delta to counter @p name (registered on first use). */
+    void count(const char *name, const char *desc, std::uint64_t delta);
 
-    std::mutex mutex_; //!< guards the two slot maps (not the slots)
-    std::map<std::string, std::unique_ptr<Slot<trace::Trace>>>
-        traces_;
-    std::map<std::pair<std::string, std::string>,
-             std::unique_ptr<Slot<CellResult>>>
-        results_;
+    /** A once-latched trace slot: built exactly once, then immutable. */
+    struct TraceSlot
+    {
+        std::once_flag once;
+        trace::Trace value;
+    };
+
+    /** Guards the maps below (not the slots) and the counters. */
+    mutable std::mutex mutex_;
+    std::map<std::string, std::unique_ptr<TraceSlot>> traces_;
+    /** The one cell store (see the class comment for its key). */
+    std::map<std::string, std::unique_ptr<StoredCell>> cells_;
     /**
-     * Stack-derived stats, keyed like results_ on (workload,
-     * cacheKey). Deliberately a separate store: stack stats carry
-     * counts but no timing, so they must never be served where an
-     * exact CellResult is expected (the sampled engine's
-     * no-poisoning discipline).
+     * One pass mutex per workload: the whole check-store / traverse /
+     * fill-store sequence of runStackFamily() holds it, so concurrent
+     * requests over the same workload share one traversal instead of
+     * racing to duplicate it.
      */
-    std::map<std::pair<std::string, std::string>, sim::RunStats>
-        stackResults_;
-    /**
-     * Sampled-cell cache, keyed by sampledCellKey() (workload,
-     * cacheKey, geometry, checkpoint dir). Separate from results_ for
-     * the same reason stackResults_ is: an estimate must never be
-     * served where an exact CellResult is expected.
-     */
-    std::map<std::string, std::unique_ptr<Slot<SampledCell>>>
-        sampledResults_;
-    mutable std::mutex stackMutex_; //!< guards stackResults_/counters
-    /**
-     * One pass mutex per workload (created under stackMutex_): the
-     * whole check-store / traverse / fill-store sequence of
-     * runStackFamily() holds it, so concurrent sweeps over the same
-     * workload share one traversal instead of racing to duplicate it.
-     */
-    std::map<std::string, std::unique_ptr<std::mutex>>
-        stackPassMutexes_;
-    telemetry::CounterRegistry stackCounters_;
-    mutable std::mutex checkpointMutex_; //!< guards checkpointCounters_
-    telemetry::CounterRegistry checkpointCounters_;
-    mutable std::mutex parallelMutex_; //!< guards parallelCounters_
-    telemetry::CounterRegistry parallelCounters_;
+    std::map<std::string, std::unique_ptr<std::mutex>> passMutexes_;
+    /** stack.pass.*, checkpoint.* and parallel.* counters. */
+    telemetry::CounterRegistry counters_;
     std::atomic<std::size_t> runsExecuted_{0};
     std::atomic<std::size_t> tracesGenerated_{0};
     telemetry::PhaseTimer phases_;
-    mutable std::mutex sweepMutex_; //!< guards lastSweep_
-    SweepTiming lastSweep_;
 };
 
-/** The nine paper benchmarks as harness workloads. */
-std::vector<Workload> paperWorkloads();
-
 /**
- * Render a sampled sweep as the classic figure table: one row per
- * workload, one column per configuration, cells "estimate +/-half" at
- * the report's confidence. The three sampled metrics (miss ratio,
- * AMAT, words/ref) carry their interval; any other metric falls back
- * to extracting from the cumulative detailed stats, without a bound.
- * Exact cells (short traces) render like matrix() does, +/-0.
+ * The nine paper benchmarks as harness workloads, their traces
+ * generated with timing seed @p seed.
  */
-util::Table
-sampledMatrix(const std::vector<Workload> &workloads,
-              const std::vector<core::Config> &configs,
-              const std::vector<std::vector<Runner::SampledCell>> &cells,
-              const Metric &metric);
+std::vector<Workload> paperWorkloads(std::uint64_t seed = 0x7ac3ull);
 
 /**
  * Is @p cfg a member of the stack family — a configuration whose
@@ -473,63 +304,7 @@ sim::StackPoint stackPointOf(const core::Config &cfg);
 sim::RunStats stackStatsFor(const sim::StackDistanceEngine &eng,
                             const core::Config &cfg);
 
-/**
- * Write the run manifest of one stack-dispatched sweep cell: tagged
- * "engine": "stack-single-pass", with the count-derived metrics and
- * a "stack" object recording the family size. Timing metrics are
- * omitted — a stack pass does not model cycles.
- *
- * @deprecated Thin wrapper over writeCellManifest(dir, ManifestCell,
- * EngineTag::StackSinglePass) (sweep.hh); will be removed next
- * release.
- */
-std::string
-writeStackCellManifest(const std::string &dir,
-                       const std::string &workload,
-                       const core::Config &cfg,
-                       const sim::RunStats &stats,
-                       std::size_t family_size,
-                       double pass_seconds = 0.0);
-
-/**
- * Write the run manifest of one sampled sweep cell: the regular cell
- * manifest built from the cumulative detailed stats, with a
- * "sampling" object in the metrics section carrying the geometry,
- * record accounting, and each estimate with its half-width. When
- * @p checkpoint is given (an object, typically the library-outcome
- * counters: hits/misses/stale/bytes), the cell ran on the live-point
- * restore path: the manifest is tagged "engine": "sampled-livepoint"
- * and carries the object as its "checkpoint" block.
- *
- * @deprecated Thin wrapper over writeCellManifest(dir, ManifestCell,
- * EngineTag::Sampled / ::SampledLivepoint) (sweep.hh); will be
- * removed next release.
- */
-std::string
-writeSampledCellManifest(const std::string &dir,
-                         const std::string &workload,
-                         const core::Config &cfg,
-                         const sim::SampleReport &report,
-                         const sim::SamplingOptions &opt,
-                         double sim_seconds = 0.0,
-                         const util::Json *checkpoint = nullptr);
-
-/**
- * Write one telemetry run manifest for a sweep cell: the full
- * configuration, its cache key, every RunStats counter, the derived
- * paper metrics, and timing. Returns the written path ("" on I/O
- * failure). @p sim_seconds <= 0 omits the per-cell cost; members of
- * @p extra_timing (an object), when given, are merged into the
- * manifest's timing section (e.g. phase totals and utilization).
- */
-std::string writeCellManifest(const std::string &dir,
-                              const std::string &workload,
-                              const core::Config &cfg,
-                              const sim::RunStats &stats,
-                              double sim_seconds = 0.0,
-                              const util::Json *extra_timing = nullptr);
-
-/** What writeInstrumentedCellManifest() adds to a cell manifest. */
+/** Time-resolved instrumentation of an exact cell manifest. */
 struct InstrumentOptions
 {
     /**
@@ -541,30 +316,6 @@ struct InstrumentOptions
     /** Embed the per-set heat profile ("profile" manifest block). */
     bool heatmap = false;
 };
-
-/**
- * Write the cell manifest of an already-simulated run *with*
- * time-resolved instrumentation: the trace is replayed once more with
- * an IntervalRecorder / SetProfiler attached (the instrumented replay
- * must reproduce @p stats bit-for-bit — asserted), the heat profile
- * lands in the manifest's "profile" block and the interval series in
- * a sibling `<stem>.intervals.jsonl` file. In builds without
- * SAC_INTERVAL the function warns once and falls back to the plain
- * writeCellManifest(). Returns the manifest path ("" on I/O failure).
- *
- * @deprecated Thin wrapper over writeCellManifest(dir, ManifestCell,
- * EngineTag::ExactReplay) with cell.trace/instrument set (sweep.hh);
- * will be removed next release.
- */
-std::string
-writeInstrumentedCellManifest(const std::string &dir,
-                              const std::string &workload,
-                              const core::Config &cfg,
-                              const trace::Trace &t,
-                              const sim::RunStats &stats,
-                              const InstrumentOptions &opt,
-                              double sim_seconds = 0.0,
-                              const util::Json *extra_timing = nullptr);
 
 /** Render a table as RFC-4180-style CSV (quoted where needed). */
 std::string toCsv(const util::Table &table);

@@ -1,7 +1,10 @@
 #include "src/harness/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -10,6 +13,7 @@
 #include "src/telemetry/interval.hh"
 #include "src/telemetry/set_profile.hh"
 #include "src/util/logging.hh"
+#include "src/util/thread_pool.hh"
 
 namespace sac {
 namespace harness {
@@ -413,33 +417,102 @@ struct Emitter
 
 } // namespace
 
-SweepResult
-Runner::run(const SweepRequest &request)
+/**
+ * The routing of one request: every cell's engine and store slot,
+ * workload-major like SweepResult::cells, plus what the executor
+ * needs to run them.
+ */
+struct Runner::Plan
 {
-    if (const auto err = request.validationError())
-        SAC_ASSERT(false, "invalid SweepRequest: ", *err);
+    struct Cell
+    {
+        EngineTag engine = EngineTag::ExactReplay;
+        StoredCell *slot = nullptr;
+    };
+    std::vector<Cell> cells;
+    /**
+     * Indices (into the request's configs) of the stack family: the
+     * configs one single-pass traversal per workload serves. Empty
+     * when no pass runs (a family of one gains nothing over a replay).
+     */
+    std::vector<std::size_t> family;
+    /** Live-point library root of sampled cells ("" = plain). */
+    std::string libraryDir;
+    /** Workers per cell for set-sharded passes / window replay. */
+    unsigned intra = 1;
+    /** Unstored slots of --checkpoint-rebuild cells. */
+    std::vector<std::unique_ptr<StoredCell>> rebuilt;
+};
 
-    SweepResult out;
-    Emitter emitter{request.telemetry, out};
-    const bool sampled =
-        request.engine == EngineSelect::Sampled ||
-        request.engine == EngineSelect::SampledLivepoint;
+namespace {
+
+/** Store key of one cell: engine, identity, and for sampled cells the
+ *  full sampling geometry plus the library they restore from. */
+std::string
+storeKey(EngineTag tag, const std::string &workload,
+         const std::string &cache_key, const SweepRequest &request,
+         const std::string &library_dir)
+{
+    std::ostringstream os;
+    os << engineName(tag) << '\x1f' << workload << '\x1f' << cache_key;
+    if (tag == EngineTag::Sampled || tag == EngineTag::SampledLivepoint) {
+        const sim::SamplingOptions &opt = request.sampling;
+        os << '\x1f' << opt.window << ',' << opt.stride << ','
+           << opt.warmup << ',' << opt.confidence << ','
+           << opt.targetRelativeError << ',' << opt.minWindows << ','
+           << opt.maxWindows << '\x1f' << library_dir;
+    }
+    return os.str();
+}
+
+/** The report's sampled series matching @p metric, if any. */
+const sim::SampleStats *
+sampleSeriesOf(const Metric &metric, const sim::SampleReport &rep)
+{
+    if (metric.name == "miss ratio")
+        return &rep.missRatio;
+    if (metric.name == "AMAT")
+        return &rep.amat;
+    if (metric.name == "words/ref")
+        return &rep.wordsPerAccess;
+    return nullptr;
+}
+
+/** Point estimate matching @p series (one of the report's three). */
+double
+sampleEstimateOf(const sim::SampleStats *series,
+                 const sim::SampleReport &rep)
+{
+    if (series == &rep.missRatio)
+        return rep.missRatioEstimate();
+    if (series == &rep.amat)
+        return rep.amatEstimate();
+    return rep.wordsPerAccessEstimate();
+}
+
+/** Nanoseconds elapsed since @p t0. */
+std::uint64_t
+nanosSince(std::chrono::steady_clock::time_point t0)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+}
+
+} // namespace
+
+Runner::Plan
+Runner::plan(const SweepRequest &request)
+{
+    Plan p;
     const std::size_t n_w = request.workloads.size();
     const std::size_t n_c = request.configs.size();
-    out.cells.resize(n_w * n_c);
-    const auto record = [&](std::size_t wi,
-                            std::size_t ci) -> SweepResult::Cell & {
-        SweepResult::Cell &r = out.cells[wi * n_c + ci];
-        r.workload = request.workloads[wi].name;
-        r.configName = request.configs[ci].name;
-        r.cacheKey = request.configs[ci].cacheKey();
-        return r;
-    };
+    const std::size_t n_cells = n_w * n_c;
 
     // Intra-trace workers per cell: an explicit request wins; auto
     // shards only when the cell count cannot keep every sweep worker
     // busy, splitting the leftover concurrency across cells.
-    const std::size_t n_cells = n_w * n_c;
     const unsigned intra =
         request.intraJobs > 0
             ? request.intraJobs
@@ -447,163 +520,284 @@ Runner::run(const SweepRequest &request)
                    ? request.jobs / static_cast<unsigned>(n_cells)
                    : 1);
 
-    if (sampled) {
-        const auto cells = runSampled(
-            request.workloads, request.configs, request.sampling,
-            request.jobs,
-            request.engine == EngineSelect::SampledLivepoint
-                ? request.checkpointDir
-                : std::string(),
-            request.checkpointRebuild, intra);
-        out.table = sampledMatrix(request.workloads, request.configs,
-                                  cells, request.metric);
+    // The one routing decision. Sampled engines are explicit; a
+    // live-point request whose geometry leaves no warming gap has
+    // nothing a library could save and runs as plain sampling.
+    // Otherwise a stack-derivable metric sends the stack-eligible
+    // configs (at least two) to one traversal per workload, and every
+    // other cell to exact replay.
+    std::vector<EngineTag> tags(n_c, EngineTag::ExactReplay);
+    if (request.engine == EngineSelect::Sampled ||
+        request.engine == EngineSelect::SampledLivepoint) {
+        const bool library =
+            request.engine == EngineSelect::SampledLivepoint &&
+            sim::SampledEngine(request.sampling).checkpointable();
+        if (library) {
+            p.libraryDir = request.checkpointDir;
+            p.intra = intra;
+        }
+        tags.assign(n_c, library ? EngineTag::SampledLivepoint
+                                 : EngineTag::Sampled);
+    } else if (request.engine != EngineSelect::Exact &&
+               stackDerivableMetric(request.metric)) {
+        for (std::size_t ci = 0; ci < n_c; ++ci) {
+            if (stackFamilyEligible(request.configs[ci]))
+                p.family.push_back(ci);
+        }
+        if (p.family.size() < 2) {
+            p.family.clear();
+        } else {
+            p.intra = intra;
+            for (const std::size_t ci : p.family)
+                tags[ci] = EngineTag::StackSinglePass;
+        }
+    }
 
-        // Library-served cells carry a "checkpoint" block so a reader
-        // can tell an instant re-sweep from a cold warm.
-        util::Json ck = util::Json::object();
-        if (!request.checkpointDir.empty()) {
-            for (const char *key :
-                 {"checkpoint.hits", "checkpoint.misses",
-                  "checkpoint.stale", "checkpoint.bytes"}) {
-                // Strip the "checkpoint." prefix inside the block.
-                ck.set(std::string(key).substr(11),
-                       checkpointCounter(key));
+    p.cells.resize(n_cells);
+    for (std::size_t wi = 0; wi < n_w; ++wi) {
+        for (std::size_t ci = 0; ci < n_c; ++ci) {
+            Plan::Cell &c = p.cells[wi * n_c + ci];
+            c.engine = tags[ci];
+            // --checkpoint-rebuild must warm-and-rewrite, so its cells
+            // bypass the store (and never poison it with their fresh
+            // result: a later plain run still latches its own).
+            if (request.checkpointRebuild && !p.libraryDir.empty()) {
+                p.rebuilt.push_back(std::make_unique<StoredCell>());
+                c.slot = p.rebuilt.back().get();
+            } else {
+                c.slot = &slot(storeKey(
+                    c.engine, request.workloads[wi].name,
+                    request.configs[ci].cacheKey(), request,
+                    p.libraryDir));
             }
         }
+    }
+    return p;
+}
 
-        // Cells whose window replay ran sharded additionally carry a
-        // "parallel" block inside "timing" (so result comparisons
-        // stay unaffected), mirroring the checkpoint block above.
-        util::Json par = util::Json::object();
-        const bool ran_parallel =
-            parallelCounter("parallel.windows") > 0;
-        if (ran_parallel) {
-            par.set("intra_jobs", static_cast<std::uint64_t>(intra));
-            for (const char *key :
-                 {"parallel.windows", "parallel.merge_ns"}) {
-                // Strip the "parallel." prefix inside the block.
-                par.set(std::string(key).substr(9),
-                        parallelCounter(key));
-            }
-        }
+SweepResult
+Runner::run(const SweepRequest &request)
+{
+    if (const auto err = request.validationError())
+        SAC_ASSERT(false, "invalid SweepRequest: ", *err);
+
+    const Plan p = plan(request);
+    const std::size_t n_w = request.workloads.size();
+    const std::size_t n_c = request.configs.size();
+
+    // ---- Execute. ----------------------------------------------------
+    const auto start = std::chrono::steady_clock::now();
+    // Summed wall time of the cell tasks and passes (nanoseconds so
+    // workers can accumulate without a double CAS).
+    std::atomic<std::uint64_t> busy_ns{0};
+
+    std::vector<std::size_t> tasks; // cells a pool worker may run
+    for (std::size_t i = 0; i < p.cells.size(); ++i) {
+        if (p.cells[i].engine != EngineTag::StackSinglePass)
+            tasks.push_back(i);
+    }
+    const unsigned jobs = std::max(1u, request.jobs);
+    const bool parallel_cells = jobs > 1 && tasks.size() > 1;
+    std::optional<util::ThreadPool> pool;
+    if (parallel_cells || p.intra > 1)
+        pool.emplace(std::max(jobs, p.intra));
+
+    // Stack passes run serially on this thread: each is already a
+    // whole-family batch (optionally set-sharded over the pool).
+    if (!p.family.empty()) {
         for (std::size_t wi = 0; wi < n_w; ++wi) {
-            for (std::size_t ci = 0; ci < n_c; ++ci) {
-                const SampledCell &cell = cells[wi][ci];
-                const EngineTag tag =
-                    cell.fromCheckpoints ? EngineTag::SampledLivepoint
-                                         : EngineTag::Sampled;
-                SweepResult::Cell &r = record(wi, ci);
-                r.engine = tag;
-                if (!emitter.active() ||
-                    !emitter.claim(r.workload, r.cacheKey))
+            std::vector<std::pair<const core::Config *, StoredCell *>>
+                members;
+            for (const std::size_t ci : p.family)
+                members.emplace_back(&request.configs[ci],
+                                     p.cells[wi * n_c + ci].slot);
+            const auto t0 = std::chrono::steady_clock::now();
+            runStackFamily(request.workloads[wi], members, p.intra,
+                           pool ? &*pool : nullptr);
+            busy_ns.fetch_add(nanosSince(t0));
+        }
+        if (!tasks.empty())
+            count("stack.pass.fallback_cells",
+                  "cells exact-replayed in stack-dispatched sweeps",
+                  tasks.size());
+    }
+
+    // Library identity is the trace *content*, not its name: hash once
+    // per workload, before the cells fan out.
+    std::vector<std::uint64_t> trace_hashes(n_w, 0);
+    if (!p.libraryDir.empty()) {
+        for (std::size_t wi = 0; wi < n_w; ++wi)
+            trace_hashes[wi] =
+                sim::hashTrace(traceOf(request.workloads[wi]));
+    }
+
+    // Exact and sampled cells: each latches once in the store, so
+    // cells racing another request block on the first producer
+    // instead of duplicating work. A live-point cell may shard its
+    // window replay onto the same pool (it waits with helpWait(), so
+    // nested submission cannot deadlock).
+    const auto execute = [&](std::size_t i) {
+        const std::size_t wi = i / n_c;
+        const std::size_t ci = i % n_c;
+        const auto t0 = std::chrono::steady_clock::now();
+        if (p.cells[i].engine == EngineTag::ExactReplay) {
+            replayCell(*p.cells[i].slot, request.workloads[wi],
+                       request.configs[ci]);
+        } else {
+            sampleCell(*p.cells[i].slot, request.workloads[wi],
+                       request.configs[ci], request, p.libraryDir,
+                       trace_hashes[wi], pool ? &*pool : nullptr,
+                       p.intra);
+        }
+        busy_ns.fetch_add(nanosSince(t0));
+    };
+    if (parallel_cells) {
+        std::vector<std::future<void>> futures;
+        futures.reserve(tasks.size());
+        for (const std::size_t i : tasks)
+            futures.push_back(pool->submit([&execute, i] { execute(i); }));
+        // Every task must finish before get() re-raises an exception
+        // a cell threw: the tasks reference this frame.
+        for (auto &f : futures)
+            f.wait();
+        for (auto &f : futures)
+            f.get();
+    } else {
+        for (const std::size_t i : tasks)
+            execute(i);
+    }
+
+    SweepResult out;
+    out.timing.wallSeconds =
+        static_cast<double>(nanosSince(start)) * 1e-9;
+    out.timing.busySeconds = static_cast<double>(busy_ns.load()) * 1e-9;
+    out.timing.jobs = jobs;
+    phases_.add("sweep", out.timing.wallSeconds);
+
+    // ---- Render, serially from the plan: ordering, rounding and
+    // therefore bytes are independent of the job count (stack-served
+    // cells extract the same integer counts replay would produce). --
+    const telemetry::ScopedPhase render(phases_, "report");
+    std::vector<std::string> headers{"Benchmark"};
+    for (const auto &cfg : request.configs)
+        headers.push_back(cfg.name);
+    out.table = util::Table(std::move(headers));
+    out.cells.resize(p.cells.size());
+    for (std::size_t wi = 0; wi < n_w; ++wi) {
+        const auto row = out.table.addRow();
+        out.table.set(row, 0, request.workloads[wi].name);
+        for (std::size_t ci = 0; ci < n_c; ++ci) {
+            const Plan::Cell &c = p.cells[wi * n_c + ci];
+            SweepResult::Cell &r = out.cells[wi * n_c + ci];
+            r.workload = request.workloads[wi].name;
+            r.configName = request.configs[ci].name;
+            r.cacheKey = request.configs[ci].cacheKey();
+            r.engine = c.engine;
+            const int decimals = request.metric.decimals;
+            if (c.engine == EngineTag::Sampled ||
+                c.engine == EngineTag::SampledLivepoint) {
+                const sim::SampleReport &rep = c.slot->report;
+                r.stats = rep.detailed;
+                r.report = rep;
+                if (const auto *series =
+                        sampleSeriesOf(request.metric, rep)) {
+                    out.table.set(row, ci + 1,
+                                  sim::formatWithCi(
+                                      sampleEstimateOf(series, rep),
+                                      rep.halfWidthOf(*series),
+                                      decimals));
                     continue;
-                ManifestCell mc;
-                mc.workload = r.workload;
-                mc.config = &request.configs[ci];
-                mc.report = &cell.report;
-                mc.sampling = &request.sampling;
-                mc.checkpoint = cell.fromCheckpoints ? &ck : nullptr;
-                mc.parallel = cell.fromCheckpoints && ran_parallel
-                                  ? &par
-                                  : nullptr;
-                mc.simSeconds = cell.simSeconds;
-                emitter.emit(mc, tag, &r);
+                }
+            } else {
+                r.stats = c.slot->stats;
             }
+            out.table.setNumber(row, ci + 1,
+                                request.metric.extract(r.stats),
+                                decimals);
         }
+    }
+
+    Emitter emitter{request.telemetry, out};
+    if (!emitter.active())
         return out;
+
+    // Engine blocks, read once: library-served cells carry a
+    // "checkpoint" block so a reader can tell an instant re-sweep from
+    // a cold warm; cells whose window replay or stack pass ran sharded
+    // carry a "parallel" block inside "timing" (so result comparisons
+    // stay unaffected).
+    util::Json ck = util::Json::object();
+    if (!p.libraryDir.empty()) {
+        for (const char *key : {"checkpoint.hits", "checkpoint.misses",
+                                "checkpoint.stale", "checkpoint.bytes"})
+            ck.set(std::string(key).substr(11), checkpointCounter(key));
     }
-
-    // Exact path (Auto routes stack families; Exact forbids them).
-    const bool allow_stack = request.engine != EngineSelect::Exact;
-    out.table = runMatrixWith(request.workloads, request.configs,
-                              request.metric, request.jobs,
-                              allow_stack, intra);
-    out.timing = lastSweep();
-
-    // Stack passes that ran set-sharded carry their own "parallel"
-    // block (under "timing", like the sampled path's).
+    const char *parallel_key = p.family.empty() ? "parallel.windows"
+                                                : "parallel.shards";
     util::Json par = util::Json::object();
-    const bool ran_sharded = parallelCounter("parallel.shards") > 0;
-    if (ran_sharded) {
-        par.set("intra_jobs", static_cast<std::uint64_t>(intra));
-        for (const char *key :
-             {"parallel.shards", "parallel.merge_ns"}) {
+    const bool ran_parallel = parallelCounter(parallel_key) > 0;
+    if (ran_parallel) {
+        par.set("intra_jobs", static_cast<std::uint64_t>(p.intra));
+        for (const char *key : {parallel_key, "parallel.merge_ns"})
             par.set(std::string(key).substr(9), parallelCounter(key));
-        }
     }
-
-    // Mirror runMatrixWith's partition rule so stack-served cells are
-    // recorded (and emitted) as such instead of being exact-replayed
-    // just for the manifest.
-    std::size_t family_size = 0;
-    if (allow_stack && stackDerivableMetric(request.metric)) {
-        for (const auto &cfg : request.configs) {
-            if (stackFamilyEligible(cfg))
-                ++family_size;
-        }
-        if (family_size < 2)
-            family_size = 0;
-    }
-
     const bool instrument = request.telemetry.intervalRecords > 0 ||
                             request.telemetry.heatmap;
     util::Json phases;
-    if (emitter.active() && request.telemetry.suiteTotals) {
-        const SweepTiming sweep = out.timing;
+    if (request.telemetry.suiteTotals) {
         phases = phases_.toJson();
         phases.set("sweep_jobs",
-                   static_cast<std::uint64_t>(sweep.jobs));
-        phases.set("worker_utilization", sweep.utilization());
+                   static_cast<std::uint64_t>(out.timing.jobs));
+        phases.set("worker_utilization", out.timing.utilization());
     }
 
+    // Config-major, each config closed by its suite total.
     for (std::size_t ci = 0; ci < n_c; ++ci) {
         const core::Config &cfg = request.configs[ci];
         sim::RunStats suite_total;
         double suite_seconds = 0.0;
-        bool stack_served = false;
+        bool exact_only = true;
         for (std::size_t wi = 0; wi < n_w; ++wi) {
-            const Workload &w = request.workloads[wi];
-            const sim::RunStats *stack =
-                family_size > 0 && stackFamilyEligible(cfg)
-                    ? stackStats(w, cfg)
-                    : nullptr;
-            SweepResult::Cell &r = record(wi, ci);
-            if (stack != nullptr) {
-                stack_served = true;
-                r.engine = EngineTag::StackSinglePass;
-                if (emitter.active() &&
-                    emitter.claim(r.workload, r.cacheKey)) {
-                    ManifestCell mc;
-                    mc.workload = r.workload;
-                    mc.config = &cfg;
-                    mc.stats = stack;
-                    mc.stackFamilySize = family_size;
-                    mc.parallel = ran_sharded ? &par : nullptr;
-                    emitter.emit(mc, EngineTag::StackSinglePass, &r);
-                }
-                continue;
+            const Plan::Cell &c = p.cells[wi * n_c + ci];
+            SweepResult::Cell &r = out.cells[wi * n_c + ci];
+            exact_only = exact_only && c.engine == EngineTag::ExactReplay;
+            if (c.engine == EngineTag::ExactReplay) {
+                suite_total += c.slot->stats;
+                suite_seconds += c.slot->seconds;
             }
-            r.engine = EngineTag::ExactReplay;
-            if (!emitter.active())
+            if (!emitter.claim(r.workload, r.cacheKey))
                 continue;
-            const CellResult &cell = this->cell(w, cfg);
-            if (emitter.claim(r.workload, r.cacheKey)) {
-                ManifestCell mc;
-                mc.workload = r.workload;
-                mc.config = &cfg;
-                mc.stats = &cell.stats;
-                mc.simSeconds = cell.simSeconds;
+            ManifestCell mc;
+            mc.workload = r.workload;
+            mc.config = &cfg;
+            switch (c.engine) {
+            case EngineTag::ExactReplay:
+                mc.stats = &c.slot->stats;
+                mc.simSeconds = c.slot->seconds;
                 if (instrument)
-                    mc.trace = &traceOf(w);
+                    mc.trace = &traceOf(request.workloads[wi]);
                 mc.instrument = {request.telemetry.intervalRecords,
                                  request.telemetry.heatmap};
-                emitter.emit(mc, EngineTag::ExactReplay, &r);
+                break;
+            case EngineTag::StackSinglePass:
+                mc.stats = &c.slot->stats;
+                mc.stackFamilySize = p.family.size();
+                mc.parallel = ran_parallel ? &par : nullptr;
+                break;
+            case EngineTag::Sampled:
+            case EngineTag::SampledLivepoint:
+                mc.report = &c.slot->report;
+                mc.sampling = &request.sampling;
+                mc.simSeconds = c.slot->seconds;
+                if (c.engine == EngineTag::SampledLivepoint) {
+                    mc.checkpoint = &ck;
+                    mc.parallel = ran_parallel ? &par : nullptr;
+                }
+                break;
             }
-            suite_total += cell.stats;
-            suite_seconds += cell.simSeconds;
+            emitter.emit(mc, c.engine, &r);
         }
-        if (emitter.active() && request.telemetry.suiteTotals &&
-            !stack_served &&
+        if (request.telemetry.suiteTotals && exact_only &&
             emitter.claim("suite-total", cfg.cacheKey())) {
             ManifestCell mc;
             mc.workload = "suite-total";

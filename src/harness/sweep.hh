@@ -4,9 +4,9 @@
  * expresses every flag combination the benches accept — workloads,
  * config lattice, engine selection, sampling/checkpoint/telemetry
  * options — and one Runner::run() entry point that routes each cell
- * to the fastest eligible engine. The bench binaries and the sweep
- * service (src/service/) are thin adapters onto these types; the
- * legacy runMatrix()/runSampled() calls remain as building blocks.
+ * to the fastest eligible engine. The bench binaries, the tests and
+ * the sweep service (src/service/) all reach the engines through
+ * these types.
  */
 
 #ifndef SAC_HARNESS_SWEEP_HH
@@ -118,9 +118,8 @@ telemetry::Manifest renderCellManifest(const ManifestCell &cell,
                                        EngineTag tag);
 
 /**
- * Write the manifest of one sweep cell under @p dir. This is the one
- * writer behind the legacy writeSampledCellManifest()/
- * writeStackCellManifest()/writeInstrumentedCellManifest() wrappers.
+ * Write the manifest of one sweep cell under @p dir, plus the
+ * `<stem>.intervals.jsonl` series of an instrumented exact cell.
  * Returns the written path ("" on I/O failure).
  */
 std::string writeCellManifest(const std::string &dir,
@@ -208,6 +207,24 @@ struct SweepRequest
         std::vector<core::Config> configs, Metric metric);
 };
 
+/** Wall-clock account of one request's execution. */
+struct SweepTiming
+{
+    double wallSeconds = 0.0; //!< execution wall time
+    double busySeconds = 0.0; //!< summed cell and stack-pass time
+    unsigned jobs = 1;        //!< workers used
+
+    /** Fraction of worker-seconds spent in cells (0..1). */
+    double
+    utilization() const
+    {
+        return jobs > 0 && wallSeconds > 0.0
+                   ? busySeconds /
+                         (static_cast<double>(jobs) * wallSeconds)
+                   : 0.0;
+    }
+};
+
 /** What Runner::run() produced for one SweepRequest. */
 struct SweepResult
 {
@@ -221,6 +238,14 @@ struct SweepResult
         std::string configName;
         std::string cacheKey;
         EngineTag engine = EngineTag::ExactReplay;
+        /**
+         * The cell's statistics: the full run (exact), the
+         * count-derived subset (stack: no cycles, no miss classes) or
+         * the cumulative detailed-window stats (sampled).
+         */
+        sim::RunStats stats;
+        /** Sampled cells: the estimate report. */
+        std::optional<sim::SampleReport> report;
         /** Canonical manifest file name (set when emitted). */
         std::string manifestFile;
         /** On-disk manifest path (set when written to manifestDir). */
@@ -230,12 +255,19 @@ struct SweepResult
     /** All cells, workload-major in request order. */
     std::vector<Cell> cells;
 
+    /** The cell of request workload @p wi under request config @p ci. */
+    const Cell &
+    at(std::size_t wi, std::size_t ci) const
+    {
+        return cells[wi * (table.cols() - 1) + ci];
+    }
+
     std::size_t manifestsWritten = 0;
     /** Cells whose manifest write failed (I/O errors). */
     std::size_t manifestFailures = 0;
 
-    /** Wall-clock account of the sweep. */
-    Runner::SweepTiming timing;
+    /** Wall-clock account of this request's execution. */
+    SweepTiming timing;
 };
 
 } // namespace harness

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <list>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -66,8 +67,23 @@ SweepServer::start()
 void
 SweepServer::acceptLoop()
 {
-    std::vector<std::thread> handlers;
+    struct Handler
+    {
+        std::thread thread;
+        std::shared_ptr<std::atomic<bool>> done;
+    };
+    std::list<Handler> handlers;
     while (!stopping_.load()) {
+        // Reap finished handlers every tick, so a long-lived server
+        // holds threads (and their stacks) only for live connections.
+        for (auto it = handlers.begin(); it != handlers.end();) {
+            if (it->done->load()) {
+                it->thread.join();
+                it = handlers.erase(it);
+            } else {
+                ++it;
+            }
+        }
         pollfd pfd{listenFd_, POLLIN, 0};
         const int ready = ::poll(&pfd, 1, 50);
         if (ready <= 0)
@@ -75,11 +91,15 @@ SweepServer::acceptLoop()
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
-        handlers.emplace_back(
-            [this, fd] { handleConnection(fd); });
+        auto done = std::make_shared<std::atomic<bool>>(false);
+        handlers.push_back({std::thread([this, fd, done] {
+                                handleConnection(fd);
+                                done->store(true);
+                            }),
+                            done});
     }
-    for (auto &t : handlers)
-        t.join();
+    for (auto &h : handlers)
+        h.thread.join();
 }
 
 void

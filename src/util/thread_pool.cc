@@ -40,12 +40,12 @@ ThreadPool::tasksCompleted() const
 }
 
 void
-ThreadPool::enqueue(std::function<void()> fn)
+ThreadPool::enqueue(Task task)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         SAC_ASSERT(!stopping_, "submit() on a stopping pool");
-        queue_.push_back(std::move(fn));
+        queue_.push_back(std::move(task));
         ++submitted_;
     }
     wake_.notify_one();
@@ -58,10 +58,24 @@ ThreadPool::wait()
     drained_.wait(lock, [this] { return completed_ == submitted_; });
 }
 
+void
+ThreadPool::finish(Task &task)
+{
+    // A task captures any exception into its outcome, so a throwing
+    // task cannot take the worker down.
+    const Publish publish = task();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++completed_;
+    }
+    drained_.notify_all();
+    publish();
+}
+
 bool
 ThreadPool::helpOne()
 {
-    std::function<void()> task;
+    Task task;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (queue_.empty())
@@ -69,12 +83,7 @@ ThreadPool::helpOne()
         task = std::move(queue_.front());
         queue_.pop_front();
     }
-    task();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++completed_;
-    }
-    drained_.notify_all();
+    finish(task);
     return true;
 }
 
@@ -82,7 +91,7 @@ void
 ThreadPool::workerLoop()
 {
     for (;;) {
-        std::function<void()> task;
+        Task task;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             wake_.wait(lock, [this] {
@@ -93,14 +102,7 @@ ThreadPool::workerLoop()
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        // A packaged_task captures any exception into its future, so
-        // a throwing task cannot take the worker down.
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++completed_;
-        }
-        drained_.notify_all();
+        finish(task);
     }
 }
 

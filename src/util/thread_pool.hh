@@ -1,7 +1,7 @@
 /**
  * @file
  * A minimal fixed-size work-queue thread pool used by the parallel
- * sweep executor (harness::Runner::runMatrix). Tasks are arbitrary
+ * sweep executor (harness::Runner::run). Tasks are arbitrary
  * callables; submit() returns a std::future so exceptions thrown by a
  * task are captured and re-raised in the waiting thread instead of
  * terminating the worker. The destructor drains the queue and joins
@@ -54,17 +54,37 @@ class ThreadPool
     /**
      * Queue @p fn for execution. The returned future yields fn's
      * result; a throwing task stores its exception in the future and
-     * leaves the worker alive.
+     * leaves the worker alive. The future becomes ready only after
+     * the pool counted the task, so a caller that got the result sees
+     * it in tasksCompleted().
      */
     template <typename F>
     auto
     submit(F &&fn) -> std::future<std::invoke_result_t<F>>
     {
         using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> result = task->get_future();
-        enqueue([task] { (*task)(); });
+        auto promise = std::make_shared<std::promise<R>>();
+        std::future<R> result = promise->get_future();
+        auto body = std::make_shared<std::decay_t<F>>(std::forward<F>(fn));
+        // Run now, publish later: the worker calls the returned
+        // closure after counting the task complete.
+        enqueue([promise, body]() -> Publish {
+            try {
+                if constexpr (std::is_void_v<R>) {
+                    (*body)();
+                    return [promise] { promise->set_value(); };
+                } else {
+                    auto value = std::make_shared<R>((*body)());
+                    return [promise, value] {
+                        promise->set_value(std::move(*value));
+                    };
+                }
+            } catch (...) {
+                return [promise, e = std::current_exception()] {
+                    promise->set_exception(e);
+                };
+            }
+        });
         return result;
     }
 
@@ -109,13 +129,20 @@ class ThreadPool
     static unsigned defaultThreads();
 
   private:
-    void enqueue(std::function<void()> fn);
+    /** Fulfils a finished task's future. */
+    using Publish = std::function<void()>;
+    /** Runs a task's body and returns how to publish its outcome. */
+    using Task = std::function<Publish()>;
+
+    void enqueue(Task task);
+    /** Run @p task, count it complete, then publish its outcome. */
+    void finish(Task &task);
     void workerLoop();
 
     mutable std::mutex mutex_;
     std::condition_variable wake_;     //!< workers wait for tasks
     std::condition_variable drained_;  //!< wait() sleeps here
-    std::deque<std::function<void()>> queue_;
+    std::deque<Task> queue_;
     std::vector<std::thread> workers_;
     std::uint64_t submitted_ = 0;
     std::uint64_t completed_ = 0;

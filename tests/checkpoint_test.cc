@@ -9,9 +9,10 @@
  * differential: runCheckpointed() must be bit-identical in RunStats,
  * per-window samples and final architectural state to run() with
  * functional warming, across presets, the fuzz corpus, gap-end edge
- * cases and adaptive/capped runs. Closes with Runner::runSampled
- * integration: cold sweeps warm-and-write, warm sweeps hit, corrupt
- * libraries count stale and still produce correct cells.
+ * cases and adaptive/capped runs. Closes with sampled-livepoint
+ * Runner::run integration: cold sweeps warm-and-write, warm sweeps
+ * hit, corrupt libraries count stale and still produce cells equal to
+ * a direct sim::SampledEngine run.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/sim/checkpoint.hh"
 #include "src/sim/sampling.hh"
 #include "src/sim/write_buffer.hh"
@@ -533,24 +535,53 @@ runnerSamplingOptions()
     return opt;
 }
 
-void
-expectCellsEqual(
-    const std::vector<std::vector<harness::Runner::SampledCell>> &a,
-    const std::vector<std::vector<harness::Runner::SampledCell>> &b)
+/**
+ * The reference: one plain sampled replay per config, straight
+ * through sim::SampledEngine (no Runner, no library).
+ */
+std::vector<sim::SampleReport>
+directReports(const std::vector<core::Config> &cfgs,
+              const sim::SamplingOptions &opt)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t wi = 0; wi < a.size(); ++wi) {
-        ASSERT_EQ(a[wi].size(), b[wi].size());
-        for (std::size_t ci = 0; ci < a[wi].size(); ++ci) {
-            SCOPED_TRACE("cell " + std::to_string(wi) + "," +
-                         std::to_string(ci));
-            EXPECT_TRUE(a[wi][ci].report.detailed ==
-                        b[wi][ci].report.detailed);
-            EXPECT_EQ(a[wi][ci].report.windows,
-                      b[wi][ci].report.windows);
-            expectSamplesEqual(a[wi][ci].report.missRatio,
-                               b[wi][ci].report.missRatio);
-        }
+    const trace::Trace t = checkpointWorkload().build();
+    std::vector<sim::SampleReport> out;
+    for (const auto &cfg : cfgs) {
+        trace::MemoryTraceSource src(t);
+        core::SoftwareAssistedCache sim(cfg);
+        out.push_back(sim::SampledEngine(opt).run(src, sim));
+    }
+    return out;
+}
+
+/** A sampled-livepoint request of the checkpoint workload. */
+harness::SweepResult
+runLivepoint(harness::Runner &r, const std::vector<core::Config> &cfgs,
+             const sim::SamplingOptions &opt, const std::string &dir,
+             bool rebuild = false)
+{
+    harness::SweepRequest req;
+    req.workloads = {checkpointWorkload()};
+    req.configs = cfgs;
+    req.metric = harness::missRatioMetric();
+    req.engine = harness::EngineSelect::SampledLivepoint;
+    req.sampling = opt;
+    req.checkpointDir = dir;
+    req.checkpointRebuild = rebuild;
+    return r.run(req);
+}
+
+void
+expectCellsEqual(const harness::SweepResult &result,
+                 const std::vector<sim::SampleReport> &reference)
+{
+    ASSERT_EQ(result.cells.size(), reference.size());
+    for (std::size_t ci = 0; ci < reference.size(); ++ci) {
+        SCOPED_TRACE("cell " + std::to_string(ci));
+        ASSERT_TRUE(result.cells[ci].report.has_value());
+        const sim::SampleReport &got = *result.cells[ci].report;
+        EXPECT_TRUE(got.detailed == reference[ci].detailed);
+        EXPECT_EQ(got.windows, reference[ci].windows);
+        expectSamplesEqual(got.missRatio, reference[ci].missRatio);
     }
 }
 
@@ -561,21 +592,21 @@ TEST(CheckpointRunnerTest, ColdWarmAndRebuildSweeps)
         testing::TempDir() + "/saclp_runner_lib";
     fs::remove_all(dir);
 
-    const auto w = checkpointWorkload();
     const std::vector<core::Config> cfgs = {
         core::presets().get("standard"), core::presets().get("soft")};
     const auto opt = runnerSamplingOptions();
 
+    const auto plain = directReports(cfgs, opt);
+
     // Cold: every cell misses, warms once and writes its library.
     harness::Runner cold;
-    const auto plain = cold.runSampled({w}, cfgs, opt, 1);
-    const auto first = cold.runSampled({w}, cfgs, opt, 1, dir, false);
+    const auto first = runLivepoint(cold, cfgs, opt, dir);
     EXPECT_EQ(cold.checkpointCounter("checkpoint.misses"), 2u);
     EXPECT_EQ(cold.checkpointCounter("checkpoint.hits"), 0u);
     EXPECT_EQ(cold.checkpointCounter("checkpoint.stale"), 0u);
     EXPECT_GT(cold.checkpointCounter("checkpoint.bytes"), 0u);
-    for (const auto &cell : first[0])
-        EXPECT_TRUE(cell.fromCheckpoints);
+    for (const auto &cell : first.cells)
+        EXPECT_EQ(cell.engine, harness::EngineTag::SampledLivepoint);
     expectCellsEqual(first, plain);
     std::size_t files = 0;
     for (const auto &e : fs::recursive_directory_iterator(dir)) {
@@ -587,7 +618,7 @@ TEST(CheckpointRunnerTest, ColdWarmAndRebuildSweeps)
     // Warm: a fresh process (Runner) serves every cell from the
     // library, bit-identically.
     harness::Runner warm;
-    const auto second = warm.runSampled({w}, cfgs, opt, 1, dir, false);
+    const auto second = runLivepoint(warm, cfgs, opt, dir);
     EXPECT_EQ(warm.checkpointCounter("checkpoint.hits"), 2u);
     EXPECT_EQ(warm.checkpointCounter("checkpoint.misses"), 0u);
     EXPECT_EQ(warm.checkpointCounter("checkpoint.stale"), 0u);
@@ -598,14 +629,14 @@ TEST(CheckpointRunnerTest, ColdWarmAndRebuildSweeps)
     harness::Runner other_geometry;
     auto opt2 = opt;
     opt2.stride = 2048;
-    other_geometry.runSampled({w}, cfgs, opt2, 1, dir, false);
+    runLivepoint(other_geometry, cfgs, opt2, dir);
     EXPECT_EQ(other_geometry.checkpointCounter("checkpoint.hits"), 0u);
     EXPECT_EQ(other_geometry.checkpointCounter("checkpoint.misses"),
               2u);
 
     // --checkpoint-rebuild ignores the valid library and rewrites.
     harness::Runner rebuild;
-    const auto third = rebuild.runSampled({w}, cfgs, opt, 1, dir, true);
+    const auto third = runLivepoint(rebuild, cfgs, opt, dir, true);
     EXPECT_EQ(rebuild.checkpointCounter("checkpoint.hits"), 0u);
     EXPECT_EQ(rebuild.checkpointCounter("checkpoint.misses"), 2u);
     expectCellsEqual(third, plain);
@@ -620,14 +651,13 @@ TEST(CheckpointRunnerTest, CorruptLibraryCountsStaleAndWarmsCleanly)
         testing::TempDir() + "/saclp_corrupt_lib";
     fs::remove_all(dir);
 
-    const auto w = checkpointWorkload();
     const std::vector<core::Config> cfgs = {
         core::presets().get("soft")};
     const auto opt = runnerSamplingOptions();
+    const auto plain = directReports(cfgs, opt);
 
     harness::Runner cold;
-    const auto plain = cold.runSampled({w}, cfgs, opt, 1);
-    cold.runSampled({w}, cfgs, opt, 1, dir, false);
+    runLivepoint(cold, cfgs, opt, dir);
 
     // Flip a byte in the middle of the one .saclp file.
     std::string victim;
@@ -649,7 +679,7 @@ TEST(CheckpointRunnerTest, CorruptLibraryCountsStaleAndWarmsCleanly)
     }
 
     harness::Runner stale;
-    const auto cells = stale.runSampled({w}, cfgs, opt, 1, dir, false);
+    const auto cells = runLivepoint(stale, cfgs, opt, dir);
     EXPECT_EQ(stale.checkpointCounter("checkpoint.stale"), 1u);
     EXPECT_EQ(stale.checkpointCounter("checkpoint.misses"), 1u);
     EXPECT_EQ(stale.checkpointCounter("checkpoint.hits"), 0u);
@@ -657,7 +687,7 @@ TEST(CheckpointRunnerTest, CorruptLibraryCountsStaleAndWarmsCleanly)
 
     // The rewrite healed the library: the next run hits again.
     harness::Runner healed;
-    healed.runSampled({w}, cfgs, opt, 1, dir, false);
+    runLivepoint(healed, cfgs, opt, dir);
     EXPECT_EQ(healed.checkpointCounter("checkpoint.hits"), 1u);
     fs::remove_all(dir);
 }
@@ -675,10 +705,9 @@ TEST(CheckpointRunnerTest, ContiguousGeometryBypassesTheLibrary)
     opt.warmup = 0;
 
     harness::Runner r;
-    const auto cells = r.runSampled({checkpointWorkload()},
-                                    {core::presets().get("soft")}, opt,
-                                    1, dir, false);
-    EXPECT_FALSE(cells[0][0].fromCheckpoints);
+    const auto cells =
+        runLivepoint(r, {core::presets().get("soft")}, opt, dir);
+    EXPECT_EQ(cells.cells[0].engine, harness::EngineTag::Sampled);
     EXPECT_EQ(r.checkpointCounter("checkpoint.hits") +
                   r.checkpointCounter("checkpoint.misses"),
               0u);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the experiment harness: metric extraction, trace/result
- * caching, matrix rendering and CSV export.
+ * caching, table rendering and CSV export.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "src/harness/experiment.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/reference_sweep.hh"
 
 namespace {
 
@@ -59,9 +60,12 @@ TEST(HarnessRunner, ResultsAreCachedPerConfig)
 {
     Runner r;
     const auto w = tinyWorkload();
-    r.run(w, core::presets().get("standard"));
-    r.run(w, core::presets().get("standard"));
-    r.run(w, core::presets().get("soft"));
+    const auto standard = testref::request(
+        {w}, {core::presets().get("standard")}, harness::amatMetric());
+    r.run(standard);
+    r.run(standard);
+    r.run(testref::request({w}, {core::presets().get("soft")},
+                           harness::amatMetric()));
     EXPECT_EQ(r.runsExecuted(), 2u);
 }
 
@@ -76,10 +80,11 @@ TEST(HarnessRunner, SameLabelDifferentConfigDoesNotAlias)
     large.cacheSizeBytes = 64 * 1024;
     ASSERT_EQ(small.name, large.name);
     ASSERT_NE(small.cacheKey(), large.cacheKey());
-    const auto &s = r.run(w, small);
-    const auto &l = r.run(w, large);
+    const auto result = r.run(testref::request(
+        {w}, {small, large}, harness::missRatioMetric(), 1,
+        harness::EngineSelect::Exact));
     EXPECT_EQ(r.runsExecuted(), 2u);
-    EXPECT_GT(s.misses, l.misses);
+    EXPECT_GT(result.at(0, 0).stats.misses, result.at(0, 1).stats.misses);
 }
 
 TEST(ConfigCacheKey, IgnoresNameAndCoversEveryKnob)
@@ -109,9 +114,13 @@ TEST(HarnessRunner, MatrixShapeAndContents)
     Runner r;
     const std::vector<Workload> ws{tinyWorkload("a"),
                                    tinyWorkload("b")};
-    const auto table = r.matrix(
-        ws, {core::presets().get("standard"), core::presets().get("soft")},
-        harness::amatMetric());
+    const std::vector<core::Config> cfgs{core::presets().get("standard"),
+                                         core::presets().get("soft")};
+    const auto table =
+        r.run(testref::request(ws, cfgs, harness::amatMetric())).table;
+    EXPECT_EQ(table.toString(),
+              testref::referenceTable(ws, cfgs, harness::amatMetric())
+                  .toString());
     EXPECT_EQ(table.rows(), 2u);
     EXPECT_EQ(table.cols(), 3u);
     EXPECT_EQ(table.cell(0, 0), "a");

@@ -5,8 +5,9 @@
  * and — in builds with SAC_INTERVAL=ON — the differential guarantees
  * that per-interval deltas sum bit-for-bit to the final RunStats,
  * that attaching the instrumentation never perturbs the simulation,
- * and that writeInstrumentedCellManifest produces the profile block
- * plus the sibling interval series.
+ * and that an instrumented exact-cell manifest (writeCellManifest with
+ * ManifestCell::trace/instrument) carries the profile block plus the
+ * sibling interval series.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/sim/run_stats.hh"
 #include "src/telemetry/interval.hh"
 #include "src/telemetry/set_profile.hh"
@@ -196,6 +198,24 @@ TEST(SetProfiler, CountsPerSetAndFindsTheHottest)
     EXPECT_EQ(SetProfiler(0).numSets(), 1u);
 }
 
+/** Write the exact-cell manifest of (t, cfg, stats) with @p io. */
+std::string
+writeInstrumented(const std::string &dir, const core::Config &cfg,
+                  const trace::Trace &t, const sim::RunStats &stats,
+                  const harness::InstrumentOptions &io,
+                  double sim_seconds = 0.0)
+{
+    harness::ManifestCell cell;
+    cell.workload = "MV";
+    cell.config = &cfg;
+    cell.stats = &stats;
+    cell.trace = &t;
+    cell.instrument = io;
+    cell.simSeconds = sim_seconds;
+    return harness::writeCellManifest(dir, cell,
+                                      harness::EngineTag::ExactReplay);
+}
+
 #if SAC_INTERVAL_ENABLED
 
 TEST(IntervalDifferential, DeltasSumExactlyToTheFinalRunStats)
@@ -287,8 +307,7 @@ TEST(InstrumentedManifest, WritesProfileBlockAndIntervalSeries)
         testing::TempDir() + "sac_instrumented_manifest_test";
 
     const harness::InstrumentOptions io{400, true};
-    const auto path = harness::writeInstrumentedCellManifest(
-        dir, "MV", cfg, t, stats, io, 0.5);
+    const auto path = writeInstrumented(dir, cfg, t, stats, io, 0.5);
     ASSERT_FALSE(path.empty());
 
     const auto doc = slurp(path);
@@ -321,8 +340,8 @@ TEST(InstrumentedManifest, NoInstrumentationRequestedWritesPlain)
     const std::string dir =
         testing::TempDir() + "sac_plain_manifest_test";
 
-    const auto path = harness::writeInstrumentedCellManifest(
-        dir, "MV", cfg, t, stats, harness::InstrumentOptions{});
+    const auto path = writeInstrumented(dir, cfg, t, stats,
+                                        harness::InstrumentOptions{});
     ASSERT_FALSE(path.empty());
     const auto doc = slurp(path);
     EXPECT_EQ(doc.find("\"profile\""), std::string::npos);
@@ -344,8 +363,7 @@ TEST(InstrumentedManifest, CompiledOutBuildFallsBackToPlainManifest)
         testing::TempDir() + "sac_fallback_manifest_test";
 
     const harness::InstrumentOptions io{400, true};
-    const auto path = harness::writeInstrumentedCellManifest(
-        dir, "MV", cfg, t, stats, io, 0.5);
+    const auto path = writeInstrumented(dir, cfg, t, stats, io, 0.5);
     ASSERT_FALSE(path.empty());
     const auto doc = slurp(path);
     EXPECT_EQ(doc.find("\"profile\""), std::string::npos);

@@ -12,8 +12,10 @@
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/util/rng.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/reference_sweep.hh"
 
 namespace {
 
@@ -276,36 +278,28 @@ paperSweepConfigs()
 }
 
 /**
- * Parallel-vs-serial equivalence on the full paperWorkloads() x
- * paper-config sweep: runMatrix must render a byte-identical table
- * (compared as CSV) and execute exactly the same number of
- * simulations and trace generations as the serial path.
+ * Parallel-vs-reference equivalence on the full paperWorkloads() x
+ * paper-config sweep: Runner::run at 4 jobs must render the table of
+ * a direct serial replay byte for byte (compared as CSV), simulating
+ * every cell and generating every trace exactly once.
  */
 TEST(ParallelSweep, MatrixAndRunMatrixAreByteIdentical)
 {
     const auto workloads = harness::paperWorkloads();
     const auto configs = paperSweepConfigs();
     const auto metric = harness::amatMetric();
-
-    harness::Runner serial;
-    const auto serial_table = serial.matrix(workloads, configs, metric);
+    const auto reference =
+        harness::toCsv(testref::referenceTable(workloads, configs, metric));
 
     harness::Runner parallel;
-    const auto parallel_table =
-        parallel.runMatrix(workloads, configs, metric, 4);
-
-    EXPECT_EQ(harness::toCsv(serial_table),
-              harness::toCsv(parallel_table));
-    EXPECT_EQ(serial.runsExecuted(), parallel.runsExecuted());
-    EXPECT_EQ(serial.tracesGenerated(), parallel.tracesGenerated());
+    const auto req = testref::request(workloads, configs, metric, 4);
+    EXPECT_EQ(harness::toCsv(parallel.run(req).table), reference);
     EXPECT_EQ(parallel.runsExecuted(),
               workloads.size() * configs.size());
     EXPECT_EQ(parallel.tracesGenerated(), workloads.size());
 
     // A second parallel sweep over the same cells is fully cached.
-    const auto again =
-        parallel.runMatrix(workloads, configs, metric, 4);
-    EXPECT_EQ(harness::toCsv(again), harness::toCsv(parallel_table));
+    EXPECT_EQ(harness::toCsv(parallel.run(req).table), reference);
     EXPECT_EQ(parallel.runsExecuted(),
               workloads.size() * configs.size());
 }
@@ -318,12 +312,12 @@ TEST(ParallelSweep, SingleJobDegeneratesToSerial)
                                       core::presets().get("soft")};
     const auto metric = harness::missRatioMetric();
 
-    harness::Runner serial;
     harness::Runner one_job;
-    EXPECT_EQ(
-        harness::toCsv(serial.matrix(workloads, configs, metric)),
-        harness::toCsv(
-            one_job.runMatrix(workloads, configs, metric, 1)));
+    EXPECT_EQ(harness::toCsv(
+                  testref::referenceTable(workloads, configs, metric)),
+              harness::toCsv(
+                  one_job.run(testref::request(workloads, configs, metric))
+                      .table));
 }
 
 /**
@@ -348,13 +342,13 @@ TEST(ParallelSweep, JobCountDoesNotChangeBytes)
         core::presets().get("soft"), core::presets().get("variable")};
     const auto metric = harness::wordsPerAccessMetric();
 
-    harness::Runner serial;
     const auto expected =
-        harness::toCsv(serial.matrix(ws, configs, metric));
-    for (const unsigned jobs : {2u, 3u, 8u, 32u}) {
+        harness::toCsv(testref::referenceTable(ws, configs, metric));
+    for (const unsigned jobs : {1u, 2u, 3u, 8u, 32u}) {
         harness::Runner r;
         EXPECT_EQ(harness::toCsv(
-                      r.runMatrix(ws, configs, metric, jobs)),
+                      r.run(testref::request(ws, configs, metric, jobs))
+                          .table),
                   expected)
             << "jobs=" << jobs;
         EXPECT_EQ(r.runsExecuted(), ws.size() * configs.size());

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -437,6 +438,39 @@ TEST(ServiceServer, ShutdownVerbRequestsTermination)
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(frameType(frames.front()), "shutdown");
     EXPECT_TRUE(server.waitForShutdown(2000));
+    server.drain();
+}
+
+TEST(ServiceServer, ReapsFinishedConnectionHandlers)
+{
+    namespace fs = std::filesystem;
+    const auto live_threads = [] {
+        std::size_t n = 0;
+        for (const auto &e : fs::directory_iterator("/proc/self/task")) {
+            (void)e;
+            ++n;
+        }
+        return n;
+    };
+    const std::string socket = uniqueSocketPath("reap");
+    SweepServer server({socket, 2, 8});
+    ASSERT_TRUE(server.start());
+    const std::size_t started = live_threads(); // + accept + 2 workers
+
+    // Every connection gets its own handler thread; a long-lived
+    // server must join the finished ones instead of keeping all 500
+    // (and their stacks) until drain.
+    for (int i = 0; i < 500; ++i) {
+        const auto frames = roundTrip(socket, "{\"verb\":\"status\"}");
+        ASSERT_EQ(frames.size(), 1u);
+        ASSERT_EQ(frameType(frames.front()), "status");
+    }
+    std::size_t now = live_threads();
+    for (int tick = 0; tick < 40 && now > started + 2; ++tick) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(25));
+        now = live_threads();
+    }
+    EXPECT_LE(now, started + 2);
     server.drain();
 }
 

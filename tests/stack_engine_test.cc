@@ -16,8 +16,9 @@
  *    reference-model miss ratio on long uniform-random traces — an
  *    oracle that shares no code with the simulator or the engine.
  *
- * Plus the harness integration (StackFamily): runMatrix dispatching a
- * standard family to ONE traversal, the stack.pass.* counters, and
+ * Plus the harness integration (StackFamily): Runner::run dispatching
+ * a standard family to ONE traversal (checked against direct exact
+ * replay), the stack.pass.* counters, and
  * the StackRegression guard that configurations differing only in
  * fields the stack pass folds away still occupy distinct cells.
  */
@@ -32,11 +33,13 @@
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/manifest.hh"
 #include "src/trace/trace_source.hh"
 #include "src/util/rng.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/reference_sweep.hh"
 
 namespace {
 
@@ -408,25 +411,30 @@ TEST(StackRegression, FoldedConfigsGetDistinctManifestCells)
     b.writeBufferEntries = 64;
     b.name = "Stand. wb=64";
 
+    const std::string dir =
+        testing::TempDir() + "sac_stack_manifest_test";
+    std::filesystem::remove_all(dir);
+
     harness::Runner r;
-    const auto w = mvWorkload();
-    r.runMatrix({w}, {a, b}, harness::missRatioMetric(), 1);
+    auto req =
+        testref::request({mvWorkload()}, {a, b}, harness::missRatioMetric());
+    req.telemetry.manifestDir = dir;
+    const auto result = r.run(req);
     // Same geometry: one traversal covers both cells.
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
     EXPECT_EQ(r.stackCounter("stack.pass.cells"), 2u);
     EXPECT_EQ(r.runsExecuted(), 0u);
 
-    const std::string dir =
-        testing::TempDir() + "sac_stack_manifest_test";
-    std::filesystem::remove_all(dir);
+    // Each cell carries the stats a direct engine pass implies.
     sim::StackDistanceEngine eng(
         {harness::stackPointOf(a), harness::stackPointOf(b)});
     trace::MemoryTraceSource src(mvTrace());
     eng.run(src);
-    const auto pa = harness::writeStackCellManifest(
-        dir, w.name, a, harness::stackStatsFor(eng, a), 2);
-    const auto pb = harness::writeStackCellManifest(
-        dir, w.name, b, harness::stackStatsFor(eng, b), 2);
+    EXPECT_TRUE(result.at(0, 0).stats == harness::stackStatsFor(eng, a));
+    EXPECT_TRUE(result.at(0, 1).stats == harness::stackStatsFor(eng, b));
+
+    const auto &pa = result.at(0, 0).manifestPath;
+    const auto &pb = result.at(0, 1).manifestPath;
     ASSERT_FALSE(pa.empty());
     ASSERT_FALSE(pb.empty());
     EXPECT_NE(pa, pb); // distinct cells, not one overwritten file
@@ -492,8 +500,11 @@ TEST(StackFamily, EightCellSweepIsExactlyOneTraversal)
     ASSERT_EQ(configs.size(), 8u);
 
     harness::Runner stacked;
-    const auto table = stacked.runMatrix(
-        {mvWorkload()}, configs, harness::missRatioMetric(), 4);
+    const auto table =
+        stacked
+            .run(testref::request({mvWorkload()}, configs,
+                                  harness::missRatioMetric(), 4))
+            .table;
     EXPECT_EQ(stacked.stackCounter("stack.pass.traversals"), 1u);
     EXPECT_EQ(stacked.stackCounter("stack.pass.records"),
               mvTrace().size());
@@ -501,10 +512,8 @@ TEST(StackFamily, EightCellSweepIsExactlyOneTraversal)
     EXPECT_EQ(stacked.stackCounter("stack.pass.fallback_cells"), 0u);
     EXPECT_EQ(stacked.runsExecuted(), 0u);
 
-    harness::Runner replayed;
-    const auto reference = replayed.matrix(
+    const auto reference = testref::referenceTable(
         {mvWorkload()}, configs, harness::missRatioMetric());
-    EXPECT_EQ(replayed.runsExecuted(), 8u);
     EXPECT_EQ(harness::toCsv(table), harness::toCsv(reference));
 }
 
@@ -512,10 +521,10 @@ TEST(StackFamily, SecondSweepServesFromTheStackStore)
 {
     const auto configs = eightCellFamily();
     harness::Runner r;
-    r.runMatrix({mvWorkload()}, configs,
-                harness::missRatioMetric(), 2);
-    r.runMatrix({mvWorkload()}, configs,
-                harness::wordsPerAccessMetric(), 2);
+    r.run(testref::request({mvWorkload()}, configs,
+                           harness::missRatioMetric(), 2));
+    r.run(testref::request({mvWorkload()}, configs,
+                           harness::wordsPerAccessMetric(), 2));
     // Still one traversal: the second sweep (even under a different
     // derivable metric) is served entirely from the stack store.
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
@@ -527,7 +536,8 @@ TEST(StackFamily, TimingMetricFallsBackToExactReplay)
 {
     const auto configs = eightCellFamily();
     harness::Runner r;
-    r.runMatrix({mvWorkload()}, configs, harness::amatMetric(), 2);
+    r.run(testref::request({mvWorkload()}, configs, harness::amatMetric(),
+                           2));
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 0u);
     EXPECT_EQ(r.runsExecuted(), 8u);
 }
@@ -546,16 +556,17 @@ TEST(StackFamily, MixedSweepSplitsFamilyFromFallback)
     configs.push_back(core::presets().get("victim"));
 
     harness::Runner r;
-    const auto table = r.runMatrix(
-        {mvWorkload()}, configs, harness::missRatioMetric(), 2);
+    const auto table =
+        r.run(testref::request({mvWorkload()}, configs,
+                               harness::missRatioMetric(), 2))
+            .table;
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
     EXPECT_EQ(r.stackCounter("stack.pass.cells"), 4u);
     EXPECT_EQ(r.stackCounter("stack.pass.fallback_cells"), 2u);
     EXPECT_EQ(r.runsExecuted(), 2u);
 
-    harness::Runner reference;
     EXPECT_EQ(harness::toCsv(table),
-              harness::toCsv(reference.matrix(
+              harness::toCsv(testref::referenceTable(
                   {mvWorkload()}, configs,
                   harness::missRatioMetric())));
 }
@@ -564,8 +575,9 @@ TEST(StackFamily, SingleEligibleConfigIsNotWorthAPass)
 {
     // A family of one gains nothing over a replay: no stack dispatch.
     harness::Runner r;
-    r.runMatrix({mvWorkload()}, {core::presets().get("standard")},
-                harness::missRatioMetric(), 1);
+    r.run(testref::request({mvWorkload()},
+                           {core::presets().get("standard")},
+                           harness::missRatioMetric()));
     EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 0u);
     EXPECT_EQ(r.runsExecuted(), 1u);
 }
@@ -577,19 +589,22 @@ TEST(StackFamily, StackStatsNeverPoisonTheExactCellCache)
     // cell cache are separate by design.
     const auto configs = eightCellFamily();
     harness::Runner r;
-    const auto miss_table = r.runMatrix(
-        {mvWorkload()}, configs, harness::missRatioMetric(), 2);
+    const auto miss_table =
+        r.run(testref::request({mvWorkload()}, configs,
+                               harness::missRatioMetric(), 2))
+            .table;
     EXPECT_EQ(r.runsExecuted(), 0u);
-    const auto amat_table = r.runMatrix({mvWorkload()}, configs,
-                                        harness::amatMetric(), 2);
+    const auto amat_table =
+        r.run(testref::request({mvWorkload()}, configs,
+                               harness::amatMetric(), 2))
+            .table;
     EXPECT_EQ(r.runsExecuted(), 8u); // exact replays really happened
 
-    harness::Runner reference;
     EXPECT_EQ(harness::toCsv(amat_table),
-              harness::toCsv(reference.matrix(
+              harness::toCsv(testref::referenceTable(
                   {mvWorkload()}, configs, harness::amatMetric())));
     EXPECT_EQ(harness::toCsv(miss_table),
-              harness::toCsv(reference.matrix(
+              harness::toCsv(testref::referenceTable(
                   {mvWorkload()}, configs,
                   harness::missRatioMetric())));
 }

@@ -21,6 +21,7 @@
 #include "src/sim/run_stats.hh"
 #include "src/trace/trace_io.hh"
 #include "src/trace/trace_source.hh"
+#include "tests/reference_sweep.hh"
 
 namespace {
 
@@ -162,9 +163,12 @@ TEST(Streaming, RunStreamedMatchesCachedRunnerResults)
         harness::Runner runner;
         const auto streamed =
             runner.runStreamed(w, configs, jobs, /*chunk_records=*/64);
+        const auto cached = runner.run(testref::request(
+            {w}, configs, harness::amatMetric(), 1,
+            harness::EngineSelect::Exact));
         ASSERT_EQ(streamed.size(), configs.size());
         for (std::size_t i = 0; i < configs.size(); ++i) {
-            EXPECT_TRUE(streamed[i] == runner.run(w, configs[i]))
+            EXPECT_TRUE(streamed[i] == cached.at(0, i).stats)
                 << configs[i].name << " jobs=" << jobs;
         }
     }
@@ -181,7 +185,7 @@ TEST(Streaming, RunStreamedFallsBackToBuildWithoutStream)
         runner.runStreamed(w, {core::presets().get("soft")}, 0);
     ASSERT_EQ(streamed.size(), 1u);
     EXPECT_TRUE(streamed[0] ==
-                runner.run(w, core::presets().get("soft")));
+                core::simulateTrace(c.trace, core::presets().get("soft")));
 }
 
 // --- Feature-specialized dispatch matches the general path ---------

@@ -1,22 +1,27 @@
 /**
  * @file
  * Tests of the request-oriented sweep API (src/harness/sweep.hh):
- * SweepRequest validation, engine routing, and the differential
- * proofs that Runner::run() reproduces the legacy
- * runMatrix()/runSampled()+manifest-writer sequence byte for byte
- * (tables exactly; manifests modulo the wall-clock "timing" object).
+ * SweepRequest validation, engine routing, per-request timing, and
+ * the differential proofs that Runner::run() reproduces direct engine
+ * calls (core::simulateTrace, sim::SampledEngine) rendered by hand,
+ * byte for byte (tables exactly; manifests modulo the wall-clock
+ * "timing" object).
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "src/harness/sweep.hh"
+#include "src/trace/trace_source.hh"
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/reference_sweep.hh"
 
 namespace {
 
@@ -115,13 +120,13 @@ stripTiming(const std::string &document)
 }
 
 void
-expectManifestsEquivalent(const std::string &legacy_dir,
+expectManifestsEquivalent(const std::string &reference_dir,
                           const std::string &new_dir)
 {
-    const auto legacy = readManifests(legacy_dir);
+    const auto reference = readManifests(reference_dir);
     const auto fresh = readManifests(new_dir);
-    ASSERT_EQ(legacy.size(), fresh.size());
-    for (const auto &entry : legacy) {
+    ASSERT_EQ(reference.size(), fresh.size());
+    for (const auto &entry : reference) {
         SCOPED_TRACE(entry.first);
         const auto it = fresh.find(entry.first);
         ASSERT_NE(it, fresh.end()) << "missing " << entry.first;
@@ -189,51 +194,54 @@ TEST(SweepRequestValidation, EngineNamesRoundTrip)
                  "stack-single-pass");
 }
 
-TEST(SweepRequestDifferential, ExactTableMatchesRunMatrix)
+TEST(SweepRequestDifferential, ExactTableMatchesDirectReplay)
 {
     const auto ws = twoWorkloads();
     const auto cfgs = mixedConfigs();
     const auto metric = harness::amatMetric();
 
-    Runner legacy;
-    const util::Table expected = legacy.runMatrix(ws, cfgs, metric, 2);
-
     Runner fresh;
-    SweepRequest req;
-    req.workloads = ws;
-    req.configs = cfgs;
-    req.metric = metric;
-    req.jobs = 2;
-    const SweepResult result = fresh.run(req);
-    EXPECT_EQ(result.table.toString(), expected.toString());
+    const SweepResult result =
+        fresh.run(testref::request(ws, cfgs, metric, 2));
+    EXPECT_EQ(result.table.toString(),
+              testref::referenceTable(ws, cfgs, metric).toString());
     ASSERT_EQ(result.cells.size(), ws.size() * cfgs.size());
-    for (const auto &cell : result.cells)
-        EXPECT_EQ(cell.engine, EngineTag::ExactReplay); // AMAT: no stack
+    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+        const trace::Trace t = ws[wi].build();
+        for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+            const auto &cell = result.at(wi, ci);
+            EXPECT_EQ(cell.engine, EngineTag::ExactReplay); // AMAT
+            EXPECT_TRUE(cell.stats == core::simulateTrace(t, cfgs[ci]))
+                << cell.workload << " / " << cell.configName;
+        }
+    }
 }
 
-TEST(SweepRequestDifferential, ExactManifestsMatchLegacyWriters)
+TEST(SweepRequestDifferential, ExactManifestsMatchReferenceRender)
 {
     namespace fs = std::filesystem;
-    const std::string legacy_dir =
-        testing::TempDir() + "/sweepreq_exact_legacy";
+    const std::string reference_dir =
+        testing::TempDir() + "/sweepreq_exact_reference";
     const std::string new_dir =
         testing::TempDir() + "/sweepreq_exact_new";
-    fs::remove_all(legacy_dir);
+    fs::remove_all(reference_dir);
     fs::remove_all(new_dir);
 
     const auto ws = twoWorkloads();
     const auto cfgs = mixedConfigs();
     const auto metric = harness::amatMetric();
 
-    // Legacy path: runMatrix + per-cell writeCellManifest.
-    Runner legacy;
-    legacy.runMatrix(ws, cfgs, metric, 1);
+    // Reference: direct replay, one manifest written per cell.
     for (const auto &w : ws) {
+        const trace::Trace t = w.build();
         for (const auto &cfg : cfgs) {
-            const auto &cell = legacy.cell(w, cfg);
+            const sim::RunStats stats = core::simulateTrace(t, cfg);
+            harness::ManifestCell mc;
+            mc.workload = w.name;
+            mc.config = &cfg;
+            mc.stats = &stats;
             ASSERT_FALSE(harness::writeCellManifest(
-                             legacy_dir, w.name, cfg, cell.stats,
-                             cell.simSeconds)
+                             reference_dir, mc, EngineTag::ExactReplay)
                              .empty());
         }
     }
@@ -247,20 +255,20 @@ TEST(SweepRequestDifferential, ExactManifestsMatchLegacyWriters)
     const SweepResult result = fresh.run(req);
     EXPECT_EQ(result.manifestFailures, 0u);
     EXPECT_EQ(result.manifestsWritten, ws.size() * cfgs.size());
-    expectManifestsEquivalent(legacy_dir, new_dir);
+    expectManifestsEquivalent(reference_dir, new_dir);
 
-    fs::remove_all(legacy_dir);
+    fs::remove_all(reference_dir);
     fs::remove_all(new_dir);
 }
 
-TEST(SweepRequestDifferential, SampledMatchesLegacyRunSampled)
+TEST(SweepRequestDifferential, SampledMatchesDirectEngine)
 {
     namespace fs = std::filesystem;
-    const std::string legacy_dir =
-        testing::TempDir() + "/sweepreq_sampled_legacy";
+    const std::string reference_dir =
+        testing::TempDir() + "/sweepreq_sampled_reference";
     const std::string new_dir =
         testing::TempDir() + "/sweepreq_sampled_new";
-    fs::remove_all(legacy_dir);
+    fs::remove_all(reference_dir);
     fs::remove_all(new_dir);
 
     const auto ws = twoWorkloads();
@@ -269,16 +277,33 @@ TEST(SweepRequestDifferential, SampledMatchesLegacyRunSampled)
     const auto metric = harness::missRatioMetric();
     const auto opt = testSampling();
 
-    Runner legacy;
-    const auto cells = legacy.runSampled(ws, cfgs, opt, 1);
-    const util::Table expected =
-        harness::sampledMatrix(ws, cfgs, cells, metric);
-    for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+    // Reference: one SampledEngine run per cell, rendered by hand as
+    // "estimate ±half" and written as a sampled manifest.
+    std::vector<std::string> headers{"Benchmark"};
+    for (const auto &cfg : cfgs)
+        headers.push_back(cfg.name);
+    util::Table expected(std::move(headers));
+    std::vector<sim::SampleReport> reports;
+    for (const auto &w : ws) {
+        const trace::Trace t = w.build();
+        const auto row = expected.addRow();
+        expected.set(row, 0, w.name);
         for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
-            ASSERT_FALSE(harness::writeSampledCellManifest(
-                             legacy_dir, ws[wi].name, cfgs[ci],
-                             cells[wi][ci].report, opt,
-                             cells[wi][ci].simSeconds)
+            trace::MemoryTraceSource src(t);
+            core::SoftwareAssistedCache sim(cfgs[ci]);
+            reports.push_back(sim::SampledEngine(opt).run(src, sim));
+            const sim::SampleReport &rep = reports.back();
+            expected.set(row, ci + 1,
+                         sim::formatWithCi(rep.missRatioEstimate(),
+                                           rep.halfWidthOf(rep.missRatio),
+                                           metric.decimals));
+            harness::ManifestCell mc;
+            mc.workload = w.name;
+            mc.config = &cfgs[ci];
+            mc.report = &rep;
+            mc.sampling = &opt;
+            ASSERT_FALSE(harness::writeCellManifest(reference_dir, mc,
+                                                    EngineTag::Sampled)
                              .empty());
         }
     }
@@ -293,11 +318,16 @@ TEST(SweepRequestDifferential, SampledMatchesLegacyRunSampled)
     req.telemetry.manifestDir = new_dir;
     const SweepResult result = fresh.run(req);
     EXPECT_EQ(result.table.toString(), expected.toString());
-    for (const auto &cell : result.cells)
-        EXPECT_EQ(cell.engine, EngineTag::Sampled);
-    expectManifestsEquivalent(legacy_dir, new_dir);
+    ASSERT_EQ(result.cells.size(), reports.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        EXPECT_EQ(result.cells[i].engine, EngineTag::Sampled);
+        ASSERT_TRUE(result.cells[i].report.has_value());
+        EXPECT_TRUE(*result.cells[i].report == reports[i]);
+        EXPECT_TRUE(result.cells[i].stats == reports[i].detailed);
+    }
+    expectManifestsEquivalent(reference_dir, new_dir);
 
-    fs::remove_all(legacy_dir);
+    fs::remove_all(reference_dir);
     fs::remove_all(new_dir);
 }
 
@@ -351,6 +381,54 @@ TEST(SweepRequestRouting, ExactEngineDisablesStackDispatch)
     EXPECT_EQ(via_stack.run(stacked).table.toString(),
               result.table.toString());
     EXPECT_GT(via_stack.stackCounter("stack.pass.traversals"), 0u);
+}
+
+TEST(SweepRequestRouting, ExactThenStackKeepTheirOwnCells)
+{
+    // One (workload, config) cell, first forced onto exact replay,
+    // then requested under Auto inside a stack family on the same
+    // runner: the store must keep both results apart, so the second
+    // request gets a stack-single-pass manifest and count-only stats
+    // instead of re-serving the exact cell (or vice versa).
+    const auto ws = std::vector<Workload>{mvWorkload("MV-both", 32)};
+    const auto family = stackFamilyConfigs();
+    std::map<std::string, std::string> engines; // request -> engine
+    const auto capture = [&engines](const std::string &tag) {
+        return [&engines, tag](const std::string &,
+                               const std::string &document) {
+            const auto doc = Json::parse(document);
+            ASSERT_TRUE(doc.has_value());
+            engines[tag] = doc->find("engine")->asString();
+        };
+    };
+
+    Runner r;
+    auto exact = testref::request(ws, {family[0]},
+                                  harness::missRatioMetric(), 1,
+                                  EngineSelect::Exact);
+    exact.telemetry.sink = capture("exact");
+    const SweepResult first = r.run(exact);
+
+    auto stacked = testref::request(ws, family, harness::missRatioMetric());
+    stacked.telemetry.sink = capture("auto");
+    const SweepResult second = r.run(stacked);
+
+    EXPECT_EQ(first.at(0, 0).engine, EngineTag::ExactReplay);
+    EXPECT_EQ(second.at(0, 0).engine, EngineTag::StackSinglePass);
+    EXPECT_EQ(engines["exact"], "exact-replay");
+    EXPECT_EQ(engines["auto"], "stack-single-pass");
+    EXPECT_EQ(r.runsExecuted(), 1u);
+    EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
+
+    // Each carries its own engine's stats: the same miss count, but
+    // only the exact replay models cycles.
+    const sim::RunStats &exact_stats = first.at(0, 0).stats;
+    const sim::RunStats &stack_stats = second.at(0, 0).stats;
+    EXPECT_TRUE(exact_stats ==
+                core::simulateTrace(ws[0].build(), family[0]));
+    EXPECT_EQ(stack_stats.misses, exact_stats.misses);
+    EXPECT_GT(exact_stats.totalAccessCycles, 0u);
+    EXPECT_EQ(stack_stats.totalAccessCycles, 0u);
 }
 
 TEST(SweepRequestRouting, SampledCellsAreSharedAcrossRequests)
@@ -468,6 +546,68 @@ TEST(SweepRequestTelemetry, DedupSetSuppressesRepeatedCells)
     EXPECT_GT(first, 0u);
     r.run(req);
     EXPECT_EQ(frames, first) << "second run must dedup every cell";
+}
+
+TEST(SweepRequestTiming, SampledRequestsReportTheirTiming)
+{
+    Runner r;
+    auto req = testref::request(twoWorkloads(),
+                                {core::presets().get("standard")},
+                                harness::missRatioMetric(), 2,
+                                EngineSelect::Sampled);
+    req.sampling = testSampling();
+    const SweepResult result = r.run(req);
+    EXPECT_EQ(result.timing.jobs, 2u);
+    EXPECT_GT(result.timing.wallSeconds, 0.0);
+    EXPECT_GT(result.timing.busySeconds, 0.0);
+    EXPECT_LE(result.timing.utilization(), 1.0 + 1e-9);
+}
+
+TEST(SweepRequestTiming, ConcurrentRequestsReportTheirOwnTiming)
+{
+    // Two requests with different job and cell counts run at once on
+    // one runner; each result must carry its own executor's account,
+    // never the other request's.
+    std::vector<Workload> wide;
+    for (int i = 0; i < 4; ++i)
+        wide.push_back(mvWorkload("MV-wide" + std::to_string(i), 24 + i));
+    const auto narrow = std::vector<Workload>{mvWorkload("MV-narrow", 30)};
+    const auto cfgs = mixedConfigs();
+
+    Runner r;
+    SweepResult a;
+    SweepResult b;
+    double span_a = 0.0;
+    double span_b = 0.0;
+    const auto timed = [&r](const SweepRequest &req, SweepResult &out,
+                            double &span) {
+        const auto t0 = std::chrono::steady_clock::now();
+        out = r.run(req);
+        span = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    };
+    std::thread ta(timed,
+                   testref::request(wide, cfgs, harness::amatMetric(), 3),
+                   std::ref(a), std::ref(span_a));
+    std::thread tb(timed,
+                   testref::request(narrow, cfgs, harness::amatMetric(), 1),
+                   std::ref(b), std::ref(span_b));
+    ta.join();
+    tb.join();
+
+    EXPECT_EQ(a.timing.jobs, 3u);
+    EXPECT_EQ(b.timing.jobs, 1u);
+    EXPECT_EQ(a.cells.size(), wide.size() * cfgs.size());
+    EXPECT_EQ(b.cells.size(), narrow.size() * cfgs.size());
+    for (const auto *res : {&a, &b}) {
+        EXPECT_GT(res->timing.wallSeconds, 0.0);
+        EXPECT_LE(res->timing.busySeconds,
+                  res->timing.jobs * res->timing.wallSeconds *
+                      (1.0 + 1e-9));
+    }
+    EXPECT_LE(a.timing.wallSeconds, span_a);
+    EXPECT_LE(b.timing.wallSeconds, span_b);
 }
 
 } // namespace

@@ -16,12 +16,14 @@
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/harness/experiment.hh"
+#include "src/harness/sweep.hh"
 #include "src/telemetry/counter_registry.hh"
 #include "src/telemetry/event_trace.hh"
 #include "src/telemetry/manifest.hh"
 #include "src/telemetry/phase_timer.hh"
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/reference_sweep.hh"
 
 namespace {
 
@@ -590,8 +592,14 @@ TEST(Manifest, CellManifestRoundTripsCountersAndMetrics)
         testing::TempDir() + "sac_cell_manifest_test";
     util::Json extra = util::Json::object();
     extra.set("sweep_jobs", std::uint64_t{4});
+    harness::ManifestCell cell;
+    cell.workload = "MV";
+    cell.config = &cfg;
+    cell.stats = &s;
+    cell.simSeconds = 0.125;
+    cell.extraTiming = &extra;
     const auto path = harness::writeCellManifest(
-        dir, "MV", cfg, s, 0.125, &extra);
+        dir, cell, harness::EngineTag::ExactReplay);
     ASSERT_FALSE(path.empty());
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -623,15 +631,13 @@ TEST(Runner, PhasesAccountForTraceGenAndSim)
     r.warmup(ws);
     EXPECT_GT(r.phases().seconds("trace-gen"), 0.0);
     EXPECT_GT(r.phases().seconds("warmup"), 0.0);
-    const auto &cell = r.cell(ws[0], core::presets().get("soft"));
-    EXPECT_GT(cell.stats.accesses, 0u);
-    EXPECT_GE(cell.simSeconds, 0.0);
+    const auto result = r.run(testref::request(
+        ws, {core::presets().get("soft")}, harness::amatMetric(), 2));
+    EXPECT_GT(result.cells.at(0).stats.accesses, 0u);
     EXPECT_GT(r.phases().seconds("sim"), 0.0);
-    const auto table = r.runMatrix(ws, {core::presets().get("soft")},
-                                   harness::amatMetric(), 2);
-    EXPECT_EQ(table.rows(), 1u);
+    EXPECT_EQ(result.table.rows(), 1u);
     EXPECT_GT(r.phases().seconds("report"), 0.0);
-    const auto sweep = r.lastSweep();
+    const auto &sweep = result.timing;
     EXPECT_EQ(sweep.jobs, 2u);
     EXPECT_GE(sweep.wallSeconds, 0.0);
     EXPECT_GE(sweep.utilization(), 0.0);
@@ -839,8 +845,8 @@ TEST(Runner, WorkerUtilizationAccountsBusyTimeAgainstTheWall)
     r.warmup(ws);
     const std::vector<core::Config> cfgs{core::presets().get("soft"),
                                          core::presets().get("standard")};
-    r.runMatrix(ws, cfgs, harness::amatMetric(), 2);
-    const auto sweep = r.lastSweep();
+    const auto sweep =
+        r.run(testref::request(ws, cfgs, harness::amatMetric(), 2)).timing;
     EXPECT_EQ(sweep.jobs, 2u);
     EXPECT_GT(sweep.wallSeconds, 0.0);
     // Four cells were simulated, so workers accumulated busy time,
@@ -854,8 +860,9 @@ TEST(Runner, WorkerUtilizationAccountsBusyTimeAgainstTheWall)
     // A serial sweep accounts the same way with one worker.
     harness::Runner serial;
     serial.warmup(ws);
-    serial.runMatrix(ws, cfgs, harness::amatMetric(), 1);
-    const auto s1 = serial.lastSweep();
+    const auto s1 =
+        serial.run(testref::request(ws, cfgs, harness::amatMetric(), 1))
+            .timing;
     EXPECT_EQ(s1.jobs, 1u);
     EXPECT_GT(s1.busySeconds, 0.0);
     EXPECT_LE(s1.utilization(), 1.0 + 1e-9);

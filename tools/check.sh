@@ -4,9 +4,16 @@
 # Usage:
 #   tools/check.sh              # plain, address (ASan+UBSan), thread (TSan)
 #   tools/check.sh plain        # one mode only
+#   tools/check.sh thread       # TSan ctest, then a repeat leg: the
+#                               # ThreadPool|ParallelSweep|SweepRequest|
+#                               # Service tests 50 times over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
+#   tools/check.sh benches      # the 14 figure binaries at --jobs 1
+#                               # and --jobs 4 with --emit-json:
+#                               # stdout must be identical and the
+#                               # manifests equal except "timing"
 #   tools/check.sh perf         # throughput gate: bench_simspeed vs
 #                               # BENCH_simspeed.json (tools/perf_compare.py)
 #   tools/check.sh sampling     # sampled-vs-full differential: the
@@ -106,6 +113,63 @@ else
 fi
 
 for mode in "${modes[@]}"; do
+    if [[ "$mode" == "benches" ]]; then
+        # Benches leg: every figure table and manifest is independent
+        # of the worker count. Each binary runs serially and on four
+        # workers; the outputs must match byte for byte, and the
+        # manifest sets must match document for document once the
+        # wall-clock "timing" object is dropped.
+        build_dir="build-check-benches"
+        benches=(bench_fig01_locality bench_fig03_bypass_victim
+                 bench_fig04_instrumentation bench_fig06_amat
+                 bench_fig07_traffic_missratio bench_fig08_linesize
+                 bench_fig09_size_assoc bench_fig10_latency_subr
+                 bench_fig11_blocking_copying bench_fig12_prefetch
+                 bench_ablation_design bench_robustness
+                 bench_related_work bench_profile_tags)
+        echo "=== [benches] configure + build (${build_dir}) ==="
+        cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
+            -DSAC_AUDIT=OFF \
+            -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+        targets=()
+        for b in "${benches[@]}"; do
+            targets+=(--target "$b")
+        done
+        cmake --build "${build_dir}" -j "$(nproc)" "${targets[@]}"
+        run_dir="${build_dir}/benches-run"
+        rm -rf "${run_dir}"
+        mkdir -p "${run_dir}"
+        for b in "${benches[@]}"; do
+            echo "=== [benches] ${b} ==="
+            for jobs in 1 4; do
+                "${build_dir}/bench/${b}" --jobs "${jobs}" \
+                    --emit-json "${run_dir}/${b}.j${jobs}" \
+                    > "${run_dir}/${b}.j${jobs}.txt"
+            done
+            cmp "${run_dir}/${b}.j1.txt" "${run_dir}/${b}.j4.txt" \
+                || { echo "${b}: stdout differs across --jobs" >&2; exit 1; }
+            python3 - "${run_dir}/${b}.j1" "${run_dir}/${b}.j4" <<'EOF'
+import json, os, sys
+one, four = sys.argv[1], sys.argv[2]
+def listing(d):
+    return sorted(os.listdir(d)) if os.path.isdir(d) else []
+if listing(one) != listing(four):
+    sys.exit(f"{four}: manifest set differs from {one}")
+def canon(path):
+    with open(path) as f:
+        doc = json.load(f)
+    doc.pop("timing", None)
+    return json.dumps(doc, sort_keys=True)
+for name in listing(one):
+    if name.endswith(".json") and \
+            canon(os.path.join(one, name)) != canon(os.path.join(four, name)):
+        sys.exit(f"{name}: --jobs 4 manifest differs from --jobs 1")
+print(f"  {len(listing(one))} manifests identical modulo timing")
+EOF
+        done
+        echo "=== [benches] OK ==="
+        continue
+    fi
     if [[ "$mode" == "perf" ]]; then
         # Perf leg: audit hooks off (throughput build), then compare
         # simulator throughput against the committed baseline and the
@@ -560,7 +624,7 @@ EOF
       plain)   sanitize="" ;;
       address) sanitize="address" ;;
       thread)  sanitize="thread" ;;
-      *) echo "unknown mode '$mode' (plain|address|thread|perf|sampling|stack|telemetry|checkpoint|parallel|service|--quick)" >&2; exit 2 ;;
+      *) echo "unknown mode '$mode' (plain|address|thread|benches|perf|sampling|stack|telemetry|checkpoint|parallel|service|--quick)" >&2; exit 2 ;;
     esac
     build_dir="build-check-${mode}"
     echo "=== [${mode}] configure + build (${build_dir}) ==="
@@ -576,6 +640,14 @@ EOF
         ctest_args+=(-R "${filter}")
     fi
     ctest "${ctest_args[@]}"
+    if [[ "$mode" == "thread" ]]; then
+        # Flakes in the concurrency suites only show on some
+        # interleavings: repeat them until one fails.
+        echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
+        ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
+            --repeat until-fail:50 \
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service'
+    fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="
         "${build_dir}/examples/fuzz_replay" --cases 5000
