@@ -9,7 +9,9 @@
  *
  * The perf leg of tools/check.sh runs this binary with a JSON
  * reporter and diffs items_per_second against the committed
- * BENCH_simspeed.json baseline (tools/perf_compare.py).
+ * BENCH_simspeed.json baseline (tools/perf_compare.py). The report
+ * context records the simulator's build type and SAC_* options so
+ * the gate can refuse a baseline taken on a different build.
  */
 
 #include <benchmark/benchmark.h>
@@ -30,7 +32,6 @@
 #include "src/telemetry/interval.hh"
 #include "src/telemetry/set_profile.hh"
 #include "src/trace/trace_source.hh"
-#include "src/util/thread_pool.hh"
 #include "src/workloads/workloads.hh"
 
 namespace {
@@ -451,74 +452,6 @@ BM_SweepSampledCheckpointed(benchmark::State &state)
 }
 BENCHMARK(BM_SweepSampledCheckpointed);
 
-/**
- * Denser live-point lattice for the parallel scaling pair: the
- * shared sweep geometry leaves only ~3 full windows in the MV trace,
- * which would cap 8-way fan-out at 3 batches. The same 512-record
- * windows at a 2 K stride plan ~50 of them, so the /8 arm measures
- * real batch parallelism instead of the partition floor.
- */
-sim::SamplingOptions
-parallelSamplingOptions()
-{
-    sim::SamplingOptions opt;
-    opt.window = 512;
-    opt.stride = 2048;
-    opt.warmup = 1024;
-    return opt;
-}
-
-/**
- * The checkpointed sweep with the window replay sharded across a
- * worker pool (Arg = workers; Arg 1 routes through the serial
- * fallback and must time like a serial replay of the same plan).
- * Same libraries, same items accounting, and the
- * ParallelDifferential tests prove the report is bit-identical to
- * the serial replay, so the within-run ratio of /8 against /1 is
- * pure intra-trace speedup (perf_compare.py floors it at 3x on
- * multi-core hosts).
- */
-void
-BM_SweepSampledCheckpointedParallel(benchmark::State &state)
-{
-    const auto workers = static_cast<unsigned>(state.range(0));
-    const auto &t = mvTrace();
-    const sim::SampledEngine engine(parallelSamplingOptions());
-    static const std::vector<sim::CheckpointLibrary> libs = [] {
-        const sim::SampledEngine eng(parallelSamplingOptions());
-        std::vector<sim::CheckpointLibrary> out(
-            sweepConfigs().size());
-        for (std::size_t i = 0; i < sweepConfigs().size(); ++i) {
-            core::SoftwareAssistedCache warmer(sweepConfigs()[i]);
-            trace::MemoryTraceSource src(mvTrace());
-            eng.buildLibrary(src, warmer, out[i]);
-        }
-        return out;
-    }();
-    util::ThreadPool pool(workers);
-    std::uint64_t windows = 0;
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < sweepConfigs().size(); ++i) {
-            trace::MemoryTraceSource src(t);
-            const core::Config &cfg = sweepConfigs()[i];
-            const auto rep = engine.runCheckpointedParallel(
-                src,
-                [&cfg] { return core::SoftwareAssistedCache(cfg); },
-                libs[i], pool, workers);
-            benchmark::DoNotOptimize(rep.recordsTotal);
-            windows = rep.windows;
-        }
-    }
-    state.SetLabel("windows=" + std::to_string(windows));
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * t.size() * sweepConfigs().size()));
-}
-BENCHMARK(BM_SweepSampledCheckpointedParallel)
-    ->Arg(1)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Single-pass stack sweep vs. per-configuration replay: the MV trace
 // across the 8-cell standard family of Fig 9 ({4,8,16,32} KB x
 // {1,2}-way, 32-byte lines), first replayed through the exact
@@ -585,54 +518,6 @@ BM_SweepStackSinglePass(benchmark::State &state)
 }
 BENCHMARK(BM_SweepStackSinglePass);
 
-/**
- * The same single-pass stack sweep sharded by set index across a
- * worker pool (Arg = shards; Arg 1 is one unsharded engine on the
- * calling thread). Every shard traverses the full trace but touches
- * only its own sets, and the absorbed histograms are exactly the
- * unsharded counts (ShardedStackDifferential), so the within-run
- * ratio of /8 against /1 is pure set-level parallel speedup
- * (perf_compare.py floors it at 2x on multi-core hosts).
- */
-void
-BM_SweepStackSharded(benchmark::State &state)
-{
-    const auto shards = static_cast<unsigned>(state.range(0));
-    const auto &t = mvTrace();
-    std::vector<sim::StackPoint> points;
-    for (const auto &cfg : stackSweepConfigs())
-        points.push_back(harness::stackPointOf(cfg));
-    util::ThreadPool pool(shards);
-    for (auto _ : state) {
-        std::vector<sim::StackDistanceEngine> slices;
-        slices.reserve(shards);
-        for (unsigned s = 0; s < shards; ++s)
-            slices.emplace_back(points, s, shards);
-        std::vector<std::future<void>> tasks;
-        for (unsigned s = 0; s < shards; ++s) {
-            tasks.push_back(pool.submit([&t, &slices, s] {
-                trace::MemoryTraceSource src(t);
-                slices[s].run(src);
-            }));
-        }
-        for (auto &task : tasks)
-            task.get();
-        for (unsigned s = 1; s < shards; ++s)
-            slices[0].absorb(slices[s]);
-        std::uint64_t misses = 0;
-        for (const auto &p : points)
-            misses += slices[0].missCount(p);
-        benchmark::DoNotOptimize(misses);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * t.size() * stackSweepConfigs().size()));
-}
-BENCHMARK(BM_SweepStackSharded)
-    ->Arg(1)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 void
 BM_StreamedSweep(benchmark::State &state)
 {
@@ -686,6 +571,15 @@ main(int argc, char **argv)
 
     int bench_argc = static_cast<int>(bench_args.size());
     benchmark::Initialize(&bench_argc, bench_args.data());
+    // The simulator build the numbers belong to, for the baseline
+    // gate (tools/perf_compare.py compares like with like).
+    benchmark::AddCustomContext("sac_build_type", SAC_BUILD_TYPE);
+    const auto on_off = [](bool on) { return on ? "ON" : "OFF"; };
+    benchmark::AddCustomContext("sac_audit", on_off(SAC_AUDIT_ENABLED));
+    benchmark::AddCustomContext("sac_interval",
+                                on_off(SAC_INTERVAL_ENABLED));
+    benchmark::AddCustomContext("sac_trace_events",
+                                on_off(SAC_TRACE_EVENTS_ENABLED));
     if (benchmark::ReportUnrecognizedArguments(bench_argc,
                                                bench_args.data()))
         return 1;

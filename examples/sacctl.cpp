@@ -4,7 +4,7 @@
  *
  *   sacctl --socket=PATH submit --workloads=MV,SpMV \
  *          --presets=standard,soft [--metric=miss-ratio]
- *          [--engine=auto] [--priority=N] [--jobs=N] [--intra-jobs=N]
+ *          [--engine=auto] [--priority=N] [--jobs=N]
  *          [--out=DIR]
  *          [--sample-window=W --sample-stride=S --sample-warmup=U]
  *          [--checkpoint-dir=DIR]
@@ -199,7 +199,6 @@ usage()
            "sampled-livepoint|stack\n"
         << "  --priority=N      higher runs sooner (default 0)\n"
         << "  --jobs=N          per-sweep worker hint\n"
-        << "  --intra-jobs=N    workers per cell (0 = auto)\n"
         << "  --out=DIR         write streamed manifests under DIR\n"
         << "  --sample-window=W --sample-stride=S --sample-warmup=U\n"
         << "  --checkpoint-dir=DIR  live-point library "
@@ -245,10 +244,6 @@ main(int argc, char **argv)
                         static_cast<std::int64_t>(std::stol(value)));
         } else if (flagValue(arg, "--jobs", value)) {
             request.set("jobs",
-                        static_cast<std::uint64_t>(
-                            std::stoul(value)));
-        } else if (flagValue(arg, "--intra-jobs", value)) {
-            request.set("intra_jobs",
                         static_cast<std::uint64_t>(
                             std::stoul(value)));
         } else if (flagValue(arg, "--out", value)) {

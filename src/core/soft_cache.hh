@@ -343,29 +343,6 @@ class SoftwareAssistedCache
      */
     void importState(const sim::ArchState &s);
 
-    /**
-     * The three-C classifier's shadow state, or nullptr when
-     * classification is disabled. The shadow evolves identically on
-     * hits and misses — it is a pure function of the detailed address
-     * stream — which is what lets parallel replay reconstruct it.
-     */
-    const sim::MissClassifier *classifier() const
-    {
-        return classifier_ ? &*classifier_ : nullptr;
-    }
-
-    /**
-     * Replace the classifier's shadow state with @p c. Parallel
-     * window replay seeds each worker with the state a serial run
-     * would have reached at the worker's first window; a no-op when
-     * classification is disabled.
-     */
-    void seedClassifier(const sim::MissClassifier &c)
-    {
-        if (classifier_)
-            *classifier_ = c;
-    }
-
   private:
     /** A main-cache slot filled by the in-flight miss. */
     struct FillTarget

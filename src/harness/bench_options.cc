@@ -43,12 +43,6 @@ BenchOptions::parse(const util::Args &args)
     if (*jobs_arg > 0)
         opts.jobs = static_cast<unsigned>(*jobs_arg);
 
-    const auto intra_arg = args.getInt("intra-jobs", 0);
-    if (!intra_arg || *intra_arg < 0)
-        badCommandLine("--intra-jobs expects a non-negative integer"
-                       " (0 = auto)");
-    opts.intraJobs = static_cast<unsigned>(*intra_arg);
-
     if (args.has("emit-json")) {
         const std::string dir = args.getString("emit-json");
         // A bare --emit-json (no following value) parses as the

@@ -32,14 +32,6 @@ struct BenchOptions
     /** --jobs N: sweep worker threads (default: hardware threads). */
     unsigned jobs = 0;
 
-    /**
-     * --intra-jobs N: workers per cell for intra-trace parallelism
-     * (live-point window replay, set-sharded stack passes). 0 = auto:
-     * shard only when the sweep has fewer cells than --jobs workers.
-     * Results are bit-identical at any value.
-     */
-    unsigned intraJobs = 0;
-
     /** --emit-json DIR: manifest output directory; empty = off. */
     std::string emitJsonDir;
 

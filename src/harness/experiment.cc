@@ -159,12 +159,6 @@ Runner::checkpointCounter(const std::string &name) const
     return stackCounter(name);
 }
 
-std::uint64_t
-Runner::parallelCounter(const std::string &name) const
-{
-    return stackCounter(name);
-}
-
 void
 Runner::replayCell(StoredCell &cell, const Workload &w,
                    const core::Config &cfg)
@@ -182,8 +176,7 @@ void
 Runner::runStackFamily(
     const Workload &w,
     const std::vector<std::pair<const core::Config *, StoredCell *>>
-        &family,
-    unsigned intra, util::ThreadPool *pool)
+        &family)
 {
     // Serialize passes per workload: a concurrent request covering
     // the same family waits here, then finds the store filled and
@@ -219,46 +212,9 @@ Runner::runStackFamily(
     std::optional<sim::StackDistanceEngine> eng;
     {
         const telemetry::ScopedPhase phase(phases_, "stack-pass");
-        if (intra > 1 && pool != nullptr) {
-            // Set-sharded pass: per-set LRU stacks never interact, so
-            // each shard profiles a disjoint slice of every profiler's
-            // set space over the full stream and the histograms sum to
-            // exactly the unsharded counts (proven by the
-            // ShardedStackDifferential tests).
-            std::vector<sim::StackDistanceEngine> slices;
-            slices.reserve(intra);
-            for (unsigned s = 0; s < intra; ++s)
-                slices.emplace_back(points, s, intra);
-            std::vector<std::future<void>> tasks;
-            tasks.reserve(intra);
-            for (unsigned s = 0; s < intra; ++s) {
-                tasks.push_back(pool->submit([&slices, s, &t] {
-                    trace::MemoryTraceSource src(t);
-                    slices[s].run(src);
-                }));
-            }
-            for (auto &task : tasks)
-                task.wait(); // all done before get() may re-raise
-            for (auto &task : tasks)
-                task.get();
-            const auto merge0 = std::chrono::steady_clock::now();
-            for (unsigned s = 1; s < intra; ++s)
-                slices[0].absorb(slices[s]);
-            const auto merge_ns = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - merge0)
-                    .count());
-            eng.emplace(std::move(slices[0]));
-            count("parallel.shards",
-                  "set-shard stack-pass slices executed", intra);
-            count("parallel.merge_ns",
-                  "nanoseconds merging parallel partial results",
-                  merge_ns);
-        } else {
-            eng.emplace(points);
-            trace::MemoryTraceSource src(t);
-            eng->run(src);
-        }
+        eng.emplace(points);
+        trace::MemoryTraceSource src(t);
+        eng->run(src);
     }
 
     for (const auto &member : family) {
@@ -378,8 +334,7 @@ void
 Runner::sampleCell(StoredCell &cell, const Workload &w,
                    const core::Config &cfg, const SweepRequest &request,
                    const std::string &library_dir,
-                   std::uint64_t trace_hash, util::ThreadPool *pool,
-                   unsigned intra)
+                   std::uint64_t trace_hash)
 {
     std::call_once(cell.once, [&] {
         const sim::SamplingOptions &opt = request.sampling;
@@ -405,9 +360,10 @@ Runner::sampleCell(StoredCell &cell, const Workload &w,
             const LoadResult r = request.checkpointRebuild
                                      ? LoadResult::Missing
                                      : lib.load(path, key);
-            std::uint64_t bytes = 0;
+            auto &outcome = cell.checkpoint;
             if (r == LoadResult::Hit) {
-                bytes = lib.loadedBytes();
+                outcome.hits = 1;
+                outcome.bytes = lib.loadedBytes();
                 count("checkpoint.hits",
                       "sampled cells served from a live-point library",
                       1);
@@ -418,8 +374,10 @@ Runner::sampleCell(StoredCell &cell, const Workload &w,
                 core::SoftwareAssistedCache warmer(cfg);
                 trace::MemoryTraceSource warm_src(t);
                 engine.buildLibrary(warm_src, warmer, lib);
-                bytes = lib.save(path, key);
-                if (r == LoadResult::Stale)
+                outcome.bytes = lib.save(path, key);
+                outcome.misses = 1;
+                outcome.stale = r == LoadResult::Stale ? 1 : 0;
+                if (outcome.stale)
                     count("checkpoint.stale",
                           "libraries rejected as stale (key, version or "
                           "file mismatch)",
@@ -429,24 +387,8 @@ Runner::sampleCell(StoredCell &cell, const Workload &w,
                       1);
             }
             count("checkpoint.bytes", "bytes moved through .saclp files",
-                  bytes);
-            if (pool != nullptr && intra > 1) {
-                sim::ParallelReplayStats ps;
-                cell.report = engine.runCheckpointedParallel(
-                    src,
-                    [&cfg] { return core::SoftwareAssistedCache(cfg); },
-                    lib, *pool, intra, &ps);
-                if (ps.parallel) {
-                    count("parallel.windows",
-                          "detailed windows replayed concurrently",
-                          ps.windows);
-                    count("parallel.merge_ns",
-                          "nanoseconds merging parallel partial results",
-                          ps.mergeNanos);
-                }
-            } else {
-                cell.report = engine.runCheckpointed(src, sim, lib);
-            }
+                  outcome.bytes);
+            cell.report = engine.runCheckpointed(src, sim, lib);
         }
         cell.seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)

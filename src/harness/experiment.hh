@@ -29,11 +29,6 @@
 #include "src/util/table.hh"
 
 namespace sac {
-
-namespace util {
-class ThreadPool;
-} // namespace util
-
 namespace harness {
 
 struct SweepRequest;
@@ -103,9 +98,9 @@ class Runner
      * telemetry, and return the rendered table plus every cell's
      * routing record and statistics. Stack families run serially on
      * the calling thread, one single-pass traversal per workload;
-     * exact and sampled cells run on one pool of max(jobs, intra)
-     * workers built for the request. The request must be valid
-     * (SweepRequest::validationError()).
+     * exact and sampled cells run on one pool of jobs workers, built
+     * only when more than one of them can run in parallel. The
+     * request must be valid (SweepRequest::validationError()).
      */
     SweepResult run(const SweepRequest &request);
 
@@ -156,18 +151,6 @@ class Runner
      */
     std::uint64_t checkpointCounter(const std::string &name) const;
 
-    /**
-     * Value of one of this runner's "parallel.*" telemetry counters
-     * (0 when never incremented) — the intra-trace parallelism
-     * account:
-     *   parallel.windows   detailed windows replayed concurrently
-     *                      (checkpointed window-replay shards)
-     *   parallel.shards    set-shard stack-pass slices executed
-     *   parallel.merge_ns  nanoseconds spent merging parallel
-     *                      partial results in deterministic order
-     */
-    std::uint64_t parallelCounter(const std::string &name) const;
-
     /** Number of traces actually generated. */
     std::size_t tracesGenerated() const
     {
@@ -197,6 +180,14 @@ class Runner
         sim::RunStats stats;      //!< exact and stack cells
         sim::SampleReport report; //!< sampled cells
         double seconds = 0.0;     //!< wall seconds of the replay
+        /**
+         * Live-point cells: this cell's library outcome (hits, misses
+         * and stale are each 0 or 1) and the bytes it moved.
+         */
+        struct
+        {
+            std::uint64_t hits = 0, misses = 0, stale = 0, bytes = 0;
+        } checkpoint;
     };
 
     /** A request's cells, each routed to an engine and a store slot. */
@@ -215,29 +206,22 @@ class Runner
     /**
      * Estimate one sampled cell into @p cell (once), over the
      * live-point library at @p library_dir when non-empty (the
-     * trace's content hash is @p trace_hash). When @p pool is given
-     * with @p intra > 1, the live-point replay fans its detailed
-     * windows out over it — the report stays bit-identical to the
-     * serial path.
+     * trace's content hash is @p trace_hash).
      */
     void sampleCell(StoredCell &cell, const Workload &w,
                     const core::Config &cfg, const SweepRequest &request,
                     const std::string &library_dir,
-                    std::uint64_t trace_hash, util::ThreadPool *pool,
-                    unsigned intra);
+                    std::uint64_t trace_hash);
 
     /**
      * Run one stack pass over @p w covering every config of
      * @p family, storing the stats of each member slot not yet
-     * filled. @p intra > 1 splits the pass into that many set-shard
-     * slices (sim::StackDistanceEngine shard mode) run on @p pool and
-     * absorbed in shard order — bit-identical counts.
+     * filled.
      */
     void runStackFamily(
         const Workload &w,
         const std::vector<std::pair<const core::Config *, StoredCell *>>
-            &family,
-        unsigned intra, util::ThreadPool *pool);
+            &family);
 
     /** Add @p delta to counter @p name (registered on first use). */
     void count(const char *name, const char *desc, std::uint64_t delta);
@@ -261,7 +245,7 @@ class Runner
      * racing to duplicate it.
      */
     std::map<std::string, std::unique_ptr<std::mutex>> passMutexes_;
-    /** stack.pass.*, checkpoint.* and parallel.* counters. */
+    /** stack.pass.* and checkpoint.* counters. */
     telemetry::CounterRegistry counters_;
     std::atomic<std::size_t> runsExecuted_{0};
     std::atomic<std::size_t> tracesGenerated_{0};

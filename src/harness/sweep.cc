@@ -143,8 +143,6 @@ renderCell(const ManifestCell &cell, EngineTag tag,
         m.timing = util::Json::object();
         if (cell.simSeconds > 0.0)
             m.timing.set("sim_seconds", cell.simSeconds);
-        if (cell.parallel)
-            m.timing.set("parallel", *cell.parallel);
         return m;
     }
 
@@ -171,8 +169,6 @@ renderCell(const ManifestCell &cell, EngineTag tag,
         m.timing = util::Json::object();
         if (cell.simSeconds > 0.0)
             m.timing.set("pass_seconds", cell.simSeconds);
-        if (cell.parallel)
-            m.timing.set("parallel", *cell.parallel);
         return m;
     }
 
@@ -318,7 +314,6 @@ SweepRequest::fromBenchOptions(const BenchOptions &options,
     req.configs = std::move(configs);
     req.metric = std::move(metric);
     req.jobs = options.jobs;
-    req.intraJobs = options.intraJobs;
     if (options.sample) {
         req.engine = options.checkpointDir.empty()
                          ? EngineSelect::Sampled
@@ -438,8 +433,6 @@ struct Runner::Plan
     std::vector<std::size_t> family;
     /** Live-point library root of sampled cells ("" = plain). */
     std::string libraryDir;
-    /** Workers per cell for set-sharded passes / window replay. */
-    unsigned intra = 1;
     /** Unstored slots of --checkpoint-rebuild cells. */
     std::vector<std::unique_ptr<StoredCell>> rebuilt;
 };
@@ -510,16 +503,6 @@ Runner::plan(const SweepRequest &request)
     const std::size_t n_c = request.configs.size();
     const std::size_t n_cells = n_w * n_c;
 
-    // Intra-trace workers per cell: an explicit request wins; auto
-    // shards only when the cell count cannot keep every sweep worker
-    // busy, splitting the leftover concurrency across cells.
-    const unsigned intra =
-        request.intraJobs > 0
-            ? request.intraJobs
-            : ((request.jobs > 1 && n_cells < request.jobs)
-                   ? request.jobs / static_cast<unsigned>(n_cells)
-                   : 1);
-
     // The one routing decision. Sampled engines are explicit; a
     // live-point request whose geometry leaves no warming gap has
     // nothing a library could save and runs as plain sampling.
@@ -532,10 +515,8 @@ Runner::plan(const SweepRequest &request)
         const bool library =
             request.engine == EngineSelect::SampledLivepoint &&
             sim::SampledEngine(request.sampling).checkpointable();
-        if (library) {
+        if (library)
             p.libraryDir = request.checkpointDir;
-            p.intra = intra;
-        }
         tags.assign(n_c, library ? EngineTag::SampledLivepoint
                                  : EngineTag::Sampled);
     } else if (request.engine != EngineSelect::Exact &&
@@ -547,7 +528,6 @@ Runner::plan(const SweepRequest &request)
         if (p.family.size() < 2) {
             p.family.clear();
         } else {
-            p.intra = intra;
             for (const std::size_t ci : p.family)
                 tags[ci] = EngineTag::StackSinglePass;
         }
@@ -599,11 +579,11 @@ Runner::run(const SweepRequest &request)
     const unsigned jobs = std::max(1u, request.jobs);
     const bool parallel_cells = jobs > 1 && tasks.size() > 1;
     std::optional<util::ThreadPool> pool;
-    if (parallel_cells || p.intra > 1)
-        pool.emplace(std::max(jobs, p.intra));
+    if (parallel_cells)
+        pool.emplace(jobs);
 
     // Stack passes run serially on this thread: each is already a
-    // whole-family batch (optionally set-sharded over the pool).
+    // whole-family batch.
     if (!p.family.empty()) {
         for (std::size_t wi = 0; wi < n_w; ++wi) {
             std::vector<std::pair<const core::Config *, StoredCell *>>
@@ -612,8 +592,7 @@ Runner::run(const SweepRequest &request)
                 members.emplace_back(&request.configs[ci],
                                      p.cells[wi * n_c + ci].slot);
             const auto t0 = std::chrono::steady_clock::now();
-            runStackFamily(request.workloads[wi], members, p.intra,
-                           pool ? &*pool : nullptr);
+            runStackFamily(request.workloads[wi], members);
             busy_ns.fetch_add(nanosSince(t0));
         }
         if (!tasks.empty())
@@ -633,9 +612,7 @@ Runner::run(const SweepRequest &request)
 
     // Exact and sampled cells: each latches once in the store, so
     // cells racing another request block on the first producer
-    // instead of duplicating work. A live-point cell may shard its
-    // window replay onto the same pool (it waits with helpWait(), so
-    // nested submission cannot deadlock).
+    // instead of duplicating work.
     const auto execute = [&](std::size_t i) {
         const std::size_t wi = i / n_c;
         const std::size_t ci = i % n_c;
@@ -646,8 +623,7 @@ Runner::run(const SweepRequest &request)
         } else {
             sampleCell(*p.cells[i].slot, request.workloads[wi],
                        request.configs[ci], request, p.libraryDir,
-                       trace_hashes[wi], pool ? &*pool : nullptr,
-                       p.intra);
+                       trace_hashes[wi]);
         }
         busy_ns.fetch_add(nanosSince(t0));
     };
@@ -721,26 +697,6 @@ Runner::run(const SweepRequest &request)
     if (!emitter.active())
         return out;
 
-    // Engine blocks, read once: library-served cells carry a
-    // "checkpoint" block so a reader can tell an instant re-sweep from
-    // a cold warm; cells whose window replay or stack pass ran sharded
-    // carry a "parallel" block inside "timing" (so result comparisons
-    // stay unaffected).
-    util::Json ck = util::Json::object();
-    if (!p.libraryDir.empty()) {
-        for (const char *key : {"checkpoint.hits", "checkpoint.misses",
-                                "checkpoint.stale", "checkpoint.bytes"})
-            ck.set(std::string(key).substr(11), checkpointCounter(key));
-    }
-    const char *parallel_key = p.family.empty() ? "parallel.windows"
-                                                : "parallel.shards";
-    util::Json par = util::Json::object();
-    const bool ran_parallel = parallelCounter(parallel_key) > 0;
-    if (ran_parallel) {
-        par.set("intra_jobs", static_cast<std::uint64_t>(p.intra));
-        for (const char *key : {parallel_key, "parallel.merge_ns"})
-            par.set(std::string(key).substr(9), parallelCounter(key));
-    }
     const bool instrument = request.telemetry.intervalRecords > 0 ||
                             request.telemetry.heatmap;
     util::Json phases;
@@ -770,6 +726,7 @@ Runner::run(const SweepRequest &request)
             ManifestCell mc;
             mc.workload = r.workload;
             mc.config = &cfg;
+            util::Json ck;
             switch (c.engine) {
             case EngineTag::ExactReplay:
                 mc.stats = &c.slot->stats;
@@ -782,7 +739,6 @@ Runner::run(const SweepRequest &request)
             case EngineTag::StackSinglePass:
                 mc.stats = &c.slot->stats;
                 mc.stackFamilySize = p.family.size();
-                mc.parallel = ran_parallel ? &par : nullptr;
                 break;
             case EngineTag::Sampled:
             case EngineTag::SampledLivepoint:
@@ -790,8 +746,15 @@ Runner::run(const SweepRequest &request)
                 mc.sampling = &request.sampling;
                 mc.simSeconds = c.slot->seconds;
                 if (c.engine == EngineTag::SampledLivepoint) {
+                    // The cell's own library outcome, so a reader can
+                    // tell an instant re-sweep from a cold warm.
+                    const auto &o = c.slot->checkpoint;
+                    ck = util::Json::object();
+                    ck.set("hits", o.hits);
+                    ck.set("misses", o.misses);
+                    ck.set("stale", o.stale);
+                    ck.set("bytes", o.bytes);
                     mc.checkpoint = &ck;
-                    mc.parallel = ran_parallel ? &par : nullptr;
                 }
                 break;
             }

@@ -85,15 +85,8 @@ struct ManifestCell
     const sim::SampleReport *report = nullptr;
     /** Sampled cells: the geometry that produced the report. */
     const sim::SamplingOptions *sampling = nullptr;
-    /** Live-point cells: the "checkpoint" block (outcome counters). */
+    /** Live-point cells: the "checkpoint" block (the cell's outcome). */
     const util::Json *checkpoint = nullptr;
-    /**
-     * Intra-trace parallelism counters ("parallel" block), rendered
-     * inside "timing": window-replay and set-shard tallies. Like the
-     * rest of "timing" it never affects result comparisons.
-     */
-    const util::Json *parallel = nullptr;
-
     /** Stack cells: members in the family the pass covered. */
     std::size_t stackFamilySize = 0;
 
@@ -177,15 +170,6 @@ struct SweepRequest
 
     EngineSelect engine = EngineSelect::Auto;
     sim::SamplingOptions sampling; //!< sampled engines only
-
-    /**
-     * Workers per cell for intra-trace parallelism: live-point window
-     * replay and set-sharded stack passes. 0 = auto (shard only when
-     * the cell count cannot keep all @ref jobs workers busy,
-     * intra = jobs / cells); 1 = serial. Results are bit-identical
-     * either way.
-     */
-    unsigned intraJobs = 0;
 
     /** Live-point library root (SampledLivepoint engine). */
     std::string checkpointDir;

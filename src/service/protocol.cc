@@ -1,7 +1,9 @@
 #include "src/service/protocol.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <limits>
 #include <unistd.h>
 
 #include "src/workloads/workloads.hh"
@@ -191,18 +193,16 @@ parseRequest(const std::string &payload, std::string *error)
     if (const util::Json *p = doc->find("priority")) {
         if (!p->isNumber())
             return fail(error, "\"priority\" must be a number");
-        req.spec.priority = static_cast<int>(p->asInt());
+        req.spec.priority = static_cast<int>(std::clamp<std::int64_t>(
+            p->asInt(), std::numeric_limits<int>::min(),
+            std::numeric_limits<int>::max()));
     }
     if (const util::Json *j = doc->find("jobs")) {
         if (!j->isNumber())
             return fail(error, "\"jobs\" must be a number");
-        const std::uint64_t jobs = j->asUint(1);
+        const std::uint64_t jobs = std::min<std::uint64_t>(
+            j->asUint(1), std::numeric_limits<unsigned>::max());
         req.spec.jobs = jobs == 0 ? 1u : static_cast<unsigned>(jobs);
-    }
-    if (const util::Json *j = doc->find("intra_jobs")) {
-        if (!j->isNumber())
-            return fail(error, "\"intra_jobs\" must be a number");
-        req.spec.intraJobs = static_cast<unsigned>(j->asUint(0));
     }
     if (const util::Json *s = doc->find("sampling")) {
         if (!s->isObject())
@@ -263,7 +263,6 @@ toSweepRequest(const SweepSpec &spec, std::string *error)
     req.metric = *metric;
     req.engine = spec.engine;
     req.jobs = spec.jobs;
-    req.intraJobs = spec.intraJobs;
     req.sampling = spec.sampling;
     req.checkpointDir = spec.checkpointDir;
     req.telemetry.manifestDir = spec.manifestDir;

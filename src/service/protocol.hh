@@ -13,7 +13,7 @@
  * Request documents:
  *   {"verb": "submit", "workloads": ["MV", ...],
  *    "presets": ["standard", ...], "metric": "miss-ratio",
- *    "engine": "auto", "priority": 0, "jobs": 2, "intra_jobs": 0,
+ *    "engine": "auto", "priority": 0, "jobs": 2,
  *    "sampling": {"window": W, "stride": S, "warmup": U},
  *    "checkpoint_dir": "...", "manifest_dir": "..."}
  *   {"verb": "status"} | {"verb": "metrics"} | {"verb": "shutdown"}
@@ -74,8 +74,6 @@ struct SweepSpec
     harness::EngineSelect engine = harness::EngineSelect::Auto;
     int priority = 0;  //!< higher runs sooner
     unsigned jobs = 1; //!< per-request worker hint (server clamps)
-    /** Intra-trace workers per cell; 0 = auto (server clamps). */
-    unsigned intraJobs = 0;
     sim::SamplingOptions sampling;
     std::string checkpointDir;
     /** Server-side manifest directory; empty = stream only. */

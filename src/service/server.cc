@@ -167,14 +167,6 @@ SweepServer::handleSubmit(int fd, const SweepSpec &spec,
     // per-request fan-out at the machine instead of trusting clients.
     sweep->jobs = std::min(sweep->jobs,
                            util::ThreadPool::defaultThreads());
-    // 0 stays 0 (auto). Explicit values tolerate modest
-    // oversubscription — replay correctness never depends on the
-    // worker count, and differential runs on small hosts deliberately
-    // ask for more workers than cores — but a wire-supplied thread
-    // count must still be bounded.
-    sweep->intraJobs = std::min(
-        sweep->intraJobs,
-        std::max(8u, util::ThreadPool::defaultThreads()));
 
     Job job;
     {
@@ -337,12 +329,6 @@ SweepServer::metricsSnapshot() const
                              "checkpoint.stale", "checkpoint.bytes"}) {
         reg.counter(name, "shared runner checkpoint counter") +=
             runner_.checkpointCounter(name);
-    }
-    for (const char *name : {"parallel.windows", "parallel.shards",
-                             "parallel.merge_ns"}) {
-        reg.counter(name,
-                    "shared runner intra-trace parallelism counter") +=
-            runner_.parallelCounter(name);
     }
     return reg;
 }

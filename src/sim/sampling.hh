@@ -41,23 +41,16 @@
 #define SAC_SIM_SAMPLING_HH
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <future>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/sim/checkpoint.hh"
-#include "src/sim/miss_classifier.hh"
 #include "src/sim/run_stats.hh"
 #include "src/trace/record.hh"
 #include "src/trace/trace_source.hh"
-#include "src/util/thread_pool.hh"
 #include "src/util/types.hh"
 
 namespace sac {
@@ -113,7 +106,7 @@ class SampleStats
     /**
      * Bit-exact accumulator equality (count, mean, m2) — the
      * differential tests' definition of "same samples in the same
-     * order", which is what the parallel replay merge guarantees.
+     * order".
      */
     bool operator==(const SampleStats &) const = default;
 
@@ -230,23 +223,6 @@ struct SampleReport
 
     /** Bit-exact report equality (every field, RunStats included). */
     bool operator==(const SampleReport &) const = default;
-};
-
-/**
- * What the parallel replay path actually did — exposed so the harness
- * can account intra-trace parallelism (the parallel.* counters)
- * without re-deriving the partitioning.
- */
-struct ParallelReplayStats
-{
-    /** Did the parallel path run (false = serial fallback)? */
-    bool parallel = false;
-    /** Detailed windows replayed concurrently. */
-    std::uint64_t windows = 0;
-    /** Worker shards the windows were partitioned over. */
-    std::uint64_t workers = 0;
-    /** Nanoseconds spent in the ordered merge of worker results. */
-    std::uint64_t mergeNanos = 0;
 };
 
 /**
@@ -588,333 +564,6 @@ class SampledEngine
         rep.exact = !stopped_early && rep.recordsWarmed == 0 &&
                     rep.recordsSkipped == 0;
         rep.detailed = sim.stats();
-        return rep;
-    }
-
-    /**
-     * runCheckpointed() fanned out over @p workers pool shards. The
-     * library makes every detailed window state-independent — window k
-     * is a pure function of (checkpoint k, the window's records) — so
-     * the windows are partitioned into contiguous per-worker batches,
-     * each worker replays its batch on a private simulator from
-     * @p make_sim over a private src.clone(), and the per-window
-     * results are merged in window order. The merge is bit-identical
-     * to the serial path by construction:
-     *
-     *  - every RunStats counter is an exact integer (the cycle total
-     *    is a double summing integer latencies, far below 2^53), so
-     *    summing per-worker stats in worker order reproduces the
-     *    serial totals exactly; the completion cycle merges by max,
-     *    which equals the serial run's final (largest) value because
-     *    checkpoint clocks advance monotonically with window index;
-     *  - the per-window sample triples are computed from identical
-     *    operands (same restored state, same records) and re-fed into
-     *    Welford accumulation in global window order, so every mean,
-     *    m2 and confidence interval matches to the last bit;
-     *  - the two pieces of whole-stream state that summation cannot
-     *    reproduce are handled explicitly: the three-C classifier is
-     *    re-seeded per worker from a cheap address-only shadow
-     *    pre-pass (its state is a pure function of the detailed
-     *    address stream), and writeBufferFullStalls — which finish()
-     *    overwrites with the write buffer's checkpoint-restored
-     *    absolute counter — is taken from the last worker alone.
-     *
-     * The last worker additionally replicates the serial tail: the
-     * trailing partial window, the builder's trailing live-point on a
-     * short gap skip, and the one finish() of the run. The original
-     * @p src is consumed only on the serial fallback path — taken for
-     * adaptive geometries (the stopping rule is inherently
-     * sequential), unknown stream lengths, un-clonable sources, or
-     * fewer than two full windows — so a failed parallel attempt can
-     * always re-run serially on the pristine source. @p out, when
-     * given, reports what actually happened.
-     */
-    template <class SimFactory>
-    SampleReport
-    runCheckpointedParallel(trace::TraceSource &src,
-                            SimFactory &&make_sim,
-                            const CheckpointLibrary &lib,
-                            util::ThreadPool &pool, unsigned workers,
-                            ParallelReplayStats *out = nullptr) const
-    {
-        const auto serial = [&]() {
-            auto sim = make_sim();
-            return runCheckpointed(src, sim, lib);
-        };
-        if (out)
-            *out = ParallelReplayStats{};
-
-        const std::uint64_t W = opt_.window;
-        const std::uint64_t S = opt_.stride;
-        const auto hint = src.sizeHint();
-        if (workers <= 1 || S <= W || !hint ||
-            opt_.targetRelativeError > 0.0)
-            return serial();
-
-        const std::uint64_t N = *hint;
-        // Full windows the stream holds; the plan honors maxWindows
-        // exactly as the serial loop does (cap, then drain the rest
-        // as skipped records with the early-stop flag set).
-        const std::uint64_t full =
-            N >= W ? (N - W) / S + 1 : 0;
-        const bool capped =
-            opt_.maxWindows > 0 && full >= opt_.maxWindows;
-        const std::uint64_t planned = capped ? opt_.maxWindows : full;
-        // The uncapped tail needs checkpoint `full` (the next-window
-        // or trailing live-point); a library built over this source
-        // always has it, but a foreign prefix falls back to serial.
-        if (planned < 2 ||
-            lib.size() < (capped ? planned : full + 1))
-            return serial();
-        if (workers > planned)
-            workers = static_cast<unsigned>(planned);
-
-        auto first_clone = src.clone();
-        if (!first_clone)
-            return serial();
-
-        const std::uint64_t gap = S - W;
-        const std::uint64_t base = planned / workers;
-        const std::uint64_t extra = planned % workers;
-        std::vector<std::uint64_t> begins(workers);
-        for (unsigned w = 0, next = 0; w < workers; ++w) {
-            begins[w] = next;
-            next += static_cast<unsigned>(base) +
-                    (w < extra ? 1u : 0u);
-        }
-
-        // The three-C classifier is whole-stream shadow state that is
-        // deliberately absent from ArchState: the serial replay
-        // reproduces it by feeding the detailed windows in order on
-        // one simulator. Its evolution is a pure function of the
-        // detailed *address* stream (hits and misses mutate the
-        // seen-set and shadow LRU identically), so a classifier-only
-        // pre-pass over the windows reconstructs, at a small fraction
-        // of full replay cost, the exact state a serial run holds
-        // when each worker's first window begins. Simulators that do
-        // not expose the classifier hooks cannot make that guarantee,
-        // so they replay serially.
-        using Sim = std::decay_t<decltype(make_sim())>;
-        constexpr bool seedable =
-            requires(Sim &s, const MissClassifier &c) {
-                { s.classifier() };
-                { s.seedClassifier(c) };
-            };
-        if constexpr (!seedable)
-            return serial();
-
-        std::vector<MissClassifier> seeds;
-        {
-            auto probe = make_sim();
-            const MissClassifier *fresh = probe.classifier();
-            if (fresh && workers > 1) {
-                auto pre = src.clone();
-                if (!pre)
-                    return serial();
-                MissClassifier shadow = *fresh;
-                seeds.reserve(workers - 1);
-                std::vector<trace::Record> buf(
-                    static_cast<std::size_t>(std::min<std::uint64_t>(
-                        trace::TraceSource::defaultChunkRecords, W)));
-                for (std::uint64_t k = 0; k < planned; ++k) {
-                    while (seeds.size() + 1 < workers &&
-                           begins[seeds.size() + 1] == k)
-                        seeds.push_back(shadow);
-                    if (seeds.size() + 1 == workers)
-                        break; // the last batch needs no snapshot
-                    std::uint64_t got = 0;
-                    while (got < W) {
-                        const std::size_t n = pre->next(
-                            buf.data(),
-                            static_cast<std::size_t>(
-                                std::min<std::uint64_t>(buf.size(),
-                                                        W - got)));
-                        if (n == 0)
-                            return serial(); // short stream
-                        for (std::size_t i = 0; i < n; ++i)
-                            shadow.access(buf[i].addr, false);
-                        got += n;
-                    }
-                    if (k + 1 < planned && pre->skip(gap) != gap)
-                        return serial();
-                }
-            }
-        }
-
-        struct WindowSample
-        {
-            double missRatio, amat, words;
-        };
-        struct WorkerResult
-        {
-            bool ok = false;
-            std::uint64_t detailed = 0;
-            RunStats stats;
-            std::vector<WindowSample> samples;
-        };
-        std::vector<WorkerResult> results(workers);
-
-        const auto replay = [&](std::unique_ptr<trace::TraceSource>
-                                    own,
-                                std::uint64_t begin, std::uint64_t end,
-                                const MissClassifier *seed,
-                                WorkerResult &res) {
-            if (!own || own->skip(begin * S) != begin * S)
-                return;
-            auto sim = make_sim();
-            if (seed)
-                sim.seedClassifier(*seed);
-            std::vector<trace::Record> buf(static_cast<std::size_t>(
-                std::min<std::uint64_t>(
-                    trace::TraceSource::defaultChunkRecords, W)));
-            RunStats prev;
-            for (std::uint64_t k = begin; k < end; ++k) {
-                sim.importState(*lib.checkpointAt(
-                    static_cast<std::size_t>(k)));
-                std::uint64_t got = 0;
-                while (got < W) {
-                    const std::size_t want =
-                        static_cast<std::size_t>(
-                            std::min<std::uint64_t>(buf.size(),
-                                                    W - got));
-                    const std::size_t n =
-                        own->next(buf.data(), want);
-                    if (n == 0)
-                        return; // short stream: planned from a lie
-                    sim.runDetailed(buf.data(), n);
-                    got += n;
-                }
-                res.detailed += W;
-                const RunStats &cur = sim.stats();
-                const double acc = static_cast<double>(
-                    cur.accesses - prev.accesses);
-                const double misses = static_cast<double>(
-                    cur.misses - prev.misses);
-                const double cycles =
-                    cur.totalAccessCycles - prev.totalAccessCycles;
-                const double words =
-                    static_cast<double>(cur.bytesFetched -
-                                        prev.bytesFetched) /
-                    wordBytes;
-                res.samples.push_back(
-                    {misses / acc, cycles / acc, words / acc});
-                prev = cur;
-                if (k + 1 < end && own->skip(gap) != gap)
-                    return;
-            }
-            if (end == planned && !capped) {
-                // Serial tail: fast-forward the last gap; a short
-                // skip adopts the builder's trailing live-point,
-                // otherwise the next live-point fronts the trailing
-                // partial (possibly empty) window.
-                const std::uint64_t s = own->skip(gap);
-                const ArchState *next = lib.checkpointAt(
-                    static_cast<std::size_t>(full));
-                if (s < gap) {
-                    sim.importState(*next);
-                } else {
-                    sim.importState(*next);
-                    std::uint64_t got = 0;
-                    for (;;) {
-                        const std::size_t want =
-                            static_cast<std::size_t>(
-                                std::min<std::uint64_t>(
-                                    buf.size(), W - got));
-                        if (want == 0)
-                            break;
-                        const std::size_t n =
-                            own->next(buf.data(), want);
-                        if (n == 0)
-                            break;
-                        sim.runDetailed(buf.data(), n);
-                        got += n;
-                    }
-                    res.detailed += got;
-                }
-            }
-            if (end == planned) {
-                // The run's one finish(), exactly where the serial
-                // loop seals: its write-buffer drain lands in this
-                // worker's (the last) stats segment.
-                sim.finish();
-                res.stats = sim.stats();
-            } else {
-                // Snapshot before sealing: intermediate workers have
-                // no serial-path finish, but the simulator is sealed
-                // for destruction after the copy.
-                res.stats = sim.stats();
-                sim.finish();
-            }
-            res.ok = true;
-        };
-
-        std::vector<std::future<void>> futures;
-        futures.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            const std::uint64_t begin = begins[w];
-            const std::uint64_t end =
-                w + 1 < workers ? begins[w + 1] : planned;
-            const MissClassifier *seed =
-                w > 0 && !seeds.empty() ? &seeds[w - 1] : nullptr;
-            auto own = w == 0 ? std::move(first_clone) : src.clone();
-            futures.push_back(pool.submit(
-                [&replay, own = std::move(own), begin, end, seed,
-                 &res = results[w]]() mutable {
-                    replay(std::move(own), begin, end, seed, res);
-                }));
-        }
-        // Help-wait: this may itself be running on a pool task (a
-        // sweep cell), and a plain get() with every worker parked
-        // would deadlock the pool.
-        for (auto &f : futures)
-            pool.helpWait(f);
-
-        for (const auto &res : results) {
-            if (!res.ok)
-                return serial(); // src untouched: clean re-run
-        }
-
-        const auto merge_start = std::chrono::steady_clock::now();
-        SampleReport rep;
-        rep.confidence = opt_.confidence;
-        RunStats total;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            RunStats stats = results[i].stats;
-            // finish() REPLACES writeBufferFullStalls with the write
-            // buffer's absolute counter, which importState restores
-            // from the live-point (it carries the builder's count up
-            // to that window). The serial run therefore reports
-            // lib(last checkpoint) + tail stalls — exactly the last
-            // worker's post-finish value. Intermediate workers never
-            // reach that overwrite, so their incremental counts are
-            // noise the serial path discards: drop them.
-            if (i + 1 < results.size())
-                stats.writeBufferFullStalls = 0;
-            const auto &res = results[i];
-            total += stats;
-            for (const auto &s : res.samples) {
-                rep.missRatio.add(s.missRatio);
-                rep.amat.add(s.amat);
-                rep.wordsPerAccess.add(s.words);
-                ++rep.windows;
-            }
-            rep.recordsDetailed += res.detailed;
-        }
-        rep.recordsWarmed = 0;
-        rep.recordsSkipped = N - rep.recordsDetailed;
-        rep.recordsTotal = N;
-        rep.exact = !capped && rep.recordsSkipped == 0;
-        rep.detailed = total;
-        const auto merge_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - merge_start)
-                .count();
-        if (out) {
-            out->parallel = true;
-            out->windows = rep.windows;
-            out->workers = workers;
-            out->mergeNanos = static_cast<std::uint64_t>(merge_ns);
-        }
         return rep;
     }
 

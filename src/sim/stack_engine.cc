@@ -92,49 +92,10 @@ class StackDistanceEngine::Profiler
         }
     }
 
-    /**
-     * Restrict this profiler to the sets with index % @p shards ==
-     * @p shard (pre-pass only). Sets outside the shard are ignored
-     * entirely, so the per-set lists and the line table hold only the
-     * shard's share of the footprint.
-     */
-    void
-    restrictToShard(unsigned shard, unsigned shards)
-    {
-        SAC_ASSERT(touched_ == 0, "restrictToShard() after feeding");
-        SAC_ASSERT(shards >= 1 && shard < shards,
-                   "shard index outside the shard count");
-        shard_ = shard;
-        shards_ = shards;
-    }
-
-    /**
-     * Sum @p o's histograms into this profiler. Valid only between
-     * shards of one pass over one stream: disjoint sets mean the
-     * counts are independent tallies of disjoint access subsets.
-     */
-    void
-    absorb(const Profiler &o)
-    {
-        SAC_ASSERT(lineBytes_ == o.lineBytes_ && sets_ == o.sets_ &&
-                       maxAssoc_ == o.maxAssoc_,
-                   "absorb() across different profiler geometries");
-        compulsory_ += o.compulsory_;
-        deep_ += o.deep_;
-        touched_ += o.touched_;
-        for (std::size_t d = 0; d < depthCount_.size(); ++d)
-            depthCount_[d] += o.depthCount_[d];
-    }
-
     void
     access(Addr byte_addr)
     {
         const Addr line = byte_addr >> shift_;
-        // Sharded pass: sets outside this slice belong to another
-        // worker's profiler; skipping them here is the whole
-        // decomposition (per-set stacks never interact).
-        if (shards_ > 1 && (line & setMask_) % shards_ != shard_)
-            return;
         bool inserted = false;
         const std::size_t slot = findOrInsert(line, inserted);
         if (inserted) {
@@ -322,10 +283,6 @@ class StackDistanceEngine::Profiler
     std::vector<std::uint32_t> head_;
     std::vector<std::uint32_t> tail_;
     std::vector<std::uint32_t> length_;
-
-    // Set-shard slice (restrictToShard); 0-of-1 profiles every set.
-    unsigned shard_ = 0;
-    unsigned shards_ = 1;
 };
 
 StackDistanceEngine::StackDistanceEngine(
@@ -351,39 +308,7 @@ StackDistanceEngine::StackDistanceEngine(
     }
 }
 
-StackDistanceEngine::StackDistanceEngine(
-    const std::vector<StackPoint> &points, unsigned shard,
-    unsigned shards)
-    : StackDistanceEngine(points)
-{
-    SAC_ASSERT(shards >= 1 && shard < shards,
-               "shard index outside the shard count");
-    shard_ = shard;
-    shards_ = shards;
-    for (Profiler &prof : profilers_)
-        prof.restrictToShard(shard, shards);
-}
-
-void
-StackDistanceEngine::absorb(const StackDistanceEngine &other)
-{
-    SAC_ASSERT(shards_ == other.shards_,
-               "absorb() across different shard counts");
-    SAC_ASSERT(accesses_ == other.accesses_ &&
-                   reads_ == other.reads_ &&
-                   writes_ == other.writes_,
-               "absorb() of shards fed different streams");
-    SAC_ASSERT(profilers_.size() == other.profilers_.size(),
-               "absorb() across different lattices");
-    for (std::size_t i = 0; i < profilers_.size(); ++i)
-        profilers_[i].absorb(other.profilers_[i]);
-}
-
 StackDistanceEngine::~StackDistanceEngine() = default;
-StackDistanceEngine::StackDistanceEngine(StackDistanceEngine &&) noexcept =
-    default;
-StackDistanceEngine &
-StackDistanceEngine::operator=(StackDistanceEngine &&) noexcept = default;
 
 void
 StackDistanceEngine::feed(const trace::Record *recs, std::size_t n)

@@ -92,22 +92,7 @@ class StackDistanceEngine
     /** @param points the lattice; every point must be wellFormed() */
     explicit StackDistanceEngine(const std::vector<StackPoint> &points);
 
-    /**
-     * A set-sharded slice of the pass: this engine profiles only the
-     * sets with index % @p shards == @p shard (per profiler, in its
-     * own set space) and ignores every other record. Per-set LRU
-     * stacks never interact, so @p shards engines fed the same stream
-     * and absorb()ed together yield exactly the unsharded counts —
-     * the decomposition behind the parallel stack pass. The stream
-     * counters (accesses/reads/writes) are whole-stream on every
-     * shard, which absorb() checks.
-     */
-    StackDistanceEngine(const std::vector<StackPoint> &points,
-                        unsigned shard, unsigned shards);
-
     ~StackDistanceEngine();
-    StackDistanceEngine(StackDistanceEngine &&) noexcept;
-    StackDistanceEngine &operator=(StackDistanceEngine &&) noexcept;
 
     /** Profile @p n records (appends to the current pass). */
     void feed(const trace::Record *recs, std::size_t n);
@@ -145,23 +130,6 @@ class StackDistanceEngine
      */
     std::uint64_t touchedLines(std::uint32_t line_bytes) const;
 
-    /** This engine's shard index (0 when unsharded). */
-    unsigned shard() const { return shard_; }
-
-    /** Total shards the pass was split into (1 when unsharded). */
-    unsigned shards() const { return shards_; }
-
-    /**
-     * Fold @p other's histograms into this engine: per matching
-     * profiler, the compulsory / deep / depth counts and touched-line
-     * tallies sum. Both engines must be slices of the same pass —
-     * same lattice, same shard count, both fed the identical full
-     * stream (asserted via the stream counters). After absorbing
-     * every other shard, this engine answers missCount()/
-     * touchedLines() exactly as one unsharded pass would.
-     */
-    void absorb(const StackDistanceEngine &other);
-
   private:
     class Profiler;
 
@@ -173,8 +141,6 @@ class StackDistanceEngine
     std::uint64_t accesses_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
-    unsigned shard_ = 0;
-    unsigned shards_ = 1;
 };
 
 } // namespace sim

@@ -44,7 +44,7 @@ MemoryTraceSource::skip(std::uint64_t n)
 }
 
 FileTraceSource::FileTraceSource(const std::string &path)
-    : path_(path), is_(path, std::ios::binary)
+    : is_(path, std::ios::binary)
 {
     ok_ = is_ && reader_.open(is_);
 }

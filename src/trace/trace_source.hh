@@ -84,19 +84,6 @@ class TraceSource
     {
         return std::nullopt;
     }
-
-    /**
-     * An independent source over the same record stream, positioned
-     * at the first record — the handle parallel window replay hands
-     * each worker so every shard seeks its own slice. Returns nullptr
-     * when the stream cannot be re-opened (e.g. a one-shot generator);
-     * callers must fall back to serial consumption. A clone of a view
-     * source shares the viewed trace, which must outlive the clone.
-     */
-    virtual std::unique_ptr<TraceSource> clone() const
-    {
-        return nullptr;
-    }
 };
 
 /**
@@ -129,16 +116,6 @@ class MemoryTraceSource : public TraceSource
 
     /** Rewind to the first record. */
     void reset() { pos_ = 0; }
-
-    /**
-     * A fresh view over the same trace, rewound to record 0. The
-     * clone of an owning source views the original's storage, so the
-     * source being cloned must outlive its clones.
-     */
-    std::unique_ptr<TraceSource> clone() const override
-    {
-        return std::make_unique<MemoryTraceSource>(*view_);
-    }
 
   private:
     Trace owned_;
@@ -176,15 +153,7 @@ class FileTraceSource : public TraceSource
     const std::string &name() const override { return reader_.name(); }
     std::optional<std::uint64_t> sizeHint() const override;
 
-    /** Re-open the file from the top (own stream, own position). */
-    std::unique_ptr<TraceSource> clone() const override
-    {
-        auto copy = std::make_unique<FileTraceSource>(path_);
-        return copy->ok() ? std::move(copy) : nullptr;
-    }
-
   private:
-    std::string path_;
     std::ifstream is_;
     TraceStreamReader reader_;
     bool ok_ = false;

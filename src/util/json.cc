@@ -70,8 +70,18 @@ Json::asInt(std::int64_t fallback) const
       case Type::Int:
         return int_;
       case Type::Uint:
-        return static_cast<std::int64_t>(uint_);
+        return uint_ > static_cast<std::uint64_t>(
+                           std::numeric_limits<std::int64_t>::max())
+                   ? std::numeric_limits<std::int64_t>::max()
+                   : static_cast<std::int64_t>(uint_);
       case Type::Double:
+        // Saturate: casting an out-of-range double is undefined.
+        if (std::isnan(double_))
+            return fallback;
+        if (double_ <= -0x1p63)
+            return std::numeric_limits<std::int64_t>::min();
+        if (double_ >= 0x1p63)
+            return std::numeric_limits<std::int64_t>::max();
         return static_cast<std::int64_t>(double_);
       default:
         return fallback;
@@ -87,8 +97,14 @@ Json::asUint(std::uint64_t fallback) const
       case Type::Uint:
         return uint_;
       case Type::Double:
-        return double_ < 0.0 ? 0
-                             : static_cast<std::uint64_t>(double_);
+        // Saturate: casting an out-of-range double is undefined.
+        if (std::isnan(double_))
+            return fallback;
+        if (double_ <= 0.0)
+            return 0;
+        if (double_ >= 0x1p64)
+            return std::numeric_limits<std::uint64_t>::max();
+        return static_cast<std::uint64_t>(double_);
       default:
         return fallback;
     }

@@ -90,10 +90,16 @@ class Json
         return type_ == Type::Bool ? bool_ : fallback;
     }
 
-    /** Numeric payload as a signed integer (doubles truncate). */
+    /**
+     * Numeric payload as a signed integer: doubles truncate, values
+     * outside the int64 range saturate, NaN yields @p fallback.
+     */
     std::int64_t asInt(std::int64_t fallback = 0) const;
 
-    /** Numeric payload as an unsigned integer (negatives clamp to 0). */
+    /**
+     * Numeric payload as an unsigned integer: negatives clamp to 0,
+     * values above the uint64 range saturate, NaN yields @p fallback.
+     */
     std::uint64_t asUint(std::uint64_t fallback = 0) const;
 
     /** Numeric payload as a double. */

@@ -59,35 +59,6 @@ ThreadPool::wait()
 }
 
 void
-ThreadPool::finish(Task &task)
-{
-    // A task captures any exception into its outcome, so a throwing
-    // task cannot take the worker down.
-    const Publish publish = task();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++completed_;
-    }
-    drained_.notify_all();
-    publish();
-}
-
-bool
-ThreadPool::helpOne()
-{
-    Task task;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (queue_.empty())
-            return false;
-        task = std::move(queue_.front());
-        queue_.pop_front();
-    }
-    finish(task);
-    return true;
-}
-
-void
 ThreadPool::workerLoop()
 {
     for (;;) {
@@ -102,7 +73,15 @@ ThreadPool::workerLoop()
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        finish(task);
+        // A task captures any exception into its outcome, so a
+        // throwing task cannot take the worker down.
+        const Publish publish = task();
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++completed_;
+        }
+        drained_.notify_all();
+        publish();
     }
 }
 

@@ -12,7 +12,6 @@
 #ifndef SAC_UTIL_THREAD_POOL_HH
 #define SAC_UTIL_THREAD_POOL_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -92,36 +91,6 @@ class ThreadPool
     void wait();
 
     /**
-     * Pop and run one queued task on the calling thread. Returns
-     * false when the queue is empty. This is the help-while-wait
-     * primitive: a pool task that blocks on subtasks submitted to the
-     * same pool calls this instead of sleeping, so nested submission
-     * cannot deadlock even when every worker is parked in a wait.
-     */
-    bool helpOne();
-
-    /**
-     * Wait for @p result while draining queued tasks on the calling
-     * thread. This is how a pool task waits for its own subtasks: a
-     * bare future::get() would park the worker, and with every worker
-     * parked the subtasks never run. Returns the future's value
-     * (rethrowing its exception), like get().
-     */
-    template <typename T>
-    T
-    helpWait(std::future<T> &result)
-    {
-        using namespace std::chrono_literals;
-        while (result.wait_for(0s) != std::future_status::ready) {
-            // Nothing runnable: the missing task is executing on
-            // another thread, so briefly sleep instead of spinning.
-            if (!helpOne())
-                result.wait_for(100us);
-        }
-        return result.get();
-    }
-
-    /**
      * Sensible default worker count for simulation sweeps: the
      * hardware concurrency, or 1 (with a one-time warning) when the
      * hardware concurrency is unknown.
@@ -135,8 +104,6 @@ class ThreadPool
     using Task = std::function<Publish()>;
 
     void enqueue(Task task);
-    /** Run @p task, count it complete, then publish its outcome. */
-    void finish(Task &task);
     void workerLoop();
 
     mutable std::mutex mutex_;

@@ -12,7 +12,8 @@
  * cases and adaptive/capped runs. Closes with sampled-livepoint
  * Runner::run integration: cold sweeps warm-and-write, warm sweeps
  * hit, corrupt libraries count stale and still produce cells equal to
- * a direct sim::SampledEngine run.
+ * a direct sim::SampledEngine run, and each manifest's "checkpoint"
+ * block reports its own cell's outcome.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +37,7 @@
 #include "src/sim/sampling.hh"
 #include "src/sim/write_buffer.hh"
 #include "src/trace/trace_source.hh"
+#include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
 
 namespace {
@@ -641,6 +643,69 @@ TEST(CheckpointRunnerTest, ColdWarmAndRebuildSweeps)
     EXPECT_EQ(rebuild.checkpointCounter("checkpoint.misses"), 2u);
     expectCellsEqual(third, plain);
 
+    fs::remove_all(dir);
+}
+
+TEST(CheckpointRunnerTest, ManifestBlocksCountOnlyTheirOwnCell)
+{
+    namespace fs = std::filesystem;
+    const std::string dir =
+        testing::TempDir() + "/saclp_block_lib";
+    fs::remove_all(dir);
+    const auto opt = runnerSamplingOptions();
+
+    // Every streamed manifest's "checkpoint" block, in emission order.
+    const auto blocks = [&](harness::Runner &r,
+                            const std::vector<core::Config> &cfgs) {
+        harness::SweepRequest req;
+        req.workloads = {checkpointWorkload()};
+        req.configs = cfgs;
+        req.metric = harness::missRatioMetric();
+        req.engine = harness::EngineSelect::SampledLivepoint;
+        req.sampling = opt;
+        req.checkpointDir = dir;
+        std::vector<util::Json> out;
+        req.telemetry.sink = [&out](const std::string &,
+                                    const std::string &doc) {
+            const auto j = util::Json::parse(doc);
+            const util::Json *m = j ? j->find("metrics") : nullptr;
+            const util::Json *ck = m ? m->find("checkpoint") : nullptr;
+            ASSERT_NE(ck, nullptr);
+            out.push_back(*ck);
+        };
+        r.run(req);
+        return out;
+    };
+
+    // One Runner, two requests: a cold one, then one that adds a new
+    // config. The runner-lifetime counters accumulate; each block
+    // must report its own cell only.
+    harness::Runner r;
+    const auto cold = blocks(r, {core::presets().get("standard"),
+                                 core::presets().get("soft")});
+    ASSERT_EQ(cold.size(), 2u);
+    for (const auto &ck : cold) {
+        EXPECT_EQ(ck.find("misses")->asUint(), 1u);
+        EXPECT_EQ(ck.find("hits")->asUint(), 0u);
+        EXPECT_EQ(ck.find("stale")->asUint(), 0u);
+        EXPECT_GT(ck.find("bytes")->asUint(), 0u);
+    }
+
+    const auto second =
+        blocks(r, {core::presets().get("soft-prefetch")});
+    EXPECT_EQ(r.checkpointCounter("checkpoint.misses"), 3u);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second[0].find("misses")->asUint(), 1u);
+    EXPECT_EQ(second[0].find("hits")->asUint(), 0u);
+    EXPECT_LT(second[0].find("bytes")->asUint(),
+              r.checkpointCounter("checkpoint.bytes"));
+
+    // A fresh Runner over the written library hits every cell.
+    harness::Runner warm;
+    for (const auto &ck : blocks(warm, {core::presets().get("soft")})) {
+        EXPECT_EQ(ck.find("hits")->asUint(), 1u);
+        EXPECT_EQ(ck.find("misses")->asUint(), 0u);
+    }
     fs::remove_all(dir);
 }
 

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -191,6 +192,26 @@ TEST(ServiceProtocol, RejectsMalformedRequests)
     }
 }
 
+TEST(ServiceProtocol, OutOfRangeNumbersSaturate)
+{
+    // Wire numbers beyond the target type clamp instead of hitting an
+    // undefined float-to-integer cast; unknown keys are ignored, so
+    // clients that still send retired fields keep working.
+    std::string error;
+    const auto submit = parseRequest(
+        submitBody(",\"priority\":-1e300,\"jobs\":1e300,"
+                   "\"retired_field\":4"),
+        &error);
+    ASSERT_TRUE(submit.has_value()) << error;
+    EXPECT_EQ(submit->spec.priority, std::numeric_limits<int>::min());
+    EXPECT_EQ(submit->spec.jobs, std::numeric_limits<unsigned>::max());
+
+    const auto high =
+        parseRequest(submitBody(",\"priority\":1e300"), &error);
+    ASSERT_TRUE(high.has_value()) << error;
+    EXPECT_EQ(high->spec.priority, std::numeric_limits<int>::max());
+}
+
 TEST(ServiceProtocol, ResolvesSpecsAgainstTheRegistries)
 {
     std::string error;
@@ -352,6 +373,19 @@ TEST(ServiceServer, ConcurrentClientsShareOneCheckpointBuild)
     EXPECT_EQ(server.runner().runsExecuted(), 1u);
     server.drain();
     fs::remove_all(ckpt_dir);
+}
+
+TEST(ServiceServer, OutOfRangePrioritySubmitCompletes)
+{
+    const std::string socket = uniqueSocketPath("saturate");
+    SweepServer server({socket, 1, 8});
+    ASSERT_TRUE(server.start());
+    const auto frames = roundTrip(
+        socket, submitBody(",\"priority\":-1e300,\"jobs\":1e300"));
+    server.drain();
+    ASSERT_GE(frames.size(), 2u);
+    EXPECT_EQ(frameType(frames.front()), "accepted");
+    EXPECT_EQ(frameType(frames.back()), "done");
 }
 
 TEST(ServiceServer, AdmissionControlRejectsBeyondTheBound)

@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests for src/sim: timing parameters, the write buffer, the
- * three-C miss classifier and the run statistics.
+ * three-C miss classifier and the run statistics (including the
+ * merge algebra suite totals rely on).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
+#include "src/check/trace_fuzzer.hh"
+#include "src/core/soft_cache.hh"
 #include "src/sim/miss_classifier.hh"
 #include "src/sim/run_stats.hh"
 #include "src/sim/timing.hh"
@@ -228,6 +233,81 @@ TEST(RunStatsTest, PrintMentionsKeyCounters)
     EXPECT_NE(out.find("AMAT"), std::string::npos);
     EXPECT_NE(out.find("42"), std::string::npos);
     EXPECT_NE(out.find("bounce-backs"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// RunStats merge algebra: what suite-total summation relies on.
+
+std::vector<RunStats>
+fuzzRunStats(std::size_t n)
+{
+    const sac::check::TraceFuzzer fuzzer;
+    std::vector<RunStats> out;
+    for (std::uint64_t i = 0; out.size() < n; ++i) {
+        const auto c = fuzzer.makeCase(i);
+        if (c.trace.empty())
+            continue;
+        out.push_back(sac::core::simulateTrace(c.trace, c.config));
+    }
+    return out;
+}
+
+TEST(RunStatsMergeAlgebra, AssociativeWithIdentity)
+{
+    const auto runs = fuzzRunStats(3);
+    const RunStats &a = runs[0];
+    const RunStats &b = runs[1];
+    const RunStats &c = runs[2];
+
+    EXPECT_TRUE((a + b) + c == a + (b + c));
+    const RunStats zero;
+    EXPECT_TRUE(zero + a == a);
+    EXPECT_TRUE(a + zero == a);
+}
+
+TEST(RunStatsMergeAlgebra, PermutationInvariantTotals)
+{
+    // Suite totals sum per-cell stats; any partition of the same runs
+    // must therefore give the same total no matter how the pieces
+    // are grouped or ordered. Every counter is an exact integer
+    // (totalAccessCycles sums integral latencies well below 2^53), so
+    // reordering is lossless.
+    auto runs = fuzzRunStats(6);
+    RunStats forward;
+    for (const auto &r : runs)
+        forward += r;
+
+    std::reverse(runs.begin(), runs.end());
+    RunStats backward;
+    for (const auto &r : runs)
+        backward += r;
+    EXPECT_TRUE(forward == backward);
+
+    // Grouped two ways: ((0+1)+(2+3))+(4+5) vs. linear.
+    RunStats grouped =
+        ((runs[0] + runs[1]) + (runs[2] + runs[3])) +
+        (runs[4] + runs[5]);
+    EXPECT_TRUE(grouped == backward);
+}
+
+TEST(RunStatsMergeAlgebra, CompletionCycleMergesByMax)
+{
+    RunStats early;
+    early.accesses = 10;
+    early.completionCycle = 100;
+    RunStats late;
+    late.accesses = 5;
+    late.completionCycle = 900;
+
+    RunStats merged = early;
+    merged += late;
+    EXPECT_EQ(merged.completionCycle, 900u);
+    EXPECT_EQ(merged.accesses, 15u);
+
+    // Independent runs: merging in the other order agrees.
+    RunStats swapped = late;
+    swapped += early;
+    EXPECT_TRUE(merged == swapped);
 }
 
 } // namespace

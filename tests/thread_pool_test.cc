@@ -171,75 +171,6 @@ TEST(ThreadPool, WaitRacesWithConcurrentSubmit)
     EXPECT_EQ(pool.tasksCompleted(), static_cast<std::uint64_t>(n));
 }
 
-TEST(ThreadPool, HelpOneRunsAQueuedTaskOnTheCallingThread)
-{
-    // Saturate the lone worker so a queued probe task stays queued,
-    // then drain it from this thread.
-    ThreadPool pool(1);
-    std::promise<void> release;
-    std::shared_future<void> gate(release.get_future());
-    std::atomic<bool> started{false};
-    pool.submit([gate, &started] {
-        started.store(true);
-        gate.wait();
-    });
-    while (!started.load()) // the worker holds the blocker, not us
-        std::this_thread::yield();
-
-    std::thread::id ran_on;
-    auto probe = pool.submit(
-        [&ran_on] { ran_on = std::this_thread::get_id(); });
-    EXPECT_TRUE(pool.helpOne());
-    EXPECT_EQ(ran_on, std::this_thread::get_id());
-    EXPECT_FALSE(pool.helpOne()); // queue is empty again
-    release.set_value();
-    probe.get();
-}
-
-TEST(ThreadPool, NestedSubmissionDoesNotDeadlockWithHelpWait)
-{
-    // Regression: outer tasks that submit inner tasks to the same
-    // pool and block on their futures used to deadlock once every
-    // worker held an outer task (all blocked, nobody left to run the
-    // inner ones). helpWait() runs queued tasks inline while waiting,
-    // so even a single-threaded pool makes progress.
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        ThreadPool pool(threads);
-        std::atomic<int> inner_done{0};
-        std::vector<std::future<int>> outers;
-        const int n_outer = static_cast<int>(threads) * 4;
-        for (int i = 0; i < n_outer; ++i) {
-            outers.push_back(pool.submit([&pool, &inner_done, i] {
-                int sum = 0;
-                for (int j = 0; j < 8; ++j) {
-                    auto inner = pool.submit([&inner_done, i, j] {
-                        inner_done.fetch_add(1);
-                        return i + j;
-                    });
-                    sum += pool.helpWait(inner);
-                }
-                return sum;
-            }));
-        }
-        int total = 0;
-        for (auto &f : outers)
-            total += pool.helpWait(f);
-        EXPECT_EQ(inner_done.load(), n_outer * 8);
-        int expected = 0;
-        for (int i = 0; i < n_outer; ++i)
-            for (int j = 0; j < 8; ++j)
-                expected += i + j;
-        EXPECT_EQ(total, expected);
-    }
-}
-
-TEST(ThreadPool, HelpWaitPropagatesTaskExceptions)
-{
-    ThreadPool pool(1);
-    auto f = pool.submit([]() -> int { throw TaskError{}; });
-    EXPECT_THROW(pool.helpWait(f), TaskError);
-}
-
 TEST(ThreadPool, DefaultThreadsIsAlwaysPositive)
 {
     // hardware_concurrency() may legitimately return 0; the default

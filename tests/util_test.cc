@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "src/util/distribution.hh"
@@ -268,6 +270,30 @@ TEST(JsonParse, ScalarsAndAccessors)
     EXPECT_EQ(v->find("s")->asInt(99), 99);
     EXPECT_EQ(v->find("i")->asUint(), 0u);
     EXPECT_DOUBLE_EQ(v->find("i")->asDouble(), -3.0);
+}
+
+TEST(JsonParse, OutOfRangeNumbersSaturate)
+{
+    // Casting an out-of-range double to an integer is undefined; the
+    // accessors clamp to the target type's range instead.
+    const auto v = Json::parse(
+        "{\"hi\": 1e300, \"lo\": -1e300,"
+        " \"u\": 18446744073709551615}");
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->find("hi")->asInt(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(v->find("lo")->asInt(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(v->find("hi")->asUint(),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(v->find("lo")->asUint(), 0u);
+    EXPECT_EQ(v->find("u")->asInt(),
+              std::numeric_limits<std::int64_t>::max());
+    // The edges of the representable range still convert exactly.
+    EXPECT_EQ(Json(-0x1p63).asInt(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(Json(0x1p62).asUint(), 1ull << 62);
+    EXPECT_EQ(Json(-2.9).asInt(), -2);
 }
 
 TEST(JsonParse, StringEscapes)

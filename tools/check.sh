@@ -39,17 +39,6 @@
 #                               # byte-identical tables, and a
 #                               # corrupt-library probe that must
 #                               # silently warm and rewrite
-#   tools/check.sh parallel     # intra-trace parallelism under TSan:
-#                               # the Parallel/Sharded/IntraJobs
-#                               # differential tests and the nested-
-#                               # submission ThreadPool regressions,
-#                               # then a CLI livepoint sweep whose
-#                               # --intra-jobs 4 manifests must be
-#                               # byte-identical to --intra-jobs 1
-#                               # (modulo "timing") and a live sacd
-#                               # sweep that must count
-#                               # sacd_parallel_windows > 0 in the
-#                               # metrics verb
 #   tools/check.sh service      # sweep service end to end: the
 #                               # Service* tests, then a live sacd
 #                               # driven by sacctl — submit/status/
@@ -171,19 +160,22 @@ EOF
         continue
     fi
     if [[ "$mode" == "perf" ]]; then
-        # Perf leg: audit hooks off (throughput build), then compare
+        # Perf leg: the Release throughput build the baseline was
+        # taken on (perf_compare.py refuses any other), then compare
         # simulator throughput against the committed baseline and the
         # within-run fast-vs-general ratios. Fails on >15% regression.
         build_dir="build-check-perf"
         echo "=== [perf] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF \
-            -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+            -DSAC_AUDIT=OFF -DSAC_INTERVAL=OFF -DSAC_TRACE_EVENTS=ON \
+            -DCMAKE_BUILD_TYPE=Release > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" --target bench_simspeed
         echo "=== [perf] bench_simspeed ==="
         "${build_dir}/bench/bench_simspeed" \
             --benchmark_out="${build_dir}/simspeed.json" \
             --benchmark_out_format=json \
+            --benchmark_repetitions=5 \
+            --benchmark_report_aggregates_only=true \
             --emit-json "${build_dir}/manifests"
         echo "=== [perf] compare vs BENCH_simspeed.json ==="
         python3 tools/perf_compare.py check "${build_dir}/simspeed.json"
@@ -340,7 +332,7 @@ EOF
                 > "${build_dir}/checkpoint-$1.txt"
         }
         ck_counters() {
-            # Sum the library-outcome counters over one run's sampled
+            # Sum the per-cell library outcomes over one run's sampled
             # manifests and assert the expected outcome mix.
             python3 - "${build_dir}/checkpoint-run-$1" "$2" <<'EOF'
 import glob, json, sys
@@ -357,11 +349,11 @@ for path in sorted(glob.glob(run_dir + "/*.json")):
     blocks.append(ck)
 if not blocks:
     sys.exit(f"{run_dir}: no sampled-livepoint manifests")
-# Every manifest of one run snapshots the same runner-wide counters.
-ck = blocks[0]
-hits, misses = ck.get("hits", 0), ck.get("misses", 0)
-stale = ck.get("stale", 0)
-if ck.get("bytes", 0) <= 0:
+# Each block reports its own cell's outcome: sum them over the run.
+ck = {key: sum(b.get(key, 0) for b in blocks)
+      for key in ("hits", "misses", "stale", "bytes")}
+hits, misses, stale = ck["hits"], ck["misses"], ck["stale"]
+if ck["bytes"] <= 0:
     sys.exit(f"{run_dir}: checkpoint.bytes not accounted")
 if expect == "cold" and not (misses > 0 and hits == 0 and stale == 0):
     sys.exit(f"{run_dir}: cold run expected all misses, got {ck}")
@@ -396,124 +388,6 @@ EOF
         diff "${build_dir}/checkpoint-cold.txt" \
             "${build_dir}/checkpoint-stale.txt"
         echo "=== [checkpoint] OK ==="
-        continue
-    fi
-    if [[ "$mode" == "parallel" ]]; then
-        # Parallel leg: prove the intra-trace parallel engines — the
-        # concurrent live-point window replay and the set-sharded
-        # stack pass — race-clean under TSan and bit-identical to
-        # their serial counterparts end to end. The CLI differential
-        # runs the same warm livepoint sweep with --intra-jobs 1 and
-        # 4; every manifest must match modulo the wall-clock "timing"
-        # object and the parallel run must attach timing.parallel.
-        # The live daemon run must serve identical tables and count
-        # parallel windows through the metrics verb.
-        build_dir="build-check-parallel"
-        echo "=== [parallel] configure + build (${build_dir}) ==="
-        cmake -B "${build_dir}" -S . -DSAC_SANITIZE="thread" \
-            -DSAC_AUDIT=ON \
-            -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-        cmake --build "${build_dir}" -j "$(nproc)" \
-            --target sac_test_parallel_test \
-            --target sac_test_thread_pool_test \
-            --target sacd --target sacctl \
-            --target bench_fig07_traffic_missratio
-        echo "=== [parallel] ctest (differentials, TSan) ==="
-        ctest --test-dir "${build_dir}" --output-on-failure \
-            -j "$(nproc)" \
-            -R 'Parallel|Sharded|IntraJobs|ThreadPool|MergeAlgebra'
-        par_dir="${build_dir}/parallel-run"
-        rm -rf "${par_dir}"
-        mkdir -p "${par_dir}"
-        echo "=== [parallel] CLI differential: --intra-jobs 4 vs 1 ==="
-        par_sweep() {
-            "${build_dir}/bench/bench_fig07_traffic_missratio" \
-                --jobs 2 --sample --sample-window 256 \
-                --sample-stride 1024 --sample-warmup 512 \
-                --checkpoint-dir "${par_dir}/lib" \
-                --intra-jobs "$1" \
-                --emit-json "${par_dir}/run-$2" \
-                > "${par_dir}/table-$2.txt"
-        }
-        par_sweep 1 cold # builds the live-point libraries
-        par_sweep 1 serial
-        par_sweep 4 parallel
-        diff "${par_dir}/table-serial.txt" \
-            "${par_dir}/table-parallel.txt"
-        python3 - "${par_dir}/run-serial" "${par_dir}/run-parallel" <<'EOF'
-import glob, json, os, sys
-serial, parallel = sys.argv[1], sys.argv[2]
-names = sorted(os.path.basename(p)
-               for p in glob.glob(serial + "/*.json"))
-if not names:
-    sys.exit(f"{serial}: no manifests")
-def canon(path):
-    with open(path) as f:
-        doc = json.load(f)
-    doc.pop("timing", None)
-    return json.dumps(doc, sort_keys=True)
-counted = 0
-for name in names:
-    other = os.path.join(parallel, name)
-    if not os.path.exists(other):
-        sys.exit(f"{name}: missing from the parallel run")
-    if canon(os.path.join(serial, name)) != canon(other):
-        sys.exit(f"{name}: parallel manifest differs from serial")
-    with open(other) as f:
-        doc = json.load(f)
-    par = doc.get("timing", {}).get("parallel")
-    if par is not None:
-        if par.get("windows", 0) <= 0:
-            sys.exit(f"{name}: timing.parallel without windows")
-        counted += 1
-if counted == 0:
-    sys.exit("no parallel-run manifest carries timing.parallel")
-print(f"  {len(names)} manifests identical modulo timing; "
-      f"{counted} carry timing.parallel")
-EOF
-        echo "=== [parallel] live sacd sweep (metrics must count) ==="
-        sock="${par_dir}/sacd.sock"
-        ctl() { "${build_dir}/examples/sacctl" --socket="${sock}" "$@"; }
-        "${build_dir}/examples/sacd" --socket="${sock}" \
-            --workers=2 --queue-cap=4 > "${par_dir}/sacd.log" 2>&1 &
-        sacd_pid=$!
-        trap 'kill "${sacd_pid}" 2>/dev/null || true' EXIT
-        for _ in $(seq 1 100); do
-            [[ -S "${sock}" ]] && break
-            kill -0 "${sacd_pid}" 2>/dev/null \
-                || { cat "${par_dir}/sacd.log" >&2; exit 1; }
-            sleep 0.1
-        done
-        [[ -S "${sock}" ]] || { echo "sacd never bound ${sock}" >&2; exit 1; }
-        svc_submit() {
-            ctl submit --workloads=MV,SpMV --presets=standard,soft \
-                --metric=miss-ratio --engine=sampled-livepoint \
-                --jobs=2 --intra-jobs="$1" \
-                --sample-window=256 --sample-stride=1024 \
-                --sample-warmup=512 \
-                --checkpoint-dir="${par_dir}/svc-lib" \
-                > "${par_dir}/svc-table-$1.txt"
-        }
-        # The parallel submit must come first: the daemon's shared
-        # runner latches finished cells in its in-memory store, so
-        # whichever request runs second is served from the store
-        # without replaying any windows. Cold library builds route
-        # through the parallel replay too, so request #1 is the one
-        # that counts sacd_parallel_windows.
-        svc_submit 4
-        svc_submit 1
-        diff "${par_dir}/svc-table-1.txt" "${par_dir}/svc-table-4.txt"
-        ctl metrics > "${par_dir}/metrics.prom"
-        windows="$(awk '$1 == "sacd_parallel_windows" { print $2 }' \
-            "${par_dir}/metrics.prom")"
-        [[ -n "${windows}" && "${windows}" -gt 0 ]] || {
-            echo "sacd_parallel_windows not counted: '${windows:-absent}'" >&2
-            exit 1
-        }
-        ctl shutdown > /dev/null
-        wait "${sacd_pid}" || { echo "sacd exited non-zero" >&2; exit 1; }
-        trap - EXIT
-        echo "=== [parallel] OK ==="
         continue
     fi
     if [[ "$mode" == "service" ]]; then
@@ -624,7 +498,7 @@ EOF
       plain)   sanitize="" ;;
       address) sanitize="address" ;;
       thread)  sanitize="thread" ;;
-      *) echo "unknown mode '$mode' (plain|address|thread|benches|perf|sampling|stack|telemetry|checkpoint|parallel|service|--quick)" >&2; exit 2 ;;
+      *) echo "unknown mode '$mode' (plain|address|thread|benches|perf|sampling|stack|telemetry|checkpoint|service|--quick)" >&2; exit 2 ;;
     esac
     build_dir="build-check-${mode}"
     echo "=== [${mode}] configure + build (${build_dir}) ==="
