@@ -518,6 +518,34 @@ BM_SweepStackSinglePass(benchmark::State &state)
 }
 BENCHMARK(BM_SweepStackSinglePass);
 
+// The full re-sweep lattice in ONE engine: {1..64} KB x {1,2,4,8}
+// ways x {16,32,64}-byte lines, 84 points in three line groups of ten
+// set counts each. Items = records x points, comparable with
+// BM_SweepStackSinglePass's per-point rate.
+void
+BM_SweepStackLattice(benchmark::State &state)
+{
+    const auto &t = mvTrace();
+    std::vector<sim::StackPoint> points;
+    for (std::uint64_t kb = 1; kb <= 64; kb *= 2) {
+        for (const std::uint32_t ways : {1u, 2u, 4u, 8u}) {
+            for (const std::uint32_t line : {16u, 32u, 64u})
+                points.push_back({kb * 1024, line, ways});
+        }
+    }
+    for (auto _ : state) {
+        sim::StackDistanceEngine eng(points);
+        eng.feed(t.data(), t.size());
+        std::uint64_t misses = 0;
+        for (const auto &p : points)
+            misses += eng.missCount(p);
+        benchmark::DoNotOptimize(misses);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * t.size() * points.size()));
+}
+BENCHMARK(BM_SweepStackLattice);
+
 void
 BM_StreamedSweep(benchmark::State &state)
 {

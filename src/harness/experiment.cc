@@ -213,8 +213,7 @@ Runner::runStackFamily(
     {
         const telemetry::ScopedPhase phase(phases_, "stack-pass");
         eng.emplace(points);
-        trace::MemoryTraceSource src(t);
-        eng->run(src);
+        eng->feed(t.data(), t.size());
     }
 
     for (const auto &member : family) {

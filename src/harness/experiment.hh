@@ -96,11 +96,12 @@ class Runner
      * (workload, config) cell to the fastest eligible engine, see
      * EngineSelect in sweep.hh), execute the plan, emit the requested
      * telemetry, and return the rendered table plus every cell's
-     * routing record and statistics. Stack families run serially on
-     * the calling thread, one single-pass traversal per workload;
-     * exact and sampled cells run on one pool of jobs workers, built
-     * only when more than one of them can run in parallel. The
-     * request must be valid (SweepRequest::validationError()).
+     * routing record and statistics. Each workload's stack family is
+     * one single-pass traversal; those passes (largest trace first)
+     * and the exact and sampled cells are the tasks of one pool of
+     * jobs workers, built only when more than one task can run in
+     * parallel. The request must be valid
+     * (SweepRequest::validationError()).
      */
     SweepResult run(const SweepRequest &request);
 

@@ -571,35 +571,25 @@ Runner::run(const SweepRequest &request)
     // workers can accumulate without a double CAS).
     std::atomic<std::uint64_t> busy_ns{0};
 
-    std::vector<std::size_t> tasks; // cells a pool worker may run
+    // Stack families: one pass per workload. Their traces resolve
+    // here, on the issuing thread, so no trace copy lands in a pool
+    // worker's malloc arena.
+    std::vector<std::size_t> passes; // workloads with a stack pass
+    if (!p.family.empty()) {
+        for (std::size_t wi = 0; wi < n_w; ++wi) {
+            traceOf(request.workloads[wi]);
+            passes.push_back(wi);
+        }
+    }
+    std::vector<std::size_t> tasks; // exact and sampled cells
     for (std::size_t i = 0; i < p.cells.size(); ++i) {
         if (p.cells[i].engine != EngineTag::StackSinglePass)
             tasks.push_back(i);
     }
-    const unsigned jobs = std::max(1u, request.jobs);
-    const bool parallel_cells = jobs > 1 && tasks.size() > 1;
-    std::optional<util::ThreadPool> pool;
-    if (parallel_cells)
-        pool.emplace(jobs);
-
-    // Stack passes run serially on this thread: each is already a
-    // whole-family batch.
-    if (!p.family.empty()) {
-        for (std::size_t wi = 0; wi < n_w; ++wi) {
-            std::vector<std::pair<const core::Config *, StoredCell *>>
-                members;
-            for (const std::size_t ci : p.family)
-                members.emplace_back(&request.configs[ci],
-                                     p.cells[wi * n_c + ci].slot);
-            const auto t0 = std::chrono::steady_clock::now();
-            runStackFamily(request.workloads[wi], members);
-            busy_ns.fetch_add(nanosSince(t0));
-        }
-        if (!tasks.empty())
-            count("stack.pass.fallback_cells",
-                  "cells exact-replayed in stack-dispatched sweeps",
-                  tasks.size());
-    }
+    if (!passes.empty() && !tasks.empty())
+        count("stack.pass.fallback_cells",
+              "cells exact-replayed in stack-dispatched sweeps",
+              tasks.size());
 
     // Library identity is the trace *content*, not its name: hash once
     // per workload, before the cells fan out.
@@ -610,6 +600,19 @@ Runner::run(const SweepRequest &request)
                 sim::hashTrace(traceOf(request.workloads[wi]));
     }
 
+    // Each stack pass covers the whole family of its workload; a
+    // concurrent request over the same workload waits on the pass
+    // mutex and shares the traversal.
+    const auto pass = [&](std::size_t wi) {
+        std::vector<std::pair<const core::Config *, StoredCell *>>
+            members;
+        for (const std::size_t ci : p.family)
+            members.emplace_back(&request.configs[ci],
+                                 p.cells[wi * n_c + ci].slot);
+        const auto t0 = std::chrono::steady_clock::now();
+        runStackFamily(request.workloads[wi], members);
+        busy_ns.fetch_add(nanosSince(t0));
+    };
     // Exact and sampled cells: each latches once in the store, so
     // cells racing another request block on the first producer
     // instead of duplicating work.
@@ -627,18 +630,34 @@ Runner::run(const SweepRequest &request)
         }
         busy_ns.fetch_add(nanosSince(t0));
     };
-    if (parallel_cells) {
+
+    const unsigned jobs = std::max(1u, request.jobs);
+    if (jobs > 1 && passes.size() + tasks.size() > 1) {
+        // One pool runs passes and cells alike. Passes go first,
+        // largest trace first: the longest task starts earliest.
+        std::stable_sort(passes.begin(), passes.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return traceOf(request.workloads[a]).size() >
+                                    traceOf(request.workloads[b]).size();
+                         });
+        // Declared after the lambdas its tasks reference: unwinding
+        // joins the workers before those go out of scope.
+        util::ThreadPool pool(jobs);
         std::vector<std::future<void>> futures;
-        futures.reserve(tasks.size());
+        futures.reserve(passes.size() + tasks.size());
+        for (const std::size_t wi : passes)
+            futures.push_back(pool.submit([&pass, wi] { pass(wi); }));
         for (const std::size_t i : tasks)
-            futures.push_back(pool->submit([&execute, i] { execute(i); }));
+            futures.push_back(pool.submit([&execute, i] { execute(i); }));
         // Every task must finish before get() re-raises an exception
-        // a cell threw: the tasks reference this frame.
+        // one threw: the tasks reference this frame.
         for (auto &f : futures)
             f.wait();
         for (auto &f : futures)
             f.get();
     } else {
+        for (const std::size_t wi : passes)
+            pass(wi);
         for (const std::size_t i : tasks)
             execute(i);
     }

@@ -1,6 +1,7 @@
 #include "src/sim/stack_engine.hh"
 
 #include <algorithm>
+#include <map>
 
 #include "src/trace/trace_source.hh"
 #include "src/util/logging.hh"
@@ -41,149 +42,184 @@ StackPoint::wellFormed() const
 }
 
 /**
- * The recency tracker of one (lineBytes, sets) pair: per-set
- * intrusive LRU lists truncated at the deepest associativity any
- * lattice point needs, over a flat open-addressing hash of
- * line -> node. A hit at list position d (1-based from the MRU end)
- * lands in depthCount_[d]; first touches are compulsory, touches of
- * lines evicted past the cap are "deep" (distance > cap), and both
- * miss at every tracked associativity.
+ * The recency state of every set count at one line size, over ONE
+ * flat open-addressing table of the lines touched so far.
+ *
+ * The table only answers "touched before?": a first touch is a
+ * compulsory miss at every point of the group, counted once. Each
+ * set count keeps, per set, the set's most recently used lines in
+ * MRU order, truncated at the deepest associativity any lattice
+ * point asks of that (line, sets) pair — an LRU list stored as a
+ * small contiguous array. A reference found at array position d
+ * (1-based) has stack distance d and lands in depthCount[d]; a line
+ * touched before but no longer in its set's array was pushed past
+ * the cap, a "deep" reuse (distance > cap). Both kinds of miss shift
+ * the line in at the MRU end, dropping the LRU entry of a full set.
+ * Nothing outside the arrays points into them, so growing the table
+ * moves lines only.
  */
-class StackDistanceEngine::Profiler
+class StackDistanceEngine::LineGroup
 {
   public:
-    Profiler(std::uint32_t line_bytes, std::uint64_t sets,
-             std::uint32_t max_assoc)
-        : lineBytes_(line_bytes),
-          sets_(sets),
-          maxAssoc_(max_assoc),
-          setMask_(sets - 1),
-          depthCount_(static_cast<std::size_t>(max_assoc) + 1, 0),
-          head_(static_cast<std::size_t>(sets), npos),
-          tail_(static_cast<std::size_t>(sets), npos),
-          length_(static_cast<std::size_t>(sets), 0)
+    /** @p counts maps each set count to its deepest associativity. */
+    LineGroup(std::uint32_t line_bytes,
+              const std::map<std::uint64_t, std::uint32_t> &counts)
+        : lineBytes_(line_bytes)
     {
         SAC_ASSERT(isPowerOfTwo(line_bytes),
                    "line size must be a power of two");
-        SAC_ASSERT(isPowerOfTwo(sets),
-                   "set count must be a power of two");
-        SAC_ASSERT(max_assoc >= 1, "need at least one way");
-        shift_ = 0;
         while ((1ull << shift_) < line_bytes)
             ++shift_;
-        table_.resize(1024);
+        for (const auto &[sets, max_assoc] : counts) {
+            SAC_ASSERT(isPowerOfTwo(sets),
+                       "set count must be a power of two");
+            SAC_ASSERT(max_assoc >= 1, "need at least one way");
+            SetCount c;
+            c.setMask = sets - 1;
+            c.maxAssoc = max_assoc;
+            c.ways.resize(static_cast<std::size_t>(sets) * max_assoc);
+            c.length.assign(static_cast<std::size_t>(sets), 0);
+            c.depthCount.assign(static_cast<std::size_t>(max_assoc) + 1,
+                                0);
+            counts_.push_back(std::move(c));
+        }
+        table_.assign(1024, vacant);
         mask_ = table_.size() - 1;
     }
 
     std::uint32_t lineBytes() const { return lineBytes_; }
-    std::uint64_t sets() const { return sets_; }
-    std::uint32_t maxAssoc() const { return maxAssoc_; }
     std::uint64_t touched() const { return touched_; }
 
-    /** Raise the tracked depth (pre-pass only: nothing fed yet). */
-    void
-    widen(std::uint32_t max_assoc)
+    /** Does this group answer @p assoc ways at @p sets sets? */
+    bool
+    covers(std::uint64_t sets, std::uint32_t assoc) const
     {
-        SAC_ASSERT(touched_ == 0, "widen() after feeding");
-        if (max_assoc > maxAssoc_) {
-            maxAssoc_ = max_assoc;
-            depthCount_.assign(
-                static_cast<std::size_t>(max_assoc) + 1, 0);
-        }
+        const SetCount *c = countOf(sets);
+        return c && assoc <= c->maxAssoc;
     }
 
-    void
-    access(Addr byte_addr)
-    {
-        const Addr line = byte_addr >> shift_;
-        bool inserted = false;
-        const std::size_t slot = findOrInsert(line, inserted);
-        if (inserted) {
-            ++compulsory_;
-            table_[slot].node = pushFront(line);
-            return;
-        }
-        const std::uint32_t n = table_[slot].node;
-        if (n == npos) {
-            // Seen before, but evicted past the tracked depth: the
-            // stack distance exceeds maxAssoc_, a miss at every
-            // associativity this profiler answers.
-            ++deep_;
-            table_[slot].node = pushFront(line);
-            return;
-        }
-        // Resident within the top maxAssoc_: its 1-based position in
-        // the set's list is the stack distance.
-        const std::uint64_t set = line & setMask_;
-        std::uint32_t depth = 1;
-        for (std::uint32_t cur = head_[set]; cur != n;
-             cur = nodes_[cur].next)
-            ++depth;
-        ++depthCount_[depth];
-        moveToFront(n, set);
-    }
-
-    /** Misses of an @p assoc-way cache (assoc <= maxAssoc()). */
+    /** Misses of an @p assoc-way cache of @p sets sets (covered). */
     std::uint64_t
-    missCount(std::uint32_t assoc) const
+    missCount(std::uint64_t sets, std::uint32_t assoc) const
     {
-        SAC_ASSERT(assoc >= 1 && assoc <= maxAssoc_,
+        const SetCount *c = countOf(sets);
+        SAC_ASSERT(c && assoc >= 1 && assoc <= c->maxAssoc,
                    "associativity outside the tracked depth");
-        std::uint64_t misses = compulsory_ + deep_;
-        for (std::uint32_t d = assoc + 1; d <= maxAssoc_; ++d)
-            misses += depthCount_[d];
+        std::uint64_t misses = touched_ + c->deep;
+        for (std::uint32_t d = assoc + 1; d <= c->maxAssoc; ++d)
+            misses += c->depthCount[d];
         return misses;
     }
 
-  private:
-    static constexpr std::uint32_t npos = 0xffffffffu;
-
-    /** One table slot: a touched line and its list residence. */
-    struct Slot
+    void
+    feed(const trace::Record *recs, std::size_t n)
     {
-        Addr line = 0;
-        std::uint32_t node = npos;
-        bool used = false;
-    };
-
-    /** One pool entry of a per-set intrusive LRU list. */
-    struct Node
-    {
-        Addr line = 0;
-        std::uint32_t prev = npos;
-        std::uint32_t next = npos;
-    };
-
-    std::size_t
-    findOrInsert(Addr line, bool &inserted)
-    {
-        std::size_t i = mixLine(line) & mask_;
-        while (table_[i].used) {
-            if (table_[i].line == line) {
-                inserted = false;
-                return i;
-            }
-            i = (i + 1) & mask_;
+        // The table probe is the one access with no locality; start
+        // the fetch of a later record's home slot before it is
+        // needed.
+        constexpr std::size_t ahead = 8;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i + ahead < n)
+                prefetch(&table_[mixLine(recs[i + ahead].addr >> shift_) &
+                                 mask_]);
+            access(recs[i].addr >> shift_);
         }
-        inserted = true;
-        ++touched_;
-        if (touched_ * 4 > table_.size() * 3) {
-            grow();
-            i = mixLine(line) & mask_;
-            while (table_[i].used)
-                i = (i + 1) & mask_;
-        }
-        table_[i].used = true;
-        table_[i].line = line;
-        table_[i].node = npos;
-        return i;
     }
 
+  private:
+    /** Marks a table slot no line occupies. */
+    static constexpr Addr vacant = ~Addr{0};
+
+    /** The recency state of one set count of the group. */
+    struct SetCount
+    {
+        std::uint64_t setMask = 0;
+        std::uint32_t maxAssoc = 0;
+        /** Per set, maxAssoc entries: resident lines, MRU first. */
+        std::vector<Addr> ways;
+        std::vector<std::uint32_t> length; //!< resident lines per set
+        std::vector<std::uint64_t> depthCount; //!< hits at distance d
+        std::uint64_t deep = 0; //!< reuses at distance > maxAssoc
+    };
+
+    const SetCount *
+    countOf(std::uint64_t sets) const
+    {
+        for (const SetCount &c : counts_) {
+            if (c.setMask + 1 == sets)
+                return &c;
+        }
+        return nullptr;
+    }
+
+    static void
+    prefetch(const void *p)
+    {
+#if defined(__GNUC__)
+        __builtin_prefetch(p);
+#else
+        (void)p;
+#endif
+    }
+
+    void
+    access(Addr line)
+    {
+        const bool first = touch(line);
+        for (SetCount &c : counts_) {
+            const std::size_t set =
+                static_cast<std::size_t>(line & c.setMask);
+            Addr *ways = &c.ways[set * c.maxAssoc];
+            std::uint32_t &len = c.length[set];
+            // A first touch cannot be resident: skip the search.
+            std::uint32_t d = first ? len : 0;
+            while (d < len && ways[d] != line)
+                ++d;
+            if (d < len) {
+                ++c.depthCount[d + 1];
+            } else {
+                c.deep += !first;
+                if (len < c.maxAssoc)
+                    ++len;
+                d = len - 1; // a full set drops its LRU entry
+            }
+            for (; d > 0; --d)
+                ways[d] = ways[d - 1];
+            ways[0] = line;
+        }
+    }
+
+    /** Record a touch of @p line; true on its first touch. */
+    bool
+    touch(Addr line)
+    {
+        if (line == vacant) {
+            // The one line the table cannot hold (only reachable with
+            // 1-byte lines) is tracked by a flag instead.
+            const bool first = !vacantTouched_;
+            vacantTouched_ = true;
+            touched_ += first;
+            return first;
+        }
+        std::size_t i = mixLine(line) & mask_;
+        for (; table_[i] != vacant; i = (i + 1) & mask_) {
+            if (table_[i] == line)
+                return false;
+        }
+        if (++touched_ * 4 > table_.size() * 3) {
+            grow();
+            i = homeOf(line);
+        }
+        table_[i] = line;
+        return true;
+    }
+
+    /** The first vacant slot of @p line's probe sequence. */
     std::size_t
-    find(Addr line) const
+    homeOf(Addr line) const
     {
         std::size_t i = mixLine(line) & mask_;
-        while (!(table_[i].used && table_[i].line == line))
+        while (table_[i] != vacant)
             i = (i + 1) & mask_;
         return i;
     }
@@ -191,121 +227,42 @@ class StackDistanceEngine::Profiler
     void
     grow()
     {
-        std::vector<Slot> old;
+        std::vector<Addr> old(table_.size() * 2, vacant);
         old.swap(table_);
-        table_.resize(old.size() * 2);
         mask_ = table_.size() - 1;
-        for (const Slot &s : old) {
-            if (!s.used)
-                continue;
-            std::size_t i = mixLine(s.line) & mask_;
-            while (table_[i].used)
-                i = (i + 1) & mask_;
-            table_[i] = s;
+        for (const Addr line : old) {
+            if (line != vacant)
+                table_[homeOf(line)] = line;
         }
-    }
-
-    /**
-     * Put @p line at the MRU end of its set, evicting the set's LRU
-     * node past the cap when the list is full (the evicted line keeps
-     * its hash entry, marked deep). Returns the node used.
-     */
-    std::uint32_t
-    pushFront(Addr line)
-    {
-        const std::uint64_t set = line & setMask_;
-        std::uint32_t n;
-        if (length_[set] == maxAssoc_) {
-            n = tail_[set];
-            table_[find(nodes_[n].line)].node = npos;
-            unlink(n, set);
-        } else {
-            n = static_cast<std::uint32_t>(nodes_.size());
-            nodes_.push_back({});
-            ++length_[set];
-        }
-        nodes_[n].line = line;
-        linkFront(n, set);
-        return n;
-    }
-
-    void
-    moveToFront(std::uint32_t n, std::uint64_t set)
-    {
-        if (head_[set] == n)
-            return;
-        unlink(n, set);
-        linkFront(n, set);
-    }
-
-    void
-    linkFront(std::uint32_t n, std::uint64_t set)
-    {
-        nodes_[n].prev = npos;
-        nodes_[n].next = head_[set];
-        if (head_[set] != npos)
-            nodes_[head_[set]].prev = n;
-        head_[set] = n;
-        if (tail_[set] == npos)
-            tail_[set] = n;
-    }
-
-    void
-    unlink(std::uint32_t n, std::uint64_t set)
-    {
-        const std::uint32_t p = nodes_[n].prev;
-        const std::uint32_t x = nodes_[n].next;
-        if (p != npos)
-            nodes_[p].next = x;
-        else
-            head_[set] = x;
-        if (x != npos)
-            nodes_[x].prev = p;
-        else
-            tail_[set] = p;
     }
 
     std::uint32_t lineBytes_;
-    std::uint64_t sets_;
-    std::uint32_t maxAssoc_;
-    std::uint64_t setMask_;
     std::uint32_t shift_ = 0;
+    std::vector<SetCount> counts_;
 
-    std::vector<Slot> table_; //!< power-of-two open addressing
+    std::vector<Addr> table_; //!< power-of-two open addressing
     std::size_t mask_ = 0;
-    std::vector<Node> nodes_; //!< shared pool; <= sets * maxAssoc
-    std::vector<std::uint64_t> depthCount_; //!< hits at distance d
-    std::uint64_t compulsory_ = 0;          //!< first touches
-    std::uint64_t deep_ = 0; //!< reuses at distance > maxAssoc_
-    std::uint64_t touched_ = 0;
-
-    // Per-set truncated LRU lists over the node pool.
-    std::vector<std::uint32_t> head_;
-    std::vector<std::uint32_t> tail_;
-    std::vector<std::uint32_t> length_;
+    bool vacantTouched_ = false;
+    std::uint64_t touched_ = 0; //!< distinct lines = compulsory misses
 };
 
 StackDistanceEngine::StackDistanceEngine(
     const std::vector<StackPoint> &points)
 {
     SAC_ASSERT(!points.empty(), "a stack pass needs lattice points");
+    // line size -> set count -> deepest associativity asked of it.
+    std::map<std::uint32_t, std::map<std::uint64_t, std::uint32_t>>
+        lattice;
     for (const StackPoint &p : points) {
         SAC_ASSERT(p.wellFormed(),
                    "stack lattice point is not a power-of-two LRU "
                    "geometry");
-        Profiler *existing = nullptr;
-        for (Profiler &prof : profilers_) {
-            if (prof.lineBytes() == p.lineBytes &&
-                prof.sets() == p.sets()) {
-                existing = &prof;
-                break;
-            }
-        }
-        if (existing)
-            existing->widen(p.assoc);
-        else
-            profilers_.emplace_back(p.lineBytes, p.sets(), p.assoc);
+        std::uint32_t &depth = lattice[p.lineBytes][p.sets()];
+        depth = std::max(depth, p.assoc);
     }
+    groups_.reserve(lattice.size());
+    for (const auto &[line_bytes, counts] : lattice)
+        groups_.emplace_back(line_bytes, counts);
 }
 
 StackDistanceEngine::~StackDistanceEngine() = default;
@@ -313,16 +270,13 @@ StackDistanceEngine::~StackDistanceEngine() = default;
 void
 StackDistanceEngine::feed(const trace::Record *recs, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        const trace::Record &rec = recs[i];
-        ++accesses_;
-        if (rec.isRead())
-            ++reads_;
-        else
-            ++writes_;
-        for (Profiler &prof : profilers_)
-            prof.access(rec.addr);
-    }
+    accesses_ += n;
+    for (std::size_t i = 0; i < n; ++i)
+        reads_ += recs[i].isRead();
+    writes_ = accesses_ - reads_;
+    // Group-major: one scan of the records per line size.
+    for (LineGroup &g : groups_)
+        g.feed(recs, n);
 }
 
 std::uint64_t
@@ -338,13 +292,12 @@ StackDistanceEngine::run(trace::TraceSource &src)
     return total;
 }
 
-const StackDistanceEngine::Profiler *
-StackDistanceEngine::profilerOf(std::uint32_t line_bytes,
-                                std::uint64_t sets) const
+const StackDistanceEngine::LineGroup *
+StackDistanceEngine::groupOf(std::uint32_t line_bytes) const
 {
-    for (const Profiler &prof : profilers_) {
-        if (prof.lineBytes() == line_bytes && prof.sets() == sets)
-            return &prof;
+    for (const LineGroup &g : groups_) {
+        if (g.lineBytes() == line_bytes)
+            return &g;
     }
     return nullptr;
 }
@@ -354,17 +307,15 @@ StackDistanceEngine::covers(const StackPoint &p) const
 {
     if (!p.wellFormed())
         return false;
-    const Profiler *prof = profilerOf(p.lineBytes, p.sets());
-    return prof && p.assoc <= prof->maxAssoc();
+    const LineGroup *g = groupOf(p.lineBytes);
+    return g && g->covers(p.sets(), p.assoc);
 }
 
 std::uint64_t
 StackDistanceEngine::missCount(const StackPoint &p) const
 {
-    const Profiler *prof = profilerOf(p.lineBytes, p.sets());
-    SAC_ASSERT(prof && p.assoc <= prof->maxAssoc(),
-               "point is not covered by this stack pass");
-    return prof->missCount(p.assoc);
+    SAC_ASSERT(covers(p), "point is not covered by this stack pass");
+    return groupOf(p.lineBytes)->missCount(p.sets(), p.assoc);
 }
 
 double
@@ -378,12 +329,9 @@ StackDistanceEngine::missRatio(const StackPoint &p) const
 std::uint64_t
 StackDistanceEngine::touchedLines(std::uint32_t line_bytes) const
 {
-    for (const Profiler &prof : profilers_) {
-        if (prof.lineBytes() == line_bytes)
-            return prof.touched();
-    }
-    SAC_ASSERT(false, "no profiler at this line granularity");
-    return 0;
+    const LineGroup *g = groupOf(line_bytes);
+    SAC_ASSERT(g != nullptr, "no line group at this granularity");
+    return g->touched();
 }
 
 } // namespace sim

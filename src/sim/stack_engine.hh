@@ -14,14 +14,22 @@
  * one recency structure, and a size x assoc sweep collapses to a
  * handful of structures updated in a single pass.
  *
- * The recency structure is the compressed-bucket variant: per-set
- * intrusive LRU lists truncated at the largest associativity any
- * lattice point asks of that (line, sets) pair, over a flat
- * open-addressing hash of line -> list node (the sim::MissClassifier
- * idiom). A line evicted from the truncated list keeps its hash entry
- * with a "seen but deep" marker, so distances beyond the cap and
+ * The structures are grouped by line size. Each line group owns ONE
+ * flat open-addressing hash of the lines touched so far (the
+ * sim::MissClassifier idiom), shared by all its set counts: it tells
+ * a compulsory first touch from a reuse, once per record. Each set
+ * count keeps, per set, that set's most recently used lines in MRU
+ * order, truncated at the largest associativity any lattice point
+ * asks of that (line, sets) pair — an LRU list stored as a small
+ * contiguous array. A reused line missing from its set's array was
+ * pushed past the cap ("deep"), so distances beyond the cap and
  * compulsory first touches stay distinguishable while the per-access
- * cost stays O(cap) worst case and O(1) amortized.
+ * cost stays O(cap).
+ *
+ * Cost: the pass scans the trace once per distinct line size, with
+ * one hash probe per record per line size; the array work scales
+ * with the number of distinct (line size, set count) pairs.
+ * Associativities sharing a set count are free.
  *
  * Scope: the engine models exactly what the simulator's Standard
  * feature path does to the main array — one physical line per access,
@@ -80,9 +88,9 @@ struct StackPoint
  *
  * Build it from every point of the sweep, feed the trace once (run()
  * or repeated feed() calls), then query missCount() per point. Points
- * sharing (lineBytes, sets) share one internal profiler; the pass
- * cost scales with the number of distinct (lineBytes, sets) pairs,
- * not with the number of lattice points.
+ * sharing a line size share one line table, and points sharing
+ * (lineBytes, sets) share one set of LRU lists; the pass cost scales
+ * with those two counts, not with the number of lattice points.
  *
  * Not thread-safe; single consumer, like the sources it drains.
  */
@@ -131,13 +139,12 @@ class StackDistanceEngine
     std::uint64_t touchedLines(std::uint32_t line_bytes) const;
 
   private:
-    class Profiler;
+    class LineGroup;
 
-    /** The profiler covering (@p line_bytes, @p sets), or nullptr. */
-    const Profiler *profilerOf(std::uint32_t line_bytes,
-                               std::uint64_t sets) const;
+    /** The line group of @p line_bytes, or nullptr. */
+    const LineGroup *groupOf(std::uint32_t line_bytes) const;
 
-    std::vector<Profiler> profilers_;
+    std::vector<LineGroup> groups_;
     std::uint64_t accesses_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

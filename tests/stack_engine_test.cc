@@ -4,11 +4,14 @@
  * layers:
  *
  *  - StackEngine: unit tests of the profiler mechanics on hand-built
- *    traces (conflict thrash, truncated-depth reuse, coverage).
+ *    traces (conflict thrash, truncated-depth reuse, coverage, line
+ *    table growth).
  *  - StackDifferential: the engine against exact core::simulateTrace
  *    replay — bit-identical miss counts across size x assoc lattices
- *    for every standard-family preset and for the standard-config
- *    subset of the 5000-case differential fuzz corpus.
+ *    for every standard-family preset, for the full 84-point
+ *    three-line-size re-sweep lattice in one engine, and for the
+ *    standard-config subset of the 5000-case differential fuzz
+ *    corpus.
  *  - StackProperty: Mattson's inclusion property (miss counts
  *    monotone non-increasing in associativity at fixed sets, and in
  *    size at fixed associativity on the paper workloads).
@@ -17,15 +20,18 @@
  *    oracle that shares no code with the simulator or the engine.
  *
  * Plus the harness integration (StackFamily): Runner::run dispatching
- * a standard family to ONE traversal (checked against direct exact
- * replay), the stack.pass.* counters, and
+ * a standard family to ONE traversal per workload (checked against
+ * direct exact replay, and at 1 vs 4 jobs with the passes on the
+ * request's pool), the stack.pass.* counters, and
  * the StackRegression guard that configurations differing only in
  * fields the stack pass folds away still occupy distinct cells.
  */
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +43,7 @@
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/manifest.hh"
 #include "src/trace/trace_source.hh"
+#include "src/util/json.hh"
 #include "src/util/rng.hh"
 #include "src/workloads/workloads.hh"
 #include "tests/reference_sweep.hh"
@@ -81,6 +88,31 @@ eightCellFamily()
         for (const std::uint32_t ways : {1u, 2u})
             out.push_back(latticePoint(core::presets().get("standard"),
                                        kb * 1024, ways));
+    }
+    return out;
+}
+
+/**
+ * The re-sweep lattice: {1..64} KB x {1,2,4,8} ways x {16,32,64}-byte
+ * lines of the standard preset, 84 points in three line groups.
+ */
+std::vector<core::Config>
+resweepLattice()
+{
+    std::vector<core::Config> out;
+    for (std::uint64_t kb = 1; kb <= 64; kb *= 2) {
+        for (const std::uint32_t ways : {1u, 2u, 4u, 8u}) {
+            for (const std::uint32_t line : {16u, 32u, 64u}) {
+                core::Config cfg = core::scaledConfig(
+                    core::presets().get("standard"), kb * 1024, line);
+                cfg.assoc = ways;
+                cfg.name = std::to_string(kb) + "k/" +
+                           std::to_string(ways) + "w/" +
+                           std::to_string(line) + "B";
+                cfg.validate();
+                out.push_back(std::move(cfg));
+            }
+        }
     }
     return out;
 }
@@ -173,6 +205,51 @@ TEST(StackEngine, WellFormedRejectsNonPowerOfTwoGeometry)
     EXPECT_FALSE((sim::StackPoint{96 * 32, 32, 1}).wellFormed());
 }
 
+TEST(StackEngine, ResidentAndDeepSplitSurvivesTableGrowth)
+{
+    // 1000 distinct lines outgrow the line table's first 1024 slots
+    // (it doubles past 768), so every later access runs after at
+    // least one rehash. A 1024-set direct-mapped point keeps all
+    // 1000 lines resident; a 16-set point holds only the latest two
+    // lines per set.
+    const sim::StackPoint big{1024 * 32, 32, 1};  // 1024 sets
+    const sim::StackPoint small1{16 * 32, 32, 1}; // 16 sets, 1 way
+    const sim::StackPoint small2{32 * 32, 32, 2}; // 16 sets, 2 ways
+    sim::StackDistanceEngine eng({big, small1, small2});
+
+    trace::Trace t("growth");
+    for (Addr line = 0; line < 1000; ++line)
+        t.push({.addr = line * 32});
+    eng.feed(t.data(), t.size());
+    EXPECT_EQ(eng.touchedLines(32), 1000u);
+    for (const auto &p : {big, small1, small2})
+        EXPECT_EQ(eng.missCount(p), 1000u); // compulsory only
+
+    // The last 32 lines are each their set's two most recent at 16
+    // sets, in order, so each re-touch sits at depth 2: a hit at two
+    // ways, a miss at one.
+    trace::Trace recent("recent");
+    for (Addr line = 968; line < 1000; ++line)
+        recent.push({.addr = line * 32});
+    eng.feed(recent.data(), recent.size());
+    EXPECT_EQ(eng.missCount(big), 1000u);
+    EXPECT_EQ(eng.missCount(small1), 1032u);
+    EXPECT_EQ(eng.missCount(small2), 1000u);
+
+    // The first 100 lines are still resident at 1024 sets, but were
+    // pushed past both ways at 16 sets: deep reuses, not first
+    // touches, so touchedLines does not move.
+    trace::Trace early("early");
+    for (Addr line = 0; line < 100; ++line)
+        early.push({.addr = line * 32});
+    eng.feed(early.data(), early.size());
+    EXPECT_EQ(eng.touchedLines(32), 1000u);
+    EXPECT_EQ(eng.accesses(), 1132u);
+    EXPECT_EQ(eng.missCount(big), 1000u);
+    EXPECT_EQ(eng.missCount(small1), 1132u);
+    EXPECT_EQ(eng.missCount(small2), 1100u);
+}
+
 // --- StackDifferential: against exact replay ------------------------
 
 /** Replay @p cfg exactly and diff every stack-derivable count. */
@@ -229,15 +306,37 @@ TEST(StackDifferential, StandardFamilyPresetsAcrossTheLattice)
     }
 }
 
+TEST(StackDifferential, WarmResweepLatticeAllLineSizes)
+{
+    // The re-sweep lattice of the repository benchmark in ONE engine:
+    // {1..64} KB x {1,2,4,8} ways x {16,32,64}-byte lines, 84 points
+    // in three line groups of ten set counts each, against exact
+    // replay of the paper MV trace. Its ~125k distinct 16-byte lines
+    // grow the line table many times over while every set's recency
+    // array is full.
+    const trace::Trace t = workloads::makeBenchmarkTrace("MV");
+    const std::vector<core::Config> cfgs = resweepLattice();
+    ASSERT_EQ(cfgs.size(), 84u);
+    std::vector<sim::StackPoint> points;
+    for (const auto &cfg : cfgs)
+        points.push_back(harness::stackPointOf(cfg));
+    sim::StackDistanceEngine eng(points);
+    eng.feed(t.data(), t.size());
+    EXPECT_GT(eng.touchedLines(16), 100000u);
+    for (const auto &cfg : cfgs)
+        expectStackMatchesReplay(eng, t, cfg);
+}
+
 TEST(StackDifferential, FuzzCorpusStandardSubset)
 {
     // The standard-config subset of the fixed-seed 5000-case fuzz
     // corpus (the budget tools/check.sh address replays): for every
     // case whose configuration lands on the Standard feature path,
     // the stack pass must agree with exact replay across a small
-    // sets x assoc lattice around the fuzzed geometry. The fuzzed
-    // aux/temporal/write-buffer/classifier knobs vary freely, proving
-    // the pass folds exactly the fields that cannot matter.
+    // sets x assoc x line-size lattice around the fuzzed geometry.
+    // The fuzzed aux/temporal/write-buffer/classifier knobs vary
+    // freely, proving the pass folds exactly the fields that cannot
+    // matter.
     const check::TraceFuzzer fuzzer;
     std::size_t eligible = 0;
     for (std::uint64_t i = 0; i < 5000; ++i) {
@@ -246,17 +345,26 @@ TEST(StackDifferential, FuzzCorpusStandardSubset)
             continue;
         ++eligible;
 
+        // The fuzzed line size and one other share the engine, so
+        // two line groups see the same records.
+        const std::uint32_t other_line =
+            c.config.lineBytes == 64 ? 16 : c.config.lineBytes * 2;
         std::vector<core::Config> cfgs;
-        for (const std::uint64_t size_mult : {1, 4}) {
-            for (const std::uint32_t ways : {1u, 2u, 4u}) {
-                core::Config cfg = c.config;
-                // Keep the fuzzed set count (and 4x it) while the
-                // associativity sweeps, so points share profilers.
-                cfg.cacheSizeBytes =
-                    c.config.cacheSizeBytes * size_mult * ways;
-                cfg.assoc = ways;
-                cfg.validate();
-                cfgs.push_back(std::move(cfg));
+        for (const std::uint32_t line : {c.config.lineBytes, other_line}) {
+            for (const std::uint64_t size_mult : {1, 4}) {
+                for (const std::uint32_t ways : {1u, 2u, 4u}) {
+                    core::Config cfg = c.config;
+                    // Keep the fuzzed set count (and 4x it) while the
+                    // associativity sweeps, so points share set
+                    // counts.
+                    cfg.lineBytes = line;
+                    cfg.cacheSizeBytes = c.config.cacheSizeBytes /
+                                         c.config.lineBytes * line *
+                                         size_mult * ways;
+                    cfg.assoc = ways;
+                    cfg.validate();
+                    cfgs.push_back(std::move(cfg));
+                }
             }
         }
         std::vector<sim::StackPoint> points;
@@ -607,6 +715,112 @@ TEST(StackFamily, StackStatsNeverPoisonTheExactCellCache)
               harness::toCsv(testref::referenceTable(
                   {mvWorkload()}, configs,
                   harness::missRatioMetric())));
+}
+
+TEST(StackFamily, PooledFamiliesMatchSerial)
+{
+    // Each workload's stack pass is a task on the request's pool,
+    // next to the exact cells. Four workloads of different lengths
+    // over the lattice plus two exact-replayed presets must render
+    // the same table and the same manifest bytes at 1 and 4 jobs,
+    // with one traversal per workload.
+    std::vector<harness::Workload> ws;
+    for (const std::int64_t n : {24, 48, 32, 40}) {
+        ws.push_back({"MV" + std::to_string(n),
+                      [n] {
+                          return workloads::makeTaggedTrace(
+                              workloads::buildMv(n));
+                      },
+                      nullptr});
+    }
+    const std::vector<core::Config> lattice = resweepLattice();
+    const std::vector<core::Config> mixed = [&lattice] {
+        std::vector<core::Config> out = lattice;
+        out.push_back(core::presets().get("soft"));
+        out.push_back(core::presets().get("victim"));
+        return out;
+    }();
+
+    struct Outcome
+    {
+        std::string csv;
+        std::map<std::string, std::string> manifests;
+    };
+    const auto sweep = [&ws](const std::vector<core::Config> &configs,
+                             unsigned jobs, std::size_t replays) {
+        harness::Runner r;
+        auto req = testref::request(ws, configs,
+                                    harness::missRatioMetric(), jobs);
+        Outcome o;
+        req.telemetry.sink = [&o](const std::string &file,
+                                  const std::string &doc) {
+            o.manifests[file] = doc;
+        };
+        o.csv = harness::toCsv(r.run(req).table);
+        EXPECT_EQ(r.stackCounter("stack.pass.traversals"), ws.size());
+        EXPECT_EQ(r.runsExecuted(), replays);
+        EXPECT_EQ(o.manifests.size(), ws.size() * configs.size());
+        return o;
+    };
+    // Stack manifests carry no timing, so they match byte for byte;
+    // exact cells record their replay seconds, which must differ.
+    const auto untimed = [](std::map<std::string, std::string> docs) {
+        for (auto &[file, doc] : docs) {
+            auto json = util::Json::parse(doc);
+            EXPECT_TRUE(json.has_value()) << file;
+            if (!json)
+                continue;
+            json->set("timing", util::Json::object());
+            std::ostringstream os;
+            json->write(os);
+            doc = os.str();
+        }
+        return docs;
+    };
+    const Outcome serial = sweep(lattice, 1, 0);
+    const Outcome pooled = sweep(lattice, 4, 0);
+    EXPECT_EQ(pooled.csv, serial.csv);
+    EXPECT_TRUE(pooled.manifests == serial.manifests);
+    const std::size_t replays = 2 * ws.size();
+    const Outcome serial_mixed = sweep(mixed, 1, replays);
+    const Outcome pooled_mixed = sweep(mixed, 4, replays);
+    EXPECT_EQ(pooled_mixed.csv, serial_mixed.csv);
+    EXPECT_TRUE(untimed(pooled_mixed.manifests) ==
+                untimed(serial_mixed.manifests));
+
+    // A workload whose build() throws fails the request with its
+    // exception, never a crash: every task, pass and cell alike, is
+    // waited for before it re-raises. A stack request resolves its
+    // traces before any task starts; an AMAT request resolves them
+    // inside the cell tasks, so there the throw surfaces from a
+    // worker while the other workloads' cells run. Each request has
+    // its own runner and one cell per workload, so the broken trace
+    // latch is entered once: re-entering a std::call_once whose
+    // callable threw hangs under ThreadSanitizer.
+    std::vector<harness::Workload> broken = ws;
+    broken.insert(broken.begin() + 2,
+                  {"broken",
+                   []() -> trace::Trace {
+                       throw std::runtime_error("no trace");
+                   },
+                   nullptr});
+    {
+        harness::Runner r;
+        EXPECT_THROW(r.run(testref::request(
+                         broken, mixed, harness::missRatioMetric(), 4)),
+                     std::runtime_error);
+        // The runner stays usable for the workloads that do build.
+        const auto after = r.run(testref::request(
+            ws, lattice, harness::missRatioMetric(), 4));
+        EXPECT_EQ(harness::toCsv(after.table), serial.csv);
+    }
+    {
+        harness::Runner r;
+        EXPECT_THROW(r.run(testref::request(
+                         broken, {core::presets().get("soft")},
+                         harness::amatMetric(), 4)),
+                     std::runtime_error);
+    }
 }
 
 } // namespace

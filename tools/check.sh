@@ -6,7 +6,8 @@
 #   tools/check.sh plain        # one mode only
 #   tools/check.sh thread       # TSan ctest, then a repeat leg: the
 #                               # ThreadPool|ParallelSweep|SweepRequest|
-#                               # Service tests 50 times over (-j4)
+#                               # Service tests and the pooled stack
+#                               # family test 50 times over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
@@ -520,7 +521,7 @@ EOF
         echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
         ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
             --repeat until-fail:50 \
-            -R 'ThreadPool|ParallelSweep|SweepRequest|Service'
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.PooledFamiliesMatchSerial'
     fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="
