@@ -42,9 +42,8 @@ using Metric = std::function<double(const sim::RunStats &)>;
  * "estimate ±half" — see DESIGN.md §10), `--interval N` and
  * `--heatmap` (time-resolved instrumentation of every manifest cell:
  * interval JSONL series and per-set heat profiles, rendered by
- * tools/sac_report.py — see DESIGN.md §13; requires --emit-json and
- * a -DSAC_INTERVAL=ON build), and `--trace-ring N` (EventTracer ring
- * capacity). Tables are byte-identical at any job count.
+ * tools/sac_report.py — see DESIGN.md §13; requires --emit-json).
+ * Tables are byte-identical at any job count.
  */
 void initBench(int argc, const char *const *argv);
 

@@ -10,8 +10,8 @@
  * The perf leg of tools/check.sh runs this binary with a JSON
  * reporter and diffs items_per_second against the committed
  * BENCH_simspeed.json baseline (tools/perf_compare.py). The report
- * context records the simulator's build type and SAC_* options so
- * the gate can refuse a baseline taken on a different build.
+ * context records the simulator's build type so the gate can refuse
+ * a baseline taken on a different build.
  */
 
 #include <benchmark/benchmark.h>
@@ -140,9 +140,8 @@ BENCHMARK(BM_SimulateSoftPrefetchGeneral);
 
 /**
  * Same workload as BM_SimulateSoft but with a check::Auditor
- * attached. With SAC_AUDIT=OFF the hook is compiled out and this must
- * time identically to BM_SimulateSoft; with SAC_AUDIT=ON it measures
- * the full per-access invariant sweep.
+ * attached: the Observed access path plus the full per-access
+ * invariant sweep.
  */
 void
 BM_SimulateSoftAudited(benchmark::State &state)
@@ -158,18 +157,14 @@ BM_SimulateSoftAudited(benchmark::State &state)
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * t.size()));
-    state.SetLabel(check::Auditor::hooksCompiledIn()
-                       ? "audit-on"
-                       : "audit-compiled-out");
 }
 BENCHMARK(BM_SimulateSoftAudited);
 
 /**
  * Same workload as BM_SimulateSoft but with an IntervalRecorder and a
- * SetProfiler attached. With SAC_INTERVAL=OFF both hooks are compiled
- * out and this must time identically to BM_SimulateSoft (the <=1%
- * floor in perf_compare.py); with SAC_INTERVAL=ON it measures the
- * per-access countdown plus the per-set counter updates.
+ * SetProfiler attached: the cost of the Observed access path plus the
+ * per-access countdown and the per-set counter updates, i.e. what
+ * `--interval`/`--heatmap` add to a replay.
  */
 void
 BM_SimulateSoftInterval(benchmark::State &state)
@@ -188,18 +183,14 @@ BM_SimulateSoftInterval(benchmark::State &state)
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * t.size()));
-    state.SetLabel(
-        core::SoftwareAssistedCache::intervalHooksCompiledIn()
-            ? "interval-on"
-            : "interval-compiled-out");
 }
 BENCHMARK(BM_SimulateSoftInterval);
 
 /**
  * Functional-warming pair: the same trace and configuration as
  * BM_SimulateSoft, replayed in StatsMode::Warming, where the stats
- * counters, miss classifier, tracer and audit hooks are compiled out
- * and only architectural state advances. perf_compare.py asserts the
+ * counters, miss classifier and observer hooks are compiled out and
+ * only architectural state advances. perf_compare.py asserts the
  * warming path runs at least 2x the detailed path.
  */
 void
@@ -602,12 +593,6 @@ main(int argc, char **argv)
     // The simulator build the numbers belong to, for the baseline
     // gate (tools/perf_compare.py compares like with like).
     benchmark::AddCustomContext("sac_build_type", SAC_BUILD_TYPE);
-    const auto on_off = [](bool on) { return on ? "ON" : "OFF"; };
-    benchmark::AddCustomContext("sac_audit", on_off(SAC_AUDIT_ENABLED));
-    benchmark::AddCustomContext("sac_interval",
-                                on_off(SAC_INTERVAL_ENABLED));
-    benchmark::AddCustomContext("sac_trace_events",
-                                on_off(SAC_TRACE_EVENTS_ENABLED));
     if (benchmark::ReportUnrecognizedArguments(bench_argc,
                                                bench_args.data()))
         return 1;

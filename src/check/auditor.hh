@@ -26,9 +26,9 @@
  * or are recorded for inspection (OnViolation::Record, used by the
  * fuzzer and by tests).
  *
- * The per-access hook only exists when the build has SAC_AUDIT=ON
- * (Debug and sanitizer builds by default); in release builds the call
- * site compiles out entirely and attaching an auditor is a no-op.
+ * The per-access hook runs in every build: attaching an auditor
+ * switches the simulator to its Observed access path, and detaching
+ * it switches back to the hook-free Detailed path.
  */
 
 #ifndef SAC_CHECK_AUDITOR_HH
@@ -65,13 +65,7 @@ class Auditor : public core::AccessAuditor
 
     explicit Auditor(OnViolation mode = OnViolation::Panic);
 
-    /** Were the SAC_AUDIT hooks compiled into this build? */
-    static bool hooksCompiledIn()
-    {
-        return core::SoftwareAssistedCache::auditHooksCompiledIn();
-    }
-
-    /** Per-access hook invoked by the simulator (SAC_AUDIT=ON only). */
+    /** Per-access hook invoked by the simulator. */
     void afterAccess(const core::SoftwareAssistedCache &cache,
                      const trace::Record &rec) override;
 

@@ -2,9 +2,9 @@
  * @file
  * Differential trace fuzzer: a seeded generator of adversarial traces
  * and configurations, replayed through both the timing simulator
- * (core::SoftwareAssistedCache, with a check::Auditor attached when
- * the build has SAC_AUDIT=ON) and the naive oracle
- * (sim::ReferenceModel), diffing every functional counter.
+ * (core::SoftwareAssistedCache, with a check::Auditor attached) and
+ * the naive oracle (sim::ReferenceModel), diffing every functional
+ * counter.
  *
  * Trace shapes target the mechanisms most likely to disagree:
  * set-aliasing address ladders (conflict and bounce-back pressure),
@@ -75,9 +75,9 @@ using CountsCorruption =
  * feature-specialized access path and once with dispatch forced to
  * the general path — and the two full RunStats must be identical
  * (dispatchDiverged reports any mismatch). @p cfg must satisfy
- * sim::ReferenceModel::supports(). When the build has SAC_AUDIT=ON a
- * Record-mode Auditor rides along and its violations are reported in
- * the outcome.
+ * sim::ReferenceModel::supports(). A Record-mode Auditor rides along
+ * on the specialized replay and its violations are reported in the
+ * outcome.
  */
 CaseOutcome runCase(const trace::Trace &t, const core::Config &cfg,
                     const CountsCorruption &corrupt = {});

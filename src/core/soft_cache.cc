@@ -50,38 +50,6 @@ featureSetOf(const Config &cfg)
     return FeatureSet::General;
 }
 
-template <bool Detail>
-SoftwareAssistedCache::AccessFn
-SoftwareAssistedCache::selectAccessFnImpl(FeatureSet fs)
-{
-    //                             MayAux MayVirtual MayPrefetch MayBypass
-    switch (fs) {
-      case FeatureSet::Standard:
-        return &SoftwareAssistedCache::accessTmpl<Detail, false, false,
-                                                  false, false>;
-      case FeatureSet::Victim:
-        return &SoftwareAssistedCache::accessTmpl<Detail, true, false,
-                                                  false, false>;
-      case FeatureSet::Soft:
-        return &SoftwareAssistedCache::accessTmpl<Detail, true, true,
-                                                  false, false>;
-      case FeatureSet::SoftPrefetch:
-        return &SoftwareAssistedCache::accessTmpl<Detail, true, true,
-                                                  true, false>;
-      case FeatureSet::General:
-        break;
-    }
-    return &SoftwareAssistedCache::accessTmpl<Detail, true, true, true,
-                                              true>;
-}
-
-SoftwareAssistedCache::AccessFn
-SoftwareAssistedCache::selectAccessFn(FeatureSet fs, StatsMode mode)
-{
-    return mode == StatsMode::Detailed ? selectAccessFnImpl<true>(fs)
-                                       : selectAccessFnImpl<false>(fs);
-}
-
 SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
                                              DispatchMode dispatch)
     : cfg_(std::move(cfg)),
@@ -105,16 +73,6 @@ SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
     featureSet_ = dispatch == DispatchMode::General
                       ? FeatureSet::General
                       : featureSetOf(cfg_);
-    accessFn_ = selectAccessFn(featureSet_, statsMode_);
-}
-
-void
-SoftwareAssistedCache::setStatsMode(StatsMode m)
-{
-    if (m == statsMode_)
-        return;
-    statsMode_ = m;
-    accessFn_ = selectAccessFn(featureSet_, statsMode_);
 }
 
 void
@@ -134,67 +92,61 @@ SoftwareAssistedCache::run(trace::TraceSource &src)
     finish();
 }
 
-template <bool Detail, bool MayAux, bool MayVirtual, bool MayPrefetch,
-          bool MayBypass>
+template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
+          bool MayPrefetch, bool MayBypass>
 void
 SoftwareAssistedCache::runBatchTmpl(const trace::Record *recs,
                                     std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
-        accessTmpl<Detail, MayAux, MayVirtual, MayPrefetch, MayBypass>(
-            recs[i]);
-#if SAC_AUDIT_ENABLED
-        if constexpr (Detail) {
+        accessTmpl<F, MayAux, MayVirtual, MayPrefetch, MayBypass>(recs[i]);
+        if constexpr (observes(F)) {
             if (auditor_)
                 auditor_->afterAccess(*this, recs[i]);
-        }
-#endif
-#if SAC_INTERVAL_ENABLED
-        if constexpr (Detail) {
             if (interval_)
-                interval_->afterAccess(stats_,
-                                       writeBuffer_.occupancy());
+                interval_->afterAccess(stats_, writeBuffer_.occupancy());
         }
-#endif
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::runBatchDispatch(const trace::Record *recs,
                                         std::size_t n)
 {
     switch (featureSet_) {
       case FeatureSet::Standard:
-        runBatchTmpl<Detail, false, false, false, false>(recs, n);
+        runBatchTmpl<F, false, false, false, false>(recs, n);
         return;
       case FeatureSet::Victim:
-        runBatchTmpl<Detail, true, false, false, false>(recs, n);
+        runBatchTmpl<F, true, false, false, false>(recs, n);
         return;
       case FeatureSet::Soft:
-        runBatchTmpl<Detail, true, true, false, false>(recs, n);
+        runBatchTmpl<F, true, true, false, false>(recs, n);
         return;
       case FeatureSet::SoftPrefetch:
-        runBatchTmpl<Detail, true, true, true, false>(recs, n);
+        runBatchTmpl<F, true, true, true, false>(recs, n);
         return;
       case FeatureSet::General:
         break;
     }
-    runBatchTmpl<Detail, true, true, true, true>(recs, n);
+    runBatchTmpl<F, true, true, true, true>(recs, n);
 }
 
 void
 SoftwareAssistedCache::runBatch(const trace::Record *recs,
                                 std::size_t n)
 {
-    if (statsMode_ == StatsMode::Detailed)
-        runBatchDispatch<true>(recs, n);
+    if (statsMode_ == StatsMode::Warming)
+        runBatchDispatch<Fidelity::Warming>(recs, n);
+    else if (observed())
+        runBatchDispatch<Fidelity::Observed>(recs, n);
     else
-        runBatchDispatch<false>(recs, n);
+        runBatchDispatch<Fidelity::Detailed>(recs, n);
 }
 
-template <bool Detail, bool MayAux, bool MayVirtual, bool MayPrefetch,
-          bool MayBypass>
+template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
+          bool MayPrefetch, bool MayBypass>
 void
 SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
 {
@@ -203,25 +155,22 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     // instruction work after the previous access completed (the
     // completing cycle overlaps the first work cycle).
     now_ = procReadyAt_ + rec.delta - 1;
-    if constexpr (Detail) {
+    if constexpr (counts(F)) {
         ++stats_.accesses;
         if (rec.isRead())
             ++stats_.reads;
         else
             ++stats_.writes;
-        SAC_TRACE_EVENT(tracer_, EventKind::Access, now_, rec.addr,
-                        rec.isWrite());
+        traceEvent<F>(EventKind::Access, now_, rec.addr, rec.isWrite());
     }
 
     Cycle start = std::max(now_, cacheFreeAt_);
     const Addr line = main_.lineAddrOf(rec.addr);
 
-#if SAC_INTERVAL_ENABLED
-    if constexpr (Detail) {
+    if constexpr (observes(F)) {
         if (setProfiler_)
             setProfiler_->onAccess(main_.setIndexOf(line));
     }
-#endif
 
     // Land a pending prefetch that has arrived; if this very access
     // wants the in-flight line, stall until it lands. pending_.valid
@@ -229,25 +178,25 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     if constexpr (MayPrefetch) {
         if (pending_.valid) {
             if (pending_.readyAt <= start) {
-                installPendingPrefetch<Detail>();
+                installPendingPrefetch<F>();
             } else if (aux_ && pending_.line <= line &&
                        line < pending_.line + pending_.count) {
                 start = pending_.readyAt;
-                installPendingPrefetch<Detail>();
+                installPendingPrefetch<F>();
             }
         }
     }
 
     // 1. Main cache lookup.
     if (const auto way = main_.findWay(line)) {
-        handleMainHit<Detail>(rec, *way, start);
+        handleMainHit<F>(rec, *way, start);
         return;
     }
 
     // 2. Bypassing of non-temporal references (Fig 3a baselines).
     if constexpr (MayBypass) {
         if (cfg_.bypass != BypassMode::None && !rec.temporal) {
-            handleBypass<Detail>(rec, start);
+            handleBypass<F>(rec, start);
             return;
         }
     }
@@ -256,17 +205,17 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     if constexpr (MayAux) {
         if (aux_) {
             if (const auto way = aux_->findWay(line)) {
-                handleAuxHit<Detail, MayPrefetch>(rec, *way, start);
+                handleAuxHit<F, MayPrefetch>(rec, *way, start);
                 return;
             }
         }
     }
 
     // 4. Demand miss.
-    handleMiss<Detail, MayAux, MayVirtual, MayPrefetch>(rec, start);
+    handleMiss<F, MayAux, MayVirtual, MayPrefetch>(rec, start);
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::handleMainHit(const trace::Record &rec,
                                      std::uint32_t way, Cycle start)
@@ -278,16 +227,16 @@ SoftwareAssistedCache::handleMainHit(const trace::Record &rec,
         l.setDirty();
     applyTemporalTag(l, rec.temporal, cfg_.temporalBits);
     l.setPrefetched(false);
-    if constexpr (Detail) {
+    if constexpr (counts(F)) {
         ++stats_.mainHits;
-        SAC_TRACE_EVENT(tracer_, EventKind::MainHit, start, rec.addr, 0);
-        classify(rec.addr, false);
+        traceEvent<F>(EventKind::MainHit, start, rec.addr, 0);
+        classify<F>(rec.addr, false);
     }
     const Cycle completion = start + cfg_.timing.mainHitTime;
-    complete<Detail>(completion, completion);
+    complete<F>(completion, completion);
 }
 
-template <bool Detail, bool MayPrefetch>
+template <SoftwareAssistedCache::Fidelity F, bool MayPrefetch>
 void
 SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
                                     std::uint32_t way, Cycle start)
@@ -300,17 +249,16 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
     // which requires cfg_.prefetch: compile the check out otherwise.
     const bool was_prefetched = MayPrefetch && a.prefetched();
 
-    if constexpr (Detail) {
+    if constexpr (counts(F)) {
         ++stats_.auxHits;
         ++stats_.swaps;
-        SAC_TRACE_EVENT(tracer_, EventKind::AuxHit, start, rec.addr,
-                        was_prefetched);
-        SAC_TRACE_EVENT(tracer_, EventKind::Swap, start, rec.addr, 0);
+        traceEvent<F>(EventKind::AuxHit, start, rec.addr, was_prefetched);
+        traceEvent<F>(EventKind::Swap, start, rec.addr, 0);
         if (was_prefetched) {
             ++stats_.auxPrefetchHits;
             ++stats_.prefetchesUseful;
         }
-        classify(rec.addr, false);
+        classify<F>(rec.addr, false);
     }
 
     // Swap with the resident main-cache line: the aux line moves to
@@ -337,7 +285,7 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
         // possible with a set-associative aux cache): discard it.
         if (displaced.valid && displaced.dirty) {
             Cycle hidden = 0;
-            pushWriteback<Detail>(cfg_.lineBytes, hidden);
+            pushWriteback<F>(cfg_.lineBytes, hidden);
         }
         a.clear();
     }
@@ -349,13 +297,13 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
             // After the swap the main cache stays stalled one extra
             // cycle to check for the next prefetched line's presence.
             lock += cfg_.timing.prefetchHitExtraStall;
-            issuePrefetch<Detail>(line + 1);
+            issuePrefetch<F>(line + 1);
         }
     }
-    complete<Detail>(completion, lock);
+    complete<F>(completion, lock);
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
 {
@@ -363,33 +311,32 @@ SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
     const bool buffer_hit =
         cfg_.bypass == BypassMode::NonTemporalBuffered && rec.isRead() &&
         bypassBufferValid_ && bypassBufferLine_ == line;
-    if constexpr (Detail) {
-        SAC_TRACE_EVENT(tracer_, EventKind::Bypass, start, rec.addr,
-                        buffer_hit);
-        classify(rec.addr, !buffer_hit);
+    if constexpr (counts(F)) {
+        traceEvent<F>(EventKind::Bypass, start, rec.addr, buffer_hit);
+        classify<F>(rec.addr, !buffer_hit);
     }
 
     if (rec.isWrite()) {
         // Non-allocating write: write-through via the write buffer.
         Cycle transfer_cost = 0;
-        pushWriteback<Detail>(rec.size, transfer_cost);
-        if constexpr (Detail)
+        pushWriteback<F>(rec.size, transfer_cost);
+        if constexpr (counts(F))
             ++stats_.bypasses;
         const Cycle completion =
             start + cfg_.timing.mainHitTime + transfer_cost;
-        complete<Detail>(completion, completion);
+        complete<F>(completion, completion);
         return;
     }
 
     if (buffer_hit) {
-        if constexpr (Detail)
+        if constexpr (counts(F))
             ++stats_.bypassBufferHits;
         const Cycle completion = start + cfg_.timing.mainHitTime;
-        complete<Detail>(completion, completion);
+        complete<F>(completion, completion);
         return;
     }
 
-    if constexpr (Detail)
+    if constexpr (counts(F))
         ++stats_.bypasses;
     const Cycle request_sent = start + cfg_.timing.mainHitTime;
     const Cycle mem_start = std::max(request_sent, busFreeAt_);
@@ -399,29 +346,30 @@ SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
     const Cycle data_done = mem_start + cfg_.timing.memoryLatency +
                             cfg_.timing.transferCycles(bytes);
     busFreeAt_ = data_done;
-    if constexpr (Detail)
+    if constexpr (counts(F))
         stats_.bytesFetched += bytes;
     if (cfg_.bypass == BypassMode::NonTemporalBuffered) {
-        if constexpr (Detail)
+        if constexpr (counts(F))
             ++stats_.linesFetched;
         bypassBufferLine_ = line;
         bypassBufferValid_ = true;
     }
-    complete<Detail>(data_done, data_done);
+    complete<F>(data_done, data_done);
 }
 
-template <bool Detail, bool MayAux, bool MayVirtual, bool MayPrefetch>
+template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
+          bool MayPrefetch>
 void
 SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
 {
     const Addr line = main_.lineAddrOf(rec.addr);
-    if constexpr (Detail) {
+    if constexpr (counts(F)) {
         ++stats_.misses;
-        classify(rec.addr, true);
-#if SAC_INTERVAL_ENABLED
+        classify<F>(rec.addr, true);
+    }
+    if constexpr (observes(F)) {
         if (setProfiler_)
             setProfiler_->onMiss(main_.setIndexOf(line));
-#endif
     }
 
     // Which physical lines must be fetched? For a spatially tagged
@@ -463,15 +411,14 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
         mem_start + cfg_.timing.missPenalty(n_fetched, cfg_.lineBytes);
     busFreeAt_ = data_done;
 
-    if constexpr (Detail) {
+    if constexpr (counts(F)) {
         stats_.linesFetched += n_fetched;
         stats_.bytesFetched +=
             static_cast<std::uint64_t>(n_fetched) * cfg_.lineBytes;
         stats_.extraLinesFetched += n_fetched - 1;
         if (n_fetched > 1)
             ++stats_.virtualLineFills;
-        SAC_TRACE_EVENT(tracer_, EventKind::Miss, start, rec.addr,
-                        n_fetched);
+        traceEvent<F>(EventKind::Miss, start, rec.addr, n_fetched);
     }
 
     // Install the fetched lines; victim transfers and bounce-backs
@@ -489,7 +436,7 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
             // cache, the fetch cannot be aborted; its main-cache
             // slot is simply not filled (tagged invalid).
             if (MayAux && l != line && aux_ && aux_->contains(l)) {
-                if constexpr (Detail)
+                if constexpr (counts(F))
                     ++stats_.coherenceInvalidations;
                 continue;
             }
@@ -499,12 +446,10 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
             if (l != line && main_.contains(l))
                 continue;
         }
-        if constexpr (Detail) {
-            SAC_TRACE_EVENT(tracer_, EventKind::Fill, start,
-                            l * cfg_.lineBytes, l == line);
-        }
+        traceEvent<F>(EventKind::Fill, start, l * cfg_.lineBytes,
+                      l == line);
         const FillTarget target =
-            insertIntoMain<Detail>(l, transfer_cost, fill_targets);
+            insertIntoMain<F>(l, transfer_cost, fill_targets);
         if (l == line) {
             cache::CacheArray::LineRef m =
                 main_.line(target.set, target.way);
@@ -519,8 +464,8 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
         transfer_cost > hidden_budget ? transfer_cost - hidden_budget : 0;
     const Cycle completion = data_done + extra;
 
-    drainWriteBuffer<Detail>();
-    complete<Detail>(completion, completion);
+    drainWriteBuffer<F>();
+    complete<F>(completion, completion);
 
     // Software-assisted progressive prefetching (Section 4.4): fetch
     // the physical line following the (virtual) block as well.
@@ -530,12 +475,12 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
             Addr last = line;
             for (const Addr l : fetch_lines)
                 last = std::max(last, l);
-            issuePrefetch<Detail>(last + 1);
+            issuePrefetch<F>(last + 1);
         }
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 SoftwareAssistedCache::FillTarget
 SoftwareAssistedCache::insertIntoMain(
     Addr line_addr, Cycle &transfer_cost,
@@ -574,26 +519,25 @@ SoftwareAssistedCache::insertIntoMain(
     main_.touch(set, way);
 
     if (victim.valid) {
-        if constexpr (Detail) {
-            SAC_TRACE_EVENT(tracer_, EventKind::Evict, now_,
-                            victim.lineAddr * cfg_.lineBytes,
-                            victim.dirty);
-#if SAC_INTERVAL_ENABLED
-            if (setProfiler_)
-                setProfiler_->onEviction(set);
-#endif
+        if constexpr (counts(F)) {
+            traceEvent<F>(EventKind::Evict, now_,
+                          victim.lineAddr * cfg_.lineBytes, victim.dirty);
+            if constexpr (observes(F)) {
+                if (setProfiler_)
+                    setProfiler_->onEviction(set);
+            }
         }
         if (aux_ && cfg_.auxReceivesVictims) {
-            victimToAux<Detail>(victim, transfer_cost, fill_targets);
+            victimToAux<F>(victim, transfer_cost, fill_targets);
         } else if (victim.dirty) {
-            pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+            pushWriteback<F>(cfg_.lineBytes, transfer_cost);
             transfer_cost += cfg_.timing.dirtyTransferCycles;
         }
     }
     return {set, way};
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::victimToAux(
     const cache::LineState &victim, Cycle &transfer_cost,
@@ -613,13 +557,13 @@ SoftwareAssistedCache::victimToAux(
         return;
 
     if (cfg_.bounceBack && aux_victim.temporal) {
-        bounceBack<Detail>(aux_victim, transfer_cost, fill_targets);
+        bounceBack<F>(aux_victim, transfer_cost, fill_targets);
     } else if (aux_victim.dirty) {
-        pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+        pushWriteback<F>(cfg_.lineBytes, transfer_cost);
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::bounceBack(
     const cache::LineState &victim, Cycle &transfer_cost,
@@ -633,14 +577,13 @@ SoftwareAssistedCache::bounceBack(
     // overwritten anyway: cancel it so no ping-pong can occur.
     for (const auto &t : fill_targets) {
         if (t.set == set && t.way == way) {
-            if constexpr (Detail) {
+            if constexpr (counts(F)) {
                 ++stats_.bouncesCancelled;
-                SAC_TRACE_EVENT(tracer_, EventKind::BounceCancelled,
-                                now_, victim.lineAddr * cfg_.lineBytes,
-                                0);
+                traceEvent<F>(EventKind::BounceCancelled, now_,
+                              victim.lineAddr * cfg_.lineBytes, 0);
             }
             if (victim.dirty)
-                pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+                pushWriteback<F>(cfg_.lineBytes, transfer_cost);
             return;
         }
     }
@@ -649,27 +592,25 @@ SoftwareAssistedCache::bounceBack(
     if (resident.valid() && resident.dirty() && writeBuffer_.full()) {
         // Bouncing onto a dirty line with a full write buffer is
         // aborted (Section 2.2); the victim still needs writing back.
-        if constexpr (Detail) {
+        if constexpr (counts(F)) {
             ++stats_.bouncesAborted;
-            SAC_TRACE_EVENT(tracer_, EventKind::BounceAborted, now_,
-                            victim.lineAddr * cfg_.lineBytes, 0);
+            traceEvent<F>(EventKind::BounceAborted, now_,
+                          victim.lineAddr * cfg_.lineBytes, 0);
         }
         if (victim.dirty)
-            pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+            pushWriteback<F>(cfg_.lineBytes, transfer_cost);
         return;
     }
 
     if (resident.valid() && resident.dirty())
-        pushWriteback<Detail>(cfg_.lineBytes, transfer_cost);
+        pushWriteback<F>(cfg_.lineBytes, transfer_cost);
 
-#if SAC_INTERVAL_ENABLED
-    if constexpr (Detail) {
+    if constexpr (observes(F)) {
         // The bounce displaces whatever the chosen way held: an
         // eviction from the profiler's point of view.
         if (setProfiler_ && resident.valid())
             setProfiler_->onEviction(set);
     }
-#endif
     resident.assign(victim);
     // The "dynamic adjustment" of Section 2.2: the bit must be set
     // again by a tagged reference before the line may bounce again.
@@ -678,14 +619,14 @@ SoftwareAssistedCache::bounceBack(
     resident.setPrefetched(false);
     main_.touch(set, way);
     transfer_cost += cfg_.timing.dirtyTransferCycles;
-    if constexpr (Detail) {
+    if constexpr (counts(F)) {
         ++stats_.bounces;
-        SAC_TRACE_EVENT(tracer_, EventKind::Bounce, now_,
-                        victim.lineAddr * cfg_.lineBytes, 0);
+        traceEvent<F>(EventKind::Bounce, now_,
+                      victim.lineAddr * cfg_.lineBytes, 0);
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::pushWriteback(std::uint32_t bytes,
                                      Cycle &transfer_cost)
@@ -696,33 +637,31 @@ SoftwareAssistedCache::pushWriteback(std::uint32_t bytes,
         // warming differential compares); only the RunStats mirror is
         // fidelity-gated.
         writeBuffer_.noteFullStall();
-        if constexpr (Detail)
+        if constexpr (counts(F))
             ++stats_.writeBufferFullStalls;
         const std::uint32_t drained = writeBuffer_.pop();
-        if constexpr (Detail)
+        if constexpr (counts(F))
             stats_.bytesWrittenBack += drained;
         transfer_cost += cfg_.timing.transferCycles(drained);
         busFreeAt_ += cfg_.timing.transferCycles(drained);
     }
     writeBuffer_.push(bytes);
-    if constexpr (Detail) {
-        SAC_TRACE_EVENT(tracer_, EventKind::Writeback, now_, 0, bytes);
-    }
+    traceEvent<F>(EventKind::Writeback, now_, 0, bytes);
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::drainWriteBuffer()
 {
     while (writeBuffer_.occupancy() > 0) {
         const std::uint32_t bytes = writeBuffer_.pop();
-        if constexpr (Detail)
+        if constexpr (counts(F))
             stats_.bytesWrittenBack += bytes;
         busFreeAt_ += cfg_.timing.transferCycles(bytes);
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::issuePrefetch(Addr pf_line)
 {
@@ -742,7 +681,7 @@ SoftwareAssistedCache::issuePrefetch(Addr pf_line)
         }
     }
     if (all_resident) {
-        if constexpr (Detail)
+        if constexpr (counts(F))
             ++stats_.prefetchesAvoided;
         return;
     }
@@ -751,7 +690,7 @@ SoftwareAssistedCache::issuePrefetch(Addr pf_line)
         // Only one progressive prefetch is outstanding; land the old
         // one now if it has arrived, otherwise drop it.
         if (pending_.readyAt <= busFreeAt_)
-            installPendingPrefetch<Detail>();
+            installPendingPrefetch<F>();
         else
             pending_.valid = false;
     }
@@ -763,17 +702,17 @@ SoftwareAssistedCache::issuePrefetch(Addr pf_line)
             static_cast<std::uint64_t>(degree) * cfg_.lineBytes);
     pending_.valid = true;
     busFreeAt_ = pending_.readyAt;
-    if constexpr (Detail) {
+    if constexpr (counts(F)) {
         ++stats_.prefetchesIssued;
-        SAC_TRACE_EVENT(tracer_, EventKind::Prefetch, now_,
-                        pf_line * cfg_.lineBytes, degree);
+        traceEvent<F>(EventKind::Prefetch, now_, pf_line * cfg_.lineBytes,
+                      degree);
         stats_.bytesFetched +=
             static_cast<std::uint64_t>(degree) * cfg_.lineBytes;
         stats_.linesFetched += degree;
     }
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::installPendingPrefetch()
 {
@@ -801,21 +740,20 @@ SoftwareAssistedCache::installPendingPrefetch()
         SAC_ASSERT(slot.has_value(),
                    "freshly installed prefetch line vanished");
         slot->setPrefetched(true);
-        if constexpr (Detail) {
-            SAC_TRACE_EVENT(tracer_, EventKind::PrefetchInstall, now_,
-                            l * cfg_.lineBytes, 0);
-        }
+        traceEvent<F>(EventKind::PrefetchInstall, now_,
+                      l * cfg_.lineBytes, 0);
 
         if (aux_victim.valid) {
             Cycle hidden = 0; // off the critical path
             if (cfg_.bounceBack && aux_victim.temporal)
-                bounceBack<Detail>(aux_victim, hidden, {});
+                bounceBack<F>(aux_victim, hidden, {});
             else if (aux_victim.dirty)
-                pushWriteback<Detail>(cfg_.lineBytes, hidden);
+                pushWriteback<F>(cfg_.lineBytes, hidden);
         }
     }
 }
 
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::classify(Addr addr, bool was_miss)
 {
@@ -833,12 +771,12 @@ SoftwareAssistedCache::classify(Addr addr, bool was_miss)
         break;
       case sim::MissClass::Conflict:
         ++stats_.conflictMisses;
-#if SAC_INTERVAL_ENABLED
-        if (setProfiler_) {
-            setProfiler_->onConflict(
-                main_.setIndexOf(main_.lineAddrOf(addr)));
+        if constexpr (observes(F)) {
+            if (setProfiler_) {
+                setProfiler_->onConflict(
+                    main_.setIndexOf(main_.lineAddrOf(addr)));
+            }
         }
-#endif
         break;
     }
 }
@@ -854,13 +792,13 @@ SoftwareAssistedCache::applyTemporalTag(cache::CacheArray::LineRef line,
         line.setTemporal(true);
 }
 
-template <bool Detail>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::complete(Cycle completion, Cycle lock_until)
 {
     procReadyAt_ = completion;
     cacheFreeAt_ = std::max(cacheFreeAt_, lock_until);
-    if constexpr (Detail) {
+    if constexpr (counts(F)) {
         stats_.totalAccessCycles +=
             static_cast<double>(completion - now_);
         stats_.completionCycle =
@@ -881,13 +819,14 @@ SoftwareAssistedCache::finish()
 {
     if (finished_)
         return;
-    drainWriteBuffer<true>();
+    // The final drain counts its bytes even after a warming stretch
+    // (the sampled engines seal their runs that way), and the drain
+    // has no observer hook, so one instantiation serves every mode.
+    drainWriteBuffer<Fidelity::Detailed>();
     stats_.writeBufferFullStalls = writeBuffer_.fullStalls();
     finished_ = true;
-#if SAC_INTERVAL_ENABLED
     if (interval_ && statsMode_ == StatsMode::Detailed)
         interval_->finish(stats_, writeBuffer_.occupancy());
-#endif
 }
 
 sim::ArchState

@@ -36,12 +36,6 @@
 #include "src/telemetry/interval.hh"
 #include "src/trace/trace.hh"
 
-// CMake defines this via the SAC_AUDIT option; standalone compilations
-// get the audit hooks by default (mirrors SAC_TRACE_EVENTS_ENABLED).
-#ifndef SAC_AUDIT_ENABLED
-#define SAC_AUDIT_ENABLED 1
-#endif
-
 namespace sac {
 namespace trace {
 class TraceSource;
@@ -93,9 +87,9 @@ enum class DispatchMode
  * architectural state transition — cache arrays, LRU stamps, temporal
  * and prefetched bits, bounce-backs, write buffer, clocks — is
  * bit-identical to Detailed (proven by the warming-state differential
- * tests), but RunStats counters, the three-C miss classifier, event
- * tracing and audit hooks compile out of the access path, making
- * warming replay about twice as fast as full detail.
+ * tests), but RunStats counters, the three-C miss classifier and
+ * every observer hook compile out of the access path, making warming
+ * replay about twice as fast as full detail.
  */
 enum class StatsMode
 {
@@ -104,18 +98,18 @@ enum class StatsMode
 };
 
 /**
- * Post-access audit hook. When the build has SAC_AUDIT=ON the
- * simulator calls an attached auditor after every completed access so
- * it can re-derive structural invariants from the exposed state.
- * Implemented by check::Auditor; the abstract interface lives here so
- * src/core never depends on src/check.
+ * Post-access audit hook. The simulator calls an attached auditor
+ * after every detailed-mode access so it can re-derive structural
+ * invariants from the exposed state. Implemented by check::Auditor;
+ * the abstract interface lives here so src/core never depends on
+ * src/check.
  */
 class AccessAuditor
 {
   public:
     virtual ~AccessAuditor() = default;
 
-    /** Called after every access when audit hooks are compiled in. */
+    /** Called after every detailed-mode access. */
     virtual void afterAccess(const SoftwareAssistedCache &cache,
                              const trace::Record &rec) = 0;
 };
@@ -136,19 +130,7 @@ class SoftwareAssistedCache
                                        DispatchMode::Auto);
 
     /** Simulate one reference. References must arrive in issue order. */
-    void access(const trace::Record &rec)
-    {
-        (this->*accessFn_)(rec);
-#if SAC_AUDIT_ENABLED
-        if (auditor_ && statsMode_ == StatsMode::Detailed)
-            auditor_->afterAccess(*this, rec);
-#endif
-#if SAC_INTERVAL_ENABLED
-        if (interval_ && statsMode_ == StatsMode::Detailed)
-            interval_->afterAccess(stats_,
-                                   writeBuffer_.occupancy());
-#endif
-    }
+    void access(const trace::Record &rec) { runBatch(&rec, 1); }
 
     /** Simulate a whole trace (appends to the current state). */
     void run(const trace::Trace &t);
@@ -166,11 +148,11 @@ class SoftwareAssistedCache
     }
 
     /**
-     * Switch statistics fidelity mid-run (reselects the access path).
-     * Architectural state carries over untouched; in Warming mode the
-     * stats counters simply stop advancing.
+     * Switch statistics fidelity mid-run. Architectural state carries
+     * over untouched; in Warming mode the stats counters simply stop
+     * advancing.
      */
-    void setStatsMode(StatsMode m);
+    void setStatsMode(StatsMode m) { statsMode_ = m; }
 
     /** The active statistics fidelity. */
     StatsMode statsMode() const { return statsMode_; }
@@ -206,32 +188,26 @@ class SoftwareAssistedCache
     /** The active configuration. */
     const Config &config() const { return cfg_; }
 
+    // --- Observers ------------------------------------------------
+    //
+    // Attaching any observer routes detailed-mode replay through the
+    // Observed instantiation of the access path; with none attached
+    // the Detailed instantiation runs, which has no observer branch
+    // at all. Observers never perturb the simulation: RunStats are
+    // bit-identical with and without them. Pass nullptr to detach.
+
     /**
      * Attach an event tracer: access/fill/swap/bounce/evict/prefetch
-     * events are recorded into @p t with cycle stamps. Pass nullptr
-     * to detach. The recording sites only exist when the build has
-     * SAC_TRACE_EVENTS=ON; attaching is otherwise a no-op.
+     * events are recorded into @p t with cycle stamps.
      */
     void attachTracer(telemetry::EventTracer *t) { tracer_ = t; }
 
-    /**
-     * Attach a structural invariant auditor, invoked after every
-     * access. Pass nullptr to detach. The call site only exists when
-     * the build has SAC_AUDIT=ON; attaching is otherwise a no-op.
-     */
+    /** Attach a structural invariant auditor, run after every access. */
     void attachAuditor(AccessAuditor *a) { auditor_ = a; }
-
-    /** Were the SAC_AUDIT hooks compiled into this build? */
-    static constexpr bool auditHooksCompiledIn()
-    {
-        return SAC_AUDIT_ENABLED != 0;
-    }
 
     /**
      * Attach a periodic interval recorder: every detailed-mode access
      * ticks it, and finish() flushes the trailing partial interval.
-     * Pass nullptr to detach. The call sites only exist when the
-     * build has SAC_INTERVAL=ON; attaching is otherwise a no-op.
      */
     void attachIntervalRecorder(telemetry::IntervalRecorder *r)
     {
@@ -241,18 +217,11 @@ class SoftwareAssistedCache
     /**
      * Attach a per-set heat profiler (sized for mainArray().numSets())
      * recording access/miss/eviction/conflict per main-cache set in
-     * detailed mode. Pass nullptr to detach. Shares the SAC_INTERVAL
-     * compile-time gate with the interval recorder.
+     * detailed mode.
      */
     void attachSetProfiler(telemetry::SetProfiler *p)
     {
         setProfiler_ = p;
-    }
-
-    /** Were the SAC_INTERVAL hooks compiled into this build? */
-    static constexpr bool intervalHooksCompiledIn()
-    {
-        return SAC_INTERVAL_ENABLED != 0;
     }
 
     // --- Introspection (used by tests and check::Auditor) --------
@@ -352,65 +321,95 @@ class SoftwareAssistedCache
     };
 
     /**
+     * Fidelity of an access-path instantiation. Warming performs the
+     * same architectural state transitions as Detailed but compiles
+     * out every stats counter and the miss classifier. Observed is
+     * Detailed plus the observer hooks (tracer, auditor, interval
+     * recorder, set profiler); only it contains them.
+     */
+    enum class Fidelity
+    {
+        Warming,
+        Detailed,
+        Observed,
+    };
+
+    /** Does fidelity @p f advance RunStats? */
+    static constexpr bool counts(Fidelity f)
+    {
+        return f != Fidelity::Warming;
+    }
+
+    /** Does fidelity @p f call the attached observers? */
+    static constexpr bool observes(Fidelity f)
+    {
+        return f == Fidelity::Observed;
+    }
+
+    /**
      * The per-reference simulation, templated over which features MAY
      * be enabled. A true parameter keeps the runtime config check (so
      * the all-true instantiation is the general path, behaviorally
      * identical to the untemplated original); a false parameter
      * compiles the check out, which is only selected when the config
-     * provably never takes that branch.
-     *
-     * Detail selects the statistics fidelity: false is the functional-
-     * warming instantiation, which performs the same architectural
-     * state transitions but compiles out every stats counter, the miss
-     * classifier, and the event-trace sites.
+     * provably never takes that branch. @p F selects the fidelity.
      */
-    template <bool Detail, bool MayAux, bool MayVirtual,
-              bool MayPrefetch, bool MayBypass>
+    template <Fidelity F, bool MayAux, bool MayVirtual, bool MayPrefetch,
+              bool MayBypass>
     void accessTmpl(const trace::Record &rec);
 
-    /** Pointer to the instantiation matching featureSet_. */
-    using AccessFn =
-        void (SoftwareAssistedCache::*)(const trace::Record &);
-
-    /** Instantiation lookup for (@p fs, @p mode) (static table). */
-    static AccessFn selectAccessFn(FeatureSet fs, StatsMode mode);
-
-    /** The accessTmpl instantiation for @p fs at fidelity @p Detail. */
-    template <bool Detail>
-    static AccessFn selectAccessFnImpl(FeatureSet fs);
-
     /**
-     * Replay @p n records through the accessTmpl instantiation of the
-     * template arguments directly, so the per-record call is direct
-     * (inlinable) instead of through the accessFn_ member pointer.
+     * Replay @p n records through one accessTmpl instantiation, then
+     * (Observed only) run the auditor and interval hooks per record.
      */
-    template <bool Detail, bool MayAux, bool MayVirtual,
-              bool MayPrefetch, bool MayBypass>
+    template <Fidelity F, bool MayAux, bool MayVirtual, bool MayPrefetch,
+              bool MayBypass>
     void runBatchTmpl(const trace::Record *recs, std::size_t n);
 
-    /** Dispatch once on the feature set at fidelity @p Detail. */
-    template <bool Detail>
+    /** Dispatch once on the feature set at fidelity @p F. */
+    template <Fidelity F>
     void runBatchDispatch(const trace::Record *recs, std::size_t n);
 
-    /** Dispatch once on mode and featureSet_, then replay @p n. */
+    /**
+     * Replay @p n records at the fidelity the current state calls for:
+     * Warming when statsMode_ is Warming, else Observed when any
+     * observer is attached, else Detailed.
+     */
     void runBatch(const trace::Record *recs, std::size_t n);
 
+    /** Is any observer attached? */
+    bool observed() const
+    {
+        return tracer_ || auditor_ || interval_ || setProfiler_;
+    }
+
+    /** Record one event into the attached tracer (Observed only). */
+    template <Fidelity F>
+    void traceEvent(telemetry::EventKind kind, Cycle cycle, Addr addr,
+                    std::uint32_t arg)
+    {
+        if constexpr (observes(F)) {
+            if (tracer_)
+                tracer_->record(kind, cycle, addr, arg);
+        }
+    }
+
     /** Serve a hit in the main cache. */
-    template <bool Detail>
+    template <Fidelity F>
     void handleMainHit(const trace::Record &rec, std::uint32_t way,
                        Cycle start);
 
     /** Serve a hit in the aux (bounce-back / victim) cache. */
-    template <bool Detail, bool MayPrefetch>
+    template <Fidelity F, bool MayPrefetch>
     void handleAuxHit(const trace::Record &rec, std::uint32_t way,
                       Cycle start);
 
     /** Serve a bypassed non-temporal reference. */
-    template <bool Detail>
+    template <Fidelity F>
     void handleBypass(const trace::Record &rec, Cycle start);
 
     /** Serve a demand miss (possibly a virtual-line fill). */
-    template <bool Detail, bool MayAux, bool MayVirtual, bool MayPrefetch>
+    template <Fidelity F, bool MayAux, bool MayVirtual, bool MayPrefetch>
     void handleMiss(const trace::Record &rec, Cycle start);
 
     /**
@@ -419,7 +418,7 @@ class SoftwareAssistedCache
      * @param transfer_cost accumulates hidden transfer cycles
      * @param fill_targets slots already filled by this miss
      */
-    template <bool Detail>
+    template <Fidelity F>
     FillTarget insertIntoMain(Addr line_addr, Cycle &transfer_cost,
                               std::vector<FillTarget> &fill_targets);
 
@@ -428,32 +427,33 @@ class SoftwareAssistedCache
      * victim back to the main cache when the bounce-back mechanism is
      * active and its temporal bit is set.
      */
-    template <bool Detail>
+    template <Fidelity F>
     void victimToAux(const cache::LineState &victim, Cycle &transfer_cost,
                      const std::vector<FillTarget> &fill_targets);
 
     /** Bounce an aux victim back into the main cache (Section 2.2). */
-    template <bool Detail>
+    template <Fidelity F>
     void bounceBack(const cache::LineState &victim, Cycle &transfer_cost,
                     const std::vector<FillTarget> &fill_targets);
 
     /** Queue a line writeback, forcing a drain when the buffer is full. */
-    template <bool Detail>
+    template <Fidelity F>
     void pushWriteback(std::uint32_t bytes, Cycle &transfer_cost);
 
     /** Drain the whole write buffer over the bus (post-miss). */
-    template <bool Detail>
+    template <Fidelity F>
     void drainWriteBuffer();
 
     /** Issue a progressive next-line prefetch for @p pf_line. */
-    template <bool Detail>
+    template <Fidelity F>
     void issuePrefetch(Addr pf_line);
 
     /** Install the pending prefetched line into the aux cache. */
-    template <bool Detail>
+    template <Fidelity F>
     void installPendingPrefetch();
 
     /** Record a classified demand miss. */
+    template <Fidelity F>
     void classify(Addr addr, bool was_miss);
 
     /** Update the per-line temporal bit from the instruction tag. */
@@ -462,7 +462,7 @@ class SoftwareAssistedCache
                                  bool temporal_bits_enabled);
 
     /** Finish one access: accounting and cache-busy update. */
-    template <bool Detail>
+    template <Fidelity F>
     void complete(Cycle completion, Cycle lock_until);
 
     /** Replacement policy for main-cache fills. */
@@ -504,7 +504,6 @@ class SoftwareAssistedCache
     FeatureSet featureSet_ = FeatureSet::General;
     /** Statistics fidelity (switchable mid-run by the sampler). */
     StatsMode statsMode_ = StatsMode::Detailed;
-    AccessFn accessFn_ = nullptr;
 
     /** Event sink; null = tracing off (the common, fast case). */
     telemetry::EventTracer *tracer_ = nullptr;

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "src/telemetry/event_trace.hh"
 #include "src/util/args.hh"
 #include "src/util/thread_pool.hh"
 
@@ -114,10 +113,6 @@ BenchOptions::parse(const util::Args &args)
 
     opts.interval = count_flag("interval", opts.interval, 0);
     opts.heatmap = args.has("heatmap");
-    opts.traceRing = static_cast<std::size_t>(
-        count_flag("trace-ring", opts.traceRing, 0));
-    if (opts.traceRing > 0)
-        telemetry::EventTracer::setDefaultCapacity(opts.traceRing);
 
     const auto real_flag = [&args](const char *key, double fallback) {
         if (!args.has(key))

@@ -295,10 +295,8 @@ Runner::runStreamed(const Workload &w,
                 const std::size_t g1 =
                     std::min(sims.size(), g0 + per);
                 tasks.push_back(pool->submit([&sims, g0, g1, data, n] {
-                    for (std::size_t s = g0; s < g1; ++s) {
-                        for (std::size_t i = 0; i < n; ++i)
-                            sims[s]->access(data[i]);
-                    }
+                    for (std::size_t s = g0; s < g1; ++s)
+                        sims[s]->replay(data, n);
                 }));
             }
             const std::size_t nxt = 1 - cur;
@@ -311,10 +309,8 @@ Runner::runStreamed(const Workload &w,
             cur = nxt;
             n = n_next;
         } else {
-            for (auto &sim : sims) {
-                for (std::size_t i = 0; i < n; ++i)
-                    sim->access(batches[cur][i]);
-            }
+            for (auto &sim : sims)
+                sim->replay(batches[cur].data(), n);
             n = src.next(batches[cur].data(), chunk_records);
         }
     }

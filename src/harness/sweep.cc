@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <future>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 
 #include "src/telemetry/counter_registry.hh"
@@ -195,16 +194,6 @@ renderCell(const ManifestCell &cell, EngineTag tag,
                         cell.instrument.heatmap);
     if (!wants)
         return m;
-    if (!core::SoftwareAssistedCache::intervalHooksCompiledIn()) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::cerr << "warning: --interval/--heatmap requested but "
-                         "this build has SAC_INTERVAL=OFF; emitting "
-                         "plain manifests (reconfigure with "
-                         "-DSAC_INTERVAL=ON)\n";
-        }
-        return m;
-    }
 
     // Instrumented re-replay. The hooks observe without perturbing,
     // so the result must reproduce the recorded run bit-for-bit.

@@ -1,7 +1,6 @@
 #include "src/telemetry/event_trace.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -52,39 +51,6 @@ kindName(EventKind kind)
 EventTracer::EventTracer(std::size_t capacity)
     : ring_(std::max<std::size_t>(capacity, 2))
 {
-}
-
-namespace {
-
-std::size_t &
-capacityOverride()
-{
-    static std::size_t value = 0; // 0 = no override
-    return value;
-}
-
-} // namespace
-
-std::size_t
-EventTracer::defaultCapacity()
-{
-    if (capacityOverride() != 0)
-        return capacityOverride();
-    // Parsed per call (not cached) so tests and long-lived harnesses
-    // observe environment changes.
-    if (const char *env = std::getenv("SAC_TRACE_RING")) {
-        char *end = nullptr;
-        const unsigned long long n = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<std::size_t>(n);
-    }
-    return 1 << 16;
-}
-
-void
-EventTracer::setDefaultCapacity(std::size_t n)
-{
-    capacityOverride() = n;
 }
 
 std::size_t

@@ -5,11 +5,10 @@
  * exportable as Chrome trace_event JSON for visual inspection of a
  * window of a run in chrome://tracing or Perfetto.
  *
- * The simulator hooks are compile-time gated: configure with
- * -DSAC_TRACE_EVENTS=OFF to compile every SAC_TRACE_EVENT() site out
- * entirely (zero overhead, verified by bench_simspeed). With the
- * hooks compiled in, an unattached tracer costs one predictable
- * branch per event site.
+ * Attach one with core::SoftwareAssistedCache::attachTracer(): the
+ * simulator's event sites exist only in its Observed access path,
+ * which runs while an observer is attached, so a simulator without
+ * one pays nothing for them.
  */
 
 #ifndef SAC_TELEMETRY_EVENT_TRACE_HH
@@ -21,26 +20,6 @@
 #include <vector>
 
 #include "src/util/types.hh"
-
-// CMake normally defines this (option SAC_TRACE_EVENTS); standalone
-// compilations get the hooks by default.
-#ifndef SAC_TRACE_EVENTS_ENABLED
-#define SAC_TRACE_EVENTS_ENABLED 1
-#endif
-
-#if SAC_TRACE_EVENTS_ENABLED
-/** Record an event iff @p tracer is attached (compiled in). */
-#define SAC_TRACE_EVENT(tracer, kind, cycle, addr, arg)                     \
-    do {                                                                    \
-        if (tracer)                                                         \
-            (tracer)->record((kind), (cycle), (addr), (arg));               \
-    } while (0)
-#else
-/** Event tracing compiled out: the site vanishes entirely. */
-#define SAC_TRACE_EVENT(tracer, kind, cycle, addr, arg)                     \
-    do {                                                                    \
-    } while (0)
-#endif
 
 namespace sac {
 namespace telemetry {
@@ -88,25 +67,8 @@ struct Event
 class EventTracer
 {
   public:
-    /** A tracer of defaultCapacity() events. */
-    EventTracer() : EventTracer(defaultCapacity()) {}
-
     /** @param capacity ring size in events (rounded up to >= 2). */
     explicit EventTracer(std::size_t capacity);
-
-    /**
-     * Ring capacity used when none is given: the process-wide
-     * override set by setDefaultCapacity() (harness `--trace-ring`),
-     * else the SAC_TRACE_RING environment variable (events, parsed
-     * per call so tests can vary it), else 65536.
-     */
-    static std::size_t defaultCapacity();
-
-    /**
-     * Set (n > 0) or clear (n = 0) the process-wide default capacity
-     * override; takes precedence over SAC_TRACE_RING.
-     */
-    static void setDefaultCapacity(std::size_t n);
 
     /** Record one event (overwrites the oldest when full). */
     void

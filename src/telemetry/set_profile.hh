@@ -7,8 +7,8 @@
  * show *which* sets the assisted configurations decongest instead of
  * only how many conflict misses disappeared in aggregate.
  *
- * The simulator hooks (attachSetProfiler) share the SAC_INTERVAL
- * compile-time gate with the interval engine and only run in detailed
+ * The simulator hooks (attachSetProfiler) live in its Observed access
+ * path with the interval engine's and only run in detailed
  * StatsMode. The profiler itself is simulator-agnostic: plain
  * per-set vectors any array-indexed structure can drive.
  */

@@ -3,9 +3,9 @@
  * The fixed-seed differential fuzz budget run under CTest: 5000
  * adversarial (config, trace) cases generated from
  * check::TraceFuzzer::defaultMasterSeed, replayed through both
- * core::SoftwareAssistedCache (with the auditor attached when
- * SAC_AUDIT=ON) and the sim::ReferenceModel oracle. Sharded so the
- * sweep parallelizes under `ctest -j`. Any failure prints the case
+ * core::SoftwareAssistedCache (with the auditor attached) and the
+ * sim::ReferenceModel oracle. Sharded so the sweep parallelizes under
+ * `ctest -j`. Any failure prints the case
  * seed and the one-line fuzz_replay command.
  */
 

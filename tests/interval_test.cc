@@ -2,8 +2,8 @@
  * @file
  * Tests of the time-resolved telemetry layer: IntervalRecorder
  * snapshot mechanics and JSONL export, the SetProfiler heat counters,
- * and — in builds with SAC_INTERVAL=ON — the differential guarantees
- * that per-interval deltas sum bit-for-bit to the final RunStats,
+ * and the differential guarantees that per-interval deltas sum
+ * bit-for-bit to the final RunStats,
  * that attaching the instrumentation never perturbs the simulation,
  * and that an instrumented exact-cell manifest (writeCellManifest with
  * ManifestCell::trace/instrument) carries the profile block plus the
@@ -216,8 +216,6 @@ writeInstrumented(const std::string &dir, const core::Config &cfg,
                                       harness::EngineTag::ExactReplay);
 }
 
-#if SAC_INTERVAL_ENABLED
-
 TEST(IntervalDifferential, DeltasSumExactlyToTheFinalRunStats)
 {
     const auto t =
@@ -350,30 +348,5 @@ TEST(InstrumentedManifest, NoInstrumentationRequestedWritesPlain)
     EXPECT_FALSE(std::ifstream(jsonl).good());
     std::remove(path.c_str());
 }
-
-#else // !SAC_INTERVAL_ENABLED
-
-TEST(InstrumentedManifest, CompiledOutBuildFallsBackToPlainManifest)
-{
-    const auto t =
-        workloads::makeTaggedTrace(workloads::buildMv(32));
-    const auto cfg = core::presets().get("soft");
-    const auto stats = core::simulateTrace(t, cfg);
-    const std::string dir =
-        testing::TempDir() + "sac_fallback_manifest_test";
-
-    const harness::InstrumentOptions io{400, true};
-    const auto path = writeInstrumented(dir, cfg, t, stats, io, 0.5);
-    ASSERT_FALSE(path.empty());
-    const auto doc = slurp(path);
-    EXPECT_EQ(doc.find("\"profile\""), std::string::npos);
-    std::string jsonl = path;
-    jsonl.replace(jsonl.rfind(".json"), 5, ".intervals.jsonl");
-    EXPECT_FALSE(std::ifstream(jsonl).good());
-    EXPECT_FALSE(core::SoftwareAssistedCache::intervalHooksCompiledIn());
-    std::remove(path.c_str());
-}
-
-#endif // SAC_INTERVAL_ENABLED
 
 } // namespace

@@ -9,16 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "src/core/config.hh"
+#include "src/check/auditor.hh"
 #include "src/core/soft_cache.hh"
 #include "src/harness/experiment.hh"
 #include "src/harness/sweep.hh"
 #include "src/telemetry/counter_registry.hh"
 #include "src/telemetry/event_trace.hh"
+#include "src/telemetry/interval.hh"
 #include "src/telemetry/manifest.hh"
 #include "src/telemetry/phase_timer.hh"
 #include "src/util/json.hh"
@@ -471,10 +472,9 @@ TEST(RunStatsRegistry, PrefixAndMergeSupportSweepAggregation)
     EXPECT_EQ(both.value("soft.access.total"), s2.accesses);
 }
 
-#if SAC_TRACE_EVENTS_ENABLED
 /**
- * With the hooks compiled in, an attached tracer observes exactly the
- * events RunStats counts (capacity chosen to hold the whole run).
+ * An attached tracer observes exactly the events RunStats counts
+ * (capacity chosen to hold the whole run).
  */
 TEST(EventTracer, SimulatorEventsMatchRunStats)
 {
@@ -508,16 +508,46 @@ TEST(EventTracer, SimulatorEventsMatchRunStats)
         EXPECT_LE(events[i - 1].cycle, events[i].cycle);
 }
 
+/**
+ * Observers attached for the first half of a run see exactly that
+ * half; once detached, replay drops back to the hook-free path, and
+ * neither switch perturbs the simulation.
+ */
 TEST(EventTracer, DetachedTracerRecordsNothing)
 {
     const auto t =
         workloads::makeTaggedTrace(workloads::buildMv(20));
-    core::SoftwareAssistedCache sim(core::presets().get("soft"));
-    sim.run(t);
+    const auto cfg = core::presets().get("soft");
+    const std::size_t half = t.size() / 2;
+    ASSERT_GT(half, 0u);
+
+    core::SoftwareAssistedCache sim(cfg);
+    EventTracer tr(1 << 20);
+    check::Auditor auditor(check::Auditor::OnViolation::Record);
+    telemetry::IntervalRecorder rec(half);
+    sim.attachTracer(&tr);
+    sim.attachAuditor(&auditor);
+    sim.attachIntervalRecorder(&rec);
+    sim.replay(t.data(), half);
+    sim.attachTracer(nullptr);
+    sim.attachAuditor(nullptr);
+    sim.attachIntervalRecorder(nullptr);
+    sim.replay(t.data() + half, t.size() - half);
     sim.finish();
-    EXPECT_GT(sim.stats().accesses, 0u);
+
+    ASSERT_EQ(tr.dropped(), 0u) << "capacity too small for the test";
+    EXPECT_EQ(tr.kindTallies()[static_cast<std::size_t>(
+                  EventKind::Access)],
+              half);
+    EXPECT_EQ(auditor.accessesAudited(), half);
+    EXPECT_EQ(auditor.violationCount(), 0u);
+    ASSERT_EQ(rec.snapshots().size(), 1u);
+    EXPECT_EQ(rec.snapshots()[0].endRecord, half);
+    EXPECT_EQ(rec.snapshots()[0].cumulative.accesses, half);
+
+    EXPECT_EQ(sim.stats().accesses, t.size());
+    EXPECT_EQ(sim.stats(), core::simulateTrace(t, cfg));
 }
-#endif // SAC_TRACE_EVENTS_ENABLED
 
 TEST(Manifest, FileNameIsSanitizedAndStable)
 {
@@ -734,41 +764,11 @@ TEST(CounterRegistry, PrometheusExpositionFormat)
               std::string::npos);
 }
 
-TEST(EventTracer, RingCapacityIsRuntimeConfigurable)
-{
-    // Highest priority: an explicit constructor argument.
-    EXPECT_EQ(EventTracer(64).capacity(), 64u);
-
-    // Next: the process-wide override (what --trace-ring sets).
-    EventTracer::setDefaultCapacity(32);
-    EXPECT_EQ(EventTracer::defaultCapacity(), 32u);
-    EXPECT_EQ(EventTracer().capacity(), 32u);
-    EXPECT_EQ(EventTracer(8).capacity(), 8u); // explicit still wins
-
-    // Then the SAC_TRACE_RING environment variable.
-    EventTracer::setDefaultCapacity(0); // clear the override
-    ::setenv("SAC_TRACE_RING", "48", 1);
-    EXPECT_EQ(EventTracer::defaultCapacity(), 48u);
-    EXPECT_EQ(EventTracer().capacity(), 48u);
-    EventTracer::setDefaultCapacity(24); // override beats the env
-    EXPECT_EQ(EventTracer::defaultCapacity(), 24u);
-    EventTracer::setDefaultCapacity(0);
-
-    // Garbage and zero env values fall back to the built-in default.
-    ::setenv("SAC_TRACE_RING", "not-a-number", 1);
-    EXPECT_EQ(EventTracer::defaultCapacity(), std::size_t{1} << 16);
-    ::setenv("SAC_TRACE_RING", "0", 1);
-    EXPECT_EQ(EventTracer::defaultCapacity(), std::size_t{1} << 16);
-    ::unsetenv("SAC_TRACE_RING");
-    EXPECT_EQ(EventTracer::defaultCapacity(), std::size_t{1} << 16);
-}
-
 TEST(EventTracer, WrapsCorrectlyAtARuntimeConfiguredBoundary)
 {
     // Regression guard for the runtime-sized ring: an odd, small
     // capacity must still keep exactly the newest window in order.
-    EventTracer::setDefaultCapacity(5);
-    EventTracer tr;
+    EventTracer tr(5);
     ASSERT_EQ(tr.capacity(), 5u);
     for (std::uint32_t i = 0; i < 13; ++i)
         tr.record(EventKind::Access, i, i * 8, i);
@@ -781,12 +781,6 @@ TEST(EventTracer, WrapsCorrectlyAtARuntimeConfiguredBoundary)
         EXPECT_EQ(events[i].cycle, 8u + i);
         EXPECT_EQ(events[i].arg, 8u + i);
     }
-    EventTracer::setDefaultCapacity(0);
-
-    // The minimum capacity clamp holds for runtime values too.
-    EventTracer::setDefaultCapacity(1);
-    EXPECT_GE(EventTracer().capacity(), 2u);
-    EventTracer::setDefaultCapacity(0);
 }
 
 TEST(PhaseTimer, NestedScopedPhasesAccumulateIndependently)

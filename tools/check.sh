@@ -25,9 +25,9 @@
 #                               # the single-pass stack engine against
 #                               # exact replay on presets + fuzz corpus,
 #                               # Mattson properties, analytic oracle
-#   tools/check.sh telemetry    # observability pipeline smoke: an
-#                               # SAC_INTERVAL=ON sweep with --interval
-#                               # and --heatmap, then sac_report.py
+#   tools/check.sh telemetry    # observability pipeline smoke: a
+#                               # sweep with --interval and
+#                               # --heatmap, then sac_report.py
 #                               # check/render/diff over the manifests
 #                               # (diff must catch an injected
 #                               # regression and survive a zero
@@ -54,11 +54,12 @@
 # (empty for plain) and runs ctest. The script stops at the first
 # failing mode.
 #
-# Fuzzing: every leg builds with -DSAC_AUDIT=ON so the structural
-# invariant auditor runs inside the differential fuzz sweep. The
-# address (ASan+UBSan) leg additionally replays the fixed-seed fuzz
-# budget through examples/fuzz_replay; --fuzz-seconds N appends a
-# randomized soak of N seconds to the plain leg.
+# Fuzzing: the differential fuzz sweep always runs the structural
+# invariant auditor (attaching it selects the simulator's Observed
+# access path in every build). The address (ASan+UBSan) leg
+# additionally replays the fixed-seed fuzz budget through
+# examples/fuzz_replay; --fuzz-seconds N appends a randomized soak of
+# N seconds to the plain leg.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -119,7 +120,6 @@ for mode in "${modes[@]}"; do
                  bench_related_work bench_profile_tags)
         echo "=== [benches] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         targets=()
         for b in "${benches[@]}"; do
@@ -168,7 +168,6 @@ EOF
         build_dir="build-check-perf"
         echo "=== [perf] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF -DSAC_INTERVAL=OFF -DSAC_TRACE_EVENTS=ON \
             -DCMAKE_BUILD_TYPE=Release > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" --target bench_simspeed
         echo "=== [perf] bench_simspeed ==="
@@ -191,7 +190,6 @@ EOF
         build_dir="build-check-sampling"
         echo "=== [sampling] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=ON \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_sampling_test
@@ -211,7 +209,6 @@ EOF
         build_dir="build-check-stack"
         echo "=== [stack] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="address" \
-            -DSAC_AUDIT=ON \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_stack_engine_test
@@ -223,14 +220,12 @@ EOF
     fi
     if [[ "$mode" == "telemetry" ]]; then
         # Telemetry leg: drive the full observability pipeline end to
-        # end — build with the interval/heat-profile hooks compiled in,
-        # run the interval differential tests, sweep Figure 7 with
+        # end — run the interval differential tests, sweep Figure 7 with
         # --interval/--heatmap, then validate + render the output with
         # sac_report.py and prove `diff` catches a planted regression.
         build_dir="build-check-telemetry"
         echo "=== [telemetry] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF -DSAC_INTERVAL=ON \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target bench_fig07_traffic_missratio \
@@ -314,7 +309,6 @@ EOF
         build_dir="build-check-checkpoint"
         echo "=== [checkpoint] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sac_test_checkpoint_test \
@@ -404,7 +398,6 @@ EOF
         build_dir="build-check-service"
         echo "=== [service] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DSAC_AUDIT=OFF \
             -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
         cmake --build "${build_dir}" -j "$(nproc)" \
             --target sacd --target sacctl \
@@ -503,10 +496,7 @@ EOF
     esac
     build_dir="build-check-${mode}"
     echo "=== [${mode}] configure + build (${build_dir}) ==="
-    # SAC_AUDIT is passed explicitly: stale build-check-* caches would
-    # otherwise keep whatever default they were first configured with.
     cmake -B "${build_dir}" -S . -DSAC_SANITIZE="${sanitize}" \
-        -DSAC_AUDIT=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
     cmake --build "${build_dir}" -j "$(nproc)"
     echo "=== [${mode}] ctest ==="

@@ -348,8 +348,9 @@ def render_perf(kind, path, doc):
             f"<tr><td class=name>{html.escape(r['fast'])} / "
             f"{html.escape(r['slow'])}</td>"
             f"<td>{r.get('ratio', 0):.2f}x</td>"
-            f"<td>{r.get('floor', 0):.2f}x</td>"
-            f"<td>{html.escape(str(r.get('skipped', '') or ('ok' if r.get('ok') else 'REGRESSED')))}</td></tr>"
+            + (f"<td>{r['floor']:.2f}x</td>" if "floor" in r
+               else "<td>-</td>")
+            + f"<td>{html.escape(str(r.get('skipped', '') or ('ok' if r.get('ok') else 'REGRESSED')))}</td></tr>"
             for r in doc.get("ratios", []))
         parts.append("<table><tr><th class=name>ratio</th>"
                      "<th>value</th><th>floor</th><th>verdict</th>"
