@@ -61,6 +61,26 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration);
 
+/**
+ * Generation through the plan's checked path: the sparse product's
+ * indirect bounds, index loads and gathers are evaluated and checked
+ * per record instead of strength-reduced.
+ */
+void
+BM_TraceGenerationIndirect(benchmark::State &state)
+{
+    std::uint64_t seed = 1;
+    std::int64_t records = 0;
+    for (auto _ : state) {
+        const auto t = workloads::makeTaggedTrace(
+            workloads::buildSpMv(200), seed++);
+        benchmark::DoNotOptimize(t.size());
+        records += static_cast<std::int64_t>(t.size());
+    }
+    state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_TraceGenerationIndirect);
+
 void
 BM_LocalityAnalysis(benchmark::State &state)
 {

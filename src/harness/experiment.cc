@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "src/harness/sweep.hh"
+#include "src/sim/checkpoint.hh"
 #include "src/telemetry/counter_registry.hh"
 #include "src/telemetry/manifest.hh"
 #include "src/util/logging.hh"
@@ -56,8 +57,8 @@ auxHitShareMetric()
             [](const sim::RunStats &s) { return s.auxHitShare(); }, 3};
 }
 
-const trace::Trace &
-Runner::traceOf(const Workload &w)
+Runner::TraceSlot &
+Runner::slotOf(const Workload &w)
 {
     TraceSlot *slot = nullptr;
     {
@@ -72,7 +73,22 @@ Runner::traceOf(const Workload &w)
         slot->value = w.build();
         tracesGenerated_.fetch_add(1);
     });
-    return slot->value;
+    return *slot;
+}
+
+const trace::Trace &
+Runner::traceOf(const Workload &w)
+{
+    return slotOf(w).value;
+}
+
+std::uint64_t
+Runner::traceHashOf(const Workload &w)
+{
+    TraceSlot &slot = slotOf(w);
+    std::call_once(slot.hashOnce,
+                   [&slot] { slot.hash = sim::hashTrace(slot.value); });
+    return slot.hash;
 }
 
 void

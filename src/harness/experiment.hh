@@ -227,12 +227,24 @@ class Runner
     /** Add @p delta to counter @p name (registered on first use). */
     void count(const char *name, const char *desc, std::uint64_t delta);
 
-    /** A once-latched trace slot: built exactly once, then immutable. */
+    /**
+     * A once-latched trace slot: built exactly once, then immutable.
+     * Its content hash (sim::hashTrace, the live-point library
+     * identity) is latched separately, on first request.
+     */
     struct TraceSlot
     {
         std::once_flag once;
         trace::Trace value;
+        std::once_flag hashOnce;
+        std::uint64_t hash = 0;
     };
+
+    /** The slot of @p w, its trace generated on first use. */
+    TraceSlot &slotOf(const Workload &w);
+
+    /** sim::hashTrace of traceOf(@p w), computed once per trace. */
+    std::uint64_t traceHashOf(const Workload &w);
 
     /** Guards the maps below (not the slots) and the counters. */
     mutable std::mutex mutex_;

@@ -580,13 +580,12 @@ Runner::run(const SweepRequest &request)
               "cells exact-replayed in stack-dispatched sweeps",
               tasks.size());
 
-    // Library identity is the trace *content*, not its name: hash once
-    // per workload, before the cells fan out.
+    // Library identity is the trace *content*, not its name: hash
+    // before the cells fan out, once per resident trace.
     std::vector<std::uint64_t> trace_hashes(n_w, 0);
     if (!p.libraryDir.empty()) {
         for (std::size_t wi = 0; wi < n_w; ++wi)
-            trace_hashes[wi] =
-                sim::hashTrace(traceOf(request.workloads[wi]));
+            trace_hashes[wi] = traceHashOf(request.workloads[wi]);
     }
 
     // Each stack pass covers the whole family of its workload; a

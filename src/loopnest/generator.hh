@@ -1,16 +1,20 @@
 /**
  * @file
- * The loop-nest interpreter: executes a finalized Program and emits
- * the memory-reference trace, attaching the software tags computed by
- * the locality analyzer and an issue-time delta sampled from the
- * timing model — the reproduction of the paper's instrumented trace
- * extraction (Section 3.1).
+ * Trace generation from a loop nest: each finalized Program is
+ * lowered once into a flat trace plan, and an executor runs the plan
+ * to emit the memory-reference trace, attaching the software tags
+ * computed by the locality analyzer and an issue-time delta sampled
+ * from the timing model — the reproduction of the paper's
+ * instrumented trace extraction (Section 3.1). DESIGN.md section 17
+ * describes the plan's ops, where subscript checks run and the order
+ * of the delta draws.
  */
 
 #ifndef SAC_LOOPNEST_GENERATOR_HH
 #define SAC_LOOPNEST_GENERATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/loopnest/program.hh"
@@ -42,6 +46,8 @@ using TagVector = std::vector<Tags>;
 /**
  * Executes a Program, emitting one trace Record per dynamic array
  * reference (including indirect-subscript and indirect-bound loads).
+ * The constructor lowers the program into its plan; every run()
+ * executes that plan.
  */
 class TraceGenerator
 {
@@ -54,6 +60,7 @@ class TraceGenerator
      */
     TraceGenerator(const Program &program, const TagVector &tags,
                    trace::TimingModel &timing);
+    ~TraceGenerator();
 
     /**
      * Run the program and append its references to @p out.
@@ -74,37 +81,13 @@ class TraceGenerator
     /** Default record-count safety cap. */
     static constexpr std::uint64_t defaultMaxRecords = 200'000'000;
 
+    /** The lowered program (defined in generator.cc). */
+    struct Plan;
+
   private:
-    void execStmts(const std::vector<Stmt> &stmts);
-    void execLoop(const Loop &l);
-    void execRef(const ArrayRef &r);
-
-    /** Evaluate a bound, tracing its indirect load if present. */
-    std::int64_t evalBound(const Bound &b);
-
-    /**
-     * Evaluate an indirect part: traces the index-array load and
-     * returns the loaded value.
-     */
-    std::int64_t evalIndirect(const IndirectPart &p);
-
-    /** Emit one record for address @p addr. */
-    void emit(Addr addr, RefId ref, trace::AccessType type);
-
-    /** Byte address of element @p linear of array @p a. */
-    Addr elementAddr(ArrayId a, std::int64_t linear) const;
-
-    /** Column-major linearization with bounds checking. */
-    std::int64_t linearize(const ArrayDecl &a,
-                           const std::vector<std::int64_t> &idx) const;
-
     const Program &program_;
-    const TagVector &tags_;
+    std::unique_ptr<const Plan> plan_;
     trace::TimingModel &timing_;
-    std::vector<std::int64_t> env_;
-    const trace::RecordSink *sink_ = nullptr;
-    std::uint64_t emitted_ = 0;
-    std::uint64_t maxRecords_ = defaultMaxRecords;
 };
 
 /**

@@ -6,8 +6,9 @@
  * This IR is the reproduction's stand-in for the Fortran sources the
  * paper instrumented with Sage++: workloads are written against it,
  * the locality analyzer (src/locality) computes the per-reference
- * temporal/spatial tags from it, and the interpreter
- * (src/loopnest/generator) executes it to emit a reference trace.
+ * temporal/spatial tags from it, and the trace generator
+ * (src/loopnest/generator) lowers it into a flat plan and executes
+ * that to emit a reference trace.
  */
 
 #ifndef SAC_LOOPNEST_PROGRAM_HH

@@ -1,7 +1,5 @@
 #include "src/trace/timing_model.hh"
 
-#include "src/util/logging.hh"
-
 namespace sac {
 namespace trace {
 
@@ -25,7 +23,7 @@ TimingModel::figure4bDistribution()
 }
 
 TimingModel::TimingModel(std::uint64_t seed)
-    : dist_(figure4bDistribution()), rng_(seed)
+    : TimingModel(figure4bDistribution(), seed)
 {
 }
 
@@ -33,14 +31,11 @@ TimingModel::TimingModel(util::DiscreteDistribution dist,
                          std::uint64_t seed)
     : dist_(std::move(dist)), rng_(seed)
 {
-}
-
-std::uint16_t
-TimingModel::sampleDelta()
-{
-    const auto d = dist_.sample(rng_);
-    SAC_ASSERT(d >= 1 && d <= 0xffff, "delta out of range");
-    return static_cast<std::uint16_t>(d);
+    for (std::size_t i = 0; i < dist_.size(); ++i) {
+        const std::int64_t d = dist_.value(i);
+        deltas_.push_back(
+            d >= 1 && d <= 0xffff ? static_cast<std::uint16_t>(d) : 0);
+    }
 }
 
 } // namespace trace

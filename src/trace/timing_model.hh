@@ -14,8 +14,10 @@
 #define SAC_TRACE_TIMING_MODEL_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "src/util/distribution.hh"
+#include "src/util/logging.hh"
 #include "src/util/rng.hh"
 
 namespace sac {
@@ -36,7 +38,13 @@ class TimingModel
     TimingModel(util::DiscreteDistribution dist, std::uint64_t seed);
 
     /** Sample the delta (>= 1 cycle) for the next trace entry. */
-    std::uint16_t sampleDelta();
+    std::uint16_t
+    sampleDelta()
+    {
+        const std::uint16_t d = deltas_[dist_.sampleIndex(rng_)];
+        SAC_ASSERT(d != 0, "delta out of range");
+        return d;
+    }
 
     /** The Figure-4b empirical distribution of issue-time deltas. */
     static util::DiscreteDistribution figure4bDistribution();
@@ -52,6 +60,8 @@ class TimingModel
 
   private:
     util::DiscreteDistribution dist_;
+    /** Outcome values as deltas; 0 marks one outside [1, 0xffff]. */
+    std::vector<std::uint16_t> deltas_;
     util::Rng rng_;
 };
 

@@ -25,19 +25,16 @@ DiscreteDistribution::DiscreteDistribution(std::vector<Outcome> outcomes)
         cumulative_.push_back(run);
     }
     cumulative_.back() = 1.0;
-}
-
-std::int64_t
-DiscreteDistribution::sample(Rng &rng) const
-{
-    const double u = rng.nextDouble();
-    const auto it =
-        std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-    const auto idx = static_cast<std::size_t>(
-        std::min<std::ptrdiff_t>(it - cumulative_.begin(),
-                                 static_cast<std::ptrdiff_t>(
-                                     outcomes_.size() - 1)));
-    return outcomes_[idx].value;
+    // indexOf() is non-decreasing in u, so a bucket whose first and
+    // last draws map to the same index maps every draw to it.
+    constexpr std::uint64_t width = std::uint64_t{1} << bucketShift;
+    for (std::uint64_t b = 0; b < bucket_.size(); ++b) {
+        const std::size_t lo = indexOf(Rng::toUnit(b * width));
+        const std::size_t hi = indexOf(Rng::toUnit((b + 1) * width - 1));
+        bucket_[b] = lo == hi && lo < ambiguous
+                         ? static_cast<std::uint8_t>(lo)
+                         : ambiguous;
+    }
 }
 
 double

@@ -8,6 +8,7 @@
 #ifndef SAC_UTIL_DISTRIBUTION_HH
 #define SAC_UTIL_DISTRIBUTION_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,8 +35,28 @@ class DiscreteDistribution
     /** Build from outcomes; total weight must be positive. */
     explicit DiscreteDistribution(std::vector<Outcome> outcomes);
 
+    /**
+     * Draw the index of one outcome using the supplied generator.
+     * The index is the number of cumulative bounds at or below the
+     * uniform draw u = rng.nextDouble(), which is exactly the position
+     * std::upper_bound would find. A table over the top 8 of u's 53
+     * bits answers every bucket that no bound falls inside; the rest
+     * count the bounds without branches. One generator step per draw.
+     */
+    std::size_t
+    sampleIndex(Rng &rng) const
+    {
+        const std::uint64_t k = rng.next53();
+        const std::uint8_t hit = bucket_[k >> bucketShift];
+        return hit != ambiguous ? hit : indexOf(Rng::toUnit(k));
+    }
+
     /** Draw one outcome value using the supplied generator. */
-    std::int64_t sample(Rng &rng) const;
+    std::int64_t
+    sample(Rng &rng) const
+    {
+        return outcomes_[sampleIndex(rng)].value;
+    }
 
     /** Probability mass of outcome index @p i (normalized). */
     double probability(std::size_t i) const;
@@ -50,8 +71,25 @@ class DiscreteDistribution
     double mean() const;
 
   private:
+    /** Table bucket of a next53() draw: its top 8 bits. */
+    static constexpr int bucketShift = 45;
+    /** bucket_ entry of a bucket that holds a cumulative bound. */
+    static constexpr std::uint8_t ambiguous = 0xff;
+
+    /** Outcome index of uniform draw @p u (the branchless count). */
+    std::size_t
+    indexOf(double u) const
+    {
+        std::size_t idx = 0;
+        for (const double c : cumulative_)
+            idx += c <= u ? 1 : 0;
+        return idx < outcomes_.size() ? idx : outcomes_.size() - 1;
+    }
+
     std::vector<Outcome> outcomes_;
     std::vector<double> cumulative_; // normalized, ends at 1.0
+    /** Per bucket: the index every draw in it maps to, or ambiguous. */
+    std::array<std::uint8_t, 256> bucket_{};
 };
 
 /**

@@ -41,7 +41,21 @@ class Rng
     }
 
     /** Next raw 64-bit draw. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** UniformRandomBitGenerator interface. */
     result_type operator()() { return next(); }
@@ -52,13 +66,29 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextInRange(std::int64_t lo, std::int64_t hi);
 
-    /** Uniform double in [0, 1). */
-    double nextDouble();
+    /** Uniform integer in [0, 2^53): the draw behind nextDouble(). */
+    std::uint64_t next53() { return next() >> 11; }
+
+    /** Uniform double in [0, 1): next53() scaled by 2^-53, exactly. */
+    double nextDouble() { return toUnit(next53()); }
+
+    /** The nextDouble() value of the next53() draw @p k. */
+    static double
+    toUnit(std::uint64_t k)
+    {
+        return static_cast<double>(k) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with probability p of returning true. */
     bool nextBool(double p);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t state_[4];
 };
 

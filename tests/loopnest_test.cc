@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for src/loopnest: affine expressions, program
- * construction / finalization, and the trace-generating interpreter
- * (addresses, ordering, bounds, indirection).
+ * construction / finalization, and the trace generator (addresses,
+ * ordering, bounds, indirection).
  */
 
 #include <gtest/gtest.h>
@@ -335,6 +335,101 @@ TEST(GeneratorTest, OutOfBoundsSubscriptPanics)
     TraceGenerator gen(p, tags, tm);
     trace::Trace t;
     EXPECT_DEATH(gen.run(t), "out of bounds");
+}
+
+// ---- Bounds checks that must hold wherever the generator checks. ----
+
+/** Run @p p (finalized here) with unit deltas and cap @p max_records. */
+void
+runCapped(Program &p, std::uint64_t max_records)
+{
+    p.finalize();
+    TagVector tags(p.refCount());
+    auto tm = unitTiming();
+    TraceGenerator gen(p, tags, tm);
+    trace::Trace t;
+    gen.run(t, max_records);
+}
+
+TEST(GeneratorBoundsTest, GuardSkipsTheOutOfBoundsIterations)
+{
+    // A(i) overruns A(4) for i = 4..7, but the guard (i mod 8 < 4)
+    // skips exactly those iterations, so nothing is out of bounds.
+    Program p("t");
+    const auto a = p.addArray("A", {4});
+    const auto i = p.addVar("i");
+    p.addStmt(loop(i, 0, 7, {when(v(i), 8, 4, {read(a, {v(i)})})}));
+    const auto t = execute(p);
+    ASSERT_EQ(t.size(), 4u);
+    EXPECT_EQ(t[3].addr, Program::baseAddress + 3 * 8);
+}
+
+TEST(GeneratorBoundsTest, TriangularOverrunOnLastIteratePanics)
+{
+    // DO i = 0..7: DO j = 0..i: A(j, i) with A(7, 8): only the very
+    // last iterate (i = j = 7) is out of bounds.
+    Program p("t");
+    const auto a = p.addArray("A", {7, 8});
+    const auto i = p.addVar("i");
+    const auto j = p.addVar("j");
+    p.addStmt(loop(i, 0, 7, {loop(j, 0, v(i), {read(a, {v(j), v(i)})})}));
+    EXPECT_DEATH(runCapped(p, TraceGenerator::defaultMaxRecords),
+                 "out of bounds");
+}
+
+TEST(GeneratorBoundsTest, IndirectSubscriptOutOfRangePanics)
+{
+    Program p("t");
+    const auto idx = p.addArray("I", {3});
+    const auto x = p.addArray("X", {16});
+    const auto i = p.addVar("i");
+    p.setArrayData(idx, {5, 0, 16});
+    p.addStmt(loop(i, 0, 2, {read(x, {indirect(idx, v(i))})}));
+    EXPECT_DEATH(runCapped(p, TraceGenerator::defaultMaxRecords),
+                 "out of bounds");
+}
+
+TEST(GeneratorBoundsTest, IndexArraySubscriptOutOfRangePanics)
+{
+    Program p("t");
+    const auto idx = p.addArray("I", {3});
+    const auto x = p.addArray("X", {16});
+    const auto i = p.addVar("i");
+    p.setArrayData(idx, {5, 0, 9});
+    p.addStmt(loop(i, 0, 3, {read(x, {indirect(idx, v(i))})}));
+    EXPECT_DEATH(runCapped(p, TraceGenerator::defaultMaxRecords),
+                 "index-array subscript out of bounds");
+}
+
+TEST(GeneratorBoundsTest, NegativeStepBelowZeroPanics)
+{
+    Program p("t");
+    const auto a = p.addArray("A", {8});
+    const auto i = p.addVar("i");
+    p.addStmt(loop(i, 7, -1, {read(a, {v(i)})}, -1));
+    EXPECT_DEATH(runCapped(p, TraceGenerator::defaultMaxRecords),
+                 "out of bounds");
+}
+
+TEST(GeneratorBoundsTest, RecordCapInsideInnerLoopPanics)
+{
+    // 4 x 8 records; the cap of 13 falls inside the second inner loop.
+    Program p("t");
+    const auto a = p.addArray("A", {8, 4});
+    const auto i = p.addVar("i");
+    const auto j = p.addVar("j");
+    p.addStmt(loop(j, 0, 3, {loop(i, 0, 7, {read(a, {v(i), v(j)})})}));
+    EXPECT_DEATH(runCapped(p, 13), "record cap");
+}
+
+TEST(GeneratorBoundsTest, CapExactlyAtTraceLengthPasses)
+{
+    Program p("t");
+    const auto a = p.addArray("A", {8, 4});
+    const auto i = p.addVar("i");
+    const auto j = p.addVar("j");
+    p.addStmt(loop(j, 0, 3, {loop(i, 0, 7, {read(a, {v(i), v(j)})})}));
+    runCapped(p, 32);
 }
 
 } // namespace

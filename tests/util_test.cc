@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "src/util/distribution.hh"
 #include "src/util/json.hh"
@@ -129,6 +131,46 @@ TEST(DiscreteDistribution, ZeroWeightOutcomeNeverSampled)
     Rng rng(29);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(d.sample(rng), 2);
+}
+
+TEST(DiscreteDistribution, SampleIndexIsTheUpperBoundOfTheDraw)
+{
+    // The table and the branchless count must pick exactly the
+    // outcome std::upper_bound picks for the same uniform draw: the
+    // Figure 4b weights, bounds on bucket edges (0.25, 0.5), a zero
+    // weight, and more outcomes than the table can name.
+    std::vector<std::vector<DiscreteDistribution::Outcome>> cases = {
+        {{1, 0.40}, {2, 0.25}, {3, 0.12}, {4, 0.07}, {5, 0.05},
+         {10, 0.06}, {15, 0.02}, {20, 0.02}, {25, 0.01}},
+        {{1, 0.25}, {2, 0.25}, {3, 0.5}},
+        {{1, 0.0}, {2, 1.0}, {3, 0.0}},
+    };
+    cases.emplace_back();
+    for (int v = 0; v < 300; ++v)
+        cases.back().push_back({v, 1.0 + v % 7});
+    for (const auto &outcomes : cases) {
+        double total = 0.0;
+        for (const auto &o : outcomes)
+            total += o.weight;
+        std::vector<double> cumulative;
+        double run = 0.0;
+        for (const auto &o : outcomes)
+            cumulative.push_back(run += o.weight / total);
+        cumulative.back() = 1.0;
+
+        const DiscreteDistribution d(outcomes);
+        Rng draws(31);
+        Rng oracle(31);
+        for (int i = 0; i < 200000; ++i) {
+            const double u = oracle.nextDouble();
+            const auto at = std::upper_bound(cumulative.begin(),
+                                             cumulative.end(), u) -
+                            cumulative.begin();
+            const auto want = std::min<std::size_t>(
+                static_cast<std::size_t>(at), outcomes.size() - 1);
+            ASSERT_EQ(d.sampleIndex(draws), want) << "draw " << i;
+        }
+    }
 }
 
 TEST(BucketHistogram, AssignsToCorrectBuckets)

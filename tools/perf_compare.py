@@ -35,6 +35,13 @@ Usage:
                                [--tolerance F] [--ratio-slack F]
                                [--emit-json FILE]
   tools/perf_compare.py update <report.json> [--baseline FILE]
+                               [--only REGEX]
+
+``update --only REGEX`` rewrites only the baseline rows whose names
+match REGEX (re.search) and keeps every other row and ``_meta`` as
+they are, so one refreshed row does not silently re-baseline the
+rest. It refuses a report whose host or build differs from the
+baseline's ``_meta``, since the merged file would mix hosts.
 
 ``--emit-json FILE`` additionally writes a machine-readable
 ``sac-perf-summary-v1`` document (per-benchmark ratio and drift,
@@ -58,6 +65,7 @@ environment variable overrides it.
 import argparse
 import json
 import os
+import re
 import sys
 
 DEFAULT_TOLERANCE = 0.15
@@ -139,8 +147,48 @@ BUILD_FIELDS = {
 }
 
 
+def host_mismatches(meta, context):
+    """Fields of BUILD_FIELDS where the report and baseline differ."""
+    return [
+        f"{field}: report {context.get(key)!r}, "
+        f"baseline {meta.get(field)!r}"
+        for field, key in BUILD_FIELDS.items()
+        if context.get(key) != meta.get(field)]
+
+
+def update_only(args, current, context):
+    """Rewrite the rows matching --only; keep the rest and _meta."""
+    with open(args.baseline) as f:
+        doc = json.load(f)
+    mismatches = host_mismatches(doc.get("_meta", {}), context)
+    if mismatches:
+        sys.exit("error: the report's host or build differs from the "
+                 "baseline's; refusing to merge its rows:\n  "
+                 + "\n  ".join(mismatches))
+    pattern = re.compile(args.only)
+    rows = doc["items_per_second"]
+    matched = sorted(name for name in current if pattern.search(name))
+    if not matched:
+        sys.exit(f"error: no benchmark in {args.report} matches "
+                 f"{args.only!r}")
+    for name in matched:
+        old = rows.get(name)
+        rows[name] = round(current[name], 1)
+        was = "new" if old is None else f"{old / 1e6:.2f} M/s"
+        print(f"  {name}: {was} -> {rows[name] / 1e6:.2f} M/s")
+    doc["items_per_second"] = dict(sorted(rows.items()))
+    with open(args.baseline, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+    print(f"rewrote {len(matched)} of {len(rows)} baseline entries in "
+          f"{args.baseline}")
+
+
 def cmd_update(args):
     current, context = load_report(args.report)
+    if args.only:
+        update_only(args, current, context)
+        return
     meta = {"source": "tools/perf_compare.py update",
             "mhz_per_cpu": context.get("mhz_per_cpu")}
     for field, key in BUILD_FIELDS.items():
@@ -176,12 +224,7 @@ def cmd_check(args):
         baseline = doc["items_per_second"]
     except (OSError, KeyError, json.JSONDecodeError) as e:
         sys.exit(f"error: cannot read baseline {args.baseline}: {e}")
-    meta = doc.get("_meta", {})
-    mismatches = [
-        f"{field}: report {context.get(key)!r}, "
-        f"baseline {meta.get(field)!r}"
-        for field, key in BUILD_FIELDS.items()
-        if context.get(key) != meta.get(field)]
+    mismatches = host_mismatches(doc.get("_meta", {}), context)
     if mismatches:
         sys.exit("error: the report's host or build differs from the "
                  "baseline's, so its throughput cannot be compared:\n  "
@@ -287,6 +330,10 @@ def main():
         s = sub.add_parser(name)
         s.add_argument("report", help="google-benchmark JSON report")
         s.add_argument("--baseline", default=default_baseline())
+        if name == "update":
+            s.add_argument("--only", metavar="REGEX",
+                           help="rewrite only the rows matching REGEX, "
+                                "keeping every other row and _meta")
         if name == "check":
             s.add_argument("--tolerance", type=float,
                            default=DEFAULT_TOLERANCE)
