@@ -173,23 +173,20 @@ main(int argc, char **argv)
         };
         const auto configs =
             bench::presetConfigs({"standard", "soft", "soft-prefetch"});
-        const std::uint64_t seed = bench::options().traceSeed;
+        std::vector<harness::Workload> mv;
+        for (const auto &rate : rates) {
+            mv.push_back(bench::programWorkload(
+                std::string("MV-issue-rate-") + rate.label,
+                [] { return workloads::buildMv(); }, rate.dist));
+        }
+        const auto sweep = bench::exactSweep(mv, configs);
         util::Table table({"Issue rate", "Stand.", "Soft.",
                            "Soft.+Prefetching"});
-        for (const auto &rate : rates) {
-            harness::Runner row_runner;
-            const auto sweep = bench::exactSweep(
-                {{std::string("MV-issue-rate-") + rate.label,
-                  [&rate, seed] {
-                      return workloads::makeTaggedTraceWithTiming(
-                          workloads::buildMv(), rate.dist, seed);
-                  },
-                  {}}},
-                configs, &row_runner);
+        for (std::size_t r = 0; r < std::size(rates); ++r) {
             const auto row = table.addRow();
-            table.set(row, 0, rate.label);
+            table.set(row, 0, rates[r].label);
             for (std::size_t c = 0; c < configs.size(); ++c)
-                table.setNumber(row, c + 1, sweep.at(0, c).stats.amat());
+                table.setNumber(row, c + 1, sweep.at(r, c).stats.amat());
         }
         table.print(std::cout);
     }

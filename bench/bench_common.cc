@@ -136,18 +136,30 @@ suiteTable(const std::vector<core::Config> &configs,
     return runRequest(runner(), request).table;
 }
 
+harness::Workload
+programWorkload(std::string name,
+                std::function<loopnest::Program()> build,
+                std::optional<util::DiscreteDistribution> deltas)
+{
+    const std::uint64_t seed = options().traceSeed;
+    const auto materialize = [build, deltas, seed] {
+        return deltas ? workloads::makeTaggedTraceWithTiming(
+                            build(), *deltas, seed)
+                      : workloads::makeTaggedTrace(build(), seed);
+    };
+    const auto stream = [build, deltas,
+                         seed](const trace::RecordSink &sink) {
+        workloads::streamTaggedTrace(build(), sink, seed,
+                                     deltas ? &*deltas : nullptr);
+    };
+    return {std::move(name), materialize, stream};
+}
+
 harness::SweepResult
 exactSweep(const std::vector<harness::Workload> &workloads,
            const std::vector<core::Config> &configs,
            harness::Runner *r)
 {
-    // Generate the traces on this thread, as suiteTable() does, and
-    // replay a row runner's cells here too: work on pool workers
-    // allocates in per-thread malloc arenas that cannot reuse the
-    // memory freed by trace generation, which raises the peak RSS of
-    // the large ad-hoc traces by about half.
-    harness::Runner &target = r ? *r : runner();
-    target.warmup(workloads);
     const harness::BenchOptions &o = options();
     harness::SweepRequest request;
     request.workloads = workloads;
@@ -158,7 +170,7 @@ exactSweep(const std::vector<harness::Workload> &workloads,
     request.telemetry.manifestDir = o.emitJsonDir;
     request.telemetry.intervalRecords = o.interval;
     request.telemetry.heatmap = o.heatmap;
-    return runRequest(target, request);
+    return runRequest(r ? *r : runner(), request);
 }
 
 void

@@ -11,6 +11,7 @@
 #define SAC_BENCH_BENCH_COMMON_HH
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/harness/bench_options.hh"
 #include "src/harness/experiment.hh"
 #include "src/harness/sweep.hh"
+#include "src/util/distribution.hh"
 #include "src/util/table.hh"
 #include "src/workloads/workloads.hh"
 
@@ -35,8 +37,7 @@ using Metric = std::function<double(const sim::RunStats &)>;
  * 1` forces the serial path), `--emit-json DIR` (write one telemetry
  * run manifest per sweep cell under DIR; see DESIGN.md §6),
  * `--preset NAME` (a core::presets() configuration), `--trace-seed
- * N` (timing seed of every generated trace), `--trace-chunk N`
- * (records per chunk in streamed replay), `--sample` with its
+ * N` (timing seed of every generated trace), `--sample` with its
  * tuning flags `--sample-window/-stride/-warmup/-ci/-error` (estimate
  * suite tables with the windowed sampling engine; cells then read
  * "estimate ±half" — see DESIGN.md §10), `--interval N` and
@@ -97,13 +98,26 @@ util::Table suiteTable(const std::vector<core::Config> &configs,
                        const harness::Metric &metric);
 
 /**
+ * A workload over the tagged trace of the program @p build returns
+ * (workloads::makeTaggedTrace, or makeTaggedTraceWithTiming under
+ * @p deltas), timed with the --trace-seed seed. It sets stream, so a
+ * sweep over it generates the records chunk by chunk and never holds
+ * the whole trace.
+ */
+harness::Workload
+programWorkload(std::string name,
+                std::function<loopnest::Program()> build,
+                std::optional<util::DiscreteDistribution> deltas = {});
+
+/**
  * Replay every (workload, config) cell exactly — whatever --sample
  * says — and emit their manifests under --emit-json (each cell once
  * per process): the sweep of sections that derive their columns from
  * the cells' RunStats. Runs on the process-wide runner at --jobs
- * workers unless @p runner is given; sections with ad-hoc traces pass
- * a row-scoped runner, so only one row's traces are alive at a time,
- * and its cells replay serially on the calling thread.
+ * workers unless @p runner is given; sections whose variant traces
+ * have no stream pass a variant-scoped runner, so only one variant
+ * trace is alive at a time, and its cells replay serially on the
+ * calling thread.
  */
 harness::SweepResult
 exactSweep(const std::vector<harness::Workload> &workloads,

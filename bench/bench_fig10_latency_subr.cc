@@ -23,21 +23,18 @@ main(int argc, char **argv)
 
     std::cout << "\nFigure 10a: most time-consuming Perfect Club "
                  "subroutines (AMAT)\n\n";
+    std::vector<harness::Workload> kernels;
+    for (const auto &b : workloads::kernelOnlyBenchmarks())
+        kernels.push_back(
+            bench::programWorkload(b.name + "-kernel", b.build));
+    const auto sa = bench::exactSweep(
+        kernels, bench::presetConfigs({"standard", "soft"}));
     util::Table ta({"Subroutine", "Stand.", "Soft.", "Improvement"});
-    const std::uint64_t seed = bench::options().traceSeed;
-    for (const auto &b : workloads::kernelOnlyBenchmarks()) {
-        harness::Runner row_runner;
-        const auto sweep = bench::exactSweep(
-            {{b.name + "-kernel",
-              [&b, seed] {
-                  return workloads::makeTaggedTrace(b.build(), seed);
-              },
-              {}}},
-            bench::presetConfigs({"standard", "soft"}), &row_runner);
-        const double stand = sweep.at(0, 0).stats.amat();
-        const double soft = sweep.at(0, 1).stats.amat();
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        const double stand = sa.at(i, 0).stats.amat();
+        const double soft = sa.at(i, 1).stats.amat();
         const auto row = ta.addRow();
-        ta.set(row, 0, b.name);
+        ta.set(row, 0, workloads::kernelOnlyBenchmarks()[i].name);
         ta.setNumber(row, 1, stand);
         ta.setNumber(row, 2, soft);
         ta.set(row, 3, util::formatPercent(1.0 - soft / stand));

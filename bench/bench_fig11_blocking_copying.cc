@@ -26,53 +26,52 @@ main(int argc, char **argv)
     const std::int64_t blocks[] = {10,  20,  30,  40,  50,
                                    100, 400, 600, 1200};
     const auto configs = bench::presetConfigs({"standard", "soft"});
-    const std::uint64_t seed = bench::options().traceSeed;
-    util::Table ta({"Block size", "Stand.", "Soft."});
+    std::vector<harness::Workload> blocked;
     for (const auto b : blocks) {
-        // One runner per row: only this row's trace is alive.
-        harness::Runner row_runner;
-        const auto sweep = bench::exactSweep(
-            {{"BlockedMV-b" + std::to_string(b),
-              [n, b, seed] {
-                  return workloads::makeTaggedTrace(
-                      workloads::buildBlockedMv(n, b), seed);
-              },
-              {}}},
-            configs, &row_runner);
+        blocked.push_back(bench::programWorkload(
+            "BlockedMV-b" + std::to_string(b),
+            [n, b] { return workloads::buildBlockedMv(n, b); }));
+    }
+    const auto sa = bench::exactSweep(blocked, configs);
+    util::Table ta({"Block size", "Stand.", "Soft."});
+    for (std::size_t i = 0; i < std::size(blocks); ++i) {
         const auto row = ta.addRow();
-        ta.set(row, 0, std::to_string(b));
-        ta.setNumber(row, 1, sweep.at(0, 0).stats.amat());
-        ta.setNumber(row, 2, sweep.at(0, 1).stats.amat());
+        ta.set(row, 0, std::to_string(blocks[i]));
+        ta.setNumber(row, 1, sa.at(i, 0).stats.amat());
+        ta.setNumber(row, 2, sa.at(i, 1).stats.amat());
     }
     ta.print(std::cout);
 
     std::cout << "\nFigure 11b: data copying for blocked matrix "
                  "multiply (AMAT), leading dimension sweep\n\n";
-    util::Table tb({"Leading dim", "NoCopy (stand.)", "Copy (stand.)",
-                    "NoCopy (soft.)", "Copy (soft.)"});
     constexpr std::int64_t mm_n = 80;
     constexpr std::int64_t mm_block = 16;
-    for (std::int64_t ld = 116; ld <= 126; ++ld) {
-        const auto kernel = [ld, seed](const char *tag, bool copy) {
-            return harness::Workload{
-                std::string("CopiedMM-") + tag + "-ld" + std::to_string(ld),
-                [ld, copy, seed] {
-                    return workloads::makeTaggedTrace(
-                        workloads::buildCopiedMm(mm_n, ld, mm_block, copy),
-                        seed);
-                },
-                {}};
-        };
-        harness::Runner row_runner;
-        const auto sweep = bench::exactSweep(
-            {kernel("nocopy", false), kernel("copy", true)}, configs,
-            &row_runner);
+    constexpr std::int64_t ld_first = 116;
+    constexpr std::int64_t ld_last = 126;
+    // Two workloads per leading dimension: without, then with copying.
+    std::vector<harness::Workload> copied;
+    for (std::int64_t ld = ld_first; ld <= ld_last; ++ld) {
+        for (const bool copy : {false, true}) {
+            copied.push_back(bench::programWorkload(
+                std::string("CopiedMM-") + (copy ? "copy" : "nocopy") +
+                    "-ld" + std::to_string(ld),
+                [ld, copy] {
+                    return workloads::buildCopiedMm(mm_n, ld, mm_block,
+                                                    copy);
+                }));
+        }
+    }
+    const auto sb = bench::exactSweep(copied, configs);
+    util::Table tb({"Leading dim", "NoCopy (stand.)", "Copy (stand.)",
+                    "NoCopy (soft.)", "Copy (soft.)"});
+    for (std::int64_t ld = ld_first; ld <= ld_last; ++ld) {
+        const auto i = static_cast<std::size_t>(2 * (ld - ld_first));
         const auto row = tb.addRow();
         tb.set(row, 0, std::to_string(ld));
-        tb.setNumber(row, 1, sweep.at(0, 0).stats.amat());
-        tb.setNumber(row, 2, sweep.at(1, 0).stats.amat());
-        tb.setNumber(row, 3, sweep.at(0, 1).stats.amat());
-        tb.setNumber(row, 4, sweep.at(1, 1).stats.amat());
+        tb.setNumber(row, 1, sb.at(i, 0).stats.amat());
+        tb.setNumber(row, 2, sb.at(i + 1, 0).stats.amat());
+        tb.setNumber(row, 3, sb.at(i, 1).stats.amat());
+        tb.setNumber(row, 4, sb.at(i + 1, 1).stats.amat());
     }
     tb.print(std::cout);
 

@@ -239,9 +239,42 @@ BENCHMARK(BM_SimulateNoClassifier);
 
 // Streaming vs. materialized: end-to-end "generate the MV trace and
 // replay it under Soft." — first as the classic materialize-then-
-// simulate sequence, then through the streaming engine, where
-// generation runs on a producer thread and overlaps simulation while
-// memory stays bounded by the chunk queue.
+// simulate sequence, then through Runner::run over a workload that
+// streams: the generator fills one chunk at a time on the replaying
+// thread, so memory stays bounded by the chunk size.
+
+/** The tagged MV trace of order @p n as a workload that streams. */
+harness::Workload
+streamedMv(std::string name, std::int64_t n = 500,
+           std::uint64_t seed = 0x7ac3ull)
+{
+    return {std::move(name),
+            [n, seed] {
+                return workloads::makeTaggedTrace(workloads::buildMv(n),
+                                                  seed);
+            },
+            [n, seed](const trace::RecordSink &sink) {
+                workloads::streamTaggedTrace(workloads::buildMv(n), sink,
+                                             seed);
+            }};
+}
+
+/** Run @p request on a fresh Runner per iteration; items = records
+ *  x configs replayed. */
+void
+runFresh(benchmark::State &state, const harness::SweepRequest &request)
+{
+    std::int64_t items = 0;
+    for (auto _ : state) {
+        harness::Runner r;
+        const auto result = r.run(request);
+        benchmark::DoNotOptimize(result.table.rows());
+        items = 0;
+        for (const auto &cell : result.cells)
+            items += static_cast<std::int64_t>(cell.stats.accesses);
+    }
+    state.SetItemsProcessed(state.iterations() * items);
+}
 
 void
 BM_GenerateThenSimulateMaterialized(benchmark::State &state)
@@ -261,15 +294,12 @@ BENCHMARK(BM_GenerateThenSimulateMaterialized)->UseRealTime();
 void
 BM_GenerateThenSimulateStreamed(benchmark::State &state)
 {
-    const core::Config cfg = core::presets().get("soft");
-    std::int64_t records = 0;
-    for (auto _ : state) {
-        const auto src = workloads::benchmarkTraceSource("MV");
-        const auto s = core::simulateSource(*src, cfg);
-        benchmark::DoNotOptimize(s.totalAccessCycles);
-        records = static_cast<std::int64_t>(s.accesses);
-    }
-    state.SetItemsProcessed(state.iterations() * records);
+    harness::SweepRequest request;
+    request.workloads = {streamedMv("MV")};
+    request.configs = {core::presets().get("soft")};
+    request.metric = harness::amatMetric();
+    request.engine = harness::EngineSelect::Exact;
+    runFresh(state, request);
 }
 BENCHMARK(BM_GenerateThenSimulateStreamed)->UseRealTime();
 
@@ -352,11 +382,6 @@ BENCHMARK(BM_MatrixSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/**
- * Streamed one-pass sweep (Runner::runStreamed): one workload under
- * every sweep configuration without materializing the trace, at a
- * given worker count (Arg).
- */
 // Sampled vs. full-detail sweep: the MV trace under every sweep
 // configuration, first simulated in full detail, then estimated by
 // the windowed sampling engine (detailed windows + functional warming
@@ -557,27 +582,24 @@ BM_SweepStackLattice(benchmark::State &state)
 }
 BENCHMARK(BM_SweepStackLattice);
 
+/**
+ * BM_MatrixSweep's request over workloads that stream: each pool
+ * task generates its MV-180 trace chunk by chunk while replaying it
+ * under every sweep configuration, at a given worker count (Arg).
+ */
 void
-BM_StreamedSweep(benchmark::State &state)
+BM_StreamedMatrixSweep(benchmark::State &state)
 {
-    const auto jobs = static_cast<unsigned>(state.range(0));
-    const harness::Workload w{
-        "MV", [] { return workloads::makeBenchmarkTrace("MV"); },
-        [](const trace::RecordSink &sink) {
-            workloads::streamBenchmarkTrace("MV", sink);
-        }};
-    std::int64_t records = 0;
-    for (auto _ : state) {
-        harness::Runner r;
-        const auto stats = r.runStreamed(w, sweepConfigs(), jobs);
-        benchmark::DoNotOptimize(stats.size());
-        records = static_cast<std::int64_t>(stats.front().accesses);
-    }
-    state.SetItemsProcessed(state.iterations() * records *
-                            static_cast<std::int64_t>(
-                                sweepConfigs().size()));
+    harness::SweepRequest request;
+    for (int i = 0; i < 4; ++i)
+        request.workloads.push_back(
+            streamedMv("MV" + std::to_string(i), 180, 0x7ac3ull + i));
+    request.configs = sweepConfigs();
+    request.metric = harness::amatMetric();
+    request.jobs = static_cast<unsigned>(state.range(0));
+    runFresh(state, request);
 }
-BENCHMARK(BM_StreamedSweep)
+BENCHMARK(BM_StreamedMatrixSweep)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

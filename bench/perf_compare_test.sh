@@ -1,7 +1,7 @@
 #!/bin/sh
 # perf_compare.py update --only REGEX must rewrite only the matching
-# baseline rows, keep every other row and _meta, and refuse a report
-# from a different host or build.
+# baseline rows, drop matching rows the report lacks, keep every other
+# row and _meta, and refuse a report from a different host or build.
 #
 # Usage: perf_compare_test.sh path/to/perf_compare.py
 set -eu
@@ -11,7 +11,8 @@ trap 'rm -rf "$dir"' EXIT
 cat >"$dir/base.json" <<'JSON'
 {"_meta": {"source": "x", "mhz_per_cpu": 1, "host_cpus": 4,
            "build_type": "Release"},
- "items_per_second": {"BM_A": 1.0, "BM_TraceGeneration": 2.0}}
+ "items_per_second": {"BM_A": 1.0, "BM_TraceGeneration": 2.0,
+                      "BM_TraceGenerationGone": 3.0}}
 JSON
 cat >"$dir/report.json" <<'JSON'
 {"context": {"num_cpus": 4, "sac_build_type": "Release"},

@@ -1,10 +1,9 @@
 #include "src/harness/experiment.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <future>
-#include <iostream>
 #include <optional>
 #include <sstream>
 
@@ -12,8 +11,6 @@
 #include "src/sim/checkpoint.hh"
 #include "src/telemetry/counter_registry.hh"
 #include "src/telemetry/manifest.hh"
-#include "src/util/logging.hh"
-#include "src/util/thread_pool.hh"
 #include "src/workloads/workloads.hh"
 
 namespace sac {
@@ -72,8 +69,19 @@ Runner::slotOf(const Workload &w)
         const telemetry::ScopedPhase phase(phases_, "trace-gen");
         slot->value = w.build();
         tracesGenerated_.fetch_add(1);
+        slot->built.store(true);
     });
     return *slot;
+}
+
+const trace::Trace *
+Runner::residentTrace(const Workload &w)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = traces_.find(w.name);
+    return it != traces_.end() && it->second->built.load()
+               ? &it->second->value
+               : nullptr;
 }
 
 const trace::Trace &
@@ -176,169 +184,160 @@ Runner::checkpointCounter(const std::string &name) const
 }
 
 void
-Runner::replayCell(StoredCell &cell, const Workload &w,
-                   const core::Config &cfg)
+Runner::settle(
+    const std::vector<StoredCell *> &slots,
+    const std::function<void(const std::vector<std::size_t> &)> &fill)
 {
-    std::call_once(cell.once, [&] {
-        const trace::Trace &t = traceOf(w);
-        const telemetry::ScopedPhase phase(phases_, "sim");
-        cell.stats = core::simulateTrace(t, cfg);
-        cell.seconds = phase.elapsed();
-        runsExecuted_.fetch_add(1);
-    });
+    const auto set = [](StoredCell &cell, StoredCell::State state) {
+        cell.state.store(state);
+        cell.state.notify_all();
+    };
+    std::vector<std::size_t> claimed;
+    for (;;) {
+        // Claim under the runner mutex: a concurrent request over the
+        // same workload sees either all of these claims or none, so
+        // two tasks never split one stack family into two passes.
+        claimed.clear();
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            for (std::size_t i = 0; i < slots.size(); ++i) {
+                auto expected = StoredCell::Empty;
+                if (slots[i]->state.compare_exchange_strong(
+                        expected, StoredCell::Running))
+                    claimed.push_back(i);
+            }
+        }
+        if (!claimed.empty()) {
+            try {
+                fill(claimed);
+            } catch (...) {
+                for (const std::size_t i : claimed)
+                    set(*slots[i], StoredCell::Empty);
+                throw;
+            }
+            for (const std::size_t i : claimed)
+                set(*slots[i], StoredCell::Filled);
+        }
+        // Wait for the cells other tasks hold; one handed back Empty
+        // by a failed claimer is claimed on the next round.
+        bool filled = true;
+        for (StoredCell *cell : slots) {
+            auto state = cell->state.load();
+            for (; state == StoredCell::Running; state = cell->state.load())
+                cell->state.wait(StoredCell::Running);
+            filled = filled && state == StoredCell::Filled;
+        }
+        if (filled)
+            return;
+    }
 }
 
 void
-Runner::runStackFamily(
-    const Workload &w,
-    const std::vector<std::pair<const core::Config *, StoredCell *>>
-        &family)
+Runner::traverse(const Workload &w, const trace::Trace *resident,
+                 const std::vector<const TraversalCell *> &cells)
 {
-    // Serialize passes per workload: a concurrent request covering
-    // the same family waits here, then finds the store filled and
-    // skips its own traversal (cells shared, one pass total).
-    std::mutex *pass_mutex = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto &entry = passMutexes_[w.name];
-        if (!entry)
-            entry = std::make_unique<std::mutex>();
-        pass_mutex = entry.get();
-    }
-    std::lock_guard<std::mutex> pass_lock(*pass_mutex);
+    using Clock = std::chrono::steady_clock;
+    const auto start = Clock::now();
+    // Each reading of the clock closes one consumer's share of it.
+    auto t = start;
+    const auto lap = [&t] {
+        const auto now = Clock::now();
+        const double s = std::chrono::duration<double>(now - t).count();
+        t = now;
+        return s;
+    };
 
-    std::size_t missing = 0;
-    for (const auto &member : family)
-        missing += !member.second->filled.load();
-    count("stack.pass.cached_cells",
-          "sweep cells served from the stack store",
-          family.size() - missing);
-    if (missing == 0)
-        return;
-
-    // One traversal covers the whole family, so even a request that
-    // adds a single new point to a mostly-cached family costs one
-    // pass, never per-point replays.
-    std::vector<sim::StackPoint> points;
-    points.reserve(family.size());
-    for (const auto &member : family)
-        points.push_back(stackPointOf(*member.first));
-
-    const trace::Trace &t = traceOf(w);
-    std::optional<sim::StackDistanceEngine> eng;
-    {
-        const telemetry::ScopedPhase phase(phases_, "stack-pass");
-        eng.emplace(points);
-        eng->feed(t.data(), t.size());
-    }
-
-    for (const auto &member : family) {
-        StoredCell &cell = *member.second;
-        if (cell.filled.load())
-            continue;
-        cell.stats = stackStatsFor(*eng, *member.first);
-        cell.filled.store(true);
-    }
-    count("stack.pass.traversals",
-          "single-pass stack traversals executed", 1);
-    count("stack.pass.records", "records profiled by stack traversals",
-          eng->accesses());
-    count("stack.pass.cells", "sweep cells served fresh from a stack "
-                              "pass",
-          missing);
-}
-
-std::vector<sim::RunStats>
-Runner::runStreamed(const Workload &w,
-                    const std::vector<core::Config> &configs,
-                    unsigned jobs, std::size_t chunk_records)
-{
-    const telemetry::ScopedPhase phase(phases_, "sweep-streamed");
+    std::vector<const TraversalCell *> exact, stacked;
     std::vector<std::unique_ptr<core::SoftwareAssistedCache>> sims;
-    sims.reserve(configs.size());
-    for (const auto &cfg : configs)
-        sims.push_back(
-            std::make_unique<core::SoftwareAssistedCache>(cfg));
-
-    // Producer: the workload's native streaming entry when it has
-    // one; otherwise generate the full trace and replay it (still
-    // correct, but memory then scales with the trace length).
-    const auto produce =
-        w.stream ? w.stream
-                 : std::function<void(const trace::RecordSink &)>(
-                       [&w](const trace::RecordSink &sink) {
-                           const trace::Trace t = w.build();
-                           for (const auto &rec : t)
-                               sink(rec);
-                       });
-    // One bounded queue between the producer thread and this thread;
-    // the per-config fan-out below is a barrier per chunk, so no
-    // simulator can fall behind and no per-config queue can fill up
-    // while its consumer is unscheduled (the deadlock a per-config
-    // queue design would allow when pool threads < configs).
-    trace::GeneratorTraceSource src(w.name, produce, chunk_records);
-
-    // More workers than simulators can never help: each simulator is
-    // sequential over its records.
-    const std::size_t groups =
-        std::min<std::size_t>(jobs, configs.size());
-    std::optional<util::ThreadPool> pool;
-    if (groups > 1)
-        pool.emplace(static_cast<unsigned>(groups));
-
-    // Double-buffered chunks: while the pool replays one chunk, this
-    // thread already pulls the next from the producer queue, so the
-    // queue handoff overlaps simulation instead of serializing with
-    // it at every barrier.
-    std::vector<trace::Record> batches[2] = {
-        std::vector<trace::Record>(chunk_records),
-        std::vector<trace::Record>(chunk_records)};
-    std::vector<std::future<void>> tasks;
-    tasks.reserve(groups);
-
-    std::size_t cur = 0;
-    std::size_t n = src.next(batches[cur].data(), chunk_records);
-    while (n > 0) {
-        if (pool) {
-            // Fan the chunk out as `groups` contiguous simulator
-            // groups — one task per worker, not per config, so the
-            // per-chunk submit/notify overhead does not scale with
-            // the sweep width.
-            tasks.clear();
-            const std::size_t per = (sims.size() + groups - 1) / groups;
-            const trace::Record *data = batches[cur].data();
-            for (std::size_t g0 = 0; g0 < sims.size(); g0 += per) {
-                const std::size_t g1 =
-                    std::min(sims.size(), g0 + per);
-                tasks.push_back(pool->submit([&sims, g0, g1, data, n] {
-                    for (std::size_t s = g0; s < g1; ++s)
-                        sims[s]->replay(data, n);
-                }));
-            }
-            const std::size_t nxt = 1 - cur;
-            const std::size_t n_next =
-                src.next(batches[nxt].data(), chunk_records);
-            // Barrier: re-raises any worker exception; after it the
-            // just-replayed buffer is free to be overwritten.
-            for (auto &t : tasks)
-                t.get();
-            cur = nxt;
-            n = n_next;
+    std::vector<sim::StackPoint> points;
+    for (const TraversalCell *c : cells) {
+        if (c->stack) {
+            stacked.push_back(c);
+            points.push_back(stackPointOf(*c->config));
         } else {
-            for (auto &sim : sims)
-                sim->replay(batches[cur].data(), n);
-            n = src.next(batches[cur].data(), chunk_records);
+            exact.push_back(c);
+            sims.push_back(
+                std::make_unique<core::SoftwareAssistedCache>(*c->config));
         }
     }
-
-    std::vector<sim::RunStats> out;
-    out.reserve(sims.size());
-    for (auto &sim : sims) {
-        sim->finish();
-        out.push_back(sim->stats());
+    std::vector<double> sim_seconds(sims.size(), 0.0);
+    std::optional<sim::StackDistanceEngine> eng;
+    double stack_seconds = 0.0;
+    if (!points.empty()) {
+        t = Clock::now();
+        eng.emplace(points);
+        stack_seconds = lap();
     }
-    runsExecuted_.fetch_add(sims.size());
-    return out;
+
+    // Each chunk goes through the stack engine, then every simulator.
+    const auto feed = [&](const trace::Record *recs, std::size_t n) {
+        t = Clock::now();
+        if (eng) {
+            eng->feed(recs, n);
+            stack_seconds += lap();
+        }
+        for (std::size_t i = 0; i < sims.size(); ++i) {
+            sims[i]->replay(recs, n);
+            sim_seconds[i] += lap();
+        }
+    };
+
+    constexpr std::size_t chunk = trace::TraceSource::defaultChunkRecords;
+    if (!resident && !w.stream)
+        resident = &traceOf(w);
+    if (resident) {
+        for (std::size_t i = 0; i < resident->size(); i += chunk)
+            feed(resident->data() + i,
+                 std::min(chunk, resident->size() - i));
+    } else {
+        // The generator runs on this thread and fills one chunk at a
+        // time; each full chunk is replayed before generation resumes.
+        std::vector<trace::Record> buf;
+        buf.reserve(chunk);
+        w.stream([&](const trace::Record &r) {
+            buf.push_back(r);
+            if (buf.size() == chunk) {
+                feed(buf.data(), buf.size());
+                buf.clear();
+            }
+        });
+        if (!buf.empty())
+            feed(buf.data(), buf.size());
+        tracesGenerated_.fetch_add(1);
+    }
+
+    double replay_seconds = 0.0;
+    for (std::size_t i = 0; i < sims.size(); ++i) {
+        t = Clock::now();
+        sims[i]->finish();
+        sim_seconds[i] += lap();
+        exact[i]->slot->stats = sims[i]->stats();
+        exact[i]->slot->seconds = sim_seconds[i];
+        replay_seconds += sim_seconds[i];
+    }
+    for (const TraversalCell *c : stacked)
+        c->slot->stats = stackStatsFor(*eng, *c->config);
+
+    if (!sims.empty()) {
+        phases_.add("sim", replay_seconds);
+        runsExecuted_.fetch_add(sims.size());
+    }
+    if (eng) {
+        phases_.add("stack-pass", stack_seconds);
+        count("stack.pass.traversals",
+              "single-pass stack traversals executed", 1);
+        count("stack.pass.records",
+              "records profiled by stack traversals", eng->accesses());
+        count("stack.pass.cells",
+              "sweep cells served fresh from a stack pass",
+              stacked.size());
+    }
+    if (!resident) {
+        const double total =
+            std::chrono::duration<double>(Clock::now() - start).count();
+        phases_.add("trace-gen",
+                    std::max(0.0, total - replay_seconds - stack_seconds));
+    }
 }
 
 void
@@ -347,65 +346,63 @@ Runner::sampleCell(StoredCell &cell, const Workload &w,
                    const std::string &library_dir,
                    std::uint64_t trace_hash)
 {
-    std::call_once(cell.once, [&] {
-        const sim::SamplingOptions &opt = request.sampling;
-        const sim::SampledEngine engine(opt);
-        const auto t0 = std::chrono::steady_clock::now();
-        const trace::Trace &t = traceOf(w);
-        trace::MemoryTraceSource src(t);
-        core::SoftwareAssistedCache sim(cfg);
-        if (library_dir.empty()) {
-            cell.report = engine.run(src, sim);
-        } else {
-            sim::CheckpointKey key;
-            key.traceHash = trace_hash;
-            key.configKey = cfg.cacheKey();
-            key.window = opt.window;
-            key.stride = opt.stride;
-            key.warmup = opt.warmup;
-            const std::string path = sim::CheckpointLibrary::pathFor(
-                library_dir, t.name(), key);
+    const sim::SamplingOptions &opt = request.sampling;
+    const sim::SampledEngine engine(opt);
+    const auto t0 = std::chrono::steady_clock::now();
+    const trace::Trace &t = traceOf(w);
+    trace::MemoryTraceSource src(t);
+    core::SoftwareAssistedCache sim(cfg);
+    if (library_dir.empty()) {
+        cell.report = engine.run(src, sim);
+    } else {
+        sim::CheckpointKey key;
+        key.traceHash = trace_hash;
+        key.configKey = cfg.cacheKey();
+        key.window = opt.window;
+        key.stride = opt.stride;
+        key.warmup = opt.warmup;
+        const std::string path = sim::CheckpointLibrary::pathFor(
+            library_dir, t.name(), key);
 
-            sim::CheckpointLibrary lib;
-            using LoadResult = sim::CheckpointLibrary::LoadResult;
-            const LoadResult r = request.checkpointRebuild
-                                     ? LoadResult::Missing
-                                     : lib.load(path, key);
-            auto &outcome = cell.checkpoint;
-            if (r == LoadResult::Hit) {
-                outcome.hits = 1;
-                outcome.bytes = lib.loadedBytes();
-                count("checkpoint.hits",
-                      "sampled cells served from a live-point library",
+        sim::CheckpointLibrary lib;
+        using LoadResult = sim::CheckpointLibrary::LoadResult;
+        const LoadResult r = request.checkpointRebuild
+                                 ? LoadResult::Missing
+                                 : lib.load(path, key);
+        auto &outcome = cell.checkpoint;
+        if (r == LoadResult::Hit) {
+            outcome.hits = 1;
+            outcome.bytes = lib.loadedBytes();
+            count("checkpoint.hits",
+                  "sampled cells served from a live-point library",
+                  1);
+        } else {
+            // Warm once through the builder (a warming-only mirror
+            // of the sampled replay), persist, then run the same
+            // restore path a hit takes.
+            core::SoftwareAssistedCache warmer(cfg);
+            trace::MemoryTraceSource warm_src(t);
+            engine.buildLibrary(warm_src, warmer, lib);
+            outcome.bytes = lib.save(path, key);
+            outcome.misses = 1;
+            outcome.stale = r == LoadResult::Stale ? 1 : 0;
+            if (outcome.stale)
+                count("checkpoint.stale",
+                      "libraries rejected as stale (key, version or "
+                      "file mismatch)",
                       1);
-            } else {
-                // Warm once through the builder (a warming-only mirror
-                // of the sampled replay), persist, then run the same
-                // restore path a hit takes.
-                core::SoftwareAssistedCache warmer(cfg);
-                trace::MemoryTraceSource warm_src(t);
-                engine.buildLibrary(warm_src, warmer, lib);
-                outcome.bytes = lib.save(path, key);
-                outcome.misses = 1;
-                outcome.stale = r == LoadResult::Stale ? 1 : 0;
-                if (outcome.stale)
-                    count("checkpoint.stale",
-                          "libraries rejected as stale (key, version or "
-                          "file mismatch)",
-                          1);
-                count("checkpoint.misses",
-                      "sampled cells that warmed and wrote a library",
-                      1);
-            }
-            count("checkpoint.bytes", "bytes moved through .saclp files",
-                  outcome.bytes);
-            cell.report = engine.runCheckpointed(src, sim, lib);
+            count("checkpoint.misses",
+                  "sampled cells that warmed and wrote a library",
+                  1);
         }
-        cell.seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-        runsExecuted_.fetch_add(1);
-    });
+        count("checkpoint.bytes", "bytes moved through .saclp files",
+              outcome.bytes);
+        cell.report = engine.runCheckpointed(src, sim, lib);
+    }
+    cell.seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    runsExecuted_.fetch_add(1);
 }
 
 std::vector<Workload>

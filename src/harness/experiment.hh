@@ -49,16 +49,16 @@ Metric wordsPerAccessMetric();
 Metric mainHitShareMetric();
 Metric auxHitShareMetric();
 
-/** A named trace source (generated lazily, cached per runner). */
+/**
+ * A named trace source. build() materializes the trace (cached per
+ * runner); the optional stream() emits the same records into a sink
+ * without materializing them, which Runner::run() prefers for a
+ * workload whose trace is not resident.
+ */
 struct Workload
 {
     std::string name;
     std::function<trace::Trace()> build;
-    /**
-     * Optional streaming producer: emit every record into the sink
-     * without materializing the trace. When set, runStreamed() keeps
-     * memory bounded by the chunk size instead of the trace length.
-     */
     std::function<void(const trace::RecordSink &)> stream;
 };
 
@@ -67,10 +67,12 @@ struct Workload
  * result so requests sharing points are free.
  *
  * Thread safety: traceOf(), warmup() and run() may be called
- * concurrently from any number of threads. Each trace is generated
- * exactly once (a per-workload once-latch blocks concurrent
+ * concurrently from any number of threads. Each trace is materialized
+ * at most once (a per-workload once-latch blocks concurrent
  * requesters until the first generation finishes) and each cell is
- * computed exactly once. Cells live in one store keyed on the engine
+ * computed exactly once: a per-cell claim latch lets one task compute
+ * it while every other requester waits, and a claimer that throws
+ * hands the cell back. Cells live in one store keyed on the engine
  * that produced them plus the canonical serialized configuration
  * (core::Config::cacheKey()), never on the display name, so two
  * configs sharing a label cannot alias, and an exact, a stack-derived
@@ -96,37 +98,21 @@ class Runner
      * (workload, config) cell to the fastest eligible engine, see
      * EngineSelect in sweep.hh), execute the plan, emit the requested
      * telemetry, and return the rendered table plus every cell's
-     * routing record and statistics. Each workload's stack family is
-     * one single-pass traversal; those passes (largest trace first)
-     * and the exact and sampled cells are the tasks of one pool of
-     * jobs workers, built only when more than one task can run in
-     * parallel. The request must be valid
+     * routing record and statistics. A workload's exact and stack
+     * cells are served by chunked traversals of its trace, each one
+     * pool task that feeds every chunk to the stack engine and then
+     * to each of its exact simulators. The records come from the
+     * resident trace when this runner holds it (one traversal per
+     * exact cell), else from Workload::stream on the task's thread
+     * (one traversal for all cells, or jobs / workloads traversals
+     * when there are fewer workloads than workers; the trace is never
+     * materialized), else from traceOf() on the calling thread before
+     * the fan-out. Sampled cells are one task each. The tasks run on
+     * one pool of jobs workers, built only when more than one task
+     * can run in parallel. The request must be valid
      * (SweepRequest::validationError()).
      */
     SweepResult run(const SweepRequest &request);
-
-    /**
-     * Streamed sweep: simulate @p w under every configuration in one
-     * pass over the trace, never holding more than a bounded window
-     * of records. The producer (w.stream when set, else a fallback
-     * that generates via w.build and replays) runs on its own thread
-     * feeding a bounded chunk queue; each popped chunk is fanned out
-     * over the per-config simulators in at most @p jobs groups (<= 1
-     * = serial), with a barrier per chunk so all simulators advance
-     * in lockstep. Chunks are double-buffered: the next chunk is
-     * pulled from the queue while the workers replay the current one.
-     * Results are NOT cached (the cell store holds materialized-trace
-     * results only; the two are bit-identical, as the streaming
-     * differential tests prove).
-     *
-     * @return one RunStats per configuration, in @p configs order
-     */
-    std::vector<sim::RunStats>
-    runStreamed(const Workload &w,
-                const std::vector<core::Config> &configs,
-                unsigned jobs = 0,
-                std::size_t chunk_records =
-                    trace::TraceSource::defaultChunkRecords);
 
     /** Number of simulations actually executed (not served cached). */
     std::size_t runsExecuted() const { return runsExecuted_.load(); }
@@ -152,7 +138,10 @@ class Runner
      */
     std::uint64_t checkpointCounter(const std::string &name) const;
 
-    /** Number of traces actually generated. */
+    /**
+     * Number of generator runs: traces materialized by traceOf() plus
+     * traversals that streamed a workload without materializing it.
+     */
     std::size_t tracesGenerated() const
     {
         return tracesGenerated_.load();
@@ -160,27 +149,33 @@ class Runner
 
     /**
      * Wall-clock phase account of this runner: "trace-gen" (workload
-     * builds), "warmup" (warmup() calls), "sim" (exact replays),
-     * "stack-pass" (stack traversals), "sweep" (request execution)
-     * and "report" (table and manifest rendering). Phase adds are
-     * thread-safe.
+     * builds, and the generator's share of streamed traversals),
+     * "warmup" (warmup() calls), "sim" (exact replays), "stack-pass"
+     * (stack traversals), "sweep" (request execution) and "report"
+     * (table and manifest rendering). Phase adds are thread-safe.
      */
     const telemetry::PhaseTimer &phases() const { return phases_; }
 
   private:
-    /** One store entry: computed exactly once, then immutable. */
+    /**
+     * One store entry: computed exactly once, then immutable. Its
+     * latch moves Empty -> Running when a task claims the cell and
+     * Running -> Filled once the results are stored; a claimer that
+     * fails moves it back to Empty, so a waiter can claim it anew.
+     */
     struct StoredCell
     {
-        /** Latch of exact and sampled cells. */
-        std::once_flag once;
-        /**
-         * Stack cells are filled by a whole-family pass instead (under
-         * the workload's pass mutex); set once the stats are stored.
-         */
-        std::atomic<bool> filled{false};
+        enum State
+        {
+            Empty,
+            Running,
+            Filled
+        };
+        std::atomic<State> state{Empty};
         sim::RunStats stats;      //!< exact and stack cells
         sim::SampleReport report; //!< sampled cells
-        double seconds = 0.0;     //!< wall seconds of the replay
+        /** Wall seconds of the cell's own simulator (exact, sampled). */
+        double seconds = 0.0;
         /**
          * Live-point cells: this cell's library outcome (hits, misses
          * and stale are each 0 or 1) and the bytes it moved.
@@ -194,35 +189,51 @@ class Runner
     /** A request's cells, each routed to an engine and a store slot. */
     struct Plan;
 
+    /** One exact or stack cell of a workload traversal. */
+    struct TraversalCell
+    {
+        const core::Config *config = nullptr;
+        StoredCell *slot = nullptr;
+        bool stack = false; //!< served by the stack engine
+    };
+
     /** Decide every cell's engine, stack family and store slot. */
     Plan plan(const SweepRequest &request);
 
     /** The store slot under @p key, created on first use. */
     StoredCell &slot(const std::string &key);
 
-    /** Replay one exact cell into @p cell (once). */
-    void replayCell(StoredCell &cell, const Workload &w,
-                    const core::Config &cfg);
+    /**
+     * Make every slot of @p slots Filled: claim the Empty ones (all
+     * at once, so concurrent requests split a workload's cells
+     * without racing over them), call @p fill with the claimed
+     * indices, publish them, then wait for the slots other tasks
+     * hold, and repeat for any whose claimer failed. When @p fill
+     * throws, the claims are released and the exception propagates.
+     */
+    void
+    settle(const std::vector<StoredCell *> &slots,
+           const std::function<void(const std::vector<std::size_t> &)>
+               &fill);
 
     /**
-     * Estimate one sampled cell into @p cell (once), over the
-     * live-point library at @p library_dir when non-empty (the
-     * trace's content hash is @p trace_hash).
+     * One chunked traversal of @p w's records — from @p resident
+     * when non-null, else from w.stream — feeding a stack engine over
+     * the stack cells of @p cells and one simulator per exact cell,
+     * then storing each cell's stats and seconds.
+     */
+    void traverse(const Workload &w, const trace::Trace *resident,
+                  const std::vector<const TraversalCell *> &cells);
+
+    /**
+     * Estimate one sampled cell into @p cell, over the live-point
+     * library at @p library_dir when non-empty (the trace's content
+     * hash is @p trace_hash).
      */
     void sampleCell(StoredCell &cell, const Workload &w,
                     const core::Config &cfg, const SweepRequest &request,
                     const std::string &library_dir,
                     std::uint64_t trace_hash);
-
-    /**
-     * Run one stack pass over @p w covering every config of
-     * @p family, storing the stats of each member slot not yet
-     * filled.
-     */
-    void runStackFamily(
-        const Workload &w,
-        const std::vector<std::pair<const core::Config *, StoredCell *>>
-            &family);
 
     /** Add @p delta to counter @p name (registered on first use). */
     void count(const char *name, const char *desc, std::uint64_t delta);
@@ -235,6 +246,7 @@ class Runner
     struct TraceSlot
     {
         std::once_flag once;
+        std::atomic<bool> built{false}; //!< value is ready
         trace::Trace value;
         std::once_flag hashOnce;
         std::uint64_t hash = 0;
@@ -243,21 +255,17 @@ class Runner
     /** The slot of @p w, its trace generated on first use. */
     TraceSlot &slotOf(const Workload &w);
 
+    /** The trace of @p w if already materialized, else nullptr. */
+    const trace::Trace *residentTrace(const Workload &w);
+
     /** sim::hashTrace of traceOf(@p w), computed once per trace. */
     std::uint64_t traceHashOf(const Workload &w);
 
-    /** Guards the maps below (not the slots) and the counters. */
+    /** Guards the maps below (not the slots), claims and counters. */
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<TraceSlot>> traces_;
     /** The one cell store (see the class comment for its key). */
     std::map<std::string, std::unique_ptr<StoredCell>> cells_;
-    /**
-     * One pass mutex per workload: the whole check-store / traverse /
-     * fill-store sequence of runStackFamily() holds it, so concurrent
-     * requests over the same workload share one traversal instead of
-     * racing to duplicate it.
-     */
-    std::map<std::string, std::unique_ptr<std::mutex>> passMutexes_;
     /** stack.pass.* and checkpoint.* counters. */
     telemetry::CounterRegistry counters_;
     std::atomic<std::size_t> runsExecuted_{0};

@@ -556,87 +556,125 @@ Runner::run(const SweepRequest &request)
 
     // ---- Execute. ----------------------------------------------------
     const auto start = std::chrono::steady_clock::now();
-    // Summed wall time of the cell tasks and passes (nanoseconds so
-    // workers can accumulate without a double CAS).
+    // Summed wall time of the tasks (nanoseconds so workers can
+    // accumulate without a double CAS).
     std::atomic<std::uint64_t> busy_ns{0};
 
-    // Stack families: one pass per workload. Their traces resolve
-    // here, on the issuing thread, so no trace copy lands in a pool
-    // worker's malloc arena.
-    std::vector<std::size_t> passes; // workloads with a stack pass
-    if (!p.family.empty()) {
-        for (std::size_t wi = 0; wi < n_w; ++wi) {
-            traceOf(request.workloads[wi]);
-            passes.push_back(wi);
-        }
-    }
-    std::vector<std::size_t> tasks; // exact and sampled cells
-    for (std::size_t i = 0; i < p.cells.size(); ++i) {
-        if (p.cells[i].engine != EngineTag::StackSinglePass)
-            tasks.push_back(i);
-    }
-    if (!passes.empty() && !tasks.empty())
+    const bool sampled = request.engine == EngineSelect::Sampled ||
+                         request.engine == EngineSelect::SampledLivepoint;
+    if (!p.family.empty() && p.family.size() < n_c)
         count("stack.pass.fallback_cells",
               "cells exact-replayed in stack-dispatched sweeps",
-              tasks.size());
+              n_w * (n_c - p.family.size()));
 
+    // A workload's exact and stack cells are served by traversals of
+    // its trace. Where the records come from is settled here, on the
+    // issuing thread: the resident trace, else the workload's stream
+    // on the task's own thread, else a trace materialized right now —
+    // so no trace copy lands in a pool worker's malloc arena.
+    std::vector<const trace::Trace *> resident(n_w, nullptr);
     // Library identity is the trace *content*, not its name: hash
     // before the cells fan out, once per resident trace.
     std::vector<std::uint64_t> trace_hashes(n_w, 0);
-    if (!p.libraryDir.empty()) {
-        for (std::size_t wi = 0; wi < n_w; ++wi)
-            trace_hashes[wi] = traceHashOf(request.workloads[wi]);
+    for (std::size_t wi = 0; wi < n_w; ++wi) {
+        const Workload &w = request.workloads[wi];
+        if (!p.libraryDir.empty())
+            trace_hashes[wi] = traceHashOf(w);
+        if (sampled)
+            continue;
+        resident[wi] = residentTrace(w);
+        const auto row = p.cells.begin() + wi * n_c;
+        if (!resident[wi] && !w.stream &&
+            std::any_of(row, row + n_c, [](const Plan::Cell &c) {
+                return c.slot->state.load() != StoredCell::Filled;
+            }))
+            resident[wi] = &traceOf(w);
     }
 
-    // Each stack pass covers the whole family of its workload; a
-    // concurrent request over the same workload waits on the pass
-    // mutex and shares the traversal.
-    const auto pass = [&](std::size_t wi) {
-        std::vector<std::pair<const core::Config *, StoredCell *>>
-            members;
-        for (const std::size_t ci : p.family)
-            members.emplace_back(&request.configs[ci],
-                                 p.cells[wi * n_c + ci].slot);
-        const auto t0 = std::chrono::steady_clock::now();
-        runStackFamily(request.workloads[wi], members);
-        busy_ns.fetch_add(nanosSince(t0));
+    // Tasks: one per sampled cell, else traversals of one workload.
+    // A resident trace costs nothing to re-read, so each of its exact
+    // cells is a traversal of its own (the finest balance). A
+    // streamed trace is regenerated by every traversal, so its exact
+    // cells share one, split only so that a request with fewer
+    // workloads than workers still fills the pool. The stack cells
+    // ride a workload's first traversal. The largest resident traces
+    // go first, so the longest tasks start earliest.
+    const unsigned jobs = std::max(1u, request.jobs);
+    const std::size_t n_exact = std::max<std::size_t>(
+        1, n_c - p.family.size());
+    std::vector<std::size_t> shards(n_w);
+    struct Task
+    {
+        std::size_t index; //!< the sampled cell, or the workload
+        std::size_t shard; //!< traversal of the workload
+        std::size_t size;  //!< resident trace records (0 = unknown)
     };
-    // Exact and sampled cells: each latches once in the store, so
-    // cells racing another request block on the first producer
-    // instead of duplicating work.
-    const auto execute = [&](std::size_t i) {
-        const std::size_t wi = i / n_c;
-        const std::size_t ci = i % n_c;
+    std::vector<Task> tasks;
+    for (std::size_t k = 0; sampled && k < p.cells.size(); ++k)
+        tasks.push_back({k, 0, 0});
+    for (std::size_t wi = 0; !sampled && wi < n_w; ++wi) {
+        shards[wi] = std::clamp<std::size_t>(
+            resident[wi] ? n_exact : jobs / n_w, 1, n_exact);
+        for (std::size_t s = 0; s < shards[wi]; ++s)
+            tasks.push_back(
+                {wi, s, resident[wi] ? resident[wi]->size() : 0});
+    }
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [](const Task &a, const Task &b) {
+                         return a.size > b.size;
+                     });
+
+    const auto traverseShard = [&](std::size_t wi, std::size_t shard) {
+        std::vector<TraversalCell> cells;
+        std::vector<StoredCell *> slots;
+        std::size_t exact = 0;
+        for (std::size_t ci = 0; ci < n_c; ++ci) {
+            const Plan::Cell &c = p.cells[wi * n_c + ci];
+            const bool stack = c.engine == EngineTag::StackSinglePass;
+            if (stack ? shard != 0 : exact++ % shards[wi] != shard)
+                continue;
+            cells.push_back({&request.configs[ci], c.slot, stack});
+            slots.push_back(c.slot);
+        }
+        std::size_t fresh_stack = 0;
+        settle(slots, [&](const std::vector<std::size_t> &claimed) {
+            std::vector<const TraversalCell *> mine;
+            for (const std::size_t i : claimed)
+                mine.push_back(&cells[i]);
+            traverse(request.workloads[wi], resident[wi], mine);
+            for (const TraversalCell *c : mine)
+                fresh_stack += c->stack;
+        });
+        if (!p.family.empty() && shard == 0)
+            count("stack.pass.cached_cells",
+                  "sweep cells served from the stack store",
+                  p.family.size() - fresh_stack);
+    };
+    const auto execute = [&](const Task &task) {
         const auto t0 = std::chrono::steady_clock::now();
-        if (p.cells[i].engine == EngineTag::ExactReplay) {
-            replayCell(*p.cells[i].slot, request.workloads[wi],
-                       request.configs[ci]);
+        if (sampled) {
+            const std::size_t wi = task.index / n_c;
+            StoredCell &cell = *p.cells[task.index].slot;
+            settle({&cell}, [&](const std::vector<std::size_t> &) {
+                sampleCell(cell, request.workloads[wi],
+                           request.configs[task.index % n_c], request,
+                           p.libraryDir, trace_hashes[wi]);
+            });
         } else {
-            sampleCell(*p.cells[i].slot, request.workloads[wi],
-                       request.configs[ci], request, p.libraryDir,
-                       trace_hashes[wi]);
+            traverseShard(task.index, task.shard);
         }
         busy_ns.fetch_add(nanosSince(t0));
     };
 
-    const unsigned jobs = std::max(1u, request.jobs);
-    if (jobs > 1 && passes.size() + tasks.size() > 1) {
-        // One pool runs passes and cells alike. Passes go first,
-        // largest trace first: the longest task starts earliest.
-        std::stable_sort(passes.begin(), passes.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return traceOf(request.workloads[a]).size() >
-                                    traceOf(request.workloads[b]).size();
-                         });
+    if (jobs > 1 && tasks.size() > 1) {
         // Declared after the lambdas its tasks reference: unwinding
         // joins the workers before those go out of scope.
         util::ThreadPool pool(jobs);
         std::vector<std::future<void>> futures;
-        futures.reserve(passes.size() + tasks.size());
-        for (const std::size_t wi : passes)
-            futures.push_back(pool.submit([&pass, wi] { pass(wi); }));
-        for (const std::size_t i : tasks)
-            futures.push_back(pool.submit([&execute, i] { execute(i); }));
+        futures.reserve(tasks.size());
+        for (const Task &task : tasks)
+            futures.push_back(
+                pool.submit([&execute, task] { execute(task); }));
         // Every task must finish before get() re-raises an exception
         // one threw: the tasks reference this frame.
         for (auto &f : futures)
@@ -644,10 +682,8 @@ Runner::run(const SweepRequest &request)
         for (auto &f : futures)
             f.get();
     } else {
-        for (const std::size_t wi : passes)
-            pass(wi);
-        for (const std::size_t i : tasks)
-            execute(i);
+        for (const Task &task : tasks)
+            execute(task);
     }
 
     SweepResult out;

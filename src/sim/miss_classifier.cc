@@ -38,7 +38,7 @@ std::size_t
 MissClassifier::find(Addr line) const
 {
     std::size_t i = mixLine(line) & mask_;
-    while (!(table_[i].used && table_[i].line == line))
+    while (table_[i].key() != line + 1)
         i = (i + 1) & mask_;
     return i;
 }
@@ -47,8 +47,8 @@ std::size_t
 MissClassifier::findOrInsert(Addr line, bool &inserted)
 {
     std::size_t i = mixLine(line) & mask_;
-    while (table_[i].used) {
-        if (table_[i].line == line) {
+    while (table_[i].key() != 0) {
+        if (table_[i].key() == line + 1) {
             inserted = false;
             return i;
         }
@@ -59,11 +59,10 @@ MissClassifier::findOrInsert(Addr line, bool &inserted)
     if (seenCount_ * 4 > table_.size() * 3) {
         grow();
         i = mixLine(line) & mask_;
-        while (table_[i].used)
+        while (table_[i].key() != 0)
             i = (i + 1) & mask_;
     }
-    table_[i].used = true;
-    table_[i].line = line;
+    table_[i].setKey(line + 1);
     table_[i].node = npos;
     return i;
 }
@@ -76,10 +75,10 @@ MissClassifier::grow()
     table_.resize(old.size() * 2);
     mask_ = table_.size() - 1;
     for (const Slot &s : old) {
-        if (!s.used)
+        if (s.key() == 0)
             continue;
-        std::size_t i = mixLine(s.line) & mask_;
-        while (table_[i].used)
+        std::size_t i = mixLine(s.key() - 1) & mask_;
+        while (table_[i].key() != 0)
             i = (i + 1) & mask_;
         table_[i] = s;
     }

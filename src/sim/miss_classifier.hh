@@ -58,13 +58,27 @@ class MissClassifier
     /** No LRU node: the line was touched but has since been evicted. */
     static constexpr std::uint32_t npos = 0xffffffffu;
 
-    /** One table slot: a touched line and its LRU residence. */
+    /**
+     * One table slot: a touched line and its LRU residence, packed
+     * into 12 bytes, since the table holds every line a trace touches
+     * and is most of a simulator's memory. The key is line + 1 in two
+     * 32-bit halves; 0 marks a free slot.
+     */
     struct Slot
     {
-        Addr line = 0;
+        std::uint32_t keyLo = 0, keyHi = 0;
         std::uint32_t node = npos;
-        bool used = false;
+
+        Addr key() const { return Addr{keyHi} << 32 | keyLo; }
+
+        void
+        setKey(Addr key)
+        {
+            keyLo = static_cast<std::uint32_t>(key);
+            keyHi = static_cast<std::uint32_t>(key >> 32);
+        }
     };
+    static_assert(sizeof(Slot) == 12, "a slot packs into 12 bytes");
 
     /** One pool entry of the intrusive LRU list. */
     struct Node

@@ -53,16 +53,34 @@ findBenchmark(const std::string &name)
     util::fatal("unknown benchmark: ", name);
 }
 
+namespace {
+
+/**
+ * The one tagging pipeline: finalize @p program, run the locality
+ * analyzer, and execute the tagged program under @p timing into
+ * @p out (a Trace or a RecordSink).
+ */
+template <typename Out>
+locality::AnalysisResult
+runTagged(loopnest::Program &program, trace::TimingModel timing,
+          Out &out)
+{
+    program.finalize();
+    locality::AnalysisResult result = locality::analyze(program);
+    loopnest::TraceGenerator gen(program, result.tags, timing);
+    gen.run(out);
+    return result;
+}
+
+} // namespace
+
 trace::Trace
 makeTaggedTrace(loopnest::Program &&program, std::uint64_t seed,
                 locality::AnalysisResult *analysis)
 {
-    program.finalize();
-    locality::AnalysisResult result = locality::analyze(program);
-    trace::TimingModel timing(seed);
-    loopnest::TraceGenerator gen(program, result.tags, timing);
     trace::Trace t(program.name());
-    gen.run(t);
+    locality::AnalysisResult result =
+        runTagged(program, trace::TimingModel(seed), t);
     if (analysis)
         *analysis = std::move(result);
     return t;
@@ -74,15 +92,25 @@ makeBenchmarkTrace(const std::string &name, std::uint64_t seed)
     return makeTaggedTrace(findBenchmark(name).build(), seed);
 }
 
+trace::Trace
+makeTaggedTraceWithTiming(loopnest::Program &&program,
+                          const util::DiscreteDistribution &deltas,
+                          std::uint64_t seed)
+{
+    trace::Trace t(program.name());
+    runTagged(program, trace::TimingModel(deltas, seed), t);
+    return t;
+}
+
 void
 streamTaggedTrace(loopnest::Program &&program,
-                  const trace::RecordSink &sink, std::uint64_t seed)
+                  const trace::RecordSink &sink, std::uint64_t seed,
+                  const util::DiscreteDistribution *deltas)
 {
-    program.finalize();
-    const locality::AnalysisResult result = locality::analyze(program);
-    trace::TimingModel timing(seed);
-    loopnest::TraceGenerator gen(program, result.tags, timing);
-    gen.run(sink);
+    runTagged(program,
+              deltas ? trace::TimingModel(*deltas, seed)
+                     : trace::TimingModel(seed),
+              sink);
 }
 
 void
@@ -90,29 +118,6 @@ streamBenchmarkTrace(const std::string &name,
                      const trace::RecordSink &sink, std::uint64_t seed)
 {
     streamTaggedTrace(findBenchmark(name).build(), sink, seed);
-}
-
-std::unique_ptr<trace::TraceSource>
-benchmarkTraceSource(const std::string &name, std::uint64_t seed)
-{
-    return std::make_unique<trace::GeneratorTraceSource>(
-        name, [name, seed](const trace::RecordSink &sink) {
-            streamBenchmarkTrace(name, sink, seed);
-        });
-}
-
-trace::Trace
-makeTaggedTraceWithTiming(loopnest::Program &&program,
-                          const util::DiscreteDistribution &deltas,
-                          std::uint64_t seed)
-{
-    program.finalize();
-    const locality::AnalysisResult result = locality::analyze(program);
-    trace::TimingModel timing(deltas, seed);
-    loopnest::TraceGenerator gen(program, result.tags, timing);
-    trace::Trace t(program.name());
-    gen.run(t);
-    return t;
 }
 
 } // namespace workloads

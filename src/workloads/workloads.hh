@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -163,29 +162,6 @@ trace::Trace makeBenchmarkTrace(const std::string &name,
                                 std::uint64_t seed = 0x7ac3ull);
 
 /**
- * Streaming variant of makeTaggedTrace(): finalize, analyze, then
- * emit each record into @p sink as it is generated — the trace is
- * never materialized, so memory stays bounded for any length.
- */
-void streamTaggedTrace(loopnest::Program &&program,
-                       const trace::RecordSink &sink,
-                       std::uint64_t seed = 0x7ac3ull);
-
-/** Streaming variant of makeBenchmarkTrace(). */
-void streamBenchmarkTrace(const std::string &name,
-                          const trace::RecordSink &sink,
-                          std::uint64_t seed = 0x7ac3ull);
-
-/**
- * Pull-based source for a registered benchmark: generation runs on a
- * background thread bridged through a bounded queue, so consumption
- * overlaps generation.
- */
-std::unique_ptr<trace::TraceSource>
-benchmarkTraceSource(const std::string &name,
-                     std::uint64_t seed = 0x7ac3ull);
-
-/**
  * Pipeline variant with a custom issue-time distribution, for
  * issue-rate sensitivity studies (the paper: "a cache design is
  * sensitive to the processor request issue rate").
@@ -194,6 +170,24 @@ trace::Trace makeTaggedTraceWithTiming(
     loopnest::Program &&program,
     const util::DiscreteDistribution &deltas,
     std::uint64_t seed = 0x7ac3ull);
+
+/**
+ * Streaming variant of makeTaggedTrace() (of
+ * makeTaggedTraceWithTiming() when @p deltas is given): finalize,
+ * analyze, then emit each record into @p sink as it is generated —
+ * the trace is never materialized, so memory stays bounded for any
+ * length. The records equal the materialized variant's.
+ */
+void streamTaggedTrace(loopnest::Program &&program,
+                       const trace::RecordSink &sink,
+                       std::uint64_t seed = 0x7ac3ull,
+                       const util::DiscreteDistribution *deltas =
+                           nullptr);
+
+/** Streaming variant of makeBenchmarkTrace(). */
+void streamBenchmarkTrace(const std::string &name,
+                          const trace::RecordSink &sink,
+                          std::uint64_t seed = 0x7ac3ull);
 
 } // namespace workloads
 } // namespace sac

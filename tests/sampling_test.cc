@@ -304,35 +304,6 @@ TEST(TraceSourceSkipTest, FileSourceSeeksPastRecords)
     std::remove(path.c_str());
 }
 
-TEST(TraceSourceSkipTest, GeneratorSourceDrainsThroughDefaultSkip)
-{
-    // The streaming generator has no random access; the base-class
-    // skip() decodes and discards. The records after the skip must be
-    // exactly those of the materialized trace at the same offset.
-    const auto t = workloads::makeBenchmarkTrace("MV");
-    const auto src = workloads::benchmarkTraceSource("MV");
-    ASSERT_GT(t.size(), 200u);
-
-    EXPECT_EQ(src->skip(100), 100u);
-    trace::Record r;
-    ASSERT_EQ(src->next(&r, 1), 1u);
-    EXPECT_EQ(r, t[100]);
-}
-
-TEST(TraceSourceSkipTest, GeneratorSourceSkipPastEofTruncates)
-{
-    // Skipping beyond the generated stream reports the truncated
-    // count — like the seekable sources — and exhausts the source.
-    const auto t = workloads::makeBenchmarkTrace("MV");
-    const auto src = workloads::benchmarkTraceSource("MV");
-
-    EXPECT_EQ(src->skip(t.size() + 1000), t.size());
-    trace::Record r;
-    EXPECT_EQ(src->next(&r, 1), 0u);
-    // And again at EOF: nothing left to skip.
-    EXPECT_EQ(src->skip(1), 0u);
-}
-
 TEST(TraceSourceSkipTest, SkipAtEofReturnsZeroOnSeekableSources)
 {
     const auto t = workloads::makeTaggedTrace(workloads::buildMv(10));

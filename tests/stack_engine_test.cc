@@ -789,14 +789,15 @@ TEST(StackFamily, PooledFamiliesMatchSerial)
                 untimed(serial_mixed.manifests));
 
     // A workload whose build() throws fails the request with its
-    // exception, never a crash: every task, pass and cell alike, is
-    // waited for before it re-raises. A stack request resolves its
-    // traces before any task starts; an AMAT request resolves them
-    // inside the cell tasks, so there the throw surfaces from a
-    // worker while the other workloads' cells run. Each request has
-    // its own runner and one cell per workload, so the broken trace
-    // latch is entered once: re-entering a std::call_once whose
-    // callable threw hangs under ThreadSanitizer.
+    // exception, never a crash: every task is waited for before it
+    // re-raises. A workload without stream is materialized before any
+    // task starts, so there the throw leaves run() directly; a
+    // workload whose stream throws fails inside its traversal task,
+    // so there the throw surfaces from a worker while the other
+    // workloads' traversals run. Each request has its own runner, so
+    // the broken trace latch is entered once: re-entering a
+    // std::call_once whose callable threw hangs under
+    // ThreadSanitizer.
     std::vector<harness::Workload> broken = ws;
     broken.insert(broken.begin() + 2,
                   {"broken",
@@ -815,6 +816,9 @@ TEST(StackFamily, PooledFamiliesMatchSerial)
         EXPECT_EQ(harness::toCsv(after.table), serial.csv);
     }
     {
+        broken[2].stream = [](const trace::RecordSink &) {
+            throw std::runtime_error("no stream");
+        };
         harness::Runner r;
         EXPECT_THROW(r.run(testref::request(
                          broken, {core::presets().get("soft")},

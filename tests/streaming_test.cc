@@ -2,7 +2,10 @@
  * @file
  * Tests of the streaming simulation engine and the Config API
  * redesign: chunked trace sources must replay bit-identically to
- * materialized traces (for any chunk size), the feature-specialized
+ * materialized traces (for any chunk size), Runner::run's chunked
+ * traversal of a streamed workload must match resident and direct
+ * replay and share one traversal between concurrent requests, the
+ * feature-specialized
  * dispatch paths must match the general path exactly, and the
  * Builder / preset registry must agree with the legacy factories and
  * reject the configurations validate() is documented to reject.
@@ -10,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/check/trace_fuzzer.hh"
@@ -21,6 +27,8 @@
 #include "src/sim/run_stats.hh"
 #include "src/trace/trace_io.hh"
 #include "src/trace/trace_source.hh"
+#include "src/util/distribution.hh"
+#include "src/workloads/workloads.hh"
 #include "tests/reference_sweep.hh"
 
 namespace {
@@ -48,6 +56,8 @@ class ThrottledSource : public trace::TraceSource
     {
         return inner_.next(out, max < chunk_ ? max : chunk_);
     }
+
+    std::uint64_t skip(std::uint64_t n) override { return inner_.skip(n); }
 
     const std::string &name() const override { return inner_.name(); }
 
@@ -109,83 +119,213 @@ TEST(Streaming, FileSourceMatchesMaterializedExactly)
     std::remove(path.c_str());
 }
 
-TEST(Streaming, GeneratorSourceYieldsRecordsInOrder)
+// --- Runner::run traverses streamed workloads chunk by chunk -------
+
+/**
+ * The tagged MV trace of order @p n as a workload that streams;
+ * @p builds counts the calls that materialize it.
+ */
+harness::Workload
+streamedMv(std::int64_t n, std::atomic<int> &builds)
 {
-    const auto c = fuzzCases(1).front();
-    trace::GeneratorTraceSource src(
-        c.trace.name(),
-        [&c](const trace::RecordSink &sink) {
-            for (const auto &r : c.trace)
-                sink(r);
-        },
-        /*chunk_records=*/7, /*max_chunks=*/2);
-    const trace::Trace drained = trace::drainToTrace(src);
-    ASSERT_EQ(drained.size(), c.trace.size());
-    for (std::size_t i = 0; i < drained.size(); ++i)
-        ASSERT_TRUE(drained[i] == c.trace[i]) << "record " << i;
+    return {"MV" + std::to_string(n),
+            [n, &builds] {
+                ++builds;
+                return workloads::makeTaggedTrace(workloads::buildMv(n));
+            },
+            [n](const trace::RecordSink &sink) {
+                workloads::streamTaggedTrace(workloads::buildMv(n), sink);
+            }};
 }
 
-TEST(Streaming, GeneratorSourceSkipPastEofReportsTruncatedCount)
+/** Stack-family configs (plain LRU) plus exact fallback configs. */
+std::vector<Config>
+mixedConfigs()
 {
-    // The base-class skip() on a generator decodes and discards; a
-    // request past the end of the produced stream must report only
-    // what was actually there, after which the source stays drained.
-    const auto c = fuzzCases(1).front();
-    trace::GeneratorTraceSource src(
-        c.trace.name(),
-        [&c](const trace::RecordSink &sink) {
-            for (const auto &r : c.trace)
-                sink(r);
-        },
-        /*chunk_records=*/7, /*max_chunks=*/2);
-
-    EXPECT_EQ(src.skip(c.trace.size() + 100), c.trace.size());
-    trace::Record r;
-    EXPECT_EQ(src.next(&r, 1), 0u);
-    EXPECT_EQ(src.skip(1), 0u);
+    std::vector<Config> out;
+    for (const std::uint32_t ways : {1u, 2u, 4u}) {
+        Config c = core::presets().get("standard");
+        c.assoc = ways;
+        c.name = "LRU " + std::to_string(ways) + "-way";
+        out.push_back(c);
+    }
+    for (const char *key : {"victim", "soft", "soft-prefetch"})
+        out.push_back(core::presets().get(key));
+    return out;
 }
 
-TEST(Streaming, RunStreamedMatchesCachedRunnerResults)
+TEST(Streaming, RunMatchesResidentAndDirectReplay)
 {
-    const auto c = fuzzCases(2).back();
-    const harness::Workload w{
-        "stream-w", [&c] { return c.trace; },
-        [&c](const trace::RecordSink &sink) {
-            for (const auto &r : c.trace)
-                sink(r);
-        }};
-    const std::vector<Config> configs = {
-        core::presets().get("standard"), core::presets().get("victim"),
-        core::presets().get("soft"),
-        core::presets().get("soft-prefetch")};
+    // MV 80 is 12960 records (3 chunks + 672), MV 20 is 840 (less
+    // than one chunk).
+    std::atomic<int> builds{0};
+    const std::vector<harness::Workload> ws = {streamedMv(80, builds),
+                                               streamedMv(20, builds)};
+    const auto configs = mixedConfigs();
 
-    for (const unsigned jobs : {0u, 3u}) {
-        harness::Runner runner;
-        const auto streamed =
-            runner.runStreamed(w, configs, jobs, /*chunk_records=*/64);
-        const auto cached = runner.run(testref::request(
-            {w}, configs, harness::amatMetric(), 1,
-            harness::EngineSelect::Exact));
-        ASSERT_EQ(streamed.size(), configs.size());
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            EXPECT_TRUE(streamed[i] == cached.at(0, i).stats)
-                << configs[i].name << " jobs=" << jobs;
+    std::vector<trace::Trace> traces;
+    for (const auto &w : ws)
+        traces.push_back(w.build());
+    ASSERT_NE(traces[0].size() % trace::TraceSource::defaultChunkRecords,
+              0u);
+    ASSERT_LT(traces[1].size(), trace::TraceSource::defaultChunkRecords);
+    builds = 0;
+
+    for (const unsigned jobs : {1u, 3u}) {
+        const auto request = testref::request(
+            ws, configs, harness::missRatioMetric(), jobs);
+        harness::Runner streamed;
+        const auto s = streamed.run(request);
+        EXPECT_EQ(builds.load(), 0) << "a streamed trace materialized";
+        EXPECT_EQ(streamed.tracesGenerated(), ws.size());
+        EXPECT_EQ(streamed.stackCounter("stack.pass.traversals"),
+                  ws.size());
+
+        harness::Runner resident;
+        resident.warmup(ws);
+        const auto r = resident.run(request);
+
+        for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+            std::vector<sim::StackPoint> points;
+            for (std::size_t ci = 0; ci < 3; ++ci)
+                points.push_back(harness::stackPointOf(configs[ci]));
+            sim::StackDistanceEngine eng(points);
+            eng.feed(traces[wi].data(), traces[wi].size());
+            for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+                const bool stack = ci < 3;
+                ASSERT_EQ(s.at(wi, ci).engine,
+                          stack ? harness::EngineTag::StackSinglePass
+                                : harness::EngineTag::ExactReplay);
+                const sim::RunStats direct =
+                    stack ? harness::stackStatsFor(eng, configs[ci])
+                          : core::simulateTrace(traces[wi], configs[ci]);
+                EXPECT_TRUE(s.at(wi, ci).stats == direct)
+                    << ws[wi].name << " " << configs[ci].name
+                    << " jobs=" << jobs;
+                EXPECT_TRUE(r.at(wi, ci).stats == direct)
+                    << ws[wi].name << " " << configs[ci].name
+                    << " jobs=" << jobs;
+            }
         }
+        builds = 0;
     }
 }
 
-TEST(Streaming, RunStreamedFallsBackToBuildWithoutStream)
+TEST(Streaming, StreamedTaggedTraceYieldsMaterializedRecordsInOrder)
 {
+    // The streaming entry of the tagging pipeline emits exactly the
+    // materialized records, in order, under the Figure 4b model and
+    // under a custom issue-time distribution.
+    const util::DiscreteDistribution slow({{8, 1.0}});
+    for (const util::DiscreteDistribution *deltas :
+         {static_cast<const util::DiscreteDistribution *>(nullptr),
+          &slow}) {
+        const trace::Trace t =
+            deltas ? workloads::makeTaggedTraceWithTiming(
+                         workloads::buildMv(30), *deltas, 11)
+                   : workloads::makeTaggedTrace(workloads::buildMv(30),
+                                                11);
+        std::vector<trace::Record> streamed;
+        workloads::streamTaggedTrace(
+            workloads::buildMv(30),
+            [&streamed](const trace::Record &r) { streamed.push_back(r); },
+            11, deltas);
+        ASSERT_EQ(streamed.size(), t.size());
+        for (std::size_t i = 0; i < t.size(); ++i)
+            ASSERT_TRUE(streamed[i] == t[i]) << "record " << i;
+    }
+}
+
+TEST(Streaming, RunMaterializesWorkloadsWithoutStream)
+{
+    // A workload without stream is materialized once, through
+    // traceOf(), and replays exactly like the trace it builds.
     const auto c = fuzzCases(3).back();
+    int builds = 0;
     const harness::Workload w{"no-stream",
-                              [&c] { return c.trace; },
+                              [&c, &builds] {
+                                  ++builds;
+                                  return c.trace;
+                              },
                               nullptr};
+    const auto configs = mixedConfigs();
     harness::Runner runner;
-    const auto streamed =
-        runner.runStreamed(w, {core::presets().get("soft")}, 0);
-    ASSERT_EQ(streamed.size(), 1u);
-    EXPECT_TRUE(streamed[0] ==
-                core::simulateTrace(c.trace, core::presets().get("soft")));
+    const auto result = runner.run(testref::request(
+        {w}, configs, harness::amatMetric(), 1,
+        harness::EngineSelect::Exact));
+    EXPECT_EQ(builds, 1);
+    EXPECT_EQ(runner.tracesGenerated(), 1u);
+    for (std::size_t ci = 0; ci < configs.size(); ++ci)
+        EXPECT_TRUE(result.at(0, ci).stats ==
+                    core::simulateTrace(c.trace, configs[ci]))
+            << configs[ci].name;
+}
+
+TEST(Streaming, ConcurrentRequestsShareOneTraversal)
+{
+    // Overlapping requests on one workload from two threads: the
+    // shared stack family is one traversal and every exact cell runs
+    // once, whichever request claims it.
+    const auto configs = mixedConfigs();
+    const std::vector<Config> a = {configs[0], configs[1], configs[2],
+                                   configs[3], configs[4]};
+    const std::vector<Config> b = {configs[0], configs[1], configs[2],
+                                   configs[4], configs[5]};
+    std::atomic<int> builds{0};
+    const auto w = streamedMv(40, builds);
+    const trace::Trace t = w.build();
+
+    for (int round = 0; round < 8; ++round) {
+        harness::Runner runner;
+        harness::SweepResult ra, rb;
+        std::thread ta([&] {
+            ra = runner.run(testref::request(
+                {w}, a, harness::missRatioMetric(), 2));
+        });
+        std::thread tb([&] {
+            rb = runner.run(testref::request(
+                {w}, b, harness::missRatioMetric(), 2));
+        });
+        ta.join();
+        tb.join();
+        EXPECT_EQ(runner.runsExecuted(), 3u) << "round " << round;
+        EXPECT_EQ(runner.stackCounter("stack.pass.traversals"), 1u)
+            << "round " << round;
+        for (std::size_t ci = 3; ci < a.size(); ++ci)
+            EXPECT_TRUE(ra.at(0, ci).stats ==
+                        core::simulateTrace(t, a[ci]));
+        for (std::size_t ci = 3; ci < b.size(); ++ci)
+            EXPECT_TRUE(rb.at(0, ci).stats ==
+                        core::simulateTrace(t, b[ci]));
+        for (std::size_t ci = 0; ci < 3; ++ci)
+            EXPECT_TRUE(ra.at(0, ci).stats == rb.at(0, ci).stats);
+    }
+}
+
+TEST(Streaming, FailedTraversalReleasesItsClaims)
+{
+    // A traversal that throws hands its cells back: the request
+    // fails, and the next request over the same cells computes them.
+    std::atomic<int> builds{0};
+    harness::Workload w = streamedMv(20, builds);
+    const auto good_stream = w.stream;
+    bool fail = true;
+    w.stream = [&](const trace::RecordSink &sink) {
+        if (fail)
+            throw std::runtime_error("generator failed");
+        good_stream(sink);
+    };
+    const auto request = testref::request(
+        {w}, mixedConfigs(), harness::missRatioMetric(), 1);
+    harness::Runner runner;
+    EXPECT_THROW(runner.run(request), std::runtime_error);
+    EXPECT_EQ(runner.runsExecuted(), 0u);
+    fail = false;
+    const auto result = runner.run(request);
+    EXPECT_EQ(runner.runsExecuted(), 3u);
+    const trace::Trace t = w.build();
+    EXPECT_TRUE(result.at(0, 4).stats ==
+                core::simulateTrace(t, core::presets().get("soft")));
 }
 
 // --- Feature-specialized dispatch matches the general path ---------

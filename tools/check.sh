@@ -6,15 +6,18 @@
 #   tools/check.sh plain        # one mode only
 #   tools/check.sh thread       # TSan ctest, then a repeat leg: the
 #                               # ThreadPool|ParallelSweep|SweepRequest|
-#                               # Service tests and the pooled stack
-#                               # family test 50 times over (-j4)
+#                               # Service tests, the pooled stack
+#                               # family test and the claim-latch
+#                               # tests 50 times over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
 #   tools/check.sh benches      # the 14 figure binaries at --jobs 1
 #                               # and --jobs 4 with --emit-json:
 #                               # stdout must be identical and the
-#                               # manifests equal except "timing"
+#                               # manifests equal except "timing";
+#                               # prints each run's wall time and
+#                               # peak RSS (informational, no gate)
 #   tools/check.sh perf         # throughput gate: bench_simspeed vs
 #                               # BENCH_simspeed.json (tools/perf_compare.py)
 #   tools/check.sh sampling     # sampled-vs-full differential: the
@@ -109,7 +112,8 @@ for mode in "${modes[@]}"; do
         # of the worker count. Each binary runs serially and on four
         # workers; the outputs must match byte for byte, and the
         # manifest sets must match document for document once the
-        # wall-clock "timing" object is dropped.
+        # wall-clock "timing" object is dropped. Each run's wall time
+        # and peak RSS are printed for the record, not gated.
         build_dir="build-check-benches"
         benches=(bench_fig01_locality bench_fig03_bypass_victim
                  bench_fig04_instrumentation bench_fig06_amat
@@ -132,9 +136,19 @@ for mode in "${modes[@]}"; do
         for b in "${benches[@]}"; do
             echo "=== [benches] ${b} ==="
             for jobs in 1 4; do
-                "${build_dir}/bench/${b}" --jobs "${jobs}" \
-                    --emit-json "${run_dir}/${b}.j${jobs}" \
-                    > "${run_dir}/${b}.j${jobs}.txt"
+                python3 - "${run_dir}/${b}.j${jobs}.txt" \
+                    "${build_dir}/bench/${b}" --jobs "${jobs}" \
+                    --emit-json "${run_dir}/${b}.j${jobs}" <<'EOF'
+import os, subprocess, sys, time
+out, cmd = sys.argv[1], sys.argv[2:]
+with open(out, "w") as f:
+    start = time.monotonic()
+    proc = subprocess.Popen(cmd, stdout=f)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(f"  --jobs {cmd[2]}: wall {time.monotonic() - start:.2f} s, "
+      f"peak RSS {usage.ru_maxrss / 1024:.0f} MiB")
+sys.exit(os.waitstatus_to_exitcode(status))
+EOF
             done
             cmp "${run_dir}/${b}.j1.txt" "${run_dir}/${b}.j4.txt" \
                 || { echo "${b}: stdout differs across --jobs" >&2; exit 1; }
@@ -511,7 +525,7 @@ EOF
         echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
         ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
             --repeat until-fail:50 \
-            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.PooledFamiliesMatchSerial'
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.PooledFamiliesMatchSerial|Streaming\.(ConcurrentRequests|FailedTraversal)'
     fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="

@@ -40,7 +40,8 @@ Usage:
 ``update --only REGEX`` rewrites only the baseline rows whose names
 match REGEX (re.search) and keeps every other row and ``_meta`` as
 they are, so one refreshed row does not silently re-baseline the
-rest. It refuses a report whose host or build differs from the
+rest. A matching baseline row the report lacks is removed (the
+benchmark was deleted or renamed), and the removal is printed. It refuses a report whose host or build differs from the
 baseline's ``_meta``, since the merged file would mix hosts.
 
 ``--emit-json FILE`` additionally writes a machine-readable
@@ -100,8 +101,8 @@ RATIO_FLOORS = [
     # restored runs are bit-identical in RunStats).
     ("BM_SweepSampledCheckpointed", "BM_SweepSampled", 5.0, False),
     ("BM_SweepStackSinglePass", "BM_SweepPerConfigReplay", 4.0, False),
-    ("BM_StreamedSweep/2/real_time", "BM_StreamedSweep/1/real_time",
-     1.0, True),
+    ("BM_StreamedMatrixSweep/2/real_time",
+     "BM_StreamedMatrixSweep/1/real_time", 1.0, True),
 ]
 
 # (observed benchmark, plain benchmark): printed and summarized without
@@ -171,6 +172,9 @@ def update_only(args, current, context):
     if not matched:
         sys.exit(f"error: no benchmark in {args.report} matches "
                  f"{args.only!r}")
+    for name in sorted(rows):
+        if pattern.search(name) and name not in current:
+            print(f"  {name}: {rows.pop(name) / 1e6:.2f} M/s -> removed")
     for name in matched:
         old = rows.get(name)
         rows[name] = round(current[name], 1)
