@@ -27,6 +27,7 @@
 #include "src/harness/bench_options.hh"
 #include "src/harness/experiment.hh"
 #include "src/harness/sweep.hh"
+#include "src/sim/miss_classifier.hh"
 #include "src/sim/sampling.hh"
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/interval.hh"
@@ -236,6 +237,52 @@ BM_SimulateNoClassifier(benchmark::State &state)
     simulateConfig(state, cfg);
 }
 BENCHMARK(BM_SimulateNoClassifier);
+
+/**
+ * The three-C shadow pass alone: the outcomes a harness::Runner
+ * computes once per trace and geometry and shares among every exact
+ * cell of that geometry.
+ */
+void
+BM_ClassifyShadow(benchmark::State &state)
+{
+    const auto &t = mvTrace();
+    const core::Config cfg = core::presets().get("soft");
+    std::vector<sim::ShadowOutcome> outcomes(t.size());
+    for (auto _ : state) {
+        sim::MissClassifier shadow = core::shadowClassifierOf(cfg);
+        shadow.classify(t.data(), t.size(), outcomes.data());
+        benchmark::DoNotOptimize(outcomes.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * t.size()));
+}
+BENCHMARK(BM_ClassifyShadow);
+
+/**
+ * BM_SimulateSoft on supplied shadow outcomes (classified once,
+ * outside the timed loop): the replay an exact cell of a Runner
+ * traversal runs. perf_compare.py floors its ratio to
+ * BM_SimulateSoft, which classifies with the simulator's own shadow.
+ */
+void
+BM_SimulateSoftPreclassified(benchmark::State &state)
+{
+    const auto &t = mvTrace();
+    const core::Config cfg = core::presets().get("soft");
+    std::vector<sim::ShadowOutcome> outcomes(t.size());
+    core::shadowClassifierOf(cfg).classify(t.data(), t.size(),
+                                           outcomes.data());
+    for (auto _ : state) {
+        core::SoftwareAssistedCache sim(cfg);
+        sim.replay(t.data(), t.size(), outcomes.data());
+        sim.finish();
+        benchmark::DoNotOptimize(sim.stats().totalAccessCycles);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * t.size()));
+}
+BENCHMARK(BM_SimulateSoftPreclassified);
 
 // Streaming vs. materialized: end-to-end "generate the MV trace and
 // replay it under Soft." — first as the classic materialize-then-

@@ -1,6 +1,7 @@
 #include "src/check/trace_fuzzer.hh"
 
 #include <array>
+#include <vector>
 
 #include "src/analysis/tag_transform.hh"
 #include "src/check/auditor.hh"
@@ -224,9 +225,17 @@ runCase(const trace::Trace &t, const core::Config &cfg,
     // Replay through the general (unspecialized) access path as well:
     // the compile-time feature dispatch must be a pure code motion,
     // so every counter — timing included — has to come out identical.
+    // The general replay classifies its misses by outcomes from a
+    // separate shadow pass (as a harness::Runner traversal supplies
+    // them), so the same check also holds supplied outcomes to the
+    // simulator's own classifier.
+    std::vector<sim::ShadowOutcome> outcomes(t.size());
+    core::shadowClassifierOf(cfg).classify(t.data(), t.size(),
+                                           outcomes.data());
     core::SoftwareAssistedCache general(cfg,
                                         core::DispatchMode::General);
-    general.run(t);
+    general.replay(t.data(), t.size(), outcomes.data());
+    general.finish();
     if (!(general.stats() == sim.stats())) {
         out.dispatchDiverged = true;
         const std::string counter_diff = sim::describeDivergence(

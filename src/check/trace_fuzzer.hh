@@ -72,9 +72,10 @@ using CountsCorruption =
 /**
  * Replay @p t under @p cfg through both models and diff the counters.
  * The simulator side runs twice — once with its auto-selected
- * feature-specialized access path and once with dispatch forced to
- * the general path — and the two full RunStats must be identical
- * (dispatchDiverged reports any mismatch). @p cfg must satisfy
+ * feature-specialized access path and its own miss classifier, once
+ * with dispatch forced to the general path on shadow outcomes
+ * supplied by a separate sim::MissClassifier pass — and the two full
+ * RunStats must be identical (dispatchDiverged reports any mismatch). @p cfg must satisfy
  * sim::ReferenceModel::supports(). A Record-mode Auditor rides along
  * on the specialized replay and its violations are reported in the
  * outcome.

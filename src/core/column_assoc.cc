@@ -64,13 +64,16 @@ ColumnAssocCache::access(const trace::Record &rec)
     cache::CacheArray::LineRef p = main_.line(sp, 0);
     cache::CacheArray::LineRef a = main_.line(sa, 0);
 
+    // The shadow sees every access; only a miss reads the outcome.
+    sim::ShadowOutcome outcome = sim::ShadowOutcome::ShadowHit;
+    if (classifier_)
+        classifier_->classify(&rec, 1, &outcome);
+
     // First probe: the primary set.
     if (p.valid() && p.lineAddr() == line) {
         if (rec.isWrite())
             p.setDirty();
         ++stats_.mainHits;
-        if (classifier_)
-            classifier_->access(rec.addr, false);
         completeAccess(start + cfg_.timing.mainHitTime);
         return;
     }
@@ -94,8 +97,6 @@ ColumnAssocCache::access(const trace::Record &rec)
             p.setDirty();
         ++stats_.auxHits;
         ++stats_.swaps;
-        if (classifier_)
-            classifier_->access(rec.addr, false);
         const Cycle completion =
             start + cfg_.timing.mainHitTime + cfg_.rehashProbeCycles;
         // The swap holds the array one extra cycle.
@@ -112,7 +113,7 @@ ColumnAssocCache::access(const trace::Record &rec)
     // (clobbering its occupant), the new line fills the primary set.
     ++stats_.misses;
     if (classifier_) {
-        switch (classifier_->access(rec.addr, true).value()) {
+        switch (sim::missClassOf(outcome)) {
           case sim::MissClass::Compulsory:
             ++stats_.compulsoryMisses;
             break;

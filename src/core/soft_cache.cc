@@ -64,12 +64,6 @@ SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
                          cfg_.lineBytes,
                      cfg_.lineBytes, aux_assoc);
     }
-    if (cfg_.classifyMisses) {
-        classifier_.emplace(
-            static_cast<std::uint32_t>(cfg_.cacheSizeBytes /
-                                       cfg_.lineBytes),
-            cfg_.lineBytes);
-    }
     featureSet_ = dispatch == DispatchMode::General
                       ? FeatureSet::General
                       : featureSetOf(cfg_);
@@ -78,7 +72,7 @@ SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
 void
 SoftwareAssistedCache::run(const trace::Trace &t)
 {
-    runBatch(t.data(), t.size());
+    runBatch(t.data(), t.size(), nullptr);
     finish();
 }
 
@@ -88,7 +82,7 @@ SoftwareAssistedCache::run(trace::TraceSource &src)
     std::vector<trace::Record> batch(trace::TraceSource::defaultChunkRecords);
     std::size_t n;
     while ((n = src.next(batch.data(), batch.size())) > 0)
-        runBatch(batch.data(), n);
+        runBatch(batch.data(), n, nullptr);
     finish();
 }
 
@@ -96,9 +90,15 @@ template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
           bool MayPrefetch, bool MayBypass>
 void
 SoftwareAssistedCache::runBatchTmpl(const trace::Record *recs,
-                                    std::size_t n)
+                                    std::size_t n,
+                                    const sim::ShadowOutcome *outcomes)
 {
+    classifying_ = counts(F) && outcomes;
     for (std::size_t i = 0; i < n; ++i) {
+        if constexpr (counts(F)) {
+            if (outcomes)
+                outcome_ = outcomes[i];
+        }
         accessTmpl<F, MayAux, MayVirtual, MayPrefetch, MayBypass>(recs[i]);
         if constexpr (observes(F)) {
             if (auditor_)
@@ -112,37 +112,74 @@ SoftwareAssistedCache::runBatchTmpl(const trace::Record *recs,
 template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::runBatchDispatch(const trace::Record *recs,
-                                        std::size_t n)
+                                        std::size_t n,
+                                        const sim::ShadowOutcome *outcomes)
 {
     switch (featureSet_) {
       case FeatureSet::Standard:
-        runBatchTmpl<F, false, false, false, false>(recs, n);
+        runBatchTmpl<F, false, false, false, false>(recs, n, outcomes);
         return;
       case FeatureSet::Victim:
-        runBatchTmpl<F, true, false, false, false>(recs, n);
+        runBatchTmpl<F, true, false, false, false>(recs, n, outcomes);
         return;
       case FeatureSet::Soft:
-        runBatchTmpl<F, true, true, false, false>(recs, n);
+        runBatchTmpl<F, true, true, false, false>(recs, n, outcomes);
         return;
       case FeatureSet::SoftPrefetch:
-        runBatchTmpl<F, true, true, true, false>(recs, n);
+        runBatchTmpl<F, true, true, true, false>(recs, n, outcomes);
         return;
       case FeatureSet::General:
         break;
     }
-    runBatchTmpl<F, true, true, true, true>(recs, n);
+    runBatchTmpl<F, true, true, true, true>(recs, n, outcomes);
 }
 
 void
 SoftwareAssistedCache::runBatch(const trace::Record *recs,
-                                std::size_t n)
+                                std::size_t n,
+                                const sim::ShadowOutcome *outcomes)
 {
-    if (statsMode_ == StatsMode::Warming)
-        runBatchDispatch<Fidelity::Warming>(recs, n);
-    else if (observed())
-        runBatchDispatch<Fidelity::Observed>(recs, n);
+    if (statsMode_ == StatsMode::Warming) {
+        runBatchDispatch<Fidelity::Warming>(recs, n, nullptr);
+        return;
+    }
+    if (!cfg_.classifyMisses) {
+        runCounted(recs, n, nullptr);
+        return;
+    }
+    const OutcomeSource source =
+        outcomes ? OutcomeSource::Supplied : OutcomeSource::Owned;
+    SAC_ASSERT(outcomeSource_ == OutcomeSource::Unset ||
+                   outcomeSource_ == source,
+               "one run mixes supplied and owned shadow outcomes");
+    outcomeSource_ = source;
+    if (outcomes) {
+        runCounted(recs, n, outcomes);
+        return;
+    }
+    // The owned classifier fills one batch of outcomes at a time, and
+    // the batch then runs the same access loop as supplied outcomes.
+    constexpr std::size_t batch = trace::TraceSource::defaultChunkRecords;
+    if (!classifier_) {
+        classifier_.emplace(shadowClassifierOf(cfg_));
+        ownedOutcomes_.resize(batch);
+    }
+    for (std::size_t i = 0; i < n; i += batch) {
+        const std::size_t m = std::min(batch, n - i);
+        classifier_->classify(recs + i, m, ownedOutcomes_.data());
+        runCounted(recs + i, m, ownedOutcomes_.data());
+    }
+}
+
+void
+SoftwareAssistedCache::runCounted(const trace::Record *recs,
+                                  std::size_t n,
+                                  const sim::ShadowOutcome *outcomes)
+{
+    if (observed())
+        runBatchDispatch<Fidelity::Observed>(recs, n, outcomes);
     else
-        runBatchDispatch<Fidelity::Detailed>(recs, n);
+        runBatchDispatch<Fidelity::Detailed>(recs, n, outcomes);
 }
 
 template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
@@ -230,7 +267,6 @@ SoftwareAssistedCache::handleMainHit(const trace::Record &rec,
     if constexpr (counts(F)) {
         ++stats_.mainHits;
         traceEvent<F>(EventKind::MainHit, start, rec.addr, 0);
-        classify<F>(rec.addr, false);
     }
     const Cycle completion = start + cfg_.timing.mainHitTime;
     complete<F>(completion, completion);
@@ -258,7 +294,6 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
             ++stats_.auxPrefetchHits;
             ++stats_.prefetchesUseful;
         }
-        classify<F>(rec.addr, false);
     }
 
     // Swap with the resident main-cache line: the aux line moves to
@@ -313,7 +348,8 @@ SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
         bypassBufferValid_ && bypassBufferLine_ == line;
     if constexpr (counts(F)) {
         traceEvent<F>(EventKind::Bypass, start, rec.addr, buffer_hit);
-        classify<F>(rec.addr, !buffer_hit);
+        if (!buffer_hit)
+            classify<F>(rec.addr);
     }
 
     if (rec.isWrite()) {
@@ -365,7 +401,7 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
     const Addr line = main_.lineAddrOf(rec.addr);
     if constexpr (counts(F)) {
         ++stats_.misses;
-        classify<F>(rec.addr, true);
+        classify<F>(rec.addr);
     }
     if constexpr (observes(F)) {
         if (setProfiler_)
@@ -755,14 +791,11 @@ SoftwareAssistedCache::installPendingPrefetch()
 
 template <SoftwareAssistedCache::Fidelity F>
 void
-SoftwareAssistedCache::classify(Addr addr, bool was_miss)
+SoftwareAssistedCache::classify(Addr addr)
 {
-    if (!classifier_)
+    if (!classifying_)
         return;
-    const auto cls = classifier_->access(addr, was_miss);
-    if (!cls)
-        return; // hit: the shadow LRU was updated, nothing to count
-    switch (*cls) {
+    switch (sim::missClassOf(outcome_)) {
       case sim::MissClass::Compulsory:
         ++stats_.compulsoryMisses;
         break;
@@ -908,6 +941,14 @@ SoftwareAssistedCache::auxTemporalBit(Addr addr) const
     if (!way)
         return false;
     return aux_->line(aux_->setIndexOf(line), *way).temporal;
+}
+
+sim::MissClassifier
+shadowClassifierOf(const Config &cfg)
+{
+    return sim::MissClassifier(
+        static_cast<std::uint32_t>(cfg.cacheSizeBytes / cfg.lineBytes),
+        cfg.lineBytes);
 }
 
 sim::RunStats

@@ -130,7 +130,7 @@ class SoftwareAssistedCache
                                        DispatchMode::Auto);
 
     /** Simulate one reference. References must arrive in issue order. */
-    void access(const trace::Record &rec) { runBatch(&rec, 1); }
+    void access(const trace::Record &rec) { runBatch(&rec, 1, nullptr); }
 
     /** Simulate a whole trace (appends to the current state). */
     void run(const trace::Trace &t);
@@ -141,10 +141,21 @@ class SoftwareAssistedCache
     /**
      * Replay @p n records in the current stats mode without sealing
      * the run (no finish()); the building block of windowed replay.
+     *
+     * Three-C classification reads each record's shadow outcome:
+     * from @p outcomes (outcomes[i] for recs[i], computed by a
+     * sim::MissClassifier of this config's line size and capacity
+     * over the same record stream) when non-null, else from the
+     * simulator's own classifier, which fills a batch of outcomes
+     * before the same access loop. access(), run() and runDetailed()
+     * always use the simulator's own. One run takes its outcomes
+     * from one source: mixing the two panics. Outcomes are ignored
+     * when classifyMisses is off or in Warming mode.
      */
-    void replay(const trace::Record *recs, std::size_t n)
+    void replay(const trace::Record *recs, std::size_t n,
+                const sim::ShadowOutcome *outcomes = nullptr)
     {
-        runBatch(recs, n);
+        runBatch(recs, n, outcomes);
     }
 
     /**
@@ -163,14 +174,14 @@ class SoftwareAssistedCache
     void runDetailed(const trace::Record *recs, std::size_t n)
     {
         setStatsMode(StatsMode::Detailed);
-        runBatch(recs, n);
+        runBatch(recs, n, nullptr);
     }
 
     /** Replay @p n records updating state only (functional warming). */
     void runWarming(const trace::Record *recs, std::size_t n)
     {
         setStatsMode(StatsMode::Warming);
-        runBatch(recs, n);
+        runBatch(recs, n, nullptr);
     }
 
     /** The access path selected at construction. */
@@ -361,21 +372,32 @@ class SoftwareAssistedCache
     /**
      * Replay @p n records through one accessTmpl instantiation, then
      * (Observed only) run the auditor and interval hooks per record.
+     * A counting fidelity classifies misses by @p outcomes when
+     * non-null.
      */
     template <Fidelity F, bool MayAux, bool MayVirtual, bool MayPrefetch,
               bool MayBypass>
-    void runBatchTmpl(const trace::Record *recs, std::size_t n);
+    void runBatchTmpl(const trace::Record *recs, std::size_t n,
+                      const sim::ShadowOutcome *outcomes);
 
     /** Dispatch once on the feature set at fidelity @p F. */
     template <Fidelity F>
-    void runBatchDispatch(const trace::Record *recs, std::size_t n);
+    void runBatchDispatch(const trace::Record *recs, std::size_t n,
+                          const sim::ShadowOutcome *outcomes);
 
     /**
      * Replay @p n records at the fidelity the current state calls for:
      * Warming when statsMode_ is Warming, else Observed when any
-     * observer is attached, else Detailed.
+     * observer is attached, else Detailed; a counting replay takes its
+     * shadow outcomes from @p outcomes or, when null, from the
+     * simulator's own classifier (see replay()).
      */
-    void runBatch(const trace::Record *recs, std::size_t n);
+    void runBatch(const trace::Record *recs, std::size_t n,
+                  const sim::ShadowOutcome *outcomes);
+
+    /** Detailed or Observed replay of @p n records. */
+    void runCounted(const trace::Record *recs, std::size_t n,
+                    const sim::ShadowOutcome *outcomes);
 
     /** Is any observer attached? */
     bool observed() const
@@ -452,9 +474,9 @@ class SoftwareAssistedCache
     template <Fidelity F>
     void installPendingPrefetch();
 
-    /** Record a classified demand miss. */
+    /** Count a demand miss in the class of the current outcome. */
     template <Fidelity F>
-    void classify(Addr addr, bool was_miss);
+    void classify(Addr addr);
 
     /** Update the per-line temporal bit from the instruction tag. */
     static void applyTemporalTag(cache::CacheArray::LineRef line,
@@ -472,8 +494,24 @@ class SoftwareAssistedCache
     cache::CacheArray main_;
     std::optional<cache::CacheArray> aux_;
     sim::WriteBuffer writeBuffer_;
-    std::optional<sim::MissClassifier> classifier_;
     sim::RunStats stats_;
+
+    /** Where a run's shadow outcomes come from (see replay()). */
+    enum class OutcomeSource
+    {
+        Unset,
+        Owned,    //!< classifier_, one batch at a time
+        Supplied, //!< the caller of replay()
+    };
+    OutcomeSource outcomeSource_ = OutcomeSource::Unset;
+    /** The owned classifier, built on the first owned batch. */
+    std::optional<sim::MissClassifier> classifier_;
+    /** The owned classifier's outcomes of the current batch. */
+    std::vector<sim::ShadowOutcome> ownedOutcomes_;
+    /** Does the current batch classify misses? */
+    bool classifying_ = false;
+    /** Shadow outcome of the record being simulated. */
+    sim::ShadowOutcome outcome_ = sim::ShadowOutcome::ShadowHit;
 
     Cycle now_ = 0;
     /** Completion cycle of the previous access (processor resumes). */
@@ -517,6 +555,13 @@ class SoftwareAssistedCache
     /** Per-set heat profiler; null = heat profiling off. */
     telemetry::SetProfiler *setProfiler_ = nullptr;
 };
+
+/**
+ * A three-C shadow classifier of @p cfg's geometry: a fully
+ * associative LRU of the cache's capacity in @p cfg's lines. Its
+ * outcomes serve every config with the same line size and capacity.
+ */
+sim::MissClassifier shadowClassifierOf(const Config &cfg);
 
 /** Simulate @p t under @p cfg and return the statistics. */
 sim::RunStats simulateTrace(const trace::Trace &t, const Config &cfg,

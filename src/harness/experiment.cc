@@ -99,6 +99,39 @@ Runner::traceHashOf(const Workload &w)
     return slot.hash;
 }
 
+const sim::PackedOutcomes &
+Runner::outcomesOf(const Workload &w, const trace::Trace &t,
+                   const core::Config &cfg)
+{
+    LatchedOutcomes *latch = nullptr;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto &entry = traces_.at(w.name)->outcomes[{cfg.lineBytes,
+                                                    cfg.cacheSizeBytes}];
+        if (!entry)
+            entry = std::make_unique<LatchedOutcomes>();
+        latch = entry.get(); // stable: the map holds pointers
+    }
+    std::call_once(latch->once, [&] {
+        const telemetry::ScopedPhase phase(phases_, "classify");
+        sim::MissClassifier classifier = core::shadowClassifierOf(cfg);
+        std::vector<sim::ShadowOutcome> chunk(
+            trace::TraceSource::defaultChunkRecords);
+        latch->value.reserve(t.size());
+        for (std::size_t i = 0; i < t.size(); i += chunk.size()) {
+            const std::size_t n = std::min(chunk.size(), t.size() - i);
+            classifier.classify(t.data() + i, n, chunk.data());
+            latch->value.append(chunk.data(), n);
+        }
+        count("classify.passes", "shadow miss-classification passes", 1);
+        count("classify.records", "records classified by those passes",
+              t.size());
+        count("classify.bytes", "bytes of latched shadow outcomes",
+              latch->value.bytes());
+    });
+    return latch->value;
+}
+
 void
 Runner::warmup(const std::vector<Workload> &workloads)
 {
@@ -178,6 +211,12 @@ Runner::stackCounter(const std::string &name) const
 // One registry holds every counter family; the per-family accessors
 // differ only in the names their callers pass.
 std::uint64_t
+Runner::classifyCounter(const std::string &name) const
+{
+    return stackCounter(name);
+}
+
+std::uint64_t
 Runner::checkpointCounter(const std::string &name) const
 {
     return stackCounter(name);
@@ -246,19 +285,45 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
         t = now;
         return s;
     };
+    if (!resident && !w.stream)
+        resident = &traceOf(w);
+
+    // One shadow outcome source per distinct geometry of the exact
+    // cells that classify misses, shared by all the cells of it.
+    struct Shadow
+    {
+        const core::Config *config; //!< the first cell of the geometry
+        const sim::PackedOutcomes *latched = nullptr; //!< resident
+        std::optional<sim::MissClassifier> classifier; //!< streamed
+        std::vector<sim::ShadowOutcome> chunk; //!< the chunk's outcomes
+    };
+    std::vector<Shadow> shadows;
+    constexpr std::size_t none = ~std::size_t{0};
+    std::vector<std::size_t> shadow_of; // per simulator
 
     std::vector<const TraversalCell *> exact, stacked;
     std::vector<std::unique_ptr<core::SoftwareAssistedCache>> sims;
     std::vector<sim::StackPoint> points;
     for (const TraversalCell *c : cells) {
+        const core::Config &cfg = *c->config;
         if (c->stack) {
             stacked.push_back(c);
-            points.push_back(stackPointOf(*c->config));
-        } else {
-            exact.push_back(c);
-            sims.push_back(
-                std::make_unique<core::SoftwareAssistedCache>(*c->config));
+            points.push_back(stackPointOf(cfg));
+            continue;
         }
+        exact.push_back(c);
+        sims.push_back(std::make_unique<core::SoftwareAssistedCache>(cfg));
+        shadow_of.push_back(none);
+        if (!cfg.classifyMisses)
+            continue;
+        std::size_t k = 0;
+        while (k < shadows.size() &&
+               (shadows[k].config->lineBytes != cfg.lineBytes ||
+                shadows[k].config->cacheSizeBytes != cfg.cacheSizeBytes))
+            ++k;
+        if (k == shadows.size())
+            shadows.push_back({&cfg, nullptr, std::nullopt, {}});
+        shadow_of.back() = k;
     }
     std::vector<double> sim_seconds(sims.size(), 0.0);
     std::optional<sim::StackDistanceEngine> eng;
@@ -268,23 +333,44 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
         eng.emplace(points);
         stack_seconds = lap();
     }
+    constexpr std::size_t chunk = trace::TraceSource::defaultChunkRecords;
+    for (Shadow &sh : shadows) {
+        if (resident)
+            sh.latched = &outcomesOf(w, *resident, *sh.config);
+        else
+            sh.classifier.emplace(core::shadowClassifierOf(*sh.config));
+        sh.chunk.resize(chunk);
+    }
 
-    // Each chunk goes through the stack engine, then every simulator.
+    // Each chunk goes through the stack engine, then the shadows,
+    // then every simulator.
+    std::size_t records = 0; // fed so far
+    double classify_seconds = 0.0;
     const auto feed = [&](const trace::Record *recs, std::size_t n) {
+        const std::size_t first = records;
+        records += n;
         t = Clock::now();
         if (eng) {
             eng->feed(recs, n);
             stack_seconds += lap();
         }
+        for (Shadow &sh : shadows) {
+            if (sh.latched)
+                sh.latched->unpack(first, n, sh.chunk.data());
+            else
+                sh.classifier->classify(recs, n, sh.chunk.data());
+        }
+        if (!shadows.empty())
+            classify_seconds += lap();
         for (std::size_t i = 0; i < sims.size(); ++i) {
-            sims[i]->replay(recs, n);
+            sims[i]->replay(recs, n,
+                            shadow_of[i] == none
+                                ? nullptr
+                                : shadows[shadow_of[i]].chunk.data());
             sim_seconds[i] += lap();
         }
     };
 
-    constexpr std::size_t chunk = trace::TraceSource::defaultChunkRecords;
-    if (!resident && !w.stream)
-        resident = &traceOf(w);
     if (resident) {
         for (std::size_t i = 0; i < resident->size(); i += chunk)
             feed(resident->data() + i,
@@ -322,6 +408,14 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
         phases_.add("sim", replay_seconds);
         runsExecuted_.fetch_add(sims.size());
     }
+    if (!shadows.empty())
+        phases_.add("classify", classify_seconds);
+    if (!resident && !shadows.empty()) {
+        count("classify.passes", "shadow miss-classification passes",
+              shadows.size());
+        count("classify.records", "records classified by those passes",
+              records * shadows.size());
+    }
     if (eng) {
         phases_.add("stack-pass", stack_seconds);
         count("stack.pass.traversals",
@@ -336,7 +430,8 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
         const double total =
             std::chrono::duration<double>(Clock::now() - start).count();
         phases_.add("trace-gen",
-                    std::max(0.0, total - replay_seconds - stack_seconds));
+                    std::max(0.0, total - replay_seconds - stack_seconds -
+                                      classify_seconds));
     }
 }
 

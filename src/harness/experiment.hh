@@ -16,10 +16,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
+#include "src/sim/miss_classifier.hh"
 #include "src/sim/sampling.hh"
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/counter_registry.hh"
@@ -107,7 +109,13 @@ class Runner
      * (one traversal for all cells, or jobs / workloads traversals
      * when there are fewer workloads than workers; the trace is never
      * materialized), else from traceOf() on the calling thread before
-     * the fan-out. Sampled cells are one task each. The tasks run on
+     * the fan-out. The exact simulators classify their misses by
+     * shadow outcomes the traversal supplies, one
+     * sim::MissClassifier pass per distinct (line size, capacity): a
+     * resident trace's outcomes are latched per geometry on first use
+     * and serve every later exact cell of that trace and geometry; a
+     * streamed traversal classifies each chunk once per geometry.
+     * Sampled cells are one task each. The tasks run on
      * one pool of jobs workers, built only when more than one task
      * can run in parallel. The request must be valid
      * (SweepRequest::validationError()).
@@ -127,6 +135,17 @@ class Runner
      *   stack.pass.fallback_cells exact-replay cells in stack sweeps
      */
     std::uint64_t stackCounter(const std::string &name) const;
+
+    /**
+     * Value of one of this runner's "classify.*" telemetry counters
+     * (0 when never incremented):
+     *   classify.passes   shadow classification passes (one per
+     *                     resident trace and geometry, plus one per
+     *                     geometry of each streamed traversal)
+     *   classify.records  records those passes classified
+     *   classify.bytes    bytes of latched outcomes (2 bits a record)
+     */
+    std::uint64_t classifyCounter(const std::string &name) const;
 
     /**
      * Value of one of this runner's "checkpoint.*" telemetry counters
@@ -150,9 +169,11 @@ class Runner
     /**
      * Wall-clock phase account of this runner: "trace-gen" (workload
      * builds, and the generator's share of streamed traversals),
-     * "warmup" (warmup() calls), "sim" (exact replays), "stack-pass"
-     * (stack traversals), "sweep" (request execution) and "report"
-     * (table and manifest rendering). Phase adds are thread-safe.
+     * "warmup" (warmup() calls), "sim" (exact replays), "classify"
+     * (shadow outcome passes, shared by a traversal's exact cells and
+     * so outside each cell's seconds), "stack-pass" (stack
+     * traversals), "sweep" (request execution) and "report" (table
+     * and manifest rendering). Phase adds are thread-safe.
      */
     const telemetry::PhaseTimer &phases() const { return phases_; }
 
@@ -238,10 +259,21 @@ class Runner
     /** Add @p delta to counter @p name (registered on first use). */
     void count(const char *name, const char *desc, std::uint64_t delta);
 
+    /** A shadow classifier geometry: (line bytes, cache bytes). */
+    using ShadowGeometry = std::pair<std::uint32_t, std::uint64_t>;
+
+    /** The shadow outcomes of one trace at one geometry, latched. */
+    struct LatchedOutcomes
+    {
+        std::once_flag once;
+        sim::PackedOutcomes value;
+    };
+
     /**
      * A once-latched trace slot: built exactly once, then immutable.
      * Its content hash (sim::hashTrace, the live-point library
-     * identity) is latched separately, on first request.
+     * identity) and its shadow outcomes per geometry are latched
+     * separately, on first request.
      */
     struct TraceSlot
     {
@@ -250,6 +282,9 @@ class Runner
         trace::Trace value;
         std::once_flag hashOnce;
         std::uint64_t hash = 0;
+        /** Guarded by Runner::mutex_; the entries are stable. */
+        std::map<ShadowGeometry, std::unique_ptr<LatchedOutcomes>>
+            outcomes;
     };
 
     /** The slot of @p w, its trace generated on first use. */
@@ -261,12 +296,21 @@ class Runner
     /** sim::hashTrace of traceOf(@p w), computed once per trace. */
     std::uint64_t traceHashOf(const Workload &w);
 
+    /**
+     * The shadow outcomes of @p w's resident trace @p t at the
+     * geometry of @p cfg, classified by the first caller (the
+     * "classify" phase) while later callers wait.
+     */
+    const sim::PackedOutcomes &outcomesOf(const Workload &w,
+                                          const trace::Trace &t,
+                                          const core::Config &cfg);
+
     /** Guards the maps below (not the slots), claims and counters. */
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<TraceSlot>> traces_;
     /** The one cell store (see the class comment for its key). */
     std::map<std::string, std::unique_ptr<StoredCell>> cells_;
-    /** stack.pass.* and checkpoint.* counters. */
+    /** stack.pass.*, classify.* and checkpoint.* counters. */
     telemetry::CounterRegistry counters_;
     std::atomic<std::size_t> runsExecuted_{0};
     std::atomic<std::size_t> tracesGenerated_{0};

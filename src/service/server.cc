@@ -325,6 +325,11 @@ SweepServer::metricsSnapshot() const
         reg.counter(name, "shared runner stack-engine counter") +=
             runner_.stackCounter(name);
     }
+    for (const char *name :
+         {"classify.passes", "classify.records", "classify.bytes"}) {
+        reg.counter(name, "shared runner miss-classification counter") +=
+            runner_.classifyCounter(name);
+    }
     for (const char *name : {"checkpoint.hits", "checkpoint.misses",
                              "checkpoint.stale", "checkpoint.bytes"}) {
         reg.counter(name, "shared runner checkpoint counter") +=

@@ -17,6 +17,16 @@ mixLine(Addr line)
     return static_cast<std::size_t>(x ^ (x >> 31));
 }
 
+inline void
+prefetch(const void *p)
+{
+#if defined(__GNUC__)
+    __builtin_prefetch(p);
+#else
+    (void)p;
+#endif
+}
+
 } // namespace
 
 MissClassifier::MissClassifier(std::uint32_t capacity_lines,
@@ -110,15 +120,12 @@ MissClassifier::unlink(std::uint32_t n)
         tail_ = node.prev;
 }
 
-std::optional<MissClass>
-MissClassifier::access(Addr byte_addr, bool was_miss)
+ShadowOutcome
+MissClassifier::touch(Addr line)
 {
-    const Addr line = lineOf(byte_addr);
-
     bool first_touch = false;
     const std::size_t slot = findOrInsert(line, first_touch);
 
-    // Shadow fully-associative LRU lookup + update.
     const bool shadow_hit = table_[slot].node != npos;
     if (shadow_hit) {
         const std::uint32_t n = table_[slot].node;
@@ -126,31 +133,58 @@ MissClassifier::access(Addr byte_addr, bool was_miss)
             unlink(n);
             linkFront(n);
         }
-    } else {
-        std::uint32_t n;
-        if (nodes_.size() < capacityLines_) {
-            n = static_cast<std::uint32_t>(nodes_.size());
-            nodes_.emplace_back();
-        } else {
-            // Evict the least recently used shadow line; its table
-            // entry stays (it has been seen) with no LRU node.
-            n = tail_;
-            table_[find(nodes_[n].line)].node = npos;
-            unlink(n);
-        }
-        nodes_[n].line = line;
-        table_[slot].node = n;
-        linkFront(n);
+        return ShadowOutcome::ShadowHit;
     }
+    std::uint32_t n;
+    if (nodes_.size() < capacityLines_) {
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+    } else {
+        // Evict the least recently used shadow line; its table entry
+        // stays (it has been seen) with no LRU node.
+        n = tail_;
+        table_[find(nodes_[n].line)].node = npos;
+        unlink(n);
+    }
+    nodes_[n].line = line;
+    table_[slot].node = n;
+    linkFront(n);
+    return first_touch ? ShadowOutcome::FirstTouch
+                       : ShadowOutcome::ShadowMiss;
+}
 
-    if (!was_miss)
-        return std::nullopt; // hits have no miss class
+void
+MissClassifier::classify(const trace::Record *recs, std::size_t n,
+                         ShadowOutcome *out)
+{
+    // The table probe is the one access with no locality; start the
+    // fetch of a later record's home slot before it is needed.
+    constexpr std::size_t ahead = 8;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + ahead < n)
+            prefetch(&table_[mixLine(lineOf(recs[i + ahead].addr)) & mask_]);
+        out[i] = touch(lineOf(recs[i].addr));
+    }
+}
 
-    if (first_touch)
-        return MissClass::Compulsory;
-    if (!shadow_hit)
-        return MissClass::Capacity;
-    return MissClass::Conflict;
+void
+PackedOutcomes::append(const ShadowOutcome *outcomes, std::size_t n)
+{
+    bits_.resize((size_ + n + 3) / 4, 0);
+    for (std::size_t i = 0; i < n; ++i, ++size_)
+        bits_[size_ / 4] |= static_cast<std::uint8_t>(
+            static_cast<unsigned>(outcomes[i]) << (size_ % 4 * 2));
+}
+
+void
+PackedOutcomes::unpack(std::size_t first, std::size_t n,
+                       ShadowOutcome *out) const
+{
+    SAC_ASSERT(first % 4 == 0 && first + n <= size_,
+               "unpack outside the packed outcomes");
+    const std::uint8_t *b = bits_.data() + first / 4;
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<ShadowOutcome>(b[i / 4] >> (i % 4 * 2) & 3u);
 }
 
 } // namespace sim

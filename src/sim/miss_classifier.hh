@@ -2,24 +2,31 @@
  * @file
  * The classical three-C miss classifier: a miss is *compulsory* on the
  * first touch of a line, *capacity* when a fully-associative LRU cache
- * of equal size would also have missed, and *conflict* otherwise. The
- * shadow LRU is updated on every access, hit or miss.
+ * of equal size would also have missed, and *conflict* otherwise.
  *
- * The classifier sits on the simulator's per-access hot path, so the
- * shadow state is a single flat open-addressing hash table (line ->
- * seen + LRU-node index) plus an intrusive doubly-linked LRU list
+ * The classifier is split in two. MissClassifier runs the shadow
+ * fully-associative LRU over a batch of records and yields one
+ * ShadowOutcome per record; the shadow is updated on every access,
+ * hit or miss, so the outcome of record i depends only on the address
+ * stream, the line size and the capacity — not on the simulated cache.
+ * The simulator then maps the outcome of each of its misses to a
+ * MissClass (missClassOf), a table lookup. So one pass serves every
+ * configuration of one geometry (harness::Runner latches it per
+ * resident trace, packed into PackedOutcomes).
+ *
+ * The shadow state is a single flat open-addressing hash table (line
+ * -> seen + LRU-node index) plus an intrusive doubly-linked LRU list
  * over a fixed node pool: one probe sequence per access and no
- * allocation in steady state, where the textbook
- * unordered_map/std::list version dominated the whole simulation.
+ * allocation in steady state.
  */
 
 #ifndef SAC_SIM_MISS_CLASSIFIER_HH
 #define SAC_SIM_MISS_CLASSIFIER_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "src/trace/trace.hh"
 #include "src/util/types.hh"
 
 namespace sac {
@@ -27,6 +34,23 @@ namespace sim {
 
 /** Kind of cache miss, per the classical three-C model. */
 enum class MissClass { Compulsory, Capacity, Conflict };
+
+/** What the shadow fully-associative LRU saw for one access. */
+enum class ShadowOutcome : std::uint8_t
+{
+    ShadowHit,  //!< the line was resident in the shadow
+    FirstTouch, //!< the line was never touched before
+    ShadowMiss, //!< touched before, since evicted from the shadow
+};
+
+/** The class of a real-cache miss whose shadow outcome is @p o. */
+constexpr MissClass
+missClassOf(ShadowOutcome o)
+{
+    return o == ShadowOutcome::FirstTouch   ? MissClass::Compulsory
+           : o == ShadowOutcome::ShadowMiss ? MissClass::Capacity
+                                            : MissClass::Conflict;
+}
 
 /**
  * Tracks the shadow state needed to classify misses at physical-line
@@ -44,12 +68,12 @@ class MissClassifier
                    std::uint32_t line_bytes);
 
     /**
-     * Record an access to @p byte_addr and, when @p was_miss, return
-     * its class; a hit updates the shadow LRU and returns nullopt so
-     * it can never be mistaken for a classified miss. Must be called
-     * for every demand access in order.
+     * Advance the shadow over @p n records in order, writing the
+     * outcome of recs[i] into out[i]. Successive calls continue one
+     * stream.
      */
-    std::optional<MissClass> access(Addr byte_addr, bool was_miss);
+    void classify(const trace::Record *recs, std::size_t n,
+                  ShadowOutcome *out);
 
     /** Number of distinct lines ever touched. */
     std::size_t touchedLines() const { return seenCount_; }
@@ -90,6 +114,9 @@ class MissClassifier
 
     Addr lineOf(Addr byte_addr) const { return byte_addr >> shift_; }
 
+    /** Shadow access of one line. */
+    ShadowOutcome touch(Addr line);
+
     /**
      * Slot of @p line, inserting an unused slot when absent (may
      * rehash). @p inserted reports a first touch.
@@ -111,6 +138,38 @@ class MissClassifier
     std::vector<Node> nodes_; //!< LRU pool, grown up to capacityLines_
     std::uint32_t head_ = npos; //!< most recently used
     std::uint32_t tail_ = npos; //!< least recently used
+};
+
+/**
+ * The shadow outcomes of a record stream, 2 bits per record (a
+ * quarter of a byte per record, where a MissClassifier holds 12 bytes
+ * per touched line plus 16 per shadow line).
+ */
+class PackedOutcomes
+{
+  public:
+    /** Reserve storage for @p n outcomes in all. */
+    void reserve(std::size_t n) { bits_.reserve((n + 3) / 4); }
+
+    /** Append @p n outcomes after the ones held. */
+    void append(const ShadowOutcome *outcomes, std::size_t n);
+
+    /**
+     * Copy outcomes [@p first, @p first + @p n) into @p out; @p first
+     * must be a multiple of 4.
+     */
+    void unpack(std::size_t first, std::size_t n,
+                ShadowOutcome *out) const;
+
+    /** Number of outcomes held. */
+    std::size_t size() const { return size_; }
+
+    /** Bytes of packed storage. */
+    std::size_t bytes() const { return bits_.size(); }
+
+  private:
+    std::vector<std::uint8_t> bits_;
+    std::size_t size_ = 0;
 };
 
 } // namespace sim

@@ -427,6 +427,10 @@ TEST(ServiceServer, MetricsVerbExposesPrometheusCounters)
               std::string::npos);
     EXPECT_NE(text.find("sacd_stack_pass_traversals"),
               std::string::npos);
+    // Both presets share one shadow geometry: one classification pass.
+    EXPECT_NE(text.find("sacd_classify_passes 1\n"), std::string::npos);
+    EXPECT_NE(text.find("sacd_classify_records"), std::string::npos);
+    EXPECT_NE(text.find("sacd_classify_bytes"), std::string::npos);
     server.drain();
 }
 

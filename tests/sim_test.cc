@@ -23,6 +23,7 @@ namespace {
 using sac::sim::MissClass;
 using sac::sim::MissClassifier;
 using sac::sim::RunStats;
+using sac::sim::ShadowOutcome;
 using sac::sim::TimingParams;
 using sac::sim::WriteBuffer;
 
@@ -128,63 +129,112 @@ TEST(WriteBufferTest, WrapAroundAtFullOccupancy)
     EXPECT_TRUE(wb.empty());
 }
 
+/** Shadow outcome of one access to @p addr. */
+ShadowOutcome
+touch(MissClassifier &mc, sac::Addr addr)
+{
+    sac::trace::Record r;
+    r.addr = addr;
+    ShadowOutcome out;
+    mc.classify(&r, 1, &out);
+    return out;
+}
+
 TEST(MissClassifierTest, FirstTouchIsCompulsory)
 {
     MissClassifier mc(4, 32);
-    EXPECT_EQ(mc.access(0, true), MissClass::Compulsory);
-    EXPECT_EQ(mc.access(32, true), MissClass::Compulsory);
+    EXPECT_EQ(touch(mc, 0), ShadowOutcome::FirstTouch);
+    EXPECT_EQ(touch(mc, 32), ShadowOutcome::FirstTouch);
+    EXPECT_EQ(sac::sim::missClassOf(ShadowOutcome::FirstTouch),
+              MissClass::Compulsory);
     EXPECT_EQ(mc.touchedLines(), 2u);
 }
 
 TEST(MissClassifierTest, SameLineNotCompulsoryTwice)
 {
     MissClassifier mc(4, 32);
-    mc.access(0, true);
-    EXPECT_NE(mc.access(0, true), MissClass::Compulsory);
+    touch(mc, 0);
+    EXPECT_NE(touch(mc, 0), ShadowOutcome::FirstTouch);
     // Two addresses in the same line count as one touched line.
-    mc.access(40, true);
-    mc.access(63, true);
+    touch(mc, 40);
+    touch(mc, 63);
     EXPECT_EQ(mc.touchedLines(), 2u);
 }
 
 TEST(MissClassifierTest, CapacityWhenShadowLruMisses)
 {
     MissClassifier mc(2, 32); // 2-line fully-associative shadow
-    mc.access(0, true);
-    mc.access(32, true);
-    mc.access(64, true); // shadow now {64, 32}; 0 evicted
-    EXPECT_EQ(mc.access(0, true), MissClass::Capacity);
+    touch(mc, 0);
+    touch(mc, 32);
+    touch(mc, 64); // shadow now {64, 32}; 0 evicted
+    EXPECT_EQ(touch(mc, 0), ShadowOutcome::ShadowMiss);
+    EXPECT_EQ(sac::sim::missClassOf(ShadowOutcome::ShadowMiss),
+              MissClass::Capacity);
 }
 
 TEST(MissClassifierTest, ConflictWhenShadowLruHits)
 {
     MissClassifier mc(4, 32);
-    mc.access(0, true);
-    mc.access(32, true);
+    touch(mc, 0);
+    touch(mc, 32);
     // Line 0 is still in the 4-line shadow: a real-cache miss on it
     // must be a mapping conflict.
-    EXPECT_EQ(mc.access(0, true), MissClass::Conflict);
+    EXPECT_EQ(touch(mc, 0), ShadowOutcome::ShadowHit);
+    EXPECT_EQ(sac::sim::missClassOf(ShadowOutcome::ShadowHit),
+              MissClass::Conflict);
 }
 
 TEST(MissClassifierTest, HitsUpdateShadowRecency)
 {
     MissClassifier mc(2, 32);
-    mc.access(0, true);
-    mc.access(32, true);
-    mc.access(0, false); // hit refreshes line 0; 32 is now LRU
-    mc.access(64, true); // evicts 32 from the shadow
-    EXPECT_EQ(mc.access(0, true), MissClass::Conflict);
-    EXPECT_EQ(mc.access(32, true), MissClass::Capacity);
+    touch(mc, 0);
+    touch(mc, 32);
+    touch(mc, 0);  // refreshes line 0; 32 is now LRU
+    touch(mc, 64); // evicts 32 from the shadow
+    EXPECT_EQ(touch(mc, 0), ShadowOutcome::ShadowHit);
+    EXPECT_EQ(touch(mc, 32), ShadowOutcome::ShadowMiss);
 }
 
 TEST(MissClassifierTest, HitsAreNeverClassified)
 {
-    MissClassifier mc(4, 32);
-    EXPECT_EQ(mc.access(0, true), MissClass::Compulsory);
-    // A hit updates the shadow LRU but must produce no miss class;
-    // counting it would inflate the conflict bucket.
-    EXPECT_EQ(mc.access(0, false), std::nullopt);
-    EXPECT_EQ(mc.access(32, false), std::nullopt);
+    // Every access has a shadow outcome, but only the simulator's
+    // misses are counted in a class: repeated hits on one line must
+    // not inflate the conflict bucket.
+    const auto cfg = sac::core::presets().get("standard");
+    sac::core::SoftwareAssistedCache sim(cfg);
+    sac::trace::Record r;
+    r.addr = 0x1000;
+    for (int i = 0; i < 5; ++i)
+        sim.access(r);
+    EXPECT_EQ(sim.stats().misses, 1u);
+    EXPECT_EQ(sim.stats().compulsoryMisses, 1u);
+    EXPECT_EQ(sim.stats().capacityMisses + sim.stats().conflictMisses,
+              0u);
+}
+
+TEST(MissClassifierTest, BatchesContinueOneStream)
+{
+    // Outcomes do not depend on how the stream is cut into batches,
+    // and they survive packing at any record offset.
+    const auto c = sac::check::TraceFuzzer().makeCase(7);
+    const auto &t = c.trace;
+    MissClassifier whole(64, 32), split(64, 32);
+    std::vector<ShadowOutcome> a(t.size()), b(t.size());
+    whole.classify(t.data(), t.size(), a.data());
+    for (std::size_t i = 0; i < t.size(); i += 5)
+        split.classify(t.data() + i, std::min<std::size_t>(5, t.size() - i),
+                       b.data() + i);
+    EXPECT_EQ(a, b);
+
+    sac::sim::PackedOutcomes packed;
+    packed.append(a.data(), 3);
+    packed.append(a.data() + 3, a.size() - 3);
+    ASSERT_EQ(packed.size(), a.size());
+    EXPECT_EQ(packed.bytes(), (a.size() + 3) / 4);
+    std::vector<ShadowOutcome> back(a.size());
+    packed.unpack(0, 8, back.data());
+    packed.unpack(8, a.size() - 8, back.data() + 8);
+    EXPECT_EQ(back, a);
 }
 
 TEST(RunStatsTest, DerivedMetrics)
