@@ -630,6 +630,54 @@ BM_SweepStackLattice(benchmark::State &state)
 BENCHMARK(BM_SweepStackLattice);
 
 /**
+ * The same lattice through Runner::run over two resident MV
+ * workloads, one four times the other's length (as Slalom dominates
+ * the paper set), at a given worker count (Arg), a fresh Runner per
+ * iteration: each workload's three line groups are traversals of
+ * their own, so the long trace's passes run on three workers.
+ * Items = records x points.
+ */
+void
+BM_StackLatticeSweep(benchmark::State &state)
+{
+    static const std::vector<trace::Trace> traces = [] {
+        std::vector<trace::Trace> out;
+        for (const std::int64_t n : {360, 180}) {
+            auto t = workloads::makeTaggedTrace(workloads::buildMv(n));
+            t.setName("MV" + std::to_string(n));
+            out.push_back(std::move(t));
+        }
+        return out;
+    }();
+    harness::SweepRequest request;
+    for (const trace::Trace &t : traces)
+        request.workloads.push_back(
+            {t.name(), [&t] { return t; }, nullptr});
+    for (std::uint64_t kb = 1; kb <= 64; kb *= 2) {
+        for (const std::uint32_t ways : {1u, 2u, 4u, 8u}) {
+            for (const std::uint32_t line : {16u, 32u, 64u}) {
+                core::Config cfg = core::scaledConfig(
+                    core::presets().get("standard"), kb * 1024, line);
+                cfg.assoc = ways;
+                cfg.name = std::to_string(kb) + "k/" +
+                           std::to_string(ways) + "w/" +
+                           std::to_string(line) + "B";
+                cfg.validate();
+                request.configs.push_back(std::move(cfg));
+            }
+        }
+    }
+    request.metric = harness::missRatioMetric();
+    request.jobs = static_cast<unsigned>(state.range(0));
+    runFresh(state, request);
+}
+BENCHMARK(BM_StackLatticeSweep)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * BM_MatrixSweep's request over workloads that stream: each pool
  * task generates its MV-180 trace chunk by chunk while replaying it
  * under every sweep configuration, at a given worker count (Arg).

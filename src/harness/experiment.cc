@@ -5,6 +5,7 @@
 #include <chrono>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "src/harness/sweep.hh"
@@ -304,11 +305,13 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
     std::vector<const TraversalCell *> exact, stacked;
     std::vector<std::unique_ptr<core::SoftwareAssistedCache>> sims;
     std::vector<sim::StackPoint> points;
+    std::set<std::uint32_t> line_groups; // of the stack points
     for (const TraversalCell *c : cells) {
         const core::Config &cfg = *c->config;
         if (c->stack) {
             stacked.push_back(c);
             points.push_back(stackPointOf(cfg));
+            line_groups.insert(cfg.lineBytes);
             continue;
         }
         exact.push_back(c);
@@ -418,10 +421,14 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
     }
     if (eng) {
         phases_.add("stack-pass", stack_seconds);
+        // The engine reads the records once per line group, so each
+        // group counts as a traversal of its own.
         count("stack.pass.traversals",
-              "single-pass stack traversals executed", 1);
+              "single-pass stack traversals executed",
+              line_groups.size());
         count("stack.pass.records",
-              "records profiled by stack traversals", eng->accesses());
+              "records profiled by stack traversals",
+              eng->accesses() * line_groups.size());
         count("stack.pass.cells",
               "sweep cells served fresh from a stack pass",
               stacked.size());
@@ -438,8 +445,7 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
 void
 Runner::sampleCell(StoredCell &cell, const Workload &w,
                    const core::Config &cfg, const SweepRequest &request,
-                   const std::string &library_dir,
-                   std::uint64_t trace_hash)
+                   const std::string &library_dir)
 {
     const sim::SamplingOptions &opt = request.sampling;
     const sim::SampledEngine engine(opt);
@@ -451,7 +457,7 @@ Runner::sampleCell(StoredCell &cell, const Workload &w,
         cell.report = engine.run(src, sim);
     } else {
         sim::CheckpointKey key;
-        key.traceHash = trace_hash;
+        key.traceHash = traceHashOf(w);
         key.configKey = cfg.cacheKey();
         key.window = opt.window;
         key.stride = opt.stride;

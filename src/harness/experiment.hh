@@ -102,11 +102,13 @@ class Runner
      * telemetry, and return the rendered table plus every cell's
      * routing record and statistics. A workload's exact and stack
      * cells are served by chunked traversals of its trace, each one
-     * pool task that feeds every chunk to the stack engine and then
-     * to each of its exact simulators. The records come from the
-     * resident trace when this runner holds it (one traversal per
-     * exact cell), else from Workload::stream on the task's thread
-     * (one traversal for all cells, or jobs / workloads traversals
+     * pool task that feeds every chunk to a stack engine over its
+     * stack cells and then to each of its exact simulators. The
+     * cells are split into units: one per line group of the stack
+     * family, one per exact cell. The records come from the resident
+     * trace when this runner holds it (one traversal per unit), else
+     * from Workload::stream on the task's thread (the units dealt
+     * round-robin over one traversal, or jobs / workloads traversals
      * when there are fewer workloads than workers; the trace is never
      * materialized), else from traceOf() on the calling thread before
      * the fan-out. The exact simulators classify their misses by
@@ -115,7 +117,10 @@ class Runner
      * resident trace's outcomes are latched per geometry on first use
      * and serve every later exact cell of that trace and geometry; a
      * streamed traversal classifies each chunk once per geometry.
-     * Sampled cells are one task each. The tasks run on
+     * Sampled cells are one task each; a live-point cell's task
+     * computes its trace's content hash (traceHashOf()), the library
+     * key, so the hashes of different traces run in parallel and a
+     * cell served from the store hashes nothing. The tasks run on
      * one pool of jobs workers, built only when more than one task
      * can run in parallel. The request must be valid
      * (SweepRequest::validationError()).
@@ -128,7 +133,10 @@ class Runner
     /**
      * Value of one of this runner's "stack.pass.*" telemetry
      * counters (0 when never incremented):
-     *   stack.pass.traversals     single-pass traversals executed
+     *   stack.pass.traversals     single-pass traversals executed,
+     *                             one per line group (a workload's
+     *                             family over three line sizes
+     *                             counts three)
      *   stack.pass.records        records profiled by those passes
      *   stack.pass.cells          cells served fresh from a pass
      *   stack.pass.cached_cells   cells served from the cell store
@@ -248,13 +256,13 @@ class Runner
 
     /**
      * Estimate one sampled cell into @p cell, over the live-point
-     * library at @p library_dir when non-empty (the trace's content
-     * hash is @p trace_hash).
+     * library at @p library_dir when non-empty (keyed on the trace's
+     * content hash, traceHashOf(), which the first such cell of a
+     * trace computes on its own thread).
      */
     void sampleCell(StoredCell &cell, const Workload &w,
                     const core::Config &cfg, const SweepRequest &request,
-                    const std::string &library_dir,
-                    std::uint64_t trace_hash);
+                    const std::string &library_dir);
 
     /** Add @p delta to counter @p name (registered on first use). */
     void count(const char *name, const char *desc, std::uint64_t delta);

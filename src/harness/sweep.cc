@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <future>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "src/telemetry/counter_registry.hh"
@@ -416,8 +417,9 @@ struct Runner::Plan
     std::vector<Cell> cells;
     /**
      * Indices (into the request's configs) of the stack family: the
-     * configs one single-pass traversal per workload serves. Empty
-     * when no pass runs (a family of one gains nothing over a replay).
+     * configs single-pass traversals serve, one per workload and
+     * line size. Empty when no pass runs (a family of one gains
+     * nothing over a replay).
      */
     std::vector<std::size_t> family;
     /** Live-point library root of sampled cells ("" = plain). */
@@ -496,8 +498,8 @@ Runner::plan(const SweepRequest &request)
     // live-point request whose geometry leaves no warming gap has
     // nothing a library could save and runs as plain sampling.
     // Otherwise a stack-derivable metric sends the stack-eligible
-    // configs (at least two) to one traversal per workload, and every
-    // other cell to exact replay.
+    // configs (at least two) to stack passes, and every other cell
+    // to exact replay.
     std::vector<EngineTag> tags(n_c, EngineTag::ExactReplay);
     if (request.engine == EngineSelect::Sampled ||
         request.engine == EngineSelect::SampledLivepoint) {
@@ -567,41 +569,50 @@ Runner::run(const SweepRequest &request)
               "cells exact-replayed in stack-dispatched sweeps",
               n_w * (n_c - p.family.size()));
 
-    // A workload's exact and stack cells are served by traversals of
-    // its trace. Where the records come from is settled here, on the
-    // issuing thread: the resident trace, else the workload's stream
-    // on the task's own thread, else a trace materialized right now —
-    // so no trace copy lands in a pool worker's malloc arena.
+    // Where each workload's records come from is settled here, on the
+    // issuing thread: the resident trace, else (for a traversal) the
+    // workload's stream on the task's own thread, else a trace
+    // materialized right now — so no trace copy lands in a pool
+    // worker's malloc arena. A plain sampled cell, which restores no
+    // library, still materializes its trace on first use in its task.
     std::vector<const trace::Trace *> resident(n_w, nullptr);
-    // Library identity is the trace *content*, not its name: hash
-    // before the cells fan out, once per resident trace.
-    std::vector<std::uint64_t> trace_hashes(n_w, 0);
     for (std::size_t wi = 0; wi < n_w; ++wi) {
         const Workload &w = request.workloads[wi];
-        if (!p.libraryDir.empty())
-            trace_hashes[wi] = traceHashOf(w);
-        if (sampled)
-            continue;
         resident[wi] = residentTrace(w);
         const auto row = p.cells.begin() + wi * n_c;
-        if (!resident[wi] && !w.stream &&
+        if (!resident[wi] &&
+            (sampled ? !p.libraryDir.empty() : !w.stream) &&
             std::any_of(row, row + n_c, [](const Plan::Cell &c) {
                 return c.slot->state.load() != StoredCell::Filled;
             }))
             resident[wi] = &traceOf(w);
     }
 
+    // A workload's exact and stack cells are split into units: one
+    // per line group of the stack family (smallest line, the heaviest
+    // group, first), then one per exact cell. The groups share no
+    // state, so splitting them costs no redundant work.
+    std::vector<std::vector<std::size_t>> units;
+    if (!sampled) {
+        std::map<std::uint32_t, std::vector<std::size_t>> groups;
+        for (const std::size_t ci : p.family)
+            groups[request.configs[ci].lineBytes].push_back(ci);
+        for (auto &[line, group] : groups)
+            units.push_back(std::move(group));
+        for (std::size_t ci = 0; ci < n_c; ++ci) {
+            if (p.cells[ci].engine != EngineTag::StackSinglePass)
+                units.push_back({ci});
+        }
+    }
+
     // Tasks: one per sampled cell, else traversals of one workload.
-    // A resident trace costs nothing to re-read, so each of its exact
-    // cells is a traversal of its own (the finest balance). A
-    // streamed trace is regenerated by every traversal, so its exact
-    // cells share one, split only so that a request with fewer
-    // workloads than workers still fills the pool. The stack cells
-    // ride a workload's first traversal. The largest resident traces
-    // go first, so the longest tasks start earliest.
+    // A resident trace costs nothing to re-read, so each unit is a
+    // traversal of its own (the finest balance). A streamed trace is
+    // regenerated by every traversal, so its units are dealt
+    // round-robin over one traversal, or jobs / workloads when a
+    // request has fewer workloads than workers. The largest resident
+    // traces go first, so the longest tasks start earliest.
     const unsigned jobs = std::max(1u, request.jobs);
-    const std::size_t n_exact = std::max<std::size_t>(
-        1, n_c - p.family.size());
     std::vector<std::size_t> shards(n_w);
     struct Task
     {
@@ -610,11 +621,14 @@ Runner::run(const SweepRequest &request)
         std::size_t size;  //!< resident trace records (0 = unknown)
     };
     std::vector<Task> tasks;
-    for (std::size_t k = 0; sampled && k < p.cells.size(); ++k)
-        tasks.push_back({k, 0, 0});
+    for (std::size_t k = 0; sampled && k < p.cells.size(); ++k) {
+        const trace::Trace *t = resident[k / n_c];
+        tasks.push_back({k, 0, t ? t->size() : 0});
+    }
     for (std::size_t wi = 0; !sampled && wi < n_w; ++wi) {
-        shards[wi] = std::clamp<std::size_t>(
-            resident[wi] ? n_exact : jobs / n_w, 1, n_exact);
+        shards[wi] = resident[wi] ? units.size()
+                                  : std::clamp<std::size_t>(
+                                        jobs / n_w, 1, units.size());
         for (std::size_t s = 0; s < shards[wi]; ++s)
             tasks.push_back(
                 {wi, s, resident[wi] ? resident[wi]->size() : 0});
@@ -627,16 +641,17 @@ Runner::run(const SweepRequest &request)
     const auto traverseShard = [&](std::size_t wi, std::size_t shard) {
         std::vector<TraversalCell> cells;
         std::vector<StoredCell *> slots;
-        std::size_t exact = 0;
-        for (std::size_t ci = 0; ci < n_c; ++ci) {
-            const Plan::Cell &c = p.cells[wi * n_c + ci];
-            const bool stack = c.engine == EngineTag::StackSinglePass;
-            if (stack ? shard != 0 : exact++ % shards[wi] != shard)
-                continue;
-            cells.push_back({&request.configs[ci], c.slot, stack});
-            slots.push_back(c.slot);
+        std::size_t stack = 0, fresh_stack = 0;
+        for (std::size_t u = shard; u < units.size(); u += shards[wi]) {
+            for (const std::size_t ci : units[u]) {
+                const Plan::Cell &c = p.cells[wi * n_c + ci];
+                const bool is_stack =
+                    c.engine == EngineTag::StackSinglePass;
+                cells.push_back({&request.configs[ci], c.slot, is_stack});
+                slots.push_back(c.slot);
+                stack += is_stack;
+            }
         }
-        std::size_t fresh_stack = 0;
         settle(slots, [&](const std::vector<std::size_t> &claimed) {
             std::vector<const TraversalCell *> mine;
             for (const std::size_t i : claimed)
@@ -645,10 +660,10 @@ Runner::run(const SweepRequest &request)
             for (const TraversalCell *c : mine)
                 fresh_stack += c->stack;
         });
-        if (!p.family.empty() && shard == 0)
+        if (stack > 0)
             count("stack.pass.cached_cells",
                   "sweep cells served from the stack store",
-                  p.family.size() - fresh_stack);
+                  stack - fresh_stack);
     };
     const auto execute = [&](const Task &task) {
         const auto t0 = std::chrono::steady_clock::now();
@@ -658,7 +673,7 @@ Runner::run(const SweepRequest &request)
             settle({&cell}, [&](const std::vector<std::size_t> &) {
                 sampleCell(cell, request.workloads[wi],
                            request.configs[task.index % n_c], request,
-                           p.libraryDir, trace_hashes[wi]);
+                           p.libraryDir);
             });
         } else {
             traverseShard(task.index, task.shard);

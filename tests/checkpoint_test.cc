@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -777,6 +778,109 @@ TEST(CheckpointRunnerTest, ContiguousGeometryBypassesTheLibrary)
                   r.checkpointCounter("checkpoint.misses"),
               0u);
     EXPECT_FALSE(fs::exists(dir));
+}
+
+TEST(CheckpointRunnerTest, JobCountsWriteTheSameLibraries)
+{
+    // Each live-point cell hashes its trace (the library key) inside
+    // its own task. Over three workloads, 4 jobs and 1 job must yield
+    // the same reports and the same .saclp files, each keyed on the
+    // trace's content hash; a repeat request is served from the cell
+    // store and touches no library.
+    namespace fs = std::filesystem;
+    std::vector<harness::Workload> ws;
+    for (const std::int64_t n : {40, 56, 32}) {
+        const std::string name = "MV-jobs" + std::to_string(n);
+        ws.push_back({name,
+                      [n, name] {
+                          auto t = workloads::makeTaggedTrace(
+                              workloads::buildMv(n));
+                          t.setName(name);
+                          return t;
+                      },
+                      nullptr});
+    }
+    const std::vector<core::Config> cfgs = {
+        core::presets().get("standard"), core::presets().get("soft")};
+    const auto opt = runnerSamplingOptions();
+    const auto request = [&](unsigned jobs, const std::string &dir) {
+        harness::SweepRequest req;
+        req.workloads = ws;
+        req.configs = cfgs;
+        req.metric = harness::amatMetric();
+        req.engine = harness::EngineSelect::SampledLivepoint;
+        req.sampling = opt;
+        req.checkpointDir = dir;
+        req.jobs = jobs;
+        return req;
+    };
+    // Every .saclp file under @p dir, relative path -> bytes.
+    const auto library = [](const std::string &dir) {
+        std::map<std::string, std::string> files;
+        for (const auto &e : fs::recursive_directory_iterator(dir)) {
+            if (e.path().extension() != ".saclp")
+                continue;
+            std::ifstream in(e.path(), std::ios::binary);
+            files[fs::relative(e.path(), dir).string()] =
+                std::string(std::istreambuf_iterator<char>(in), {});
+        }
+        return files;
+    };
+
+    const std::string serial_dir =
+        testing::TempDir() + "/saclp_jobs1_lib";
+    const std::string pooled_dir =
+        testing::TempDir() + "/saclp_jobs4_lib";
+    fs::remove_all(serial_dir);
+    fs::remove_all(pooled_dir);
+    harness::Runner serial, pooled;
+    const auto one = serial.run(request(1, serial_dir));
+    const auto four = pooled.run(request(4, pooled_dir));
+    ASSERT_EQ(one.cells.size(), ws.size() * cfgs.size());
+    ASSERT_EQ(four.cells.size(), one.cells.size());
+    for (std::size_t i = 0; i < one.cells.size(); ++i) {
+        ASSERT_TRUE(one.cells[i].report && four.cells[i].report);
+        EXPECT_TRUE(*four.cells[i].report == *one.cells[i].report)
+            << "cell " << i;
+    }
+    EXPECT_EQ(one.table.toString(), four.table.toString());
+    const auto files = library(serial_dir);
+    EXPECT_EQ(files.size(), ws.size() * cfgs.size());
+    EXPECT_TRUE(library(pooled_dir) == files);
+    EXPECT_EQ(pooled.checkpointCounter("checkpoint.misses"),
+              ws.size() * cfgs.size());
+
+    // Each library loads under its trace's content hash.
+    for (const auto &w : ws) {
+        const trace::Trace t = w.build();
+        for (const auto &cfg : cfgs) {
+            sim::CheckpointKey key;
+            key.traceHash = sim::hashTrace(t);
+            key.configKey = cfg.cacheKey();
+            key.window = opt.window;
+            key.stride = opt.stride;
+            key.warmup = opt.warmup;
+            sim::CheckpointLibrary lib;
+            EXPECT_EQ(lib.load(sim::CheckpointLibrary::pathFor(
+                                   pooled_dir, t.name(), key),
+                               key),
+                      LoadResult::Hit)
+                << w.name << " " << cfg.name;
+        }
+    }
+
+    // A repeat request is served from the cell store.
+    const std::uint64_t bytes = pooled.checkpointCounter("checkpoint.bytes");
+    const auto again = pooled.run(request(4, pooled_dir));
+    EXPECT_EQ(again.table.toString(), four.table.toString());
+    EXPECT_EQ(pooled.checkpointCounter("checkpoint.hits"), 0u);
+    EXPECT_EQ(pooled.checkpointCounter("checkpoint.misses"),
+              ws.size() * cfgs.size());
+    EXPECT_EQ(pooled.checkpointCounter("checkpoint.bytes"), bytes);
+    EXPECT_EQ(pooled.tracesGenerated(), ws.size());
+
+    fs::remove_all(serial_dir);
+    fs::remove_all(pooled_dir);
 }
 
 } // namespace

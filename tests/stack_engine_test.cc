@@ -20,18 +20,21 @@
  *    oracle that shares no code with the simulator or the engine.
  *
  * Plus the harness integration (StackFamily): Runner::run dispatching
- * a standard family to ONE traversal per workload (checked against
- * direct exact replay, and at 1 vs 4 jobs with the passes on the
- * request's pool), the stack.pass.* counters, and
+ * a standard family to ONE traversal per workload and line size
+ * (checked against direct exact replay and a single-engine pass, at
+ * 1, 2 and 4 jobs with the passes on the request's pool, and under
+ * concurrent requests), the stack.pass.* counters, and
  * the StackRegression guard that configurations differing only in
  * fields the stack pass folds away still occupy distinct cells.
  */
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -719,11 +722,11 @@ TEST(StackFamily, StackStatsNeverPoisonTheExactCellCache)
 
 TEST(StackFamily, PooledFamiliesMatchSerial)
 {
-    // Each workload's stack pass is a task on the request's pool,
-    // next to the exact cells. Four workloads of different lengths
-    // over the lattice plus two exact-replayed presets must render
-    // the same table and the same manifest bytes at 1 and 4 jobs,
-    // with one traversal per workload.
+    // Each line group of a workload's stack family is a task on the
+    // request's pool, next to the exact cells. Four workloads of
+    // different lengths over the lattice plus two exact-replayed
+    // presets must render the same table and the same manifest bytes
+    // at 1 and 4 jobs, with one traversal per workload and line size.
     std::vector<harness::Workload> ws;
     for (const std::int64_t n : {24, 48, 32, 40}) {
         ws.push_back({"MV" + std::to_string(n),
@@ -757,7 +760,8 @@ TEST(StackFamily, PooledFamiliesMatchSerial)
             o.manifests[file] = doc;
         };
         o.csv = harness::toCsv(r.run(req).table);
-        EXPECT_EQ(r.stackCounter("stack.pass.traversals"), ws.size());
+        EXPECT_EQ(r.stackCounter("stack.pass.traversals"),
+                  ws.size() * 3);
         EXPECT_EQ(r.runsExecuted(), replays);
         EXPECT_EQ(o.manifests.size(), ws.size() * configs.size());
         return o;
@@ -824,6 +828,211 @@ TEST(StackFamily, PooledFamiliesMatchSerial)
                          broken, {core::presets().get("soft")},
                          harness::amatMetric(), 4)),
                      std::runtime_error);
+    }
+}
+
+/** Resident MV workloads of different lengths (build only). */
+std::vector<harness::Workload>
+residentMvWorkloads()
+{
+    std::vector<harness::Workload> ws;
+    for (const std::int64_t n : {24, 48, 32}) {
+        ws.push_back({"MV" + std::to_string(n),
+                      [n] {
+                          return workloads::makeTaggedTrace(
+                              workloads::buildMv(n));
+                      },
+                      nullptr});
+    }
+    return ws;
+}
+
+/** The re-sweep lattice, then the soft and victim presets. */
+std::vector<core::Config>
+latticeWithFallbacks()
+{
+    std::vector<core::Config> out = resweepLattice();
+    out.push_back(core::presets().get("soft"));
+    out.push_back(core::presets().get("victim"));
+    return out;
+}
+
+/**
+ * What a split-free executor yields for @p configs, whose first
+ * @p n_stack entries form the stack family: the CSV of the miss-ratio
+ * table and the manifest document of every stack cell, keyed by file
+ * name. Each workload's stack cells come from ONE engine over the
+ * whole family, its other cells from exact replay.
+ */
+struct SingleEngineReference
+{
+    std::string csv;
+    std::map<std::string, std::string> stackManifests;
+};
+
+SingleEngineReference
+singleEngineReference(const std::vector<harness::Workload> &ws,
+                      const std::vector<core::Config> &configs,
+                      std::size_t n_stack)
+{
+    const harness::Metric metric = harness::missRatioMetric();
+    std::vector<std::string> headers{"Benchmark"};
+    for (const auto &cfg : configs)
+        headers.push_back(cfg.name);
+    util::Table table(std::move(headers));
+    SingleEngineReference ref;
+    for (const auto &w : ws) {
+        const trace::Trace t = w.build();
+        std::vector<sim::StackPoint> points;
+        for (std::size_t ci = 0; ci < n_stack; ++ci)
+            points.push_back(harness::stackPointOf(configs[ci]));
+        sim::StackDistanceEngine eng(points);
+        eng.feed(t.data(), t.size());
+        const auto row = table.addRow();
+        table.set(row, 0, w.name);
+        for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+            const core::Config &cfg = configs[ci];
+            const sim::RunStats stats =
+                ci < n_stack ? harness::stackStatsFor(eng, cfg)
+                             : core::simulateTrace(t, cfg);
+            table.setNumber(row, ci + 1, metric.extract(stats),
+                            metric.decimals);
+            if (ci >= n_stack)
+                continue;
+            harness::ManifestCell mc;
+            mc.workload = w.name;
+            mc.config = &cfg;
+            mc.stats = &stats;
+            mc.stackFamilySize = n_stack;
+            std::ostringstream os;
+            telemetry::manifestJson(
+                harness::renderCellManifest(
+                    mc, harness::EngineTag::StackSinglePass))
+                .write(os, 2);
+            os << '\n';
+            ref.stackManifests[telemetry::manifestFileName(
+                w.name, cfg.cacheKey())] = os.str();
+        }
+    }
+    ref.csv = harness::toCsv(table);
+    return ref;
+}
+
+TEST(StackFamily, LineGroupsAreSeparateTraversals)
+{
+    // Each line group of a resident workload's stack family is a
+    // traversal of its own: 3 per workload on the three-line-size
+    // lattice, at any job count. The split must not change a byte:
+    // the table and every stack manifest equal one engine's pass over
+    // the whole family, and the soft and victim cells run once each.
+    const auto ws = residentMvWorkloads();
+    const auto configs = latticeWithFallbacks();
+    const std::size_t n_stack = resweepLattice().size();
+    const SingleEngineReference ref =
+        singleEngineReference(ws, configs, n_stack);
+    std::uint64_t records = 0;
+    for (const auto &w : ws)
+        records += w.build().size();
+
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        harness::Runner r;
+        auto req = testref::request(ws, configs,
+                                    harness::missRatioMetric(), jobs);
+        std::map<std::string, std::string> docs;
+        req.telemetry.sink = [&docs](const std::string &file,
+                                     const std::string &doc) {
+            docs[file] = doc;
+        };
+        EXPECT_EQ(harness::toCsv(r.run(req).table), ref.csv);
+        EXPECT_EQ(docs.size(), ws.size() * configs.size());
+        for (const auto &[file, doc] : ref.stackManifests)
+            EXPECT_EQ(docs[file], doc) << file;
+        EXPECT_EQ(r.stackCounter("stack.pass.traversals"), ws.size() * 3);
+        EXPECT_EQ(r.stackCounter("stack.pass.records"), records * 3);
+        EXPECT_EQ(r.stackCounter("stack.pass.cells"), ws.size() * n_stack);
+        EXPECT_EQ(r.runsExecuted(), ws.size() * 2);
+    }
+}
+
+TEST(StackFamily, StreamedLineGroupsSplitOverTraversals)
+{
+    // One streamed workload at 4 jobs: its five units (three line
+    // groups, two exact cells) are dealt over four traversals, each
+    // regenerating the trace, and the workload is never materialized.
+    std::atomic<int> builds{0};
+    const harness::Workload w{
+        "MV40",
+        [&builds] {
+            ++builds;
+            return workloads::makeTaggedTrace(workloads::buildMv(40));
+        },
+        [](const trace::RecordSink &sink) {
+            workloads::streamTaggedTrace(workloads::buildMv(40), sink);
+        }};
+    const auto configs = latticeWithFallbacks();
+    const SingleEngineReference ref =
+        singleEngineReference({w}, configs, resweepLattice().size());
+    builds = 0;
+
+    harness::Runner r;
+    const auto result = r.run(
+        testref::request({w}, configs, harness::missRatioMetric(), 4));
+    EXPECT_EQ(harness::toCsv(result.table), ref.csv);
+    EXPECT_EQ(builds.load(), 0) << "a streamed trace materialized";
+    EXPECT_EQ(r.tracesGenerated(), 4u);
+    EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 3u);
+    EXPECT_EQ(r.runsExecuted(), 2u);
+}
+
+TEST(StackFamily, ConcurrentRequestsShareLineGroups)
+{
+    // Two requests over one resident trace overlap in the 32-byte
+    // line group: {16, 32} B and {32, 64} B. Whichever request claims
+    // the shared group first computes it while the other waits, so a
+    // round costs three traversals, never four.
+    const std::vector<core::Config> lattice = resweepLattice();
+    const auto lines = [&lattice](std::uint32_t a, std::uint32_t b) {
+        std::vector<core::Config> out;
+        for (const auto &cfg : lattice) {
+            if (cfg.lineBytes == a || cfg.lineBytes == b)
+                out.push_back(cfg);
+        }
+        return out;
+    };
+    const std::vector<core::Config> a = lines(16, 32);
+    const std::vector<core::Config> b = lines(32, 64);
+    const harness::Workload w = mvWorkload();
+    const std::string ref_a = harness::toCsv(
+        testref::referenceTable({w}, a, harness::missRatioMetric()));
+    const std::string ref_b = harness::toCsv(
+        testref::referenceTable({w}, b, harness::missRatioMetric()));
+
+    for (int round = 0; round < 8; ++round) {
+        harness::Runner runner;
+        runner.warmup({w});
+        std::string csv_a, csv_b;
+        std::thread ta([&] {
+            csv_a = harness::toCsv(
+                runner
+                    .run(testref::request(
+                        {w}, a, harness::missRatioMetric(), 2))
+                    .table);
+        });
+        std::thread tb([&] {
+            csv_b = harness::toCsv(
+                runner
+                    .run(testref::request(
+                        {w}, b, harness::missRatioMetric(), 2))
+                    .table);
+        });
+        ta.join();
+        tb.join();
+        EXPECT_EQ(runner.stackCounter("stack.pass.traversals"), 3u)
+            << "round " << round;
+        EXPECT_EQ(runner.runsExecuted(), 0u) << "round " << round;
+        EXPECT_EQ(csv_a, ref_a) << "round " << round;
+        EXPECT_EQ(csv_b, ref_b) << "round " << round;
     }
 }
 

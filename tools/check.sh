@@ -7,9 +7,10 @@
 #   tools/check.sh thread       # TSan ctest, then a repeat leg: the
 #                               # ThreadPool|ParallelSweep|SweepRequest|
 #                               # Service tests, the pooled stack
-#                               # family test, the claim-latch
-#                               # tests and the shared classify pass
-#                               # test 50 times over (-j4)
+#                               # family test, the shared line-group
+#                               # test, the claim-latch tests and the
+#                               # shared classify pass test 50 times
+#                               # over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
@@ -526,7 +527,7 @@ EOF
         echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
         ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
             --repeat until-fail:50 \
-            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.PooledFamiliesMatchSerial|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass'
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass'
     fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="
