@@ -260,16 +260,18 @@ BM_ClassifyShadow(benchmark::State &state)
 BENCHMARK(BM_ClassifyShadow);
 
 /**
- * BM_SimulateSoft on supplied shadow outcomes (classified once,
+ * Replay of @p preset on supplied shadow outcomes (classified once,
  * outside the timed loop): the replay an exact cell of a Runner
- * traversal runs. perf_compare.py floors its ratio to
- * BM_SimulateSoft, which classifies with the simulator's own shadow.
+ * traversal runs, i.e. the detailed-replay rate of the preset's
+ * feature set.
  */
 void
-BM_SimulateSoftPreclassified(benchmark::State &state)
+replayPreclassified(benchmark::State &state, const char *preset)
 {
     const auto &t = mvTrace();
-    const core::Config cfg = core::presets().get("soft");
+    const core::Config cfg = core::presets().get(preset);
+    core::SoftwareAssistedCache probe(cfg);
+    state.SetLabel(toString(probe.featureSet()));
     std::vector<sim::ShadowOutcome> outcomes(t.size());
     core::shadowClassifierOf(cfg).classify(t.data(), t.size(),
                                            outcomes.data());
@@ -282,7 +284,46 @@ BM_SimulateSoftPreclassified(benchmark::State &state)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * t.size()));
 }
+
+void
+BM_SimulateStandardPreclassified(benchmark::State &state)
+{
+    replayPreclassified(state, "standard");
+}
+BENCHMARK(BM_SimulateStandardPreclassified);
+
+void
+BM_SimulateVictimPreclassified(benchmark::State &state)
+{
+    replayPreclassified(state, "victim");
+}
+BENCHMARK(BM_SimulateVictimPreclassified);
+
+/**
+ * perf_compare.py floors this row's ratio to BM_SimulateSoft, which
+ * classifies with the simulator's own shadow.
+ */
+void
+BM_SimulateSoftPreclassified(benchmark::State &state)
+{
+    replayPreclassified(state, "soft");
+}
 BENCHMARK(BM_SimulateSoftPreclassified);
+
+void
+BM_SimulateSoftPrefetchPreclassified(benchmark::State &state)
+{
+    replayPreclassified(state, "soft-prefetch");
+}
+BENCHMARK(BM_SimulateSoftPrefetchPreclassified);
+
+/** The general access path, through the bypass preset. */
+void
+BM_SimulateGeneralPreclassified(benchmark::State &state)
+{
+    replayPreclassified(state, "bypass");
+}
+BENCHMARK(BM_SimulateGeneralPreclassified);
 
 // Streaming vs. materialized: end-to-end "generate the MV trace and
 // replay it under Soft." — first as the classic materialize-then-

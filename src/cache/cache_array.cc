@@ -52,153 +52,6 @@ CacheArray::sizeBytes() const
     return static_cast<std::uint64_t>(sets_) * assoc_ * lineBytes_;
 }
 
-std::size_t
-CacheArray::flatIndex(std::uint32_t set, std::uint32_t way) const
-{
-    SAC_ASSERT(set < sets_ && way < assoc_, "set/way out of range");
-    return static_cast<std::size_t>(set) * assoc_ + way;
-}
-
-void
-CacheArray::setFlag(std::size_t idx, std::uint8_t bit, bool v)
-{
-    if (v)
-        flags_[idx] |= bit;
-    else
-        flags_[idx] &= static_cast<std::uint8_t>(~bit);
-}
-
-void
-CacheArray::setPrefetched(std::size_t idx, bool v)
-{
-    const bool was = flagged(idx, kPrefetched);
-    if (was == v)
-        return;
-    setFlag(idx, kPrefetched, v);
-    if (v)
-        ++prefetchedCount_;
-    else
-        --prefetchedCount_;
-}
-
-LineState
-CacheArray::stateAt(std::size_t idx) const
-{
-    LineState s;
-    s.valid = flagged(idx, kValid);
-    s.lineAddr = s.valid ? tags_[idx] : 0;
-    s.dirty = flagged(idx, kDirty);
-    s.temporal = flagged(idx, kTemporal);
-    s.prefetched = flagged(idx, kPrefetched);
-    s.lruStamp = stamps_[idx];
-    return s;
-}
-
-void
-CacheArray::assignAt(std::size_t idx, const LineState &s)
-{
-    setPrefetched(idx, s.prefetched);
-    std::uint8_t f = flags_[idx] & kPrefetched;
-    if (s.valid)
-        f |= kValid;
-    if (s.dirty)
-        f |= kDirty;
-    if (s.temporal)
-        f |= kTemporal;
-    flags_[idx] = f;
-    tags_[idx] = s.valid ? s.lineAddr : invalidTag;
-    stamps_[idx] = s.lruStamp;
-}
-
-void
-CacheArray::clearAt(std::size_t idx)
-{
-    setPrefetched(idx, false);
-    flags_[idx] = 0;
-    tags_[idx] = invalidTag;
-    stamps_[idx] = 0;
-}
-
-CacheArray::LineRef
-CacheArray::line(std::uint32_t set, std::uint32_t way)
-{
-    return LineRef(*this, flatIndex(set, way));
-}
-
-LineState
-CacheArray::line(std::uint32_t set, std::uint32_t way) const
-{
-    return stateAt(flatIndex(set, way));
-}
-
-std::optional<CacheArray::LineRef>
-CacheArray::find(Addr line_addr)
-{
-    const auto way = findWay(line_addr);
-    if (!way)
-        return std::nullopt;
-    return line(setIndexOf(line_addr), *way);
-}
-
-void
-CacheArray::touch(std::uint32_t set, std::uint32_t way)
-{
-    stamps_[flatIndex(set, way)] = ++stampCounter_;
-}
-
-std::uint32_t
-CacheArray::victimWay(std::uint32_t set, ReplacementPolicy policy) const
-{
-    // Invalid ways are free slots: always use them first.
-    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-    for (std::uint32_t w = 0; w < assoc_; ++w)
-        if (!flagged(base + w, kValid))
-            return w;
-
-    auto lru_among = [&](auto predicate) -> std::optional<std::uint32_t> {
-        std::optional<std::uint32_t> best;
-        for (std::uint32_t w = 0; w < assoc_; ++w) {
-            if (!predicate(flags_[base + w]))
-                continue;
-            if (!best || stamps_[base + w] < stamps_[base + *best])
-                best = w;
-        }
-        return best;
-    };
-
-    switch (policy) {
-      case ReplacementPolicy::LruPreferNonTemporal:
-        if (const auto w = lru_among([](std::uint8_t f) {
-                return (f & kTemporal) == 0;
-            }))
-            return *w;
-        break;
-      case ReplacementPolicy::LruPreferPrefetched:
-        if (const auto w = lru_among([](std::uint8_t f) {
-                return (f & kPrefetched) != 0;
-            }))
-            return *w;
-        break;
-      case ReplacementPolicy::Lru:
-        break;
-    }
-    return *lru_among([](std::uint8_t) { return true; });
-}
-
-LineState
-CacheArray::insert(Addr line_addr, ReplacementPolicy policy)
-{
-    const std::uint32_t set = setIndexOf(line_addr);
-    const std::uint32_t way = victimWay(set, policy);
-    const std::size_t idx = flatIndex(set, way);
-    const LineState evicted = stateAt(idx);
-    setPrefetched(idx, false);
-    flags_[idx] = kValid;
-    tags_[idx] = line_addr;
-    stamps_[idx] = ++stampCounter_;
-    return evicted;
-}
-
 std::optional<LineState>
 CacheArray::invalidate(Addr line_addr)
 {

@@ -13,6 +13,10 @@
  * victims and full-state installs — and every mutation goes through
  * the LineRef proxy so the tag vector and the derived prefetched-line
  * count can never fall out of sync with the flags.
+ *
+ * Every operation the simulators' per-access path uses (probe, slot
+ * views and their setters, touch, victim choice, insert) is defined
+ * inline below, so a replay loop compiles them into its own body.
  */
 
 #ifndef SAC_CACHE_CACHE_ARRAY_HH
@@ -23,6 +27,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/util/logging.hh"
 #include "src/util/types.hh"
 
 namespace sac {
@@ -109,6 +114,9 @@ class CacheArray
         /** Invalidate the slot. */
         void clear() { arr_->clearAt(idx_); }
 
+        /** Mark the slot most recently used. */
+        void touch() { arr_->stamps_[idx_] = ++arr_->stampCounter_; }
+
       private:
         friend class CacheArray;
         LineRef(CacheArray &a, std::size_t i) : arr_(&a), idx_(i) {}
@@ -164,9 +172,14 @@ class CacheArray
     std::optional<std::uint32_t>
     findWay(Addr line_addr) const
     {
-        const Addr *t = &tags_[static_cast<std::size_t>(line_addr &
-                                                        (sets_ - 1)) *
-                               assoc_];
+        return findWay(line_addr, setIndexOf(line_addr));
+    }
+
+    /** findWay() for a caller that already holds the line's set. */
+    std::optional<std::uint32_t>
+    findWay(Addr line_addr, std::uint32_t set) const
+    {
+        const Addr *t = &tags_[static_cast<std::size_t>(set) * assoc_];
         for (std::uint32_t w = 0; w < assoc_; ++w) {
             if (t[w] == line_addr)
                 return w;
@@ -199,15 +212,19 @@ class CacheArray
     std::uint32_t victimWay(std::uint32_t set,
                             ReplacementPolicy policy) const;
 
+    /** What insert() did: the slot it filled and what that slot held. */
+    struct Insertion
+    {
+        LineRef slot;      //!< view of the filled slot
+        LineState evicted; //!< previous contents (valid == false if none)
+    };
+
     /**
      * Install @p line_addr into (set computed from the address, way
-     * from @p policy), returning the previous contents of the slot.
-     * The installed line is valid, clean, non-temporal,
-     * non-prefetched and most recently used.
-     *
-     * @return the evicted line state (valid == false if none)
+     * from @p policy). The installed line is valid, clean,
+     * non-temporal, non-prefetched and most recently used.
      */
-    LineState insert(Addr line_addr, ReplacementPolicy policy);
+    Insertion insert(Addr line_addr, ReplacementPolicy policy);
 
     /** Invalidate @p line_addr if present; returns the old state. */
     std::optional<LineState> invalidate(Addr line_addr);
@@ -247,21 +264,38 @@ class CacheArray
   private:
     friend class LineRef;
 
-    /** Flag bits packed into one byte per line. */
-    static constexpr std::uint8_t kValid = 1u << 0;
-    static constexpr std::uint8_t kDirty = 1u << 1;
-    static constexpr std::uint8_t kTemporal = 1u << 2;
-    static constexpr std::uint8_t kPrefetched = 1u << 3;
+    /**
+     * Per-line flag bits. Deliberately not a character type: a store
+     * through unsigned char may alias any object, so a one-byte flag
+     * column made the compiler reload every member of the simulator
+     * (array pointers, geometry, config) after each flag write on the
+     * access path.
+     */
+    using Flags = std::uint16_t;
+    static constexpr Flags kValid = 1u << 0;
+    static constexpr Flags kDirty = 1u << 1;
+    static constexpr Flags kTemporal = 1u << 2;
+    static constexpr Flags kPrefetched = 1u << 3;
 
     /** Tag stored in empty ways; no real line address equals it. */
     static constexpr Addr invalidTag = ~static_cast<Addr>(0);
 
-    std::size_t flatIndex(std::uint32_t set, std::uint32_t way) const;
-    bool flagged(std::size_t idx, std::uint8_t bit) const
+    std::size_t flatIndex(std::uint32_t set, std::uint32_t way) const
+    {
+        SAC_ASSERT(set < sets_ && way < assoc_, "set/way out of range");
+        return static_cast<std::size_t>(set) * assoc_ + way;
+    }
+    bool flagged(std::size_t idx, Flags bit) const
     {
         return (flags_[idx] & bit) != 0;
     }
-    void setFlag(std::size_t idx, std::uint8_t bit, bool v);
+    void setFlag(std::size_t idx, Flags bit, bool v)
+    {
+        if (v)
+            flags_[idx] |= bit;
+        else
+            flags_[idx] &= static_cast<Flags>(~bit);
+    }
     void setPrefetched(std::size_t idx, bool v);
     LineState stateAt(std::size_t idx) const;
     void assignAt(std::size_t idx, const LineState &s);
@@ -273,11 +307,142 @@ class CacheArray
     std::uint32_t assoc_;
     // SoA columns, sets_ * assoc_ entries each, set-major.
     std::vector<Addr> tags_;           //!< line addr, or invalidTag
-    std::vector<std::uint8_t> flags_;  //!< kValid|kDirty|... bits
+    std::vector<Flags> flags_;         //!< kValid|kDirty|... bits
     std::vector<std::uint64_t> stamps_; //!< LRU stamps
     std::uint64_t stampCounter_ = 0;
     std::uint32_t prefetchedCount_ = 0;
 };
+
+inline void
+CacheArray::setPrefetched(std::size_t idx, bool v)
+{
+    if (flagged(idx, kPrefetched) == v)
+        return;
+    setFlag(idx, kPrefetched, v);
+    if (v)
+        ++prefetchedCount_;
+    else
+        --prefetchedCount_;
+}
+
+inline LineState
+CacheArray::stateAt(std::size_t idx) const
+{
+    LineState s;
+    s.valid = flagged(idx, kValid);
+    s.lineAddr = s.valid ? tags_[idx] : 0;
+    s.dirty = flagged(idx, kDirty);
+    s.temporal = flagged(idx, kTemporal);
+    s.prefetched = flagged(idx, kPrefetched);
+    s.lruStamp = stamps_[idx];
+    return s;
+}
+
+inline void
+CacheArray::assignAt(std::size_t idx, const LineState &s)
+{
+    setPrefetched(idx, s.prefetched);
+    Flags f = flags_[idx] & kPrefetched;
+    if (s.valid)
+        f |= kValid;
+    if (s.dirty)
+        f |= kDirty;
+    if (s.temporal)
+        f |= kTemporal;
+    flags_[idx] = f;
+    tags_[idx] = s.valid ? s.lineAddr : invalidTag;
+    stamps_[idx] = s.lruStamp;
+}
+
+inline void
+CacheArray::clearAt(std::size_t idx)
+{
+    setPrefetched(idx, false);
+    flags_[idx] = 0;
+    tags_[idx] = invalidTag;
+    stamps_[idx] = 0;
+}
+
+inline CacheArray::LineRef
+CacheArray::line(std::uint32_t set, std::uint32_t way)
+{
+    return LineRef(*this, flatIndex(set, way));
+}
+
+inline LineState
+CacheArray::line(std::uint32_t set, std::uint32_t way) const
+{
+    return stateAt(flatIndex(set, way));
+}
+
+inline std::optional<CacheArray::LineRef>
+CacheArray::find(Addr line_addr)
+{
+    const std::uint32_t set = setIndexOf(line_addr);
+    const auto way = findWay(line_addr, set);
+    if (!way)
+        return std::nullopt;
+    return line(set, *way);
+}
+
+inline void
+CacheArray::touch(std::uint32_t set, std::uint32_t way)
+{
+    stamps_[flatIndex(set, way)] = ++stampCounter_;
+}
+
+inline std::uint32_t
+CacheArray::victimWay(std::uint32_t set, ReplacementPolicy policy) const
+{
+    // A way is preferred when (flags & mask) == want; plain LRU
+    // prefers none (no flag word masked by 0 equals 1).
+    Flags mask = 0;
+    Flags want = 1;
+    switch (policy) {
+      case ReplacementPolicy::LruPreferNonTemporal:
+        mask = kTemporal;
+        want = 0;
+        break;
+      case ReplacementPolicy::LruPreferPrefetched:
+        mask = kPrefetched;
+        want = kPrefetched;
+        break;
+      case ReplacementPolicy::Lru:
+        break;
+    }
+    // One pass: the first invalid way is a free slot and wins at
+    // once; otherwise the LRU preferred way, else the LRU way (the
+    // first of equal stamps in both cases).
+    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+    const Flags *f = &flags_[base];
+    const std::uint64_t *stamp = &stamps_[base];
+    std::uint32_t lru = 0;
+    std::uint32_t preferred = assoc_;
+    for (std::uint32_t w = 0; w < assoc_; ++w) {
+        if ((f[w] & kValid) == 0)
+            return w;
+        if (stamp[w] < stamp[lru])
+            lru = w;
+        if ((f[w] & mask) == want &&
+            (preferred == assoc_ || stamp[w] < stamp[preferred]))
+            preferred = w;
+    }
+    return preferred != assoc_ ? preferred : lru;
+}
+
+inline CacheArray::Insertion
+CacheArray::insert(Addr line_addr, ReplacementPolicy policy)
+{
+    const std::uint32_t set = setIndexOf(line_addr);
+    const std::uint32_t way = victimWay(set, policy);
+    const std::size_t idx = flatIndex(set, way);
+    const LineState evicted = stateAt(idx);
+    setPrefetched(idx, false);
+    flags_[idx] = kValid;
+    tags_[idx] = line_addr;
+    stamps_[idx] = ++stampCounter_;
+    return {LineRef(*this, idx), evicted};
+}
 
 } // namespace cache
 } // namespace sac

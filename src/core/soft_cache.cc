@@ -55,7 +55,11 @@ SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
     : cfg_(std::move(cfg)),
       main_((cfg_.validate(), cfg_.cacheSizeBytes), cfg_.lineBytes,
             cfg_.assoc),
-      writeBuffer_(cfg_.writeBufferEntries)
+      writeBuffer_(cfg_.writeBufferEntries),
+      lineTransferCycles_(cfg_.timing.transferCycles(cfg_.lineBytes)),
+      lineMissPenalty_(cfg_.timing.missPenalty(1, cfg_.lineBytes)),
+      prefetchPenalty_(
+          cfg_.timing.missPenalty(cfg_.prefetchDegree, cfg_.lineBytes))
 {
     if (cfg_.auxLines > 0) {
         const std::uint32_t aux_assoc =
@@ -139,6 +143,7 @@ SoftwareAssistedCache::runBatch(const trace::Record *recs,
                                 std::size_t n,
                                 const sim::ShadowOutcome *outcomes)
 {
+    SAC_ASSERT(n == 0 || !finished_, "access() after finish()");
     if (statsMode_ == StatsMode::Warming) {
         runBatchDispatch<Fidelity::Warming>(recs, n, nullptr);
         return;
@@ -187,7 +192,6 @@ template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
 void
 SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
 {
-    SAC_ASSERT(!finished_, "access() after finish()");
     // Blocking processor: the reference issues rec.delta cycles of
     // instruction work after the previous access completed (the
     // completing cycle overlaps the first work cycle).
@@ -202,11 +206,14 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     }
 
     Cycle start = std::max(now_, cacheFreeAt_);
+    // The access's line and main-cache set, computed once and passed
+    // down to whichever handler serves it.
     const Addr line = main_.lineAddrOf(rec.addr);
+    const std::uint32_t set = main_.setIndexOf(line);
 
     if constexpr (observes(F)) {
         if (setProfiler_)
-            setProfiler_->onAccess(main_.setIndexOf(line));
+            setProfiler_->onAccess(set);
     }
 
     // Land a pending prefetch that has arrived; if this very access
@@ -225,15 +232,15 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     }
 
     // 1. Main cache lookup.
-    if (const auto way = main_.findWay(line)) {
-        handleMainHit<F>(rec, *way, start);
+    if (const auto way = main_.findWay(line, set)) {
+        handleMainHit<F>(rec, main_.line(set, *way), start);
         return;
     }
 
     // 2. Bypassing of non-temporal references (Fig 3a baselines).
     if constexpr (MayBypass) {
         if (cfg_.bypass != BypassMode::None && !rec.temporal) {
-            handleBypass<F>(rec, start);
+            handleBypass<F>(rec, line, start);
             return;
         }
     }
@@ -241,25 +248,27 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     // 3. Aux (bounce-back / victim / prefetch buffer) lookup.
     if constexpr (MayAux) {
         if (aux_) {
-            if (const auto way = aux_->findWay(line)) {
-                handleAuxHit<F, MayPrefetch>(rec, *way, start);
+            const std::uint32_t aux_set = aux_->setIndexOf(line);
+            if (const auto way = aux_->findWay(line, aux_set)) {
+                handleAuxHit<F, MayPrefetch>(rec, line, set, aux_set,
+                                             aux_->line(aux_set, *way),
+                                             start);
                 return;
             }
         }
     }
 
     // 4. Demand miss.
-    handleMiss<F, MayAux, MayVirtual, MayPrefetch>(rec, start);
+    handleMiss<F, MayAux, MayVirtual, MayPrefetch>(rec, line, set, start);
 }
 
 template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::handleMainHit(const trace::Record &rec,
-                                     std::uint32_t way, Cycle start)
+                                     cache::CacheArray::LineRef l,
+                                     Cycle start)
 {
-    const std::uint32_t set = main_.setIndexOf(main_.lineAddrOf(rec.addr));
-    cache::CacheArray::LineRef l = main_.line(set, way);
-    main_.touch(set, way);
+    l.touch();
     if (rec.isWrite())
         l.setDirty();
     applyTemporalTag(l, rec.temporal, cfg_.temporalBits);
@@ -274,13 +283,13 @@ SoftwareAssistedCache::handleMainHit(const trace::Record &rec,
 
 template <SoftwareAssistedCache::Fidelity F, bool MayPrefetch>
 void
-SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
-                                    std::uint32_t way, Cycle start)
+SoftwareAssistedCache::handleAuxHit(const trace::Record &rec, Addr line,
+                                    std::uint32_t set,
+                                    std::uint32_t aux_set,
+                                    cache::CacheArray::LineRef a,
+                                    Cycle start)
 {
     SAC_ASSERT(aux_, "aux hit without an aux cache");
-    const Addr line = main_.lineAddrOf(rec.addr);
-    const std::uint32_t aux_set = aux_->setIndexOf(line);
-    cache::CacheArray::LineRef a = aux_->line(aux_set, way);
     // The prefetched bit is only ever set while installing a prefetch,
     // which requires cfg_.prefetch: compile the check out otherwise.
     const bool was_prefetched = MayPrefetch && a.prefetched();
@@ -299,7 +308,6 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
     // Swap with the resident main-cache line: the aux line moves to
     // its home set; the displaced main line takes the vacated aux
     // slot (no aux eviction happens on a swap).
-    const std::uint32_t set = main_.setIndexOf(line);
     const std::uint32_t mway = main_.victimWay(set, mainPolicy());
     cache::CacheArray::LineRef m = main_.line(set, mway);
     const cache::LineState displaced = m.state();
@@ -309,12 +317,12 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
     if (rec.isWrite())
         m.setDirty();
     applyTemporalTag(m, rec.temporal, cfg_.temporalBits);
-    main_.touch(set, mway);
+    m.touch();
 
     if (displaced.valid &&
         aux_->setIndexOf(displaced.lineAddr) == aux_set) {
         a.assign(displaced);
-        aux_->touch(aux_set, way);
+        a.touch();
     } else {
         // The displaced line cannot live in this aux set (only
         // possible with a set-associative aux cache): discard it.
@@ -340,9 +348,9 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec,
 
 template <SoftwareAssistedCache::Fidelity F>
 void
-SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
+SoftwareAssistedCache::handleBypass(const trace::Record &rec, Addr line,
+                                    Cycle start)
 {
-    const Addr line = main_.lineAddrOf(rec.addr);
     const bool buffer_hit =
         cfg_.bypass == BypassMode::NonTemporalBuffered && rec.isRead() &&
         bypassBufferValid_ && bypassBufferLine_ == line;
@@ -379,8 +387,8 @@ SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
     const std::uint64_t bytes =
         cfg_.bypass == BypassMode::NonTemporalBuffered ? cfg_.lineBytes
                                                        : rec.size;
-    const Cycle data_done = mem_start + cfg_.timing.memoryLatency +
-                            cfg_.timing.transferCycles(bytes);
+    const Cycle data_done =
+        mem_start + cfg_.timing.memoryLatency + transferCyclesOf(bytes);
     busFreeAt_ = data_done;
     if constexpr (counts(F))
         stats_.bytesFetched += bytes;
@@ -396,16 +404,16 @@ SoftwareAssistedCache::handleBypass(const trace::Record &rec, Cycle start)
 template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
           bool MayPrefetch>
 void
-SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
+SoftwareAssistedCache::handleMiss(const trace::Record &rec, Addr line,
+                                  std::uint32_t set, Cycle start)
 {
-    const Addr line = main_.lineAddrOf(rec.addr);
     if constexpr (counts(F)) {
         ++stats_.misses;
         classify<F>(rec.addr);
     }
     if constexpr (observes(F)) {
         if (setProfiler_)
-            setProfiler_->onMiss(main_.setIndexOf(line));
+            setProfiler_->onMiss(set);
     }
 
     // Which physical lines must be fetched? For a spatially tagged
@@ -444,7 +452,9 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
     const Cycle request_sent = start + cfg_.timing.mainHitTime;
     const Cycle mem_start = std::max(request_sent, busFreeAt_);
     const Cycle data_done =
-        mem_start + cfg_.timing.missPenalty(n_fetched, cfg_.lineBytes);
+        mem_start + (n_fetched == 1
+                         ? lineMissPenalty_
+                         : cfg_.timing.missPenalty(n_fetched, cfg_.lineBytes));
     busFreeAt_ = data_done;
 
     if constexpr (counts(F)) {
@@ -484,11 +494,10 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
         }
         traceEvent<F>(EventKind::Fill, start, l * cfg_.lineBytes,
                       l == line);
-        const FillTarget target =
-            insertIntoMain<F>(l, transfer_cost, fill_targets);
+        cache::CacheArray::LineRef m = insertIntoMain<F>(
+            l, l == line ? set : main_.setIndexOf(l), transfer_cost,
+            fill_targets);
         if (l == line) {
-            cache::CacheArray::LineRef m =
-                main_.line(target.set, target.way);
             if (rec.isWrite())
                 m.setDirty();
             applyTemporalTag(m, rec.temporal, cfg_.temporalBits);
@@ -517,13 +526,13 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Cycle start)
 }
 
 template <SoftwareAssistedCache::Fidelity F>
-SoftwareAssistedCache::FillTarget
+cache::CacheArray::LineRef
 SoftwareAssistedCache::insertIntoMain(
-    Addr line_addr, Cycle &transfer_cost,
+    Addr line_addr, std::uint32_t set, Cycle &transfer_cost,
     std::vector<FillTarget> &fill_targets)
 {
-    const std::uint32_t set = main_.setIndexOf(line_addr);
     const std::uint32_t way = main_.victimWay(set, mainPolicy());
+    cache::CacheArray::LineRef slot = main_.line(set, way);
 
     // Second-chance aging for the replacement-priority scheme: a
     // temporal line that was skipped in favor of a younger
@@ -531,7 +540,7 @@ SoftwareAssistedCache::insertIntoMain(
     // data cannot pin a way forever (the set-associative analogue of
     // the bounce-back bit reset).
     if (cfg_.preferNonTemporalReplacement) {
-        const std::uint64_t chosen = main_.line(set, way).lruStamp();
+        const std::uint64_t chosen = slot.lruStamp();
         for (std::uint32_t w = 0; w < main_.assoc(); ++w) {
             cache::CacheArray::LineRef l = main_.line(set, w);
             if (w != way && l.valid() && l.temporal() &&
@@ -541,7 +550,6 @@ SoftwareAssistedCache::insertIntoMain(
         }
     }
 
-    cache::CacheArray::LineRef slot = main_.line(set, way);
     const cache::LineState victim = slot.state();
 
     // Register the slot before handling the victim, so a bounce-back
@@ -552,7 +560,7 @@ SoftwareAssistedCache::insertIntoMain(
     fresh.lineAddr = line_addr;
     fresh.valid = true;
     slot.assign(fresh);
-    main_.touch(set, way);
+    slot.touch();
 
     if (victim.valid) {
         if constexpr (counts(F)) {
@@ -570,7 +578,7 @@ SoftwareAssistedCache::insertIntoMain(
             transfer_cost += cfg_.timing.dirtyTransferCycles;
         }
     }
-    return {set, way};
+    return slot;
 }
 
 template <SoftwareAssistedCache::Fidelity F>
@@ -582,12 +590,13 @@ SoftwareAssistedCache::victimToAux(
     SAC_ASSERT(aux_, "victimToAux without an aux cache");
     transfer_cost += cfg_.timing.dirtyTransferCycles;
 
-    const cache::LineState aux_victim =
+    cache::CacheArray::Insertion ins =
         aux_->insert(victim.lineAddr, cache::ReplacementPolicy::Lru);
-    auto slot = aux_->find(victim.lineAddr);
-    SAC_ASSERT(slot.has_value(), "freshly inserted aux line vanished");
-    slot->setDirty(victim.dirty);
-    slot->setTemporal(victim.temporal);
+    SAC_ASSERT(ins.slot.lineAddr() == victim.lineAddr,
+               "freshly inserted aux line vanished");
+    ins.slot.setDirty(victim.dirty);
+    ins.slot.setTemporal(victim.temporal);
+    const cache::LineState &aux_victim = ins.evicted;
 
     if (!aux_victim.valid)
         return;
@@ -653,7 +662,7 @@ SoftwareAssistedCache::bounceBack(
     if (cfg_.resetTemporalBitOnBounce)
         resident.setTemporal(false);
     resident.setPrefetched(false);
-    main_.touch(set, way);
+    resident.touch();
     transfer_cost += cfg_.timing.dirtyTransferCycles;
     if constexpr (counts(F)) {
         ++stats_.bounces;
@@ -678,8 +687,9 @@ SoftwareAssistedCache::pushWriteback(std::uint32_t bytes,
         const std::uint32_t drained = writeBuffer_.pop();
         if constexpr (counts(F))
             stats_.bytesWrittenBack += drained;
-        transfer_cost += cfg_.timing.transferCycles(drained);
-        busFreeAt_ += cfg_.timing.transferCycles(drained);
+        const Cycle cycles = transferCyclesOf(drained);
+        transfer_cost += cycles;
+        busFreeAt_ += cycles;
     }
     writeBuffer_.push(bytes);
     traceEvent<F>(EventKind::Writeback, now_, 0, bytes);
@@ -693,7 +703,7 @@ SoftwareAssistedCache::drainWriteBuffer()
         const std::uint32_t bytes = writeBuffer_.pop();
         if constexpr (counts(F))
             stats_.bytesWrittenBack += bytes;
-        busFreeAt_ += cfg_.timing.transferCycles(bytes);
+        busFreeAt_ += transferCyclesOf(bytes);
     }
 }
 
@@ -732,10 +742,7 @@ SoftwareAssistedCache::issuePrefetch(Addr pf_line)
     }
     pending_.line = pf_line;
     pending_.count = degree;
-    pending_.readyAt =
-        busFreeAt_ + cfg_.timing.memoryLatency +
-        cfg_.timing.transferCycles(
-            static_cast<std::uint64_t>(degree) * cfg_.lineBytes);
+    pending_.readyAt = busFreeAt_ + prefetchPenalty_;
     pending_.valid = true;
     busFreeAt_ = pending_.readyAt;
     if constexpr (counts(F)) {
@@ -771,11 +778,11 @@ SoftwareAssistedCache::installPendingPrefetch()
                 ? cache::ReplacementPolicy::LruPreferPrefetched
                 : cache::ReplacementPolicy::Lru;
 
-        const cache::LineState aux_victim = aux_->insert(l, policy);
-        auto slot = aux_->find(l);
-        SAC_ASSERT(slot.has_value(),
+        cache::CacheArray::Insertion ins = aux_->insert(l, policy);
+        SAC_ASSERT(ins.slot.lineAddr() == l,
                    "freshly installed prefetch line vanished");
-        slot->setPrefetched(true);
+        ins.slot.setPrefetched(true);
+        const cache::LineState &aux_victim = ins.evicted;
         traceEvent<F>(EventKind::PrefetchInstall, now_,
                       l * cfg_.lineBytes, 0);
 

@@ -416,33 +416,41 @@ class SoftwareAssistedCache
         }
     }
 
-    /** Serve a hit in the main cache. */
-    template <Fidelity F>
-    void handleMainHit(const trace::Record &rec, std::uint32_t way,
-                       Cycle start);
+    // The handlers below take the access's line address @p line and
+    // main-cache set @p set as accessTmpl computed them, and a hit
+    // handler the slot it hit, so no handler derives them again.
 
-    /** Serve a hit in the aux (bounce-back / victim) cache. */
+    /** Serve a hit in main-cache slot @p l. */
+    template <Fidelity F>
+    void handleMainHit(const trace::Record &rec,
+                       cache::CacheArray::LineRef l, Cycle start);
+
+    /** Serve a hit in slot @p a of aux set @p aux_set. */
     template <Fidelity F, bool MayPrefetch>
-    void handleAuxHit(const trace::Record &rec, std::uint32_t way,
-                      Cycle start);
+    void handleAuxHit(const trace::Record &rec, Addr line,
+                      std::uint32_t set, std::uint32_t aux_set,
+                      cache::CacheArray::LineRef a, Cycle start);
 
     /** Serve a bypassed non-temporal reference. */
     template <Fidelity F>
-    void handleBypass(const trace::Record &rec, Cycle start);
+    void handleBypass(const trace::Record &rec, Addr line, Cycle start);
 
     /** Serve a demand miss (possibly a virtual-line fill). */
     template <Fidelity F, bool MayAux, bool MayVirtual, bool MayPrefetch>
-    void handleMiss(const trace::Record &rec, Cycle start);
+    void handleMiss(const trace::Record &rec, Addr line, std::uint32_t set,
+                    Cycle start);
 
     /**
-     * Install @p line_addr into the main cache, moving the victim to
-     * the aux cache or the write buffer. Returns the filled slot.
+     * Install @p line_addr into main-cache set @p set, moving the
+     * victim to the aux cache or the write buffer. Returns the filled
+     * slot.
      * @param transfer_cost accumulates hidden transfer cycles
      * @param fill_targets slots already filled by this miss
      */
     template <Fidelity F>
-    FillTarget insertIntoMain(Addr line_addr, Cycle &transfer_cost,
-                              std::vector<FillTarget> &fill_targets);
+    cache::CacheArray::LineRef
+    insertIntoMain(Addr line_addr, std::uint32_t set, Cycle &transfer_cost,
+                   std::vector<FillTarget> &fill_targets);
 
     /**
      * Move a main-cache victim into the aux cache, bouncing the aux
@@ -490,11 +498,26 @@ class SoftwareAssistedCache
     /** Replacement policy for main-cache fills. */
     cache::ReplacementPolicy mainPolicy() const;
 
+    /** Bus cycles to move @p bytes; a whole line takes the constant. */
+    Cycle transferCyclesOf(std::uint64_t bytes) const
+    {
+        return bytes == cfg_.lineBytes ? lineTransferCycles_
+                                       : cfg_.timing.transferCycles(bytes);
+    }
+
     Config cfg_;
     cache::CacheArray main_;
     std::optional<cache::CacheArray> aux_;
     sim::WriteBuffer writeBuffer_;
     sim::RunStats stats_;
+
+    // The paper's n*LS/wb terms that are fixed per config, computed at
+    // construction so the access path does not divide by the bus
+    // width: one line's transfer, a one-line demand miss (tlat + LS/wb)
+    // and a progressive prefetch (tlat + degree*LS/wb).
+    Cycle lineTransferCycles_;
+    Cycle lineMissPenalty_;
+    Cycle prefetchPenalty_;
 
     /** Where a run's shadow outcomes come from (see replay()). */
     enum class OutcomeSource

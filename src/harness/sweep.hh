@@ -146,9 +146,10 @@ struct SweepTelemetry
     /**
      * Incremental manifest sink: invoked once per emitted manifest
      * with its canonical file name and the document bytes (identical
-     * to the file writeManifestFile() would produce). The service
-     * streams these frames to clients as cells finish. A sink works
-     * with or without manifestDir.
+     * to the file writeManifestFile() would produce). Runner::run
+     * calls it after the request's last cell, config-major in plan
+     * order, and the service forwards each call as one frame. A sink
+     * works with or without manifestDir.
      */
     std::function<void(const std::string &file,
                        const std::string &document)>

@@ -212,9 +212,11 @@ SweepServer::runOneJob()
         ++active_;
     }
 
-    // Stream each manifest to the client as its cell finishes. A
-    // client that vanished mid-sweep just stops receiving frames —
-    // the sweep completes anyway (its cells stay latched for peers).
+    // Stream each manifest to the client as Runner::run emits it:
+    // all of them after the request's last cell, config-major in
+    // plan order. A client that vanished mid-sweep just stops
+    // receiving frames — the sweep completes anyway (its cells stay
+    // latched for peers).
     auto client_alive = std::make_shared<std::atomic<bool>>(true);
     job.request.telemetry.sink =
         [fd = job.fd, wm = job.writeMutex, client_alive](

@@ -50,8 +50,8 @@ struct ServerOptions
  * The sweep daemon core. start() binds the socket and spawns the
  * accept loop; every connection carries one request frame. Submits
  * pass admission control, enter the priority queue, and execute on
- * the shared pool; manifest frames stream back to the client as cells
- * finish. drain() (or a "shutdown" request) stops accepting new work,
+ * the shared pool; manifest frames stream back to the client once the
+ * request's last cell is done, config-major in plan order. drain() (or a "shutdown" request) stops accepting new work,
  * finishes everything already admitted, and releases the socket —
  * clients connected mid-drain get their full response before the
  * server exits.

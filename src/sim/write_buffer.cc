@@ -11,25 +11,6 @@ WriteBuffer::WriteBuffer(std::uint32_t capacity) : capacity_(capacity)
                "write buffer capacity must be in [1, 64]");
 }
 
-void
-WriteBuffer::push(std::uint32_t bytes)
-{
-    SAC_ASSERT(!full(), "push into a full write buffer");
-    pendingBytes_[(head_ + occupancy_) % capacity_] = bytes;
-    ++occupancy_;
-    totalBytes_ += bytes;
-}
-
-std::uint32_t
-WriteBuffer::pop()
-{
-    SAC_ASSERT(!empty(), "pop from an empty write buffer");
-    const std::uint32_t bytes = pendingBytes_[head_];
-    head_ = (head_ + 1) % capacity_;
-    --occupancy_;
-    return bytes;
-}
-
 WriteBuffer::Snapshot
 WriteBuffer::snapshot() const
 {

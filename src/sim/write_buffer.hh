@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/logging.hh"
 #include "src/util/types.hh"
 
 namespace sac {
@@ -44,13 +45,30 @@ class WriteBuffer
      * Queue one writeback of @p bytes. The caller must have made room
      * (drain) beforehand; pushing into a full buffer panics.
      */
-    void push(std::uint32_t bytes);
+    void push(std::uint32_t bytes)
+    {
+        SAC_ASSERT(!full(), "push into a full write buffer");
+        std::uint32_t tail = head_ + occupancy_;
+        if (tail >= capacity_)
+            tail -= capacity_;
+        pendingBytes_[tail] = bytes;
+        ++occupancy_;
+        totalBytes_ += bytes;
+    }
 
     /**
      * Remove the oldest entry, returning its size in bytes. Popping an
      * empty buffer panics.
      */
-    std::uint32_t pop();
+    std::uint32_t pop()
+    {
+        SAC_ASSERT(!empty(), "pop from an empty write buffer");
+        const std::uint32_t bytes = pendingBytes_[head_];
+        if (++head_ == capacity_)
+            head_ = 0;
+        --occupancy_;
+        return bytes;
+    }
 
     /** Drain every entry, returning the total bytes drained. */
     std::uint64_t drainAll();
