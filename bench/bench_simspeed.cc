@@ -2,8 +2,9 @@
  * @file
  * Simulator throughput benchmarks (google-benchmark): trace
  * generation speed, simulation speed per configuration, the
- * feature-specialized fast path against the forced-general path, and
- * the streaming engine against materialize-then-replay. These are
+ * feature-specialized fast path against the forced-general path, the
+ * streaming engine against materialize-then-replay, and warm manifest
+ * emission. These are
  * engineering benchmarks of the reproduction itself, not paper
  * figures.
  *
@@ -27,6 +28,7 @@
 #include "src/harness/bench_options.hh"
 #include "src/harness/experiment.hh"
 #include "src/harness/sweep.hh"
+#include "src/service/protocol.hh"
 #include "src/sim/miss_classifier.hh"
 #include "src/sim/sampling.hh"
 #include "src/sim/stack_engine.hh"
@@ -469,6 +471,39 @@ BENCHMARK(BM_MatrixSweep)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * Manifest rendering and streaming: a warm suite — every cell stored,
+ * every document latched by a first emission — re-emitted through a
+ * sink that frames each document as sacd streams it. Items =
+ * manifests, so the rate is the warm sacd request's per-cell cost.
+ */
+void
+BM_EmitWarmManifests(benchmark::State &state)
+{
+    const auto &traces = sweepTraces();
+    harness::SweepRequest request;
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        request.workloads.push_back(
+            {traces[i].name(), [&traces, i] { return traces[i]; },
+             nullptr});
+    request.configs = sweepConfigs();
+    request.metric = harness::amatMetric();
+    std::size_t frame_bytes = 0;
+    request.telemetry.sink = [&frame_bytes](const std::string &file,
+                                            const std::string &document) {
+        frame_bytes += service::manifestResponse(file, document).size();
+    };
+    harness::Runner r;
+    r.run(request);
+    std::int64_t manifests = 0;
+    for (auto _ : state)
+        manifests += static_cast<std::int64_t>(
+            r.run(request).manifestsWritten);
+    benchmark::DoNotOptimize(frame_bytes);
+    state.SetItemsProcessed(manifests);
+}
+BENCHMARK(BM_EmitWarmManifests);
 
 // Sampled vs. full-detail sweep: the MV trace under every sweep
 // configuration, first simulated in full detail, then estimated by

@@ -223,6 +223,12 @@ Runner::checkpointCounter(const std::string &name) const
     return stackCounter(name);
 }
 
+std::uint64_t
+Runner::manifestCounter(const std::string &name) const
+{
+    return stackCounter(name);
+}
+
 void
 Runner::settle(
     const std::vector<StoredCell *> &slots,

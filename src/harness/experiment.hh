@@ -166,6 +166,15 @@ class Runner
     std::uint64_t checkpointCounter(const std::string &name) const;
 
     /**
+     * Value of one of this runner's "manifest.*" telemetry counters
+     * (0 when never incremented):
+     *   manifest.renders  manifest documents rendered by emission
+     *   manifest.reuses   emissions served a stored cell's document
+     *   manifest.bytes    bytes of the documents stored with cells
+     */
+    std::uint64_t manifestCounter(const std::string &name) const;
+
+    /**
      * Number of generator runs: traces materialized by traceOf() plus
      * traversals that streamed a workload without materializing it.
      */
@@ -213,10 +222,38 @@ class Runner
         {
             std::uint64_t hits = 0, misses = 0, stale = 0, bytes = 0;
         } checkpoint;
+
+        /**
+         * The cell's manifest document, with the inputs beyond the
+         * store key that shaped it: the config's display name
+         * (cacheKey() leaves it out) and a stack cell's family size
+         * (set by the request). A live-point cell's checkpoint block
+         * is the slot's own outcome, so it needs no entry here.
+         */
+        struct Rendered
+        {
+            std::string configName;
+            std::size_t stackFamilySize = 0;
+            std::string document;
+        };
+        /**
+         * Installed by the cell's first emission once Filled, first
+         * writer wins (every writer renders the same bytes), then
+         * immutable until the slot dies.
+         */
+        std::atomic<const Rendered *> manifest{nullptr};
+
+        StoredCell() = default;
+        StoredCell(const StoredCell &) = delete;
+        StoredCell &operator=(const StoredCell &) = delete;
+        ~StoredCell() { delete manifest.load(); }
     };
 
     /** A request's cells, each routed to an engine and a store slot. */
     struct Plan;
+
+    /** Writes and streams one request's manifests (see sweep.cc). */
+    struct Emitter;
 
     /** One exact or stack cell of a workload traversal. */
     struct TraversalCell
@@ -318,7 +355,7 @@ class Runner
     std::map<std::string, std::unique_ptr<TraceSlot>> traces_;
     /** The one cell store (see the class comment for its key). */
     std::map<std::string, std::unique_ptr<StoredCell>> cells_;
-    /** stack.pass.*, classify.* and checkpoint.* counters. */
+    /** stack.pass.*, classify.*, checkpoint.* and manifest.* counters. */
     telemetry::CounterRegistry counters_;
     std::atomic<std::size_t> runsExecuted_{0};
     std::atomic<std::size_t> tracesGenerated_{0};

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <future>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -319,23 +317,28 @@ SweepRequest::fromBenchOptions(const BenchOptions &options,
     return req;
 }
 
-namespace {
-
-/** Serialize the manifest document exactly as writeManifestFile(). */
-std::string
-manifestDocument(const telemetry::Manifest &m)
+/**
+ * One request's manifest emission. Every cell has one document path:
+ * the same bytes go to the sink, to manifestDir, or to both. A stored
+ * cell's document is rendered by its first emission and latched on
+ * its slot (StoredCell::manifest); later emissions reuse it while the
+ * inputs beyond the store key match, and re-render otherwise. Suite
+ * totals and instrumented cells are never latched, and an
+ * instrumented cell written without a sink re-replays through
+ * writeCellManifest(), whose interval series rides next to the
+ * manifest. (The series is CLI-only and never combines with a sink.)
+ */
+struct Runner::Emitter
 {
-    std::ostringstream os;
-    telemetry::manifestJson(m).write(os, 2);
-    os << '\n';
-    return os.str();
-}
+    Emitter(const SweepTelemetry &t, SweepResult &r)
+        : telemetry(t), result(r)
+    {
+    }
 
-/** Per-run emission state shared by the engine-specific paths. */
-struct Emitter
-{
     const SweepTelemetry &telemetry;
     SweepResult &result;
+    std::uint64_t renders = 0, reuses = 0, bytes = 0;
+    std::string rendered; //!< the last document no slot holds
 
     bool
     active() const
@@ -353,40 +356,64 @@ struct Emitter
     }
 
     /**
-     * Emit one cell: write under manifestDir and/or stream through
-     * the sink. @p record (when given) receives the file/path.
+     * The document of @p cell: @p slot's latched one when it was
+     * rendered from the same inputs, else a fresh render, latched on
+     * @p slot when that holds none yet (nullptr = never latch).
+     */
+    const std::string &
+    document(const ManifestCell &cell, EngineTag tag, StoredCell *slot)
+    {
+        using Rendered = StoredCell::Rendered;
+        const Rendered *latched = slot ? slot->manifest.load() : nullptr;
+        if (latched && latched->configName == cell.config->name &&
+            latched->stackFamilySize == cell.stackFamilySize) {
+            ++reuses;
+            return latched->document;
+        }
+        ++renders;
+        rendered = telemetry::manifestDocument(
+            renderCellManifest(cell, tag));
+        if (!slot || latched)
+            return rendered;
+        // Rendered outside any lock; a concurrent emission of the same
+        // slot renders the same bytes, so the first to install wins.
+        auto mine = std::make_unique<Rendered>(
+            Rendered{cell.config->name, cell.stackFamilySize,
+                     std::move(rendered)});
+        if (!slot->manifest.compare_exchange_strong(latched, mine.get())) {
+            rendered = std::move(mine->document);
+            return rendered;
+        }
+        bytes += mine->document.size();
+        return mine.release()->document;
+    }
+
+    /**
+     * Emit one cell (its store slot @p slot, nullptr when it has none
+     * to latch on): write under manifestDir and/or stream through the
+     * sink. @p record (when given) receives the file/path.
      */
     void
     emit(const ManifestCell &cell, EngineTag tag,
+         const std::string &cache_key, StoredCell *slot,
          SweepResult::Cell *record)
     {
-        const std::string file = telemetry::manifestFileName(
-            cell.workload, cell.config->cacheKey());
+        const std::string file =
+            telemetry::manifestFileName(cell.workload, cache_key);
+        const bool instrumented = cell.trace != nullptr;
         std::string path;
-        if (telemetry.sink) {
-            // Render once, stream the exact bytes a file would hold,
-            // then materialize those same bytes when a directory was
-            // also requested. (The interval sidecar is CLI-only and
-            // never combines with a sink.)
-            const telemetry::Manifest m =
-                renderCellManifest(cell, tag);
-            const std::string doc = manifestDocument(m);
-            telemetry.sink(file, doc);
-            if (!telemetry.manifestDir.empty()) {
-                std::error_code ec;
-                std::filesystem::create_directories(
-                    telemetry.manifestDir, ec);
-                const std::filesystem::path p =
-                    std::filesystem::path(telemetry.manifestDir) /
-                    file;
-                std::ofstream os(p);
-                os << doc;
-                path = os ? p.string() : std::string();
-            } else {
-                path = file; // streamed only; count as written
-            }
-        } else if (!telemetry.manifestDir.empty()) {
+        if (instrumented && !telemetry.sink) {
+            ++renders;
             path = writeCellManifest(telemetry.manifestDir, cell, tag);
+        } else {
+            const std::string &doc =
+                document(cell, tag, instrumented ? nullptr : slot);
+            if (telemetry.sink)
+                telemetry.sink(file, doc);
+            path = telemetry.manifestDir.empty()
+                       ? file // streamed only; count as written
+                       : telemetry::writeManifestDocument(
+                             telemetry.manifestDir, file, doc);
         }
         if (path.empty())
             ++result.manifestFailures;
@@ -399,8 +426,6 @@ struct Emitter
         }
     }
 };
-
-} // namespace
 
 /**
  * The routing of one request: every cell's engine and store slot,
@@ -816,7 +841,9 @@ Runner::run(const SweepRequest &request)
                 }
                 break;
             }
-            emitter.emit(mc, c.engine, &r);
+            // A --checkpoint-rebuild cell's slot dies with the plan.
+            emitter.emit(mc, c.engine, r.cacheKey,
+                         p.rebuilt.empty() ? c.slot : nullptr, &r);
         }
         if (request.telemetry.suiteTotals && exact_only &&
             emitter.claim("suite-total", cfg.cacheKey())) {
@@ -826,9 +853,17 @@ Runner::run(const SweepRequest &request)
             mc.stats = &suite_total;
             mc.simSeconds = suite_seconds;
             mc.extraTiming = &phases;
-            emitter.emit(mc, EngineTag::ExactReplay, nullptr);
+            emitter.emit(mc, EngineTag::ExactReplay, cfg.cacheKey(),
+                         nullptr, nullptr);
         }
     }
+    count("manifest.renders", "manifest documents rendered by emission",
+          emitter.renders);
+    count("manifest.reuses",
+          "emissions served a stored cell's manifest document",
+          emitter.reuses);
+    count("manifest.bytes", "bytes of manifest documents stored with cells",
+          emitter.bytes);
     return out;
 }
 

@@ -293,11 +293,18 @@ acceptedResponse(std::uint64_t id, std::size_t queued)
 std::string
 manifestResponse(const std::string &file, const std::string &document)
 {
-    util::Json doc = util::Json::object();
-    doc.set("type", "manifest");
-    doc.set("file", file);
-    doc.set("document", document);
-    return doc.dump(0);
+    // The bytes of the compact dump() of {type, file, document},
+    // concatenated so the document is quoted once, in place. A
+    // pretty-printed document escapes about one byte in ten.
+    std::string frame;
+    frame.reserve(40 + file.size() + document.size() +
+                  document.size() / 8);
+    frame += "{\"type\":\"manifest\",\"file\":";
+    util::Json::appendQuoted(frame, file);
+    frame += ",\"document\":";
+    util::Json::appendQuoted(frame, document);
+    frame += '}';
+    return frame;
 }
 
 std::string

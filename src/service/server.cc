@@ -332,6 +332,11 @@ SweepServer::metricsSnapshot() const
         reg.counter(name, "shared runner miss-classification counter") +=
             runner_.classifyCounter(name);
     }
+    for (const char *name :
+         {"manifest.renders", "manifest.reuses", "manifest.bytes"}) {
+        reg.counter(name, "shared runner manifest-emission counter") +=
+            runner_.manifestCounter(name);
+    }
     for (const char *name : {"checkpoint.hits", "checkpoint.misses",
                              "checkpoint.stale", "checkpoint.bytes"}) {
         reg.counter(name, "shared runner checkpoint counter") +=

@@ -100,7 +100,7 @@ class SweepServer
     /**
      * Snapshot of the service counters (request.accepted, .rejected,
      * .queued, .active, .completed) merged with the runner's
-     * stack.pass.*, classify.* and checkpoint.* counters.
+     * stack.pass.*, classify.*, manifest.* and checkpoint.* counters.
      */
     telemetry::CounterRegistry metricsSnapshot() const;
 

@@ -70,23 +70,36 @@ manifestJson(const Manifest &m)
 }
 
 std::string
-writeManifestFile(const std::string &dir, const Manifest &m)
+manifestDocument(const Manifest &m)
+{
+    std::ostringstream os;
+    manifestJson(m).write(os, 2);
+    os << '\n';
+    return os.str();
+}
+
+std::string
+writeManifestDocument(const std::string &dir, const std::string &file,
+                      const std::string &document)
 {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec)
         return "";
-    const std::filesystem::path path =
-        std::filesystem::path(dir) /
-        manifestFileName(m.workload, m.cacheKey);
+    const std::filesystem::path path = std::filesystem::path(dir) / file;
     std::ofstream os(path);
-    if (!os)
-        return "";
-    manifestJson(m).write(os, 2);
-    os << '\n';
+    os << document;
     if (!os)
         return "";
     return path.string();
+}
+
+std::string
+writeManifestFile(const std::string &dir, const Manifest &m)
+{
+    return writeManifestDocument(dir,
+                                 manifestFileName(m.workload, m.cacheKey),
+                                 manifestDocument(m));
 }
 
 } // namespace telemetry

@@ -66,11 +66,19 @@ std::string manifestFileName(const std::string &workload,
 /** Assemble the full manifest document (schema + git + components). */
 util::Json manifestJson(const Manifest &m);
 
+/** The document bytes of @p m: manifestJson() at indent 2 plus '\n'. */
+std::string manifestDocument(const Manifest &m);
+
 /**
- * Write @p m into directory @p dir (created if missing) under
- * manifestFileName(). Returns the written path, or an empty string on
- * I/O failure.
+ * Write @p document into directory @p dir (created if missing) as
+ * @p file. Returns the written path, or an empty string on I/O
+ * failure.
  */
+std::string writeManifestDocument(const std::string &dir,
+                                  const std::string &file,
+                                  const std::string &document);
+
+/** writeManifestDocument() of @p m under manifestFileName(). */
 std::string writeManifestFile(const std::string &dir,
                               const Manifest &m);
 

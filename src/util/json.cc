@@ -153,10 +153,26 @@ Json::find(const std::string &key)
 }
 
 std::string
-Json::quote(const std::string &s)
+Json::quote(std::string_view s)
 {
-    std::string out = "\"";
-    for (const char c : s) {
+    std::string out;
+    appendQuoted(out, s);
+    return out;
+}
+
+void
+Json::appendQuoted(std::string &out, std::string_view s)
+{
+    out.reserve(out.size() + s.size() + 2);
+    out += '"';
+    // Bytes that need no escape are appended a run at a time.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -173,20 +189,16 @@ Json::quote(const std::string &s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += buf;
+          }
         }
     }
+    out.append(s, run);
     out += '"';
-    return out;
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -140,7 +141,10 @@ class Json
     void write(std::ostream &os, int indent = 2) const;
 
     /** Escape @p s as a quoted JSON string literal. */
-    static std::string quote(const std::string &s);
+    static std::string quote(std::string_view s);
+
+    /** Append quote(@p s) to @p out without a temporary. */
+    static void appendQuoted(std::string &out, std::string_view s);
 
   private:
     void writeIndented(std::ostream &os, int indent, int depth) const;

@@ -142,8 +142,9 @@ TEST_P(SimInvariants, HoldOnRandomTraces)
         EXPECT_EQ(s.bouncesCancelled, 0u);
         EXPECT_EQ(s.bouncesAborted, 0u);
     }
-    if (!cfg.prefetch)
+    if (!cfg.prefetch) {
         EXPECT_EQ(s.prefetchesIssued, 0u);
+    }
     if (cfg.bypass == core::BypassMode::None) {
         EXPECT_EQ(s.bypasses, 0u);
         EXPECT_EQ(s.bypassBufferHits, 0u);

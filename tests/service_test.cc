@@ -4,8 +4,8 @@
  * parsing, and a live in-process SweepServer driven over real Unix
  * sockets — streamed manifests byte-equivalent to the CLI path,
  * concurrent clients sharing one trace generation / stack pass /
- * checkpoint build through the shared Runner, admission control, and
- * graceful drain. All multi-threaded paths run under the TSan CI leg.
+ * checkpoint build through the shared Runner, repeated requests served
+ * latched manifest documents, admission control, and graceful drain. All multi-threaded paths run under the TSan CI leg.
  */
 
 #include <gtest/gtest.h>
@@ -167,6 +167,23 @@ TEST(ServiceProtocol, ParsesEveryVerb)
     EXPECT_EQ(submit->spec.sampling.stride, 1024u);
     EXPECT_EQ(submit->spec.checkpointDir, "ckpt");
     EXPECT_EQ(submit->spec.manifestDir, "out");
+}
+
+TEST(ServiceProtocol, ManifestFrameMatchesTheJsonWriter)
+{
+    // The frame is concatenated by hand; its bytes must stay those of
+    // the compact writer over {type, file, document}.
+    std::string document = "{\n  \"a\": \"q\\\"b\\\\\",\n\t\r}\n";
+    for (int b = 0; b < 256; ++b)
+        document += static_cast<char>(b);
+    for (const std::string &file : {std::string("MV_0123.json"),
+                                    std::string("we\"ird\\\x01.json")}) {
+        Json doc = Json::object();
+        doc.set("type", "manifest");
+        doc.set("file", file);
+        doc.set("document", document);
+        EXPECT_EQ(service::manifestResponse(file, document), doc.dump(0));
+    }
 }
 
 TEST(ServiceProtocol, RejectsMalformedRequests)
@@ -431,6 +448,45 @@ TEST(ServiceServer, MetricsVerbExposesPrometheusCounters)
     EXPECT_NE(text.find("sacd_classify_passes 1\n"), std::string::npos);
     EXPECT_NE(text.find("sacd_classify_records"), std::string::npos);
     EXPECT_NE(text.find("sacd_classify_bytes"), std::string::npos);
+    server.drain();
+}
+
+TEST(ServiceServer, RepeatedRequestRendersNoNewManifests)
+{
+    const std::string socket = uniqueSocketPath("manifest-latch");
+    SweepServer server({socket, 2, 8});
+    ASSERT_TRUE(server.start());
+    const auto metric = [&](const std::string &name) {
+        const auto frames = roundTrip(socket, "{\"verb\":\"metrics\"}");
+        EXPECT_EQ(frames.size(), 1u);
+        const std::string text =
+            frames.front().find("prometheus")->asString();
+        const std::string key = "sacd_" + name + " ";
+        const auto at = text.find("\n" + key);
+        EXPECT_NE(at, std::string::npos) << key;
+        return at == std::string::npos
+                   ? ~0ull
+                   : std::stoull(text.substr(at + 1 + key.size()));
+    };
+
+    const auto first = roundTrip(socket, submitBody());
+    EXPECT_EQ(metric("manifest_renders"), 2u); // MV x {standard, soft}
+    EXPECT_EQ(metric("manifest_reuses"), 0u);
+    EXPECT_GT(metric("manifest_bytes"), 0u);
+
+    const auto second = roundTrip(socket, submitBody());
+    EXPECT_EQ(metric("manifest_renders"), 2u); // no new documents
+    EXPECT_EQ(metric("manifest_reuses"), 2u);
+    const auto documents = [](const std::vector<Json> &frames) {
+        std::map<std::string, std::string> out;
+        for (const auto &frame : frames)
+            if (frameType(frame) == "manifest")
+                out[frame.find("file")->asString()] =
+                    frame.find("document")->asString();
+        return out;
+    };
+    EXPECT_EQ(documents(second).size(), 2u);
+    EXPECT_EQ(documents(second), documents(first)); // byte for byte
     server.drain();
 }
 

@@ -5,7 +5,8 @@
  * the differential proofs that Runner::run() reproduces direct engine
  * calls (core::simulateTrace, sim::SampledEngine) rendered by hand,
  * byte for byte (tables exactly; manifests modulo the wall-clock
- * "timing" object).
+ * "timing" object), and the manifest documents latched on stored
+ * cells (ManifestLatch).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <thread>
 
 #include "src/harness/sweep.hh"
+#include "src/telemetry/manifest.hh"
 #include "src/trace/trace_source.hh"
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
@@ -608,6 +610,255 @@ TEST(SweepRequestTiming, ConcurrentRequestsReportTheirOwnTiming)
     }
     EXPECT_LE(a.timing.wallSeconds, span_a);
     EXPECT_LE(b.timing.wallSeconds, span_b);
+}
+
+// ---- Latched manifest documents --------------------------------------
+
+/** A run's result and every document it streamed, keyed by file. */
+struct Emitted
+{
+    SweepResult result;
+    std::map<std::string, std::string> documents;
+};
+
+Emitted
+emitted(Runner &r, SweepRequest req)
+{
+    Emitted out;
+    req.telemetry.sink = [&out](const std::string &file,
+                                const std::string &document) {
+        out.documents[file] = document;
+    };
+    out.result = r.run(req);
+    return out;
+}
+
+/**
+ * A fresh renderCellManifest() of @p cell (under @p cfg of @p req),
+ * given the wall seconds and checkpoint block the emitted document
+ * @p emitted recorded (neither is part of SweepResult).
+ */
+std::string
+freshDocument(const SweepResult::Cell &cell, const core::Config &cfg,
+              const SweepRequest &req, std::size_t family,
+              const std::string &emitted)
+{
+    const auto parsed = Json::parse(emitted);
+    EXPECT_TRUE(parsed.has_value());
+    if (!parsed)
+        return "";
+    harness::ManifestCell mc;
+    mc.workload = cell.workload;
+    mc.config = &cfg;
+    const Json *seconds = parsed->find("timing")->find("sim_seconds");
+    mc.simSeconds = seconds ? seconds->asDouble() : 0.0;
+    Json checkpoint;
+    switch (cell.engine) {
+      case EngineTag::ExactReplay:
+        mc.stats = &cell.stats;
+        break;
+      case EngineTag::StackSinglePass:
+        mc.stats = &cell.stats;
+        mc.stackFamilySize = family;
+        break;
+      case EngineTag::Sampled:
+      case EngineTag::SampledLivepoint:
+        mc.report = &*cell.report;
+        mc.sampling = &req.sampling;
+        if (const Json *ck = parsed->find("metrics")->find("checkpoint")) {
+            checkpoint = *ck;
+            mc.checkpoint = &checkpoint;
+        }
+        break;
+    }
+    return telemetry::manifestDocument(
+        harness::renderCellManifest(mc, cell.engine));
+}
+
+/** The "config_name" and stack "family_size" of a document. */
+std::pair<std::string, std::uint64_t>
+renderInputsOf(const std::string &document)
+{
+    const auto parsed = Json::parse(document);
+    EXPECT_TRUE(parsed.has_value());
+    if (!parsed)
+        return {};
+    const Json *stack = parsed->find("metrics")->find("stack");
+    return {parsed->find("config_name")->asString(),
+            stack ? stack->find("family_size")->asUint() : 0};
+}
+
+TEST(ManifestLatch, WarmReemissionMatchesAFreshRender)
+{
+    namespace fs = std::filesystem;
+    const std::string library =
+        testing::TempDir() + "/manifest_latch_library";
+    fs::remove_all(library);
+
+    const auto ws = twoWorkloads();
+    const auto cfgs = mixedConfigs(); // two stack-eligible + soft
+    auto livepoint = testref::request(
+        ws, {core::presets().get("standard"), core::presets().get("soft")},
+        harness::missRatioMetric(), 2, EngineSelect::SampledLivepoint);
+    livepoint.sampling = testSampling();
+    livepoint.checkpointDir = library;
+    const std::vector<SweepRequest> requests{
+        testref::request(ws, cfgs, harness::amatMetric(), 2), // exact
+        testref::request(ws, cfgs, harness::missRatioMetric(), 2),
+        livepoint};
+    const std::vector<EngineTag> engines{EngineTag::ExactReplay,
+                                         EngineTag::StackSinglePass,
+                                         EngineTag::SampledLivepoint};
+
+    Runner r;
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+        const SweepRequest &req = requests[k];
+        SCOPED_TRACE(engineName(engines[k]));
+        const Emitted cold = emitted(r, req);
+        const std::uint64_t renders = r.manifestCounter("manifest.renders");
+        const std::uint64_t reuses = r.manifestCounter("manifest.reuses");
+        const Emitted warm = emitted(r, req);
+        // The warm pass renders nothing and re-emits the cold bytes.
+        EXPECT_EQ(r.manifestCounter("manifest.renders"), renders);
+        EXPECT_EQ(r.manifestCounter("manifest.reuses"),
+                  reuses + warm.result.cells.size());
+        EXPECT_EQ(warm.documents, cold.documents);
+
+        bool seen_engine = false;
+        for (std::size_t wi = 0; wi < req.workloads.size(); ++wi) {
+            for (std::size_t ci = 0; ci < req.configs.size(); ++ci) {
+                const SweepResult::Cell &cell = warm.result.at(wi, ci);
+                SCOPED_TRACE(cell.workload + " / " + cell.configName);
+                seen_engine = seen_engine || cell.engine == engines[k];
+                const auto it = warm.documents.find(cell.manifestFile);
+                ASSERT_NE(it, warm.documents.end());
+                EXPECT_EQ(it->second,
+                          freshDocument(cell, req.configs[ci], req, 2,
+                                        it->second));
+            }
+        }
+        EXPECT_TRUE(seen_engine);
+    }
+    fs::remove_all(library);
+}
+
+TEST(ManifestLatch, StackFamilySizeIsPerRequest)
+{
+    const auto ws = std::vector<Workload>{mvWorkload("MV-family", 28)};
+    const auto two = stackFamilyConfigs();
+    auto three = two;
+    three.push_back(core::presets().get("standard"));
+    three.back().name = "standard-16K";
+    three.back().cacheSizeBytes = 16 * 1024;
+
+    Runner r;
+    const auto metric = harness::missRatioMetric();
+    const Emitted a = emitted(r, testref::request(ws, two, metric));
+    const Emitted b = emitted(r, testref::request(ws, three, metric));
+    const Emitted again = emitted(r, testref::request(ws, two, metric));
+
+    const std::string &file = a.result.at(0, 0).manifestFile;
+    ASSERT_EQ(a.result.at(0, 0).engine, EngineTag::StackSinglePass);
+    ASSERT_EQ(b.result.at(0, 0).manifestFile, file); // one slot
+    EXPECT_EQ(renderInputsOf(a.documents.at(file)).second, 2u);
+    EXPECT_EQ(renderInputsOf(b.documents.at(file)).second, 3u);
+    EXPECT_EQ(again.documents, a.documents);
+}
+
+TEST(ManifestLatch, ConfigNamesAreNeverShared)
+{
+    const auto ws = std::vector<Workload>{mvWorkload("MV-alias", 24)};
+    const core::Config standard = core::presets().get("standard");
+    core::Config alias = standard;
+    alias.name = "standard-alias";
+    ASSERT_EQ(alias.cacheKey(), standard.cacheKey());
+
+    Runner r;
+    const auto metric = harness::amatMetric();
+    const Emitted first = emitted(r, testref::request(ws, {standard}, metric));
+    const Emitted aliased = emitted(r, testref::request(ws, {alias}, metric));
+    const Emitted again = emitted(r, testref::request(ws, {standard}, metric));
+
+    const std::string &file = first.result.at(0, 0).manifestFile;
+    EXPECT_EQ(renderInputsOf(first.documents.at(file)).first,
+              standard.name);
+    EXPECT_EQ(renderInputsOf(aliased.documents.at(file)).first,
+              "standard-alias");
+    const auto parsed = Json::parse(aliased.documents.at(file));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->find("config")->find("name")->asString(),
+              "standard-alias");
+    EXPECT_EQ(again.documents, first.documents);
+}
+
+TEST(ManifestLatch, HeatmapCellsKeepTheirProfile)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = testing::TempDir() + "/manifest_latch_heatmap";
+    fs::remove_all(dir);
+    const auto ws = std::vector<Workload>{mvWorkload("MV-heat", 24)};
+    const auto plain =
+        testref::request(ws, {core::presets().get("soft")},
+                         harness::amatMetric());
+    const auto has_profile = [](const std::string &document) {
+        const auto parsed = Json::parse(document);
+        return parsed && parsed->find("profile") != nullptr;
+    };
+
+    Runner r;
+    const Emitted before = emitted(r, plain); // latches the plain bytes
+    auto heat = plain;
+    heat.telemetry.heatmap = true;
+    heat.telemetry.manifestDir = dir;
+    const SweepResult written = r.run(heat);
+    EXPECT_EQ(written.manifestFailures, 0u);
+    const auto on_disk = readManifests(dir);
+    ASSERT_EQ(on_disk.size(), 1u);
+    EXPECT_TRUE(has_profile(on_disk.begin()->second));
+
+    heat.telemetry.manifestDir.clear();
+    const Emitted streamed = emitted(r, heat);
+    ASSERT_EQ(streamed.documents.size(), 1u);
+    EXPECT_TRUE(has_profile(streamed.documents.begin()->second));
+
+    // The instrumented documents were never latched.
+    const Emitted after = emitted(r, plain);
+    EXPECT_FALSE(has_profile(after.documents.begin()->second));
+    EXPECT_EQ(after.documents, before.documents);
+    fs::remove_all(dir);
+}
+
+TEST(ManifestLatch, ConcurrentEmissionsAgree)
+{
+    // Both requests find every cell Filled and no document latched,
+    // so they race to render and install the same slots.
+    const auto ws = twoWorkloads();
+    const auto cfgs = mixedConfigs();
+    const auto req = testref::request(ws, cfgs, harness::amatMetric(), 2);
+    Runner r;
+    r.run(req);
+
+    Emitted a;
+    Emitted b;
+    std::thread ta([&] { a = emitted(r, req); });
+    std::thread tb([&] { b = emitted(r, req); });
+    ta.join();
+    tb.join();
+
+    ASSERT_EQ(a.documents.size(), ws.size() * cfgs.size());
+    EXPECT_EQ(a.documents, b.documents);
+    EXPECT_EQ(r.manifestCounter("manifest.renders") +
+                  r.manifestCounter("manifest.reuses"),
+              2 * a.documents.size());
+    // One document is stored per slot, whoever installed it.
+    std::uint64_t bytes = 0;
+    for (const auto &entry : a.documents)
+        bytes += entry.second.size();
+    EXPECT_EQ(r.manifestCounter("manifest.bytes"), bytes);
+
+    const std::uint64_t renders = r.manifestCounter("manifest.renders");
+    EXPECT_EQ(emitted(r, req).documents, a.documents);
+    EXPECT_EQ(r.manifestCounter("manifest.renders"), renders);
 }
 
 } // namespace

@@ -96,8 +96,9 @@ TEST(TagTransform, CorruptionIsPerStaticReference)
         const bool flip = t[i].temporal != orig[i].temporal ||
                           t[i].spatial != orig[i].spatial;
         const auto [it, fresh] = flipped.emplace(t[i].ref, flip);
-        if (!fresh)
+        if (!fresh) {
             EXPECT_EQ(it->second, flip) << "ref " << t[i].ref;
+        }
     }
 }
 

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/util/distribution.hh"
@@ -377,6 +379,78 @@ TEST(JsonParse, RejectsMalformedDocuments)
         EXPECT_FALSE(Json::parse(text, &err).has_value())
             << "accepted: " << text;
         EXPECT_NE(err.find("offset"), std::string::npos) << text;
+    }
+}
+
+/** Byte-at-a-time JSON string escaping, the writer's reference. */
+std::string
+naiveQuote(const std::string &s)
+{
+    std::string out = "\"";
+    for (const char c : s) {
+        const unsigned char u = static_cast<unsigned char>(c);
+        if (c == '"')
+            out += "\\\"";
+        else if (c == '\\')
+            out += "\\\\";
+        else if (c == '\n')
+            out += "\\n";
+        else if (c == '\r')
+            out += "\\r";
+        else if (c == '\t')
+            out += "\\t";
+        else if (u < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+            out += buf;
+        } else {
+            out += c;
+        }
+    }
+    return out + "\"";
+}
+
+void
+expectQuoteRoundTrips(const std::string &s)
+{
+    const std::string quoted = Json::quote(s);
+    EXPECT_EQ(quoted, naiveQuote(s));
+    std::string appended = "prefix";
+    Json::appendQuoted(appended, s);
+    EXPECT_EQ(appended, "prefix" + quoted);
+    std::string err;
+    const auto parsed = Json::parse(quoted, &err);
+    ASSERT_TRUE(parsed.has_value()) << err;
+    EXPECT_EQ(parsed->asString(), s);
+}
+
+TEST(JsonQuote, EveryByteValueRoundTrips)
+{
+    std::string all;
+    for (int b = 0; b < 256; ++b) {
+        const std::string one(1, static_cast<char>(b));
+        SCOPED_TRACE(b);
+        expectQuoteRoundTrips(one);
+        expectQuoteRoundTrips("ab" + one + "cd" + one);
+        all += one;
+    }
+    expectQuoteRoundTrips(all);
+    expectQuoteRoundTrips("");
+}
+
+TEST(JsonQuote, RandomStringsRoundTrip)
+{
+    Rng rng(0x51ed);
+    for (int i = 0; i < 2000; ++i) {
+        std::string s(rng.nextBelow(200), '\0');
+        // Mostly printable runs with escapes mixed in, as in a
+        // pretty-printed manifest.
+        for (char &c : s)
+            c = static_cast<char>(rng.nextBelow(8) == 0
+                                      ? rng.nextBelow(256)
+                                      : 0x20 + rng.nextBelow(0x5f));
+        SCOPED_TRACE(i);
+        expectQuoteRoundTrips(s);
     }
 }
 

@@ -9,8 +9,9 @@
 #                               # Service tests, the pooled stack
 #                               # family test, the shared line-group
 #                               # test, the claim-latch tests and the
-#                               # shared classify pass test 50 times
-#                               # over (-j4)
+#                               # shared classify pass test and the
+#                               # concurrent manifest-latch test 50
+#                               # times over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
@@ -56,7 +57,8 @@
 #                               # still gets its full response)
 #
 # Each mode builds into build-check-<mode>/ with -DSAC_SANITIZE=<mode>
-# (empty for plain) and runs ctest. The script stops at the first
+# (empty for plain) and runs ctest; the plain leg compiles with
+# -Werror, so a warning fails it. The script stops at the first
 # failing mode.
 #
 # Fuzzing: the differential fuzz sweep always runs the structural
@@ -504,8 +506,10 @@ EOF
         echo "=== [service] OK ==="
         continue
     fi
+    # The plain leg keeps the default build warning-free.
+    werror=""
     case "$mode" in
-      plain)   sanitize="" ;;
+      plain)   sanitize=""; werror="-Werror" ;;
       address) sanitize="address" ;;
       thread)  sanitize="thread" ;;
       *) echo "unknown mode '$mode' (plain|address|thread|benches|perf|sampling|stack|telemetry|checkpoint|service|--quick)" >&2; exit 2 ;;
@@ -513,7 +517,8 @@ EOF
     build_dir="build-check-${mode}"
     echo "=== [${mode}] configure + build (${build_dir}) ==="
     cmake -B "${build_dir}" -S . -DSAC_SANITIZE="${sanitize}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="${werror}" > /dev/null
     cmake --build "${build_dir}" -j "$(nproc)"
     echo "=== [${mode}] ctest ==="
     ctest_args=(--test-dir "${build_dir}" --output-on-failure -j "$(nproc)")
@@ -527,7 +532,7 @@ EOF
         echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
         ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
             --repeat until-fail:50 \
-            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass'
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree'
     fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="
