@@ -35,6 +35,7 @@
 #include "src/telemetry/interval.hh"
 #include "src/telemetry/set_profile.hh"
 #include "src/trace/trace_source.hh"
+#include "src/util/rng.hh"
 #include "src/workloads/workloads.hh"
 
 namespace {
@@ -682,9 +683,8 @@ BENCHMARK(BM_SweepStackSinglePass);
 // set counts each. Items = records x points, comparable with
 // BM_SweepStackSinglePass's per-point rate.
 void
-BM_SweepStackLattice(benchmark::State &state)
+sweepStackLattice(benchmark::State &state, const trace::Trace &t)
 {
-    const auto &t = mvTrace();
     std::vector<sim::StackPoint> points;
     for (std::uint64_t kb = 1; kb <= 64; kb *= 2) {
         for (const std::uint32_t ways : {1u, 2u, 4u, 8u}) {
@@ -703,7 +703,31 @@ BM_SweepStackLattice(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(
         state.iterations() * t.size() * points.size()));
 }
+
+void
+BM_SweepStackLattice(benchmark::State &state)
+{
+    sweepStackLattice(state, mvTrace());
+}
 BENCHMARK(BM_SweepStackLattice);
+
+// The same lattice over MV's record count of word addresses drawn
+// uniformly from 1 MiB (seeded): a line is rarely at MRU of its set
+// even at the smallest set count, so nearly every record walks every
+// set count, and first touches search their arrays.
+void
+BM_SweepStackLatticeNoLocality(benchmark::State &state)
+{
+    static const trace::Trace t = [] {
+        trace::Trace out("uniform-1MiB");
+        util::Rng rng(1);
+        for (std::size_t i = 0; i < mvTrace().size(); ++i)
+            out.push({.addr = rng.nextBelow(1 << 18) * 4});
+        return out;
+    }();
+    sweepStackLattice(state, t);
+}
+BENCHMARK(BM_SweepStackLatticeNoLocality);
 
 /**
  * The same lattice through Runner::run over two resident MV

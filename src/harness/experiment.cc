@@ -435,6 +435,9 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
         count("stack.pass.records",
               "records profiled by stack traversals",
               eng->accesses() * line_groups.size());
+        count("stack.pass.mru_records",
+              "records whose line every set count already held at MRU",
+              eng->mruRecords());
         count("stack.pass.cells",
               "sweep cells served fresh from a stack pass",
               stacked.size());

@@ -138,6 +138,9 @@ class Runner
      *                             family over three line sizes
      *                             counts three)
      *   stack.pass.records        records profiled by those passes
+     *   stack.pass.mru_records    records whose line every set count
+     *                             of their group already held at MRU
+     *                             (the pass stopped at the first one)
      *   stack.pass.cells          cells served fresh from a pass
      *   stack.pass.cached_cells   cells served from the cell store
      *   stack.pass.fallback_cells exact-replay cells in stack sweeps

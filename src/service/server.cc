@@ -322,8 +322,8 @@ SweepServer::metricsSnapshot() const
     }
     for (const char *name :
          {"stack.pass.traversals", "stack.pass.records",
-          "stack.pass.cells", "stack.pass.cached_cells",
-          "stack.pass.fallback_cells"}) {
+          "stack.pass.mru_records", "stack.pass.cells",
+          "stack.pass.cached_cells", "stack.pass.fallback_cells"}) {
         reg.counter(name, "shared runner stack-engine counter") +=
             runner_.stackCounter(name);
     }

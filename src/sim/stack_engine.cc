@@ -17,16 +17,6 @@ isPowerOfTwo(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** splitmix64 finalizer: a full-avalanche mix for table probing. */
-inline std::size_t
-mixLine(Addr line)
-{
-    std::uint64_t x = line;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<std::size_t>(x ^ (x >> 31));
-}
-
 } // namespace
 
 bool
@@ -42,21 +32,23 @@ StackPoint::wellFormed() const
 }
 
 /**
- * The recency state of every set count at one line size, over ONE
- * flat open-addressing table of the lines touched so far.
+ * The recency state of every set count at one line size.
  *
- * The table only answers "touched before?": a first touch is a
- * compulsory miss at every point of the group, counted once. Each
- * set count keeps, per set, the set's most recently used lines in
- * MRU order, truncated at the deepest associativity any lattice
+ * Each set count keeps, per set, the set's most recently used lines
+ * in MRU order, truncated at the deepest associativity any lattice
  * point asks of that (line, sets) pair — an LRU list stored as a
  * small contiguous array. A reference found at array position d
  * (1-based) has stack distance d and lands in depthCount[d]; a line
- * touched before but no longer in its set's array was pushed past
- * the cap, a "deep" reuse (distance > cap). Both kinds of miss shift
- * the line in at the MRU end, dropping the LRU entry of a full set.
- * Nothing outside the arrays points into them, so growing the table
- * moves lines only.
+ * not in its set's array (a first touch, or a reuse pushed past the
+ * cap) is a miss at every associativity of that set count. Both kinds
+ * of miss shift the line in at the MRU end, dropping the LRU entry of
+ * a full set.
+ *
+ * Set counts are walked in ascending order, and the walk stops at the
+ * first one whose set already holds the line at MRU: with bit-selected
+ * sets each set at S sets is a union of sets at 2S sets, so the line
+ * is the most recent of its set at every larger set count too. That
+ * distance-1 hit changes no array and counts as a miss nowhere.
  */
 class StackDistanceEngine::LineGroup
 {
@@ -73,6 +65,8 @@ class StackDistanceEngine::LineGroup
         for (const auto &[sets, max_assoc] : counts) {
             SAC_ASSERT(isPowerOfTwo(sets),
                        "set count must be a power of two");
+            SAC_ASSERT(counts_.empty() || sets > counts_.back().setMask + 1,
+                       "the early stop needs ascending set counts");
             SAC_ASSERT(max_assoc >= 1, "need at least one way");
             SetCount c;
             c.setMask = sets - 1;
@@ -83,12 +77,10 @@ class StackDistanceEngine::LineGroup
                                 0);
             counts_.push_back(std::move(c));
         }
-        table_.assign(1024, vacant);
-        mask_ = table_.size() - 1;
     }
 
     std::uint32_t lineBytes() const { return lineBytes_; }
-    std::uint64_t touched() const { return touched_; }
+    std::uint64_t mruRecords() const { return mruRecords_; }
 
     /** Does this group answer @p assoc ways at @p sets sets? */
     bool
@@ -105,7 +97,7 @@ class StackDistanceEngine::LineGroup
         const SetCount *c = countOf(sets);
         SAC_ASSERT(c && assoc >= 1 && assoc <= c->maxAssoc,
                    "associativity outside the tracked depth");
-        std::uint64_t misses = touched_ + c->deep;
+        std::uint64_t misses = c->nonResident;
         for (std::uint32_t d = assoc + 1; d <= c->maxAssoc; ++d)
             misses += c->depthCount[d];
         return misses;
@@ -114,22 +106,11 @@ class StackDistanceEngine::LineGroup
     void
     feed(const trace::Record *recs, std::size_t n)
     {
-        // The table probe is the one access with no locality; start
-        // the fetch of a later record's home slot before it is
-        // needed.
-        constexpr std::size_t ahead = 8;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i + ahead < n)
-                prefetch(&table_[mixLine(recs[i + ahead].addr >> shift_) &
-                                 mask_]);
+        for (std::size_t i = 0; i < n; ++i)
             access(recs[i].addr >> shift_);
-        }
     }
 
   private:
-    /** Marks a table slot no line occupies. */
-    static constexpr Addr vacant = ~Addr{0};
-
     /** The recency state of one set count of the group. */
     struct SetCount
     {
@@ -138,8 +119,9 @@ class StackDistanceEngine::LineGroup
         /** Per set, maxAssoc entries: resident lines, MRU first. */
         std::vector<Addr> ways;
         std::vector<std::uint32_t> length; //!< resident lines per set
-        std::vector<std::uint64_t> depthCount; //!< hits at distance d
-        std::uint64_t deep = 0; //!< reuses at distance > maxAssoc
+        /** Hits at distance d >= 2 (an MRU hit stops the walk). */
+        std::vector<std::uint64_t> depthCount;
+        std::uint64_t nonResident = 0; //!< misses at every associativity
     };
 
     const SetCount *
@@ -152,33 +134,26 @@ class StackDistanceEngine::LineGroup
         return nullptr;
     }
 
-    static void
-    prefetch(const void *p)
-    {
-#if defined(__GNUC__)
-        __builtin_prefetch(p);
-#else
-        (void)p;
-#endif
-    }
-
     void
     access(Addr line)
     {
-        const bool first = touch(line);
         for (SetCount &c : counts_) {
             const std::size_t set =
                 static_cast<std::size_t>(line & c.setMask);
             Addr *ways = &c.ways[set * c.maxAssoc];
             std::uint32_t &len = c.length[set];
-            // A first touch cannot be resident: skip the search.
-            std::uint32_t d = first ? len : 0;
+            if (ways[0] == line && len != 0) {
+                // MRU here is MRU at every larger set count.
+                mruRecords_ += &c == counts_.data();
+                return;
+            }
+            std::uint32_t d = 1;
             while (d < len && ways[d] != line)
                 ++d;
             if (d < len) {
                 ++c.depthCount[d + 1];
             } else {
-                c.deep += !first;
+                ++c.nonResident;
                 if (len < c.maxAssoc)
                     ++len;
                 d = len - 1; // a full set drops its LRU entry
@@ -189,61 +164,10 @@ class StackDistanceEngine::LineGroup
         }
     }
 
-    /** Record a touch of @p line; true on its first touch. */
-    bool
-    touch(Addr line)
-    {
-        if (line == vacant) {
-            // The one line the table cannot hold (only reachable with
-            // 1-byte lines) is tracked by a flag instead.
-            const bool first = !vacantTouched_;
-            vacantTouched_ = true;
-            touched_ += first;
-            return first;
-        }
-        std::size_t i = mixLine(line) & mask_;
-        for (; table_[i] != vacant; i = (i + 1) & mask_) {
-            if (table_[i] == line)
-                return false;
-        }
-        if (++touched_ * 4 > table_.size() * 3) {
-            grow();
-            i = homeOf(line);
-        }
-        table_[i] = line;
-        return true;
-    }
-
-    /** The first vacant slot of @p line's probe sequence. */
-    std::size_t
-    homeOf(Addr line) const
-    {
-        std::size_t i = mixLine(line) & mask_;
-        while (table_[i] != vacant)
-            i = (i + 1) & mask_;
-        return i;
-    }
-
-    void
-    grow()
-    {
-        std::vector<Addr> old(table_.size() * 2, vacant);
-        old.swap(table_);
-        mask_ = table_.size() - 1;
-        for (const Addr line : old) {
-            if (line != vacant)
-                table_[homeOf(line)] = line;
-        }
-    }
-
     std::uint32_t lineBytes_;
     std::uint32_t shift_ = 0;
-    std::vector<SetCount> counts_;
-
-    std::vector<Addr> table_; //!< power-of-two open addressing
-    std::size_t mask_ = 0;
-    bool vacantTouched_ = false;
-    std::uint64_t touched_ = 0; //!< distinct lines = compulsory misses
+    std::vector<SetCount> counts_; //!< ascending set counts
+    std::uint64_t mruRecords_ = 0; //!< records stopped at the first count
 };
 
 StackDistanceEngine::StackDistanceEngine(
@@ -327,11 +251,12 @@ StackDistanceEngine::missRatio(const StackPoint &p) const
 }
 
 std::uint64_t
-StackDistanceEngine::touchedLines(std::uint32_t line_bytes) const
+StackDistanceEngine::mruRecords() const
 {
-    const LineGroup *g = groupOf(line_bytes);
-    SAC_ASSERT(g != nullptr, "no line group at this granularity");
-    return g->touched();
+    std::uint64_t total = 0;
+    for (const LineGroup &g : groups_)
+        total += g.mruRecords();
+    return total;
 }
 
 } // namespace sim

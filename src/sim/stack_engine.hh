@@ -14,22 +14,27 @@
  * one recency structure, and a size x assoc sweep collapses to a
  * handful of structures updated in a single pass.
  *
- * The structures are grouped by line size. Each line group owns ONE
- * flat open-addressing hash of the lines touched so far (the
- * sim::MissClassifier idiom), shared by all its set counts: it tells
- * a compulsory first touch from a reuse, once per record. Each set
- * count keeps, per set, that set's most recently used lines in MRU
+ * The structures are grouped by line size. Each set count of a line
+ * group keeps, per set, that set's most recently used lines in MRU
  * order, truncated at the largest associativity any lattice point
  * asks of that (line, sets) pair — an LRU list stored as a small
- * contiguous array. A reused line missing from its set's array was
- * pushed past the cap ("deep"), so distances beyond the cap and
- * compulsory first touches stay distinguishable while the per-access
- * cost stays O(cap).
+ * contiguous array. A line missing from its set's array is a miss at
+ * every associativity of that set count, whether it is a first touch
+ * or a reuse pushed past the cap, so no table of the lines touched so
+ * far is kept.
  *
- * Cost: the pass scans the trace once per distinct line size, with
- * one hash probe per record per line size; the array work scales
- * with the number of distinct (line size, set count) pairs.
- * Associativities sharing a set count are free.
+ * Inclusion across set counts (Mattson et al., 1970; Hill & Smith,
+ * 1989): with bit-selected sets, each set at S sets is the union of
+ * two sets at 2S sets, so a line's stack distance never grows with
+ * the set count. A group walks its set counts in ascending
+ * order and stops at the first one whose set already holds the line
+ * at MRU: the line is at MRU at every larger set count too, a
+ * distance-1 hit that changes no recency array and is a miss nowhere.
+ *
+ * Cost: the pass scans the trace once per distinct line size; per
+ * record it walks that group's set counts until the first MRU hit,
+ * with O(cap) array work at each count walked. Associativities
+ * sharing a set count are free.
  *
  * Scope: the engine models exactly what the simulator's Standard
  * feature path does to the main array — one physical line per access,
@@ -88,9 +93,9 @@ struct StackPoint
  *
  * Build it from every point of the sweep, feed the trace once (run()
  * or repeated feed() calls), then query missCount() per point. Points
- * sharing a line size share one line table, and points sharing
- * (lineBytes, sets) share one set of LRU lists; the pass cost scales
- * with those two counts, not with the number of lattice points.
+ * sharing (lineBytes, sets) share one set of LRU lists; the pass cost
+ * scales with the number of line sizes and of set counts walked, not
+ * with the number of lattice points.
  *
  * Not thread-safe; single consumer, like the sources it drains.
  */
@@ -133,10 +138,11 @@ class StackDistanceEngine
     double missRatio(const StackPoint &p) const;
 
     /**
-     * Distinct lines touched at @p p's line granularity — the
-     * compulsory-miss count of every point sharing that line size.
+     * Records whose line every set count of their line group already
+     * held at MRU, summed over line groups: the records the early stop
+     * ended at the group's first set count.
      */
-    std::uint64_t touchedLines(std::uint32_t line_bytes) const;
+    std::uint64_t mruRecords() const;
 
   private:
     class LineGroup;

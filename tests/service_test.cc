@@ -444,6 +444,8 @@ TEST(ServiceServer, MetricsVerbExposesPrometheusCounters)
               std::string::npos);
     EXPECT_NE(text.find("sacd_stack_pass_traversals"),
               std::string::npos);
+    EXPECT_NE(text.find("sacd_stack_pass_mru_records"),
+              std::string::npos);
     // Both presets share one shadow geometry: one classification pass.
     EXPECT_NE(text.find("sacd_classify_passes 1\n"), std::string::npos);
     EXPECT_NE(text.find("sacd_classify_records"), std::string::npos);

@@ -4,8 +4,9 @@
  * layers:
  *
  *  - StackEngine: unit tests of the profiler mechanics on hand-built
- *    traces (conflict thrash, truncated-depth reuse, coverage, line
- *    table growth).
+ *    traces (conflict thrash, truncated-depth reuse, coverage, misses
+ *    split across set counts), and the early stop across set counts
+ *    against one naive LRU list per lattice point on random traces.
  *  - StackDifferential: the engine against exact core::simulateTrace
  *    replay — bit-identical miss counts across size x assoc lattices
  *    for every standard-family preset, for the full 84-point
@@ -28,6 +29,7 @@
  * fields the stack pass folds away still occupy distinct cells.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -43,6 +45,7 @@
 #include "src/core/soft_cache.hh"
 #include "src/harness/experiment.hh"
 #include "src/harness/sweep.hh"
+#include "src/sim/miss_classifier.hh"
 #include "src/sim/stack_engine.hh"
 #include "src/telemetry/manifest.hh"
 #include "src/trace/trace_source.hh"
@@ -96,6 +99,20 @@ eightCellFamily()
 }
 
 /**
+ * Distinct @p line_bytes lines of @p t — the compulsory misses of
+ * every cache at that line size — counted by the three-C classifier,
+ * which shares no code with the stack engine.
+ */
+std::size_t
+compulsoryLines(const trace::Trace &t, std::uint32_t line_bytes)
+{
+    sim::MissClassifier mc(1, line_bytes);
+    std::vector<sim::ShadowOutcome> out(t.size());
+    mc.classify(t.data(), t.size(), out.data());
+    return mc.touchedLines();
+}
+
+/**
  * The re-sweep lattice: {1..64} KB x {1,2,4,8} ways x {16,32,64}-byte
  * lines of the standard preset, 84 points in three line groups.
  */
@@ -144,17 +161,21 @@ TEST(StackEngine, ConflictThrashMissesDirectMappedHitsTwoWay)
     EXPECT_EQ(eng.missCount(one_way), 20u); // every touch evicts
     EXPECT_EQ(eng.missCount(two_way), 2u);  // compulsory only
     EXPECT_DOUBLE_EQ(eng.missRatio(two_way), 0.1);
-    EXPECT_EQ(eng.touchedLines(32), 2u);
+    EXPECT_EQ(compulsoryLines(t, 32), 2u);
+    EXPECT_EQ(eng.missCount(two_way), compulsoryLines(t, 32));
 }
 
 TEST(StackEngine, ReuseBeyondTrackedDepthStaysAMiss)
 {
     // Three aliasing lines cycled through a lattice tracking at most
-    // 2 ways: every reuse has stack distance 3, a miss at both
-    // associativities even though the lines were seen before.
+    // 2 ways at 128 sets: every reuse has stack distance 3, a miss at
+    // both associativities even though the lines were seen before. At
+    // 1024 sets the three lines sit in sets of their own, so only
+    // their first touches miss.
     const sim::StackPoint one_way{4096, 32, 1};
     const sim::StackPoint two_way{8192, 32, 2};
-    sim::StackDistanceEngine eng({one_way, two_way});
+    const sim::StackPoint roomy{32768, 32, 1}; // 1024 sets
+    sim::StackDistanceEngine eng({one_way, two_way, roomy});
 
     trace::Trace t("cycle3");
     for (int rep = 0; rep < 4; ++rep) {
@@ -164,7 +185,8 @@ TEST(StackEngine, ReuseBeyondTrackedDepthStaysAMiss)
     eng.feed(t.data(), t.size());
     EXPECT_EQ(eng.missCount(one_way), 12u);
     EXPECT_EQ(eng.missCount(two_way), 12u);
-    EXPECT_EQ(eng.touchedLines(32), 3u);
+    EXPECT_EQ(compulsoryLines(t, 32), 3u);
+    EXPECT_EQ(eng.missCount(roomy), compulsoryLines(t, 32));
 }
 
 TEST(StackEngine, ReadWriteSplitFollowsTheRecords)
@@ -208,13 +230,11 @@ TEST(StackEngine, WellFormedRejectsNonPowerOfTwoGeometry)
     EXPECT_FALSE((sim::StackPoint{96 * 32, 32, 1}).wellFormed());
 }
 
-TEST(StackEngine, ResidentAndDeepSplitSurvivesTableGrowth)
+TEST(StackEngine, ResidentAndDeepMissesSplitAcrossSetCounts)
 {
-    // 1000 distinct lines outgrow the line table's first 1024 slots
-    // (it doubles past 768), so every later access runs after at
-    // least one rehash. A 1024-set direct-mapped point keeps all
-    // 1000 lines resident; a 16-set point holds only the latest two
-    // lines per set.
+    // A 1024-set direct-mapped point keeps all 1000 distinct lines
+    // resident, so its misses are the compulsory ones; a 16-set point
+    // holds only the latest two lines per set.
     const sim::StackPoint big{1024 * 32, 32, 1};  // 1024 sets
     const sim::StackPoint small1{16 * 32, 32, 1}; // 16 sets, 1 way
     const sim::StackPoint small2{32 * 32, 32, 2}; // 16 sets, 2 ways
@@ -224,7 +244,7 @@ TEST(StackEngine, ResidentAndDeepSplitSurvivesTableGrowth)
     for (Addr line = 0; line < 1000; ++line)
         t.push({.addr = line * 32});
     eng.feed(t.data(), t.size());
-    EXPECT_EQ(eng.touchedLines(32), 1000u);
+    EXPECT_EQ(compulsoryLines(t, 32), 1000u);
     for (const auto &p : {big, small1, small2})
         EXPECT_EQ(eng.missCount(p), 1000u); // compulsory only
 
@@ -241,16 +261,121 @@ TEST(StackEngine, ResidentAndDeepSplitSurvivesTableGrowth)
 
     // The first 100 lines are still resident at 1024 sets, but were
     // pushed past both ways at 16 sets: deep reuses, not first
-    // touches, so touchedLines does not move.
+    // touches, so the whole stream still touches 1000 lines.
     trace::Trace early("early");
     for (Addr line = 0; line < 100; ++line)
         early.push({.addr = line * 32});
     eng.feed(early.data(), early.size());
-    EXPECT_EQ(eng.touchedLines(32), 1000u);
+    trace::Trace all("all");
+    for (const trace::Trace *part : {&t, &recent, &early}) {
+        for (const trace::Record &r : *part)
+            all.push(r);
+    }
+    EXPECT_EQ(compulsoryLines(all, 32), 1000u);
     EXPECT_EQ(eng.accesses(), 1132u);
     EXPECT_EQ(eng.missCount(big), 1000u);
     EXPECT_EQ(eng.missCount(small1), 1132u);
     EXPECT_EQ(eng.missCount(small2), 1100u);
+}
+
+/** One lattice point as a plain LRU list per set, MRU first. */
+class NaiveLru
+{
+  public:
+    explicit NaiveLru(const sim::StackPoint &p)
+        : point_(p), sets_(static_cast<std::size_t>(p.sets()))
+    {
+    }
+
+    void
+    access(Addr addr)
+    {
+        const Addr line = addr / point_.lineBytes;
+        std::vector<Addr> &set = sets_[line % sets_.size()];
+        const auto it = std::find(set.begin(), set.end(), line);
+        if (it == set.end()) {
+            ++misses_;
+            if (set.size() == point_.assoc)
+                set.pop_back();
+        } else {
+            set.erase(it);
+        }
+        set.insert(set.begin(), line);
+    }
+
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    sim::StackPoint point_;
+    std::vector<std::vector<Addr>> sets_;
+    std::uint64_t misses_ = 0;
+};
+
+TEST(StackEngine, EarlyStopMatchesNaivePerPointLru)
+{
+    // The early stop across set counts against one naive LRU per
+    // point. The lattices leave gaps between set counts (4 and 1024
+    // sets only), track non-power-of-two depths (3 and 6 ways), hold
+    // single-point line groups and mix three line sizes in one engine.
+    const std::vector<std::vector<sim::StackPoint>> lattices = {
+        {{4 * 32, 32, 1}, {4 * 32 * 4, 32, 4}, {1024 * 32, 32, 1},
+         {1024 * 32 * 2, 32, 2}},
+        {{16 * 32 * 3, 32, 3}, {64 * 32 * 6, 32, 6}, {16 * 32, 32, 1},
+         {256 * 32 * 3, 32, 3}},
+        {{8 * 64 * 2, 64, 2}},
+        {{4 * 16, 16, 1},
+         {4 * 16 * 6, 16, 6},
+         {512 * 16 * 3, 16, 3},
+         {32 * 32 * 2, 32, 2},
+         {2 * 64 * 3, 64, 3},
+         {1024 * 64, 64, 1},
+         {128 * 64 * 8, 64, 8}},
+    };
+    util::Rng rng(0x5eed5);
+    for (std::size_t l = 0; l < lattices.size(); ++l) {
+        for (int round = 0; round < 8; ++round) {
+            // Rows 2 KiB apart in six columns alias into a few sets at
+            // small set counts and spread out at large ones; repeats
+            // and short reuses put lines at MRU and just below it.
+            trace::Trace t("alias");
+            Addr last = 0;
+            for (int i = 0; i < 6000; ++i) {
+                const std::uint64_t pick = rng.nextBelow(10);
+                if (pick < 3 && i > 0) {
+                    t.push({.addr = last});
+                    continue;
+                }
+                if (pick < 5 && t.size() > 8) {
+                    last = t[t.size() - 1 - rng.nextBelow(8)].addr;
+                } else {
+                    last = rng.nextBelow(32) * 2048 +
+                           rng.nextBelow(6) * 16 + rng.nextBelow(16);
+                }
+                t.push({.addr = last});
+            }
+            sim::StackDistanceEngine eng(lattices[l]);
+            std::vector<NaiveLru> naive;
+            for (const sim::StackPoint &p : lattices[l])
+                naive.emplace_back(p);
+            for (std::size_t i = 0; i < t.size();) {
+                const std::size_t n =
+                    std::min<std::size_t>(rng.nextBelow(97), t.size() - i);
+                eng.feed(t.data() + i, n);
+                i += n;
+            }
+            for (const trace::Record &r : t) {
+                for (NaiveLru &m : naive)
+                    m.access(r.addr);
+            }
+            for (std::size_t k = 0; k < naive.size(); ++k) {
+                const sim::StackPoint &p = lattices[l][k];
+                EXPECT_EQ(eng.missCount(p), naive[k].misses())
+                    << "lattice " << l << " round " << round << " point "
+                    << p.cacheSizeBytes << "B/" << p.lineBytes << "B/"
+                    << p.assoc << "w";
+            }
+        }
+    }
 }
 
 // --- StackDifferential: against exact replay ------------------------
@@ -315,8 +440,8 @@ TEST(StackDifferential, WarmResweepLatticeAllLineSizes)
     // {1..64} KB x {1,2,4,8} ways x {16,32,64}-byte lines, 84 points
     // in three line groups of ten set counts each, against exact
     // replay of the paper MV trace. Its ~125k distinct 16-byte lines
-    // grow the line table many times over while every set's recency
-    // array is full.
+    // keep every set's recency array full, and each point misses at
+    // least once per distinct line of its size.
     const trace::Trace t = workloads::makeBenchmarkTrace("MV");
     const std::vector<core::Config> cfgs = resweepLattice();
     ASSERT_EQ(cfgs.size(), 84u);
@@ -325,9 +450,16 @@ TEST(StackDifferential, WarmResweepLatticeAllLineSizes)
         points.push_back(harness::stackPointOf(cfg));
     sim::StackDistanceEngine eng(points);
     eng.feed(t.data(), t.size());
-    EXPECT_GT(eng.touchedLines(16), 100000u);
-    for (const auto &cfg : cfgs)
+    EXPECT_GT(compulsoryLines(t, 16), 100000u);
+    std::map<std::uint32_t, std::size_t> compulsory;
+    for (const std::uint32_t line : {16u, 32u, 64u})
+        compulsory[line] = compulsoryLines(t, line);
+    for (const auto &cfg : cfgs) {
+        EXPECT_GE(eng.missCount(harness::stackPointOf(cfg)),
+                  compulsory[cfg.lineBytes])
+            << cfg.name;
         expectStackMatchesReplay(eng, t, cfg);
+    }
 }
 
 TEST(StackDifferential, FuzzCorpusStandardSubset)
@@ -626,6 +758,22 @@ TEST(StackFamily, EightCellSweepIsExactlyOneTraversal)
     const auto reference = testref::referenceTable(
         {mvWorkload()}, configs, harness::missRatioMetric());
     EXPECT_EQ(harness::toCsv(table), harness::toCsv(reference));
+}
+
+TEST(StackFamily, MruRecordsCounterCountsRepeats)
+{
+    // A trace that re-touches one line N times: N - 1 records stop at
+    // the first set count of their line group.
+    constexpr std::size_t n = 40;
+    trace::Trace t("one-line");
+    for (std::size_t i = 0; i < n; ++i)
+        t.push({.addr = 0x1000});
+    const harness::Workload w{"one-line", [t] { return t; }, nullptr};
+    harness::Runner r;
+    r.run(testref::request({w}, eightCellFamily(),
+                           harness::missRatioMetric(), 2));
+    EXPECT_EQ(r.stackCounter("stack.pass.traversals"), 1u);
+    EXPECT_EQ(r.stackCounter("stack.pass.mru_records"), n - 1);
 }
 
 TEST(StackFamily, SecondSweepServesFromTheStackStore)
