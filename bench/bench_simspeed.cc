@@ -3,8 +3,8 @@
  * Simulator throughput benchmarks (google-benchmark): trace
  * generation speed, simulation speed per configuration, the
  * feature-specialized fast path against the forced-general path, the
- * streaming engine against materialize-then-replay, and warm manifest
- * emission. These are
+ * streaming engine against materialize-then-replay, warm manifest
+ * emission and a warm live-point request. These are
  * engineering benchmarks of the reproduction itself, not paper
  * figures.
  *
@@ -17,9 +17,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <unistd.h>
 #include <vector>
 
 #include "src/check/auditor.hh"
@@ -797,6 +799,65 @@ BM_StreamedMatrixSweep(benchmark::State &state)
 BENCHMARK(BM_StreamedMatrixSweep)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * One sampled-livepoint AMAT request (standard, soft, soft-prefetch)
+ * served by a fresh Runner per iteration at a given worker count
+ * (Arg), over on-disk libraries a cold request wrote outside the
+ * timed loop. One trace is about four times as long as the other
+ * three together, as Slalom dominates the paper set: its content
+ * hash (the library key) is the longest single task, which the other
+ * cells and its own replays overlap. The geometry is warm-resweep's.
+ * Items = records covered x configs.
+ */
+void
+BM_LivepointRequest(benchmark::State &state)
+{
+    static const std::vector<trace::Trace> traces = [] {
+        std::vector<trace::Trace> out;
+        for (const std::int64_t n : {520, 150, 150, 150}) {
+            auto t = workloads::makeTaggedTrace(workloads::buildMv(n),
+                                                0x7ac3ull + out.size());
+            t.setName("MV" + std::to_string(n) + "-" +
+                      std::to_string(out.size()));
+            out.push_back(std::move(t));
+        }
+        return out;
+    }();
+    harness::SweepRequest request;
+    for (const trace::Trace &t : traces)
+        request.workloads.push_back(
+            {t.name(), [&t] { return t; }, nullptr});
+    for (const auto &key : {"standard", "soft", "soft-prefetch"})
+        request.configs.push_back(core::presets().get(key));
+    request.metric = harness::amatMetric();
+    request.engine = harness::EngineSelect::SampledLivepoint;
+    request.sampling.window = 512;
+    request.sampling.stride = 4096;
+    request.sampling.warmup = 2048;
+    request.checkpointDir =
+        (std::filesystem::temp_directory_path() /
+         ("sac-bench-livepoint-" + std::to_string(::getpid())))
+            .string();
+    request.jobs = static_cast<unsigned>(state.range(0));
+    harness::Runner().run(request); // writes the libraries
+    std::int64_t items = 0;
+    for (auto _ : state) {
+        harness::Runner r;
+        const auto result = r.run(request);
+        benchmark::DoNotOptimize(result.table.rows());
+        items = 0;
+        for (const auto &cell : result.cells)
+            items += static_cast<std::int64_t>(cell.report->recordsTotal);
+    }
+    state.SetItemsProcessed(state.iterations() * items);
+    std::filesystem::remove_all(request.checkpointDir);
+}
+BENCHMARK(BM_LivepointRequest)
+    ->Arg(1)
     ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

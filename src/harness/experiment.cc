@@ -95,9 +95,19 @@ std::uint64_t
 Runner::traceHashOf(const Workload &w)
 {
     TraceSlot &slot = slotOf(w);
-    std::call_once(slot.hashOnce,
-                   [&slot] { slot.hash = sim::hashTrace(slot.value); });
+    std::call_once(slot.hashOnce, [&slot] {
+        slot.hash = sim::hashTrace(slot.value);
+        slot.hashed.store(true);
+    });
     return slot.hash;
+}
+
+bool
+Runner::traceHashed(const Workload &w)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = traces_.find(w.name);
+    return it != traces_.end() && it->second->hashed.load();
 }
 
 const sim::PackedOutcomes &
@@ -229,10 +239,11 @@ Runner::manifestCounter(const std::string &name) const
     return stackCounter(name);
 }
 
-void
+bool
 Runner::settle(
     const std::vector<StoredCell *> &slots,
-    const std::function<void(const std::vector<std::size_t> &)> &fill)
+    const std::function<void(const std::vector<std::size_t> &)> &fill,
+    bool wait)
 {
     const auto set = [](StoredCell &cell, StoredCell::State state) {
         cell.state.store(state);
@@ -264,17 +275,19 @@ Runner::settle(
             for (const std::size_t i : claimed)
                 set(*slots[i], StoredCell::Filled);
         }
-        // Wait for the cells other tasks hold; one handed back Empty
-        // by a failed claimer is claimed on the next round.
+        // Wait (when asked to) for the cells other tasks hold; one
+        // handed back Empty by a failed claimer is claimed on the
+        // next round.
         bool filled = true;
         for (StoredCell *cell : slots) {
             auto state = cell->state.load();
-            for (; state == StoredCell::Running; state = cell->state.load())
+            for (; wait && state == StoredCell::Running;
+                 state = cell->state.load())
                 cell->state.wait(StoredCell::Running);
             filled = filled && state == StoredCell::Filled;
         }
-        if (filled)
-            return;
+        if (filled || !wait)
+            return filled;
     }
 }
 
@@ -453,32 +466,47 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
 
 void
 Runner::sampleCell(StoredCell &cell, const Workload &w,
-                   const core::Config &cfg, const SweepRequest &request,
+                   const core::Config &cfg, const std::string &cache_key,
+                   const SweepRequest &request,
                    const std::string &library_dir)
 {
     const sim::SamplingOptions &opt = request.sampling;
     const sim::SampledEngine engine(opt);
     const auto t0 = std::chrono::steady_clock::now();
     const trace::Trace &t = traceOf(w);
-    trace::MemoryTraceSource src(t);
-    core::SoftwareAssistedCache sim(cfg);
     if (library_dir.empty()) {
+        trace::MemoryTraceSource src(t);
+        core::SoftwareAssistedCache sim(cfg);
         cell.report = engine.run(src, sim);
     } else {
+        sim::CheckpointLibrary lib;
+        const auto replay = [&] {
+            trace::MemoryTraceSource src(t);
+            core::SoftwareAssistedCache sim(cfg);
+            return engine.runCheckpointed(src, sim, lib);
+        };
+        // The path leaves the trace hash out, so the library can be
+        // loaded and replayed before the hash is known.
         sim::CheckpointKey key;
-        key.traceHash = traceHashOf(w);
-        key.configKey = cfg.cacheKey();
+        key.configKey = cache_key;
         key.window = opt.window;
         key.stride = opt.stride;
         key.warmup = opt.warmup;
         const std::string path = sim::CheckpointLibrary::pathFor(
             library_dir, t.name(), key);
 
-        sim::CheckpointLibrary lib;
         using LoadResult = sim::CheckpointLibrary::LoadResult;
-        const LoadResult r = request.checkpointRebuild
-                                 ? LoadResult::Missing
-                                 : lib.load(path, key);
+        LoadResult r = request.checkpointRebuild
+                           ? LoadResult::Missing
+                           : lib.loadAnyTrace(path, key);
+        if (r == LoadResult::Hit) {
+            cell.report = replay();
+            // Only now wait for the trace's hash (Runner::run queues
+            // it ahead of the cells): a library built from another
+            // trace is stale, and its replay is dropped.
+            if (lib.traceHash() != traceHashOf(w))
+                r = LoadResult::Stale;
+        }
         auto &outcome = cell.checkpoint;
         if (r == LoadResult::Hit) {
             outcome.hits = 1;
@@ -490,6 +518,7 @@ Runner::sampleCell(StoredCell &cell, const Workload &w,
             // Warm once through the builder (a warming-only mirror
             // of the sampled replay), persist, then run the same
             // restore path a hit takes.
+            key.traceHash = traceHashOf(w);
             core::SoftwareAssistedCache warmer(cfg);
             trace::MemoryTraceSource warm_src(t);
             engine.buildLibrary(warm_src, warmer, lib);
@@ -504,10 +533,10 @@ Runner::sampleCell(StoredCell &cell, const Workload &w,
             count("checkpoint.misses",
                   "sampled cells that warmed and wrote a library",
                   1);
+            cell.report = replay();
         }
         count("checkpoint.bytes", "bytes moved through .saclp files",
               outcome.bytes);
-        cell.report = engine.runCheckpointed(src, sim, lib);
     }
     cell.seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)

@@ -117,12 +117,17 @@ class Runner
      * resident trace's outcomes are latched per geometry on first use
      * and serve every later exact cell of that trace and geometry; a
      * streamed traversal classifies each chunk once per geometry.
-     * Sampled cells are one task each; a live-point cell's task
-     * computes its trace's content hash (traceHashOf()), the library
-     * key, so the hashes of different traces run in parallel and a
-     * cell served from the store hashes nothing. The tasks run on
-     * one pool of jobs workers, built only when more than one task
-     * can run in parallel. The request must be valid
+     * Sampled cells are one task each. A live-point request also
+     * queues one task per trace whose content hash (traceHashOf(),
+     * part of the library key) is not latched yet and that has a
+     * cell to compute, ahead of the cells, largest trace first; the
+     * cells of the traces whose hashes finish last run last, and
+     * each cell replays its library before it waits for the hash
+     * (sampleCell()). The tasks run on one pool of jobs workers,
+     * built only when more than one task can run in parallel, in two
+     * rounds: the first claims and fills every cell a task can and
+     * waits for none, the second waits for the cells that other
+     * requests hold (settle()). The request must be valid
      * (SweepRequest::validationError()).
      */
     SweepResult run(const SweepRequest &request);
@@ -273,17 +278,22 @@ class Runner
     StoredCell &slot(const std::string &key);
 
     /**
-     * Make every slot of @p slots Filled: claim the Empty ones (all
+     * Fill what this task can of @p slots: claim the Empty ones (all
      * at once, so concurrent requests split a workload's cells
      * without racing over them), call @p fill with the claimed
-     * indices, publish them, then wait for the slots other tasks
-     * hold, and repeat for any whose claimer failed. When @p fill
-     * throws, the claims are released and the exception propagates.
+     * indices and publish them. Without @p wait that is all, and the
+     * result says whether every slot is Filled; a request runs this
+     * round for all its tasks first, so it never blocks on another
+     * request's cell while one of its own is unclaimed. With @p wait
+     * it then waits for the slots other tasks hold, repeats for any
+     * whose claimer failed, and returns true. When @p fill throws,
+     * the claims are released and the exception propagates.
      */
-    void
+    bool
     settle(const std::vector<StoredCell *> &slots,
            const std::function<void(const std::vector<std::size_t> &)>
-               &fill);
+               &fill,
+           bool wait);
 
     /**
      * One chunked traversal of @p w's records — from @p resident
@@ -295,13 +305,18 @@ class Runner
                   const std::vector<const TraversalCell *> &cells);
 
     /**
-     * Estimate one sampled cell into @p cell, over the live-point
-     * library at @p library_dir when non-empty (keyed on the trace's
-     * content hash, traceHashOf(), which the first such cell of a
-     * trace computes on its own thread).
+     * Estimate one sampled cell into @p cell (@p cache_key is
+     * cfg.cacheKey()), over the live-point library at @p library_dir
+     * when non-empty. The library is loaded with every key field
+     * checked but the trace hash and replayed first; only then is
+     * its stored hash compared with traceHashOf(@p w), which a hash
+     * task of the request is computing meanwhile. On a mismatch the
+     * replay is dropped and the cell takes the stale path: warm a
+     * fresh simulator, save, replay.
      */
     void sampleCell(StoredCell &cell, const Workload &w,
-                    const core::Config &cfg, const SweepRequest &request,
+                    const core::Config &cfg, const std::string &cache_key,
+                    const SweepRequest &request,
                     const std::string &library_dir);
 
     /** Add @p delta to counter @p name (registered on first use). */
@@ -330,6 +345,7 @@ class Runner
         trace::Trace value;
         std::once_flag hashOnce;
         std::uint64_t hash = 0;
+        std::atomic<bool> hashed{false}; //!< hash is ready
         /** Guarded by Runner::mutex_; the entries are stable. */
         std::map<ShadowGeometry, std::unique_ptr<LatchedOutcomes>>
             outcomes;
@@ -341,8 +357,15 @@ class Runner
     /** The trace of @p w if already materialized, else nullptr. */
     const trace::Trace *residentTrace(const Workload &w);
 
-    /** sim::hashTrace of traceOf(@p w), computed once per trace. */
+    /**
+     * sim::hashTrace of traceOf(@p w), computed once per trace by its
+     * first caller (a hash task of a live-point request, normally)
+     * while later callers wait.
+     */
     std::uint64_t traceHashOf(const Workload &w);
+
+    /** Has traceHashOf(@p w) been computed already? */
+    bool traceHashed(const Workload &w);
 
     /**
      * The shadow outcomes of @p w's resident trace @p t at the

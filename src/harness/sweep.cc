@@ -5,6 +5,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "src/telemetry/counter_registry.hh"
@@ -449,29 +450,42 @@ struct Runner::Plan
     std::vector<std::size_t> family;
     /** Live-point library root of sampled cells ("" = plain). */
     std::string libraryDir;
+    /** The configs' Config::cacheKey(), built once per request. */
+    std::vector<std::string> cacheKeys;
     /** Unstored slots of --checkpoint-rebuild cells. */
     std::vector<std::unique_ptr<StoredCell>> rebuilt;
 };
 
 namespace {
 
-/** Store key of one cell: engine, identity, and for sampled cells the
- *  full sampling geometry plus the library they restore from. */
+/** The store key suffix of a sampled cell: the full sampling
+ *  geometry plus the library it restores from. */
+std::string
+samplingKey(const SweepRequest &request, const std::string &library_dir)
+{
+    const sim::SamplingOptions &opt = request.sampling;
+    std::ostringstream os;
+    os << '\x1f' << opt.window << ',' << opt.stride << ',' << opt.warmup
+       << ',' << opt.confidence << ',' << opt.targetRelativeError << ','
+       << opt.minWindows << ',' << opt.maxWindows << '\x1f'
+       << library_dir;
+    return os.str();
+}
+
+/** Store key of one cell: engine, identity, and for sampled cells
+ *  @p sampling_key (samplingKey()). */
 std::string
 storeKey(EngineTag tag, const std::string &workload,
-         const std::string &cache_key, const SweepRequest &request,
-         const std::string &library_dir)
+         const std::string &cache_key, const std::string &sampling_key)
 {
-    std::ostringstream os;
-    os << engineName(tag) << '\x1f' << workload << '\x1f' << cache_key;
-    if (tag == EngineTag::Sampled || tag == EngineTag::SampledLivepoint) {
-        const sim::SamplingOptions &opt = request.sampling;
-        os << '\x1f' << opt.window << ',' << opt.stride << ','
-           << opt.warmup << ',' << opt.confidence << ','
-           << opt.targetRelativeError << ',' << opt.minWindows << ','
-           << opt.maxWindows << '\x1f' << library_dir;
-    }
-    return os.str();
+    std::string key = engineName(tag);
+    key += '\x1f';
+    key += workload;
+    key += '\x1f';
+    key += cache_key;
+    if (tag == EngineTag::Sampled || tag == EngineTag::SampledLivepoint)
+        key += sampling_key;
+    return key;
 }
 
 /** The report's sampled series matching @p metric, if any. */
@@ -549,6 +563,9 @@ Runner::plan(const SweepRequest &request)
         }
     }
 
+    for (const core::Config &cfg : request.configs)
+        p.cacheKeys.push_back(cfg.cacheKey());
+    const std::string sampling_key = samplingKey(request, p.libraryDir);
     p.cells.resize(n_cells);
     for (std::size_t wi = 0; wi < n_w; ++wi) {
         for (std::size_t ci = 0; ci < n_c; ++ci) {
@@ -561,10 +578,9 @@ Runner::plan(const SweepRequest &request)
                 p.rebuilt.push_back(std::make_unique<StoredCell>());
                 c.slot = p.rebuilt.back().get();
             } else {
-                c.slot = &slot(storeKey(
-                    c.engine, request.workloads[wi].name,
-                    request.configs[ci].cacheKey(), request,
-                    p.libraryDir));
+                c.slot = &slot(storeKey(c.engine,
+                                        request.workloads[wi].name,
+                                        p.cacheKeys[ci], sampling_key));
             }
         }
     }
@@ -601,15 +617,16 @@ Runner::run(const SweepRequest &request)
     // worker's malloc arena. A plain sampled cell, which restores no
     // library, still materializes its trace on first use in its task.
     std::vector<const trace::Trace *> resident(n_w, nullptr);
+    std::vector<bool> pending(n_w); // a cell of the workload is unfilled
     for (std::size_t wi = 0; wi < n_w; ++wi) {
         const Workload &w = request.workloads[wi];
-        resident[wi] = residentTrace(w);
         const auto row = p.cells.begin() + wi * n_c;
-        if (!resident[wi] &&
-            (sampled ? !p.libraryDir.empty() : !w.stream) &&
-            std::any_of(row, row + n_c, [](const Plan::Cell &c) {
-                return c.slot->state.load() != StoredCell::Filled;
-            }))
+        pending[wi] = std::any_of(row, row + n_c, [](const Plan::Cell &c) {
+            return c.slot->state.load() != StoredCell::Filled;
+        });
+        resident[wi] = residentTrace(w);
+        if (!resident[wi] && pending[wi] &&
+            (sampled ? !p.libraryDir.empty() : !w.stream))
             resident[wi] = &traceOf(w);
     }
 
@@ -644,11 +661,42 @@ Runner::run(const SweepRequest &request)
         std::size_t index; //!< the sampled cell, or the workload
         std::size_t shard; //!< traversal of the workload
         std::size_t size;  //!< resident trace records (0 = unknown)
+        /** When the cell's trace hash is expected: the records its
+         *  worker has hashed by then, in a greedy schedule of the hash
+         *  tasks on jobs workers (0 = no hash pending). */
+        std::size_t hashedBy = 0;
+        bool hash = false; //!< hash workload index's trace
     };
     std::vector<Task> tasks;
+    // A live-point cell needs its trace's hash only once it has
+    // replayed (sampleCell). So the traces not hashed yet are hashed
+    // by tasks of their own ahead of the cells, largest first, and
+    // the cells wait in the order their hashes are expected to finish.
+    std::vector<std::size_t> hashed_by(n_w, 0);
+    if (!p.libraryDir.empty()) {
+        std::vector<std::size_t> hashes;
+        for (std::size_t wi = 0; wi < n_w; ++wi) {
+            if (pending[wi] && !traceHashed(request.workloads[wi]))
+                hashes.push_back(wi);
+        }
+        std::stable_sort(hashes.begin(), hashes.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return resident[a]->size() >
+                                    resident[b]->size();
+                         });
+        std::vector<std::size_t> worker(
+            std::min<std::size_t>(jobs, hashes.size()), 0);
+        for (const std::size_t wi : hashes) {
+            auto &least = *std::min_element(worker.begin(), worker.end());
+            least += resident[wi]->size();
+            hashed_by[wi] = least;
+            tasks.push_back({wi, 0, resident[wi]->size(), 0, true});
+        }
+    }
+    const std::size_t first_work = tasks.size();
     for (std::size_t k = 0; sampled && k < p.cells.size(); ++k) {
         const trace::Trace *t = resident[k / n_c];
-        tasks.push_back({k, 0, t ? t->size() : 0});
+        tasks.push_back({k, 0, t ? t->size() : 0, hashed_by[k / n_c]});
     }
     for (std::size_t wi = 0; !sampled && wi < n_w; ++wi) {
         shards[wi] = resident[wi] ? units.size()
@@ -658,73 +706,100 @@ Runner::run(const SweepRequest &request)
             tasks.push_back(
                 {wi, s, resident[wi] ? resident[wi]->size() : 0});
     }
-    std::stable_sort(tasks.begin(), tasks.end(),
+    std::stable_sort(tasks.begin() + first_work, tasks.end(),
                      [](const Task &a, const Task &b) {
-                         return a.size > b.size;
+                         return a.hashedBy != b.hashedBy
+                                    ? a.hashedBy < b.hashedBy
+                                    : a.size > b.size;
                      });
 
-    const auto traverseShard = [&](std::size_t wi, std::size_t shard) {
+    std::atomic<std::size_t> fresh_stack{0};
+    const auto traverseShard = [&](std::size_t wi, std::size_t shard,
+                                   bool wait) {
         std::vector<TraversalCell> cells;
         std::vector<StoredCell *> slots;
-        std::size_t stack = 0, fresh_stack = 0;
         for (std::size_t u = shard; u < units.size(); u += shards[wi]) {
             for (const std::size_t ci : units[u]) {
                 const Plan::Cell &c = p.cells[wi * n_c + ci];
-                const bool is_stack =
-                    c.engine == EngineTag::StackSinglePass;
-                cells.push_back({&request.configs[ci], c.slot, is_stack});
+                cells.push_back({&request.configs[ci], c.slot,
+                                 c.engine == EngineTag::StackSinglePass});
                 slots.push_back(c.slot);
-                stack += is_stack;
             }
         }
-        settle(slots, [&](const std::vector<std::size_t> &claimed) {
-            std::vector<const TraversalCell *> mine;
-            for (const std::size_t i : claimed)
-                mine.push_back(&cells[i]);
-            traverse(request.workloads[wi], resident[wi], mine);
-            for (const TraversalCell *c : mine)
-                fresh_stack += c->stack;
-        });
-        if (stack > 0)
-            count("stack.pass.cached_cells",
-                  "sweep cells served from the stack store",
-                  stack - fresh_stack);
+        return settle(
+            slots,
+            [&](const std::vector<std::size_t> &claimed) {
+                std::vector<const TraversalCell *> mine;
+                for (const std::size_t i : claimed)
+                    mine.push_back(&cells[i]);
+                traverse(request.workloads[wi], resident[wi], mine);
+                for (const TraversalCell *c : mine)
+                    fresh_stack += c->stack;
+            },
+            wait);
     };
-    const auto execute = [&](const Task &task) {
+    // Whether each task still has cells another request holds.
+    std::vector<char> open(tasks.size(), 0);
+    const auto execute = [&](std::size_t i, bool wait) {
+        const Task &task = tasks[i];
         const auto t0 = std::chrono::steady_clock::now();
-        if (sampled) {
+        if (task.hash) {
+            traceHashOf(request.workloads[task.index]);
+        } else if (sampled) {
             const std::size_t wi = task.index / n_c;
+            const std::size_t ci = task.index % n_c;
             StoredCell &cell = *p.cells[task.index].slot;
-            settle({&cell}, [&](const std::vector<std::size_t> &) {
-                sampleCell(cell, request.workloads[wi],
-                           request.configs[task.index % n_c], request,
-                           p.libraryDir);
-            });
+            open[i] = !settle(
+                {&cell},
+                [&](const std::vector<std::size_t> &) {
+                    sampleCell(cell, request.workloads[wi],
+                               request.configs[ci], p.cacheKeys[ci],
+                               request, p.libraryDir);
+                },
+                wait);
         } else {
-            traverseShard(task.index, task.shard);
+            open[i] = !traverseShard(task.index, task.shard, wait);
         }
         busy_ns.fetch_add(nanosSince(t0));
     };
 
-    if (jobs > 1 && tasks.size() > 1) {
-        // Declared after the lambdas its tasks reference: unwinding
-        // joins the workers before those go out of scope.
-        util::ThreadPool pool(jobs);
+    // Declared after the lambdas its tasks reference: unwinding joins
+    // the workers before those go out of scope.
+    std::optional<util::ThreadPool> pool;
+    if (jobs > 1 && tasks.size() > 1)
+        pool.emplace(jobs);
+    // Round one (wait false) claims and fills every cell it can and
+    // waits for none; round two waits for the cells other requests
+    // hold.
+    const auto run_round = [&](bool wait) {
+        std::vector<std::size_t> which;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            if (!wait || open[i])
+                which.push_back(i);
+        }
+        if (!pool) {
+            for (const std::size_t i : which)
+                execute(i, wait);
+            return;
+        }
         std::vector<std::future<void>> futures;
-        futures.reserve(tasks.size());
-        for (const Task &task : tasks)
+        futures.reserve(which.size());
+        for (const std::size_t i : which)
             futures.push_back(
-                pool.submit([&execute, task] { execute(task); }));
+                pool->submit([&execute, i, wait] { execute(i, wait); }));
         // Every task must finish before get() re-raises an exception
         // one threw: the tasks reference this frame.
         for (auto &f : futures)
             f.wait();
         for (auto &f : futures)
             f.get();
-    } else {
-        for (const Task &task : tasks)
-            execute(task);
-    }
+    };
+    run_round(false);
+    run_round(true);
+    if (const std::size_t stack = n_w * p.family.size(); stack > 0)
+        count("stack.pass.cached_cells",
+              "sweep cells served from the stack store",
+              stack - fresh_stack.load());
 
     SweepResult out;
     out.timing.wallSeconds =
@@ -750,7 +825,7 @@ Runner::run(const SweepRequest &request)
             SweepResult::Cell &r = out.cells[wi * n_c + ci];
             r.workload = request.workloads[wi].name;
             r.configName = request.configs[ci].name;
-            r.cacheKey = request.configs[ci].cacheKey();
+            r.cacheKey = p.cacheKeys[ci];
             r.engine = c.engine;
             const int decimals = request.metric.decimals;
             if (c.engine == EngineTag::Sampled ||
@@ -846,14 +921,14 @@ Runner::run(const SweepRequest &request)
                          p.rebuilt.empty() ? c.slot : nullptr, &r);
         }
         if (request.telemetry.suiteTotals && exact_only &&
-            emitter.claim("suite-total", cfg.cacheKey())) {
+            emitter.claim("suite-total", p.cacheKeys[ci])) {
             ManifestCell mc;
             mc.workload = "suite-total";
             mc.config = &cfg;
             mc.stats = &suite_total;
             mc.simSeconds = suite_seconds;
             mc.extraTiming = &phases;
-            emitter.emit(mc, EngineTag::ExactReplay, cfg.cacheKey(),
+            emitter.emit(mc, EngineTag::ExactReplay, p.cacheKeys[ci],
                          nullptr, nullptr);
         }
     }

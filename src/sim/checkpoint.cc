@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <type_traits>
 
@@ -179,6 +180,50 @@ getState(Cursor &c)
     return s;
 }
 
+/**
+ * Payload checksum of format version 2: four independent lanes each
+ * take one 8-byte word of every 32-byte stripe (multiply-rotate-
+ * multiply, so the lanes' multiplies overlap), the lanes fold into
+ * one value, the tail goes in a word and then a byte at a time, and a
+ * final avalanche spreads every bit. Each step is a bijection of its
+ * lane for a fixed input, so a change confined to one word always
+ * changes that lane.
+ */
+std::uint64_t
+payloadChecksum(const char *p, std::size_t n)
+{
+    constexpr std::uint64_t k1 = 0x9e3779b185ebca87ull;
+    constexpr std::uint64_t k2 = 0xc2b2ae3d27d4eb4full;
+    const auto word = [](const char *at) {
+        std::uint64_t w;
+        std::memcpy(&w, at, sizeof(w));
+        return w;
+    };
+    const auto mix = [](std::uint64_t acc, std::uint64_t w) {
+        acc += w * k2;
+        acc = (acc << 31) | (acc >> 33);
+        return acc * k1;
+    };
+    std::uint64_t lanes[4] = {k1 + k2, k2, 0, 0 - k1};
+    const std::uint64_t length = n;
+    for (; n >= 32; p += 32, n -= 32) {
+        for (int i = 0; i < 4; ++i)
+            lanes[i] = mix(lanes[i], word(p + 8 * i));
+    }
+    std::uint64_t h = length;
+    for (const std::uint64_t lane : lanes)
+        h = (h ^ mix(0, lane)) * k1 + k2;
+    for (; n >= 8; p += 8, n -= 8)
+        h = mix(h, word(p));
+    for (; n > 0; ++p, --n)
+        h = mix(h, static_cast<unsigned char>(*p));
+    h ^= h >> 33;
+    h *= k2;
+    h ^= h >> 29;
+    h *= k1;
+    return h ^ (h >> 32);
+}
+
 /** Keep [A-Za-z0-9._-]; anything else becomes '_'. */
 std::string
 sanitizeName(const std::string &name)
@@ -253,25 +298,46 @@ CheckpointLibrary::pathFor(const std::string &dir,
 CheckpointLibrary::LoadResult
 CheckpointLibrary::load(const std::string &path, const CheckpointKey &key)
 {
+    return read(path, key, true);
+}
+
+CheckpointLibrary::LoadResult
+CheckpointLibrary::loadAnyTrace(const std::string &path,
+                                const CheckpointKey &key)
+{
+    return read(path, key, false);
+}
+
+CheckpointLibrary::LoadResult
+CheckpointLibrary::read(const std::string &path, const CheckpointKey &key,
+                        bool check_trace)
+{
     states_.clear();
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return LoadResult::Missing;
 
-    std::ostringstream raw;
-    raw << in.rdbuf();
-    const std::string file = raw.str();
+    // One sized read straight into an uninitialized buffer. A path
+    // that is not a regular file has no size and is stale.
+    std::error_code ec;
+    const std::size_t size =
+        static_cast<std::size_t>(std::filesystem::file_size(path, ec));
+    if (ec)
+        return LoadResult::Stale;
+    const auto file = std::make_unique_for_overwrite<char[]>(size);
+    if (!in.read(file.get(), static_cast<std::streamsize>(size)))
+        return LoadResult::Stale;
 
-    Cursor header{file.data(), file.size()};
+    Cursor header{file.get(), size};
     const std::uint32_t magic = header.get<std::uint32_t>();
     const std::uint32_t version = header.get<std::uint32_t>();
     const std::uint64_t checksum = header.get<std::uint64_t>();
     if (!header.ok || magic != formatMagic || version != formatVersion)
         return LoadResult::Stale;
 
-    const char *payload = file.data() + header.pos;
-    const std::size_t payload_size = file.size() - header.pos;
-    if (fnv1a(payload, payload_size) != checksum)
+    const char *payload = file.get() + header.pos;
+    const std::size_t payload_size = size - header.pos;
+    if (payloadChecksum(payload, payload_size) != checksum)
         return LoadResult::Stale;
 
     Cursor c{payload, payload_size};
@@ -285,9 +351,9 @@ CheckpointLibrary::load(const std::string &path, const CheckpointKey &key)
     const std::uint64_t warmup = c.get<std::uint64_t>();
     if (!c.ok)
         return LoadResult::Stale;
-    if (trace_hash != key.traceHash || config_key != key.configKey ||
-        window != key.window || stride != key.stride ||
-        warmup != key.warmup)
+    if ((check_trace && trace_hash != key.traceHash) ||
+        config_key != key.configKey || window != key.window ||
+        stride != key.stride || warmup != key.warmup)
         return LoadResult::Stale;
 
     const std::uint64_t count = c.get<std::uint64_t>();
@@ -298,7 +364,8 @@ CheckpointLibrary::load(const std::string &path, const CheckpointKey &key)
         return LoadResult::Stale;
 
     states_ = std::move(states);
-    loadedBytes_ = file.size();
+    loadedBytes_ = size;
+    traceHash_ = trace_hash;
     return LoadResult::Hit;
 }
 
@@ -322,8 +389,8 @@ CheckpointLibrary::save(const std::string &path,
     file.reserve(16 + payload.size());
     putScalar<std::uint32_t>(file, formatMagic);
     putScalar<std::uint32_t>(file, formatVersion);
-    putScalar<std::uint64_t>(file,
-                             fnv1a(payload.data(), payload.size()));
+    putScalar<std::uint64_t>(
+        file, payloadChecksum(payload.data(), payload.size()));
     file.append(payload);
 
     std::error_code ec;

@@ -22,7 +22,10 @@
  *    bad magic, version bump, checksum failure, truncation, stale
  *    trace hash, foreign config, different geometry — loads as
  *    Stale/Missing, never as a wrong restore; callers then warm once
- *    and rewrite the file.
+ *    and rewrite the file. loadAnyTrace() defers the one costly key
+ *    field, the trace hash: a caller may replay from the library
+ *    while the hash is computed, and must compare traceHash() with it
+ *    before it keeps the result.
  *
  * Layering: this lives in src/sim and speaks cache::LineState
  * (sac_sim links sac_cache; the edge is acyclic — sac_cache links
@@ -133,8 +136,12 @@ class CheckpointLibrary
     /** First bytes of every `.saclp` file ("SACL"). */
     static constexpr std::uint32_t formatMagic = 0x5341434cu;
 
-    /** Bump on any layout change; old files then load as Stale. */
-    static constexpr std::uint32_t formatVersion = 1;
+    /**
+     * Bump on any layout change; old files then load as Stale.
+     * Version 2 replaced the byte-serial FNV-1a payload checksum of
+     * version 1 with a word-at-a-time hash.
+     */
+    static constexpr std::uint32_t formatVersion = 2;
 
     /**
      * Canonical library path: `<dir>/cfg-<hex>/<trace>-w<W>-s<S>-
@@ -175,6 +182,18 @@ class CheckpointLibrary
     LoadResult load(const std::string &path, const CheckpointKey &key);
 
     /**
+     * load() with every check except key.traceHash: a Hit holds a
+     * library for @p key's config and geometry built from some trace,
+     * whose hash traceHash() reports. Nothing restored from it may be
+     * kept until that hash has been compared with the trace's own.
+     */
+    LoadResult loadAnyTrace(const std::string &path,
+                            const CheckpointKey &key);
+
+    /** The trace hash stored in the last file that loaded as Hit. */
+    std::uint64_t traceHash() const { return traceHash_; }
+
+    /**
      * Write the library for @p key, creating parent directories.
      * Returns the bytes written, or 0 on I/O failure.
      */
@@ -185,8 +204,13 @@ class CheckpointLibrary
     std::uint64_t loadedBytes() const { return loadedBytes_; }
 
   private:
+    /** load(), comparing key.traceHash only when @p check_trace. */
+    LoadResult read(const std::string &path, const CheckpointKey &key,
+                    bool check_trace);
+
     std::vector<ArchState> states_;
     std::uint64_t loadedBytes_ = 0;
+    std::uint64_t traceHash_ = 0;
 };
 
 } // namespace sim

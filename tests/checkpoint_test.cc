@@ -20,11 +20,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cache/cache_array.hh"
@@ -285,6 +287,45 @@ TEST(CheckpointLibraryTest, KeyMismatchesLoadAsStale)
     k = b.key;
     k.warmup += 64;
     expect_stale(k, "different warmup");
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointLibraryTest, LoadAnyTraceDefersOnlyTheTraceHash)
+{
+    const auto b = makeBuiltLibrary();
+    const std::string path = testing::TempDir() + "/ck_anytrace.saclp";
+    ASSERT_GT(b.lib.save(path, b.key), 0u);
+
+    // Another trace's hash: load() rejects the file, loadAnyTrace()
+    // takes it and reports the hash it was built for.
+    auto k = b.key;
+    k.traceHash ^= 1;
+    sim::CheckpointLibrary lib;
+    EXPECT_EQ(lib.load(path, k), LoadResult::Stale);
+    EXPECT_TRUE(lib.empty());
+    ASSERT_EQ(lib.loadAnyTrace(path, k), LoadResult::Hit);
+    EXPECT_EQ(lib.traceHash(), b.key.traceHash);
+    EXPECT_EQ(lib.size(), b.lib.size());
+
+    // Every other key field is still checked.
+    k = b.key;
+    k.configKey = core::presets().get("standard").cacheKey();
+    EXPECT_EQ(lib.loadAnyTrace(path, k), LoadResult::Stale);
+    EXPECT_TRUE(lib.empty());
+    k = b.key;
+    k.warmup += 64;
+    EXPECT_EQ(lib.loadAnyTrace(path, k), LoadResult::Stale);
+
+    // A file of the previous format version is stale.
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_EQ(lib.loadAnyTrace(path, b.key), LoadResult::Stale);
+    EXPECT_EQ(lib.load(path, b.key), LoadResult::Stale);
     std::remove(path.c_str());
 }
 
@@ -758,6 +799,141 @@ TEST(CheckpointRunnerTest, CorruptLibraryCountsStaleAndWarmsCleanly)
     fs::remove_all(dir);
 }
 
+TEST(CheckpointRunnerTest, LibraryFromAnotherTraceIsStaleAndRebuilt)
+{
+    // A library written for trace T under workload name N, then a
+    // fresh Runner whose workload N builds another trace T'. The
+    // library passes every check but the trace hash, which a cell
+    // compares only after it has replayed: that replay must be
+    // dropped and the cell warmed, saved and replayed from T'.
+    namespace fs = std::filesystem;
+    const std::string dir = testing::TempDir() + "/saclp_swap_lib";
+    fs::remove_all(dir);
+    const auto named = [](std::int64_t n) {
+        return harness::Workload{"MV-swap",
+                                 [n] {
+                                     auto t = workloads::makeTaggedTrace(
+                                         workloads::buildMv(n));
+                                     t.setName("MV-swap");
+                                     return t;
+                                 },
+                                 nullptr};
+    };
+    const std::vector<core::Config> cfgs = {
+        core::presets().get("soft")};
+    const auto opt = runnerSamplingOptions();
+    harness::SweepRequest req;
+    req.configs = cfgs;
+    req.metric = harness::missRatioMetric();
+    req.engine = harness::EngineSelect::SampledLivepoint;
+    req.sampling = opt;
+    req.checkpointDir = dir;
+
+    req.workloads = {named(40)};
+    harness::Runner first;
+    first.run(req);
+    ASSERT_EQ(first.checkpointCounter("checkpoint.misses"), 1u);
+
+    req.workloads = {named(44)};
+    const trace::Trace other = req.workloads[0].build();
+    std::vector<sim::SampleReport> plain;
+    for (const auto &cfg : cfgs) {
+        trace::MemoryTraceSource src(other);
+        core::SoftwareAssistedCache sim(cfg);
+        plain.push_back(sim::SampledEngine(opt).run(src, sim));
+    }
+    harness::Runner swapped;
+    const auto cells = swapped.run(req);
+    EXPECT_EQ(swapped.checkpointCounter("checkpoint.stale"), 1u);
+    EXPECT_EQ(swapped.checkpointCounter("checkpoint.misses"), 1u);
+    EXPECT_EQ(swapped.checkpointCounter("checkpoint.hits"), 0u);
+    expectCellsEqual(cells, plain);
+
+    // The rewritten library is T''s and hits.
+    harness::Runner again;
+    expectCellsEqual(again.run(req), plain);
+    EXPECT_EQ(again.checkpointCounter("checkpoint.hits"), 1u);
+    EXPECT_EQ(again.checkpointCounter("checkpoint.stale"), 0u);
+    fs::remove_all(dir);
+}
+
+TEST(CheckpointRunnerTest, ConcurrentLivepointRequestsMatchSerial)
+{
+    // Two live-point requests over overlapping workloads, jobs 2
+    // each, race on one Runner: the trace hashes, the cells and the
+    // libraries are each computed once, cold and then warm, and each
+    // table equals the same request run alone.
+    namespace fs = std::filesystem;
+    std::vector<harness::Workload> ws;
+    for (const std::int64_t n : {60, 24, 36}) {
+        const std::string name = "MV-race" + std::to_string(n);
+        ws.push_back({name,
+                      [n, name] {
+                          auto t = workloads::makeTaggedTrace(
+                              workloads::buildMv(n));
+                          t.setName(name);
+                          return t;
+                      },
+                      nullptr});
+    }
+    const std::vector<core::Config> cfgs = {
+        core::presets().get("standard"), core::presets().get("soft")};
+    const auto request = [&](std::vector<harness::Workload> w,
+                             const std::string &dir) {
+        harness::SweepRequest req;
+        req.workloads = std::move(w);
+        req.configs = cfgs;
+        req.metric = harness::amatMetric();
+        req.engine = harness::EngineSelect::SampledLivepoint;
+        req.sampling = runnerSamplingOptions();
+        req.checkpointDir = dir;
+        req.jobs = 2;
+        return req;
+    };
+    const std::vector<harness::Workload> a = {ws[0], ws[1]};
+    const std::vector<harness::Workload> b = {ws[2], ws[0]};
+    const std::size_t distinct = ws.size() * cfgs.size();
+
+    const std::string serial_dir =
+        testing::TempDir() + "/saclp_race_serial";
+    fs::remove_all(serial_dir);
+    harness::Runner ref_a, ref_b;
+    const std::string want_a = ref_a.run(request(a, serial_dir))
+                                   .table.toString();
+    const std::string want_b = ref_b.run(request(b, serial_dir))
+                                   .table.toString();
+
+    const std::string dir = testing::TempDir() + "/saclp_race_lib";
+    for (int round = 0; round < 4; ++round) {
+        fs::remove_all(dir);
+        for (const bool warm : {false, true}) {
+            SCOPED_TRACE(std::string(warm ? "warm" : "cold") +
+                         " round " + std::to_string(round));
+            harness::Runner r;
+            std::string got_a, got_b;
+            std::thread ta(
+                [&] { got_a = r.run(request(a, dir)).table.toString(); });
+            std::thread tb(
+                [&] { got_b = r.run(request(b, dir)).table.toString(); });
+            ta.join();
+            tb.join();
+            EXPECT_EQ(got_a, want_a);
+            EXPECT_EQ(got_b, want_b);
+            EXPECT_EQ(r.runsExecuted(), distinct);
+            EXPECT_EQ(r.checkpointCounter(warm ? "checkpoint.hits"
+                                               : "checkpoint.misses"),
+                      distinct);
+            EXPECT_EQ(r.checkpointCounter(warm ? "checkpoint.misses"
+                                               : "checkpoint.hits"),
+                      0u);
+            EXPECT_EQ(r.checkpointCounter("checkpoint.stale"), 0u);
+            EXPECT_EQ(r.tracesGenerated(), ws.size());
+        }
+    }
+    fs::remove_all(dir);
+    fs::remove_all(serial_dir);
+}
+
 TEST(CheckpointRunnerTest, ContiguousGeometryBypassesTheLibrary)
 {
     namespace fs = std::filesystem;
@@ -782,8 +958,9 @@ TEST(CheckpointRunnerTest, ContiguousGeometryBypassesTheLibrary)
 
 TEST(CheckpointRunnerTest, JobCountsWriteTheSameLibraries)
 {
-    // Each live-point cell hashes its trace (the library key) inside
-    // its own task. Over three workloads, 4 jobs and 1 job must yield
+    // Each trace's content hash (the library key) is a task of its
+    // own that the cells overlap. Over three workloads, 4 jobs and
+    // 1 job must yield
     // the same reports and the same .saclp files, each keyed on the
     // trace's content hash; a repeat request is served from the cell
     // store and touches no library.

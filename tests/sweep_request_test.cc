@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -610,6 +612,108 @@ TEST(SweepRequestTiming, ConcurrentRequestsReportTheirOwnTiming)
     }
     EXPECT_LE(a.timing.wallSeconds, span_a);
     EXPECT_LE(b.timing.wallSeconds, span_b);
+}
+
+// ---- Claim-first execution ------------------------------------------
+
+/** A workload that streams @p t, calling @p before first. */
+Workload
+streamingWorkload(const std::string &name, const trace::Trace &t,
+                  std::function<void()> before)
+{
+    return {name, [t] { return t; },
+            [t, before](const trace::RecordSink &sink) {
+                before();
+                for (const trace::Record &rec : t)
+                    sink(rec);
+            }};
+}
+
+TEST(ClaimFirst, RequestFillsItsOwnCellsBeforeWaiting)
+{
+    // Request one holds workload H's cells inside H's stream, which
+    // lets go only once workload F's stream has run. Request two asks
+    // for H, then F, with one job: it must fill F before it waits for
+    // H, or H's stream gives up waiting and says so.
+    std::mutex m;
+    std::condition_variable cv;
+    bool holding = false, f_ran = false, released = false;
+    const trace::Trace th = workloads::makeTaggedTrace(workloads::buildMv(20));
+    const trace::Trace tf = workloads::makeTaggedTrace(workloads::buildMv(24));
+    const Workload h = streamingWorkload("MV-hold", th, [&] {
+        std::unique_lock<std::mutex> lock(m);
+        holding = true;
+        cv.notify_all();
+        released = cv.wait_for(lock, std::chrono::seconds(10),
+                               [&] { return f_ran; });
+    });
+    const Workload f = streamingWorkload("MV-free", tf, [&] {
+        const std::lock_guard<std::mutex> lock(m);
+        f_ran = true;
+        cv.notify_all();
+    });
+    const auto cfgs = mixedConfigs();
+    const auto exact = [&](std::vector<Workload> ws) {
+        SweepRequest req =
+            testref::request(std::move(ws), cfgs, harness::amatMetric(), 1);
+        req.engine = EngineSelect::Exact;
+        return req;
+    };
+
+    Runner r;
+    SweepResult one, two;
+    std::thread t1([&] { one = r.run(exact({h})); });
+    {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return holding; });
+    }
+    std::thread t2([&] { two = r.run(exact({h, f})); });
+    t1.join();
+    t2.join();
+    EXPECT_TRUE(released) << "request two waited before filling F";
+    EXPECT_EQ(r.runsExecuted(), 2 * cfgs.size());
+    for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+        EXPECT_TRUE(two.at(0, ci).stats == one.at(0, ci).stats);
+        EXPECT_TRUE(two.at(0, ci).stats ==
+                    core::simulateTrace(th, cfgs[ci]));
+        EXPECT_TRUE(two.at(1, ci).stats ==
+                    core::simulateTrace(tf, cfgs[ci]));
+    }
+}
+
+TEST(ClaimFirst, ConcurrentExactRequestsMatchSerial)
+{
+    // Two requests over the same cells in opposite workload orders
+    // race on one Runner, so each meets cells the other holds: every
+    // cell is computed once, each stack cell counts once as fresh and
+    // once as served from the store, and the tables equal serial runs.
+    std::vector<Workload> ws;
+    for (int i = 0; i < 3; ++i)
+        ws.push_back(mvWorkload("MV-claim" + std::to_string(i), 22 + 6 * i));
+    const std::vector<Workload> rev(ws.rbegin(), ws.rend());
+    const auto cfgs = mixedConfigs();
+    const auto req = [&](const std::vector<Workload> &w, unsigned jobs) {
+        return testref::request(w, cfgs, harness::missRatioMetric(), jobs);
+    };
+    Runner serial_a, serial_b;
+    const std::string want_a = serial_a.run(req(ws, 1)).table.toString();
+    const std::string want_b = serial_b.run(req(rev, 1)).table.toString();
+    const std::size_t stack_cells = ws.size() * 2; // two stack configs
+
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        Runner r;
+        std::string got_a, got_b;
+        std::thread ta([&] { got_a = r.run(req(ws, 2)).table.toString(); });
+        std::thread tb([&] { got_b = r.run(req(rev, 1)).table.toString(); });
+        ta.join();
+        tb.join();
+        EXPECT_EQ(got_a, want_a);
+        EXPECT_EQ(got_b, want_b);
+        EXPECT_EQ(r.runsExecuted(), ws.size()); // one soft cell each
+        EXPECT_EQ(r.stackCounter("stack.pass.cells"), stack_cells);
+        EXPECT_EQ(r.stackCounter("stack.pass.cached_cells"), stack_cells);
+    }
 }
 
 // ---- Latched manifest documents --------------------------------------

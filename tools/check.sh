@@ -9,9 +9,10 @@
 #                               # Service tests, the pooled stack
 #                               # family test, the shared line-group
 #                               # test, the claim-latch tests and the
-#                               # shared classify pass test and the
-#                               # concurrent manifest-latch test 50
-#                               # times over (-j4)
+#                               # shared classify pass test, the
+#                               # concurrent manifest-latch test, the
+#                               # claim-first tests and the concurrent
+#                               # live-point test 50 times over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
@@ -532,7 +533,7 @@ EOF
         echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
         ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
             --repeat until-fail:50 \
-            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree'
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree|ClaimFirst\.|CheckpointRunnerTest\.ConcurrentLivepointRequestsMatchSerial'
     fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="
