@@ -2,7 +2,6 @@
  * @file
  * Simulator throughput benchmarks (google-benchmark): trace
  * generation speed, simulation speed per configuration, the
- * feature-specialized fast path against the forced-general path, the
  * streaming engine against materialize-then-replay, warm manifest
  * emission and a warm live-point request. These are
  * engineering benchmarks of the reproduction itself, not paper
@@ -43,7 +42,6 @@
 namespace {
 
 using namespace sac;
-using core::DispatchMode;
 
 const trace::Trace &
 mvTrace()
@@ -100,24 +98,16 @@ BM_LocalityAnalysis(benchmark::State &state)
 BENCHMARK(BM_LocalityAnalysis);
 
 void
-simulateConfig(benchmark::State &state, const core::Config &cfg,
-               DispatchMode dispatch = DispatchMode::Auto)
+simulateConfig(benchmark::State &state, const core::Config &cfg)
 {
     const auto &t = mvTrace();
-    core::SoftwareAssistedCache probe(cfg, dispatch);
-    state.SetLabel(toString(probe.featureSet()));
     for (auto _ : state) {
-        const auto s = core::simulateTrace(t, cfg, dispatch);
+        const auto s = core::simulateTrace(t, cfg);
         benchmark::DoNotOptimize(s.totalAccessCycles);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * t.size()));
 }
-
-// Fast-path / general-path pairs: the same configuration replayed
-// through the auto-selected specialized access path and through
-// dispatch forced to the fully-general path (the engine of PR 3).
-// perf_compare.py asserts on the within-run ratio of each pair.
 
 void
 BM_SimulateStandard(benchmark::State &state)
@@ -127,14 +117,6 @@ BM_SimulateStandard(benchmark::State &state)
 BENCHMARK(BM_SimulateStandard);
 
 void
-BM_SimulateStandardGeneral(benchmark::State &state)
-{
-    simulateConfig(state, core::presets().get("standard"),
-                   DispatchMode::General);
-}
-BENCHMARK(BM_SimulateStandardGeneral);
-
-void
 BM_SimulateSoft(benchmark::State &state)
 {
     simulateConfig(state, core::presets().get("soft"));
@@ -142,27 +124,11 @@ BM_SimulateSoft(benchmark::State &state)
 BENCHMARK(BM_SimulateSoft);
 
 void
-BM_SimulateSoftGeneral(benchmark::State &state)
-{
-    simulateConfig(state, core::presets().get("soft"),
-                   DispatchMode::General);
-}
-BENCHMARK(BM_SimulateSoftGeneral);
-
-void
 BM_SimulateSoftPrefetch(benchmark::State &state)
 {
     simulateConfig(state, core::presets().get("soft-prefetch"));
 }
 BENCHMARK(BM_SimulateSoftPrefetch);
-
-void
-BM_SimulateSoftPrefetchGeneral(benchmark::State &state)
-{
-    simulateConfig(state, core::presets().get("soft-prefetch"),
-                   DispatchMode::General);
-}
-BENCHMARK(BM_SimulateSoftPrefetchGeneral);
 
 /**
  * Same workload as BM_SimulateSoft but with a check::Auditor
@@ -267,16 +233,13 @@ BENCHMARK(BM_ClassifyShadow);
 /**
  * Replay of @p preset on supplied shadow outcomes (classified once,
  * outside the timed loop): the replay an exact cell of a Runner
- * traversal runs, i.e. the detailed-replay rate of the preset's
- * feature set.
+ * traversal runs, i.e. the detailed-replay rate of the preset.
  */
 void
 replayPreclassified(benchmark::State &state, const char *preset)
 {
     const auto &t = mvTrace();
     const core::Config cfg = core::presets().get(preset);
-    core::SoftwareAssistedCache probe(cfg);
-    state.SetLabel(toString(probe.featureSet()));
     std::vector<sim::ShadowOutcome> outcomes(t.size());
     core::shadowClassifierOf(cfg).classify(t.data(), t.size(),
                                            outcomes.data());
@@ -322,7 +285,7 @@ BM_SimulateSoftPrefetchPreclassified(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateSoftPrefetchPreclassified);
 
-/** The general access path, through the bypass preset. */
+/** The bypass preset (non-temporal references skip the cache). */
 void
 BM_SimulateGeneralPreclassified(benchmark::State &state)
 {

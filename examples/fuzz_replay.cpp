@@ -58,8 +58,8 @@ reportFailure(const check::FuzzCase &c, const check::CaseOutcome &out,
               << c.config.cacheKey() << ")\n";
     if (out.diverged)
         std::cout << out.divergence;
-    if (out.dispatchDiverged)
-        std::cout << out.dispatchDivergence << "\n";
+    if (out.outcomesDiverged)
+        std::cout << out.outcomesDivergence << "\n";
     if (out.auditViolations > 0) {
         std::cout << out.auditViolations << " audit violation(s); first: "
                   << out.firstAuditViolation << "\n";
@@ -149,8 +149,8 @@ main(int argc, char **argv)
                   << " FAILS (" << c.trace.size() << " records)\n";
         if (out.diverged)
             std::cout << out.divergence;
-        if (out.dispatchDiverged)
-            std::cout << out.dispatchDivergence << "\n";
+        if (out.outcomesDiverged)
+            std::cout << out.outcomesDivergence << "\n";
         if (out.auditViolations > 0) {
             std::cout << out.auditViolations
                       << " audit violation(s); first: "

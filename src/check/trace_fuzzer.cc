@@ -222,27 +222,23 @@ runCase(const trace::Trace &t, const core::Config &cfg,
     if (corrupt)
         corrupt(t, out.got);
 
-    // Replay through the general (unspecialized) access path as well:
-    // the compile-time feature dispatch must be a pure code motion,
-    // so every counter — timing included — has to come out identical.
-    // The general replay classifies its misses by outcomes from a
-    // separate shadow pass (as a harness::Runner traversal supplies
-    // them), so the same check also holds supplied outcomes to the
-    // simulator's own classifier.
+    // Replay again on outcomes from a separate shadow pass, as a
+    // harness::Runner traversal supplies them, with no observer
+    // attached: every counter, timing included, must equal the run on
+    // the simulator's own classifier with the auditor riding along.
     std::vector<sim::ShadowOutcome> outcomes(t.size());
     core::shadowClassifierOf(cfg).classify(t.data(), t.size(),
                                            outcomes.data());
-    core::SoftwareAssistedCache general(cfg,
-                                        core::DispatchMode::General);
-    general.replay(t.data(), t.size(), outcomes.data());
-    general.finish();
-    if (!(general.stats() == sim.stats())) {
-        out.dispatchDiverged = true;
+    core::SoftwareAssistedCache supplied(cfg);
+    supplied.replay(t.data(), t.size(), outcomes.data());
+    supplied.finish();
+    if (!(supplied.stats() == sim.stats())) {
+        out.outcomesDiverged = true;
         const std::string counter_diff = sim::describeDivergence(
-            sim::countsOf(general.stats()), sim::countsOf(sim.stats()));
-        out.dispatchDivergence =
-            "specialized path " + std::string(toString(sim.featureSet())) +
-            " disagrees with general path" +
+            sim::countsOf(supplied.stats()), sim::countsOf(sim.stats()));
+        out.outcomesDivergence =
+            "replay on supplied shadow outcomes disagrees with the "
+            "simulator's own classifier" +
             (counter_diff.empty() ? std::string(" (timing fields only)")
                                   : ": " + counter_diff);
     }

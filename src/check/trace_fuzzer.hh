@@ -48,8 +48,8 @@ struct CaseOutcome
 {
     bool diverged = false;
     std::string divergence; //!< describeDivergence() report
-    bool dispatchDiverged = false; //!< specialized vs general path
-    std::string dispatchDivergence;
+    bool outcomesDiverged = false; //!< supplied vs owned shadow outcomes
+    std::string outcomesDivergence;
     std::uint64_t auditViolations = 0;
     std::string firstAuditViolation;
     sim::ReferenceCounts expected; //!< oracle counters
@@ -57,7 +57,7 @@ struct CaseOutcome
 
     bool ok() const
     {
-        return !diverged && !dispatchDiverged && auditViolations == 0;
+        return !diverged && !outcomesDiverged && auditViolations == 0;
     }
 };
 
@@ -71,14 +71,14 @@ using CountsCorruption =
 
 /**
  * Replay @p t under @p cfg through both models and diff the counters.
- * The simulator side runs twice — once with its auto-selected
- * feature-specialized access path and its own miss classifier, once
- * with dispatch forced to the general path on shadow outcomes
- * supplied by a separate sim::MissClassifier pass — and the two full
- * RunStats must be identical (dispatchDiverged reports any mismatch). @p cfg must satisfy
- * sim::ReferenceModel::supports(). A Record-mode Auditor rides along
- * on the specialized replay and its violations are reported in the
- * outcome.
+ * The simulator side runs twice: once with its own miss classifier
+ * and a Record-mode Auditor attached, once without observers on
+ * shadow outcomes supplied by a separate shadowClassifierOf() pass
+ * (as a harness::Runner traversal supplies them). The two full
+ * RunStats must be identical; outcomesDiverged reports any mismatch.
+ * The first replay's counters are diffed against the oracle and the
+ * auditor's violations are reported in the outcome. @p cfg must
+ * satisfy sim::ReferenceModel::supports().
  */
 CaseOutcome runCase(const trace::Trace &t, const core::Config &cfg,
                     const CountsCorruption &corrupt = {});

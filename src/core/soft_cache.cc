@@ -11,47 +11,7 @@ namespace core {
 
 using telemetry::EventKind;
 
-const char *
-toString(FeatureSet fs)
-{
-    switch (fs) {
-      case FeatureSet::Standard:
-        return "standard";
-      case FeatureSet::Victim:
-        return "victim";
-      case FeatureSet::Soft:
-        return "soft";
-      case FeatureSet::SoftPrefetch:
-        return "soft-prefetch";
-      case FeatureSet::General:
-        return "general";
-    }
-    return "?";
-}
-
-FeatureSet
-featureSetOf(const Config &cfg)
-{
-    // Bypassing interleaves with every other mechanism; leave it to
-    // the general path rather than doubling the lattice.
-    if (cfg.bypass != BypassMode::None)
-        return FeatureSet::General;
-    const bool aux = cfg.auxLines > 0;
-    const bool virt = cfg.virtualLines;
-    const bool pf = cfg.prefetch;
-    if (!aux && !virt && !pf)
-        return FeatureSet::Standard;
-    if (aux && !virt && !pf)
-        return FeatureSet::Victim;
-    if (aux && virt && !pf)
-        return FeatureSet::Soft;
-    if (aux && virt && pf)
-        return FeatureSet::SoftPrefetch;
-    return FeatureSet::General;
-}
-
-SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
-                                             DispatchMode dispatch)
+SoftwareAssistedCache::SoftwareAssistedCache(Config cfg)
     : cfg_(std::move(cfg)),
       main_((cfg_.validate(), cfg_.cacheSizeBytes), cfg_.lineBytes,
             cfg_.assoc),
@@ -68,9 +28,6 @@ SoftwareAssistedCache::SoftwareAssistedCache(Config cfg,
                          cfg_.lineBytes,
                      cfg_.lineBytes, aux_assoc);
     }
-    featureSet_ = dispatch == DispatchMode::General
-                      ? FeatureSet::General
-                      : featureSetOf(cfg_);
 }
 
 void
@@ -90,8 +47,7 @@ SoftwareAssistedCache::run(trace::TraceSource &src)
     finish();
 }
 
-template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
-          bool MayPrefetch, bool MayBypass>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::runBatchTmpl(const trace::Record *recs,
                                     std::size_t n,
@@ -103,7 +59,7 @@ SoftwareAssistedCache::runBatchTmpl(const trace::Record *recs,
             if (outcomes)
                 outcome_ = outcomes[i];
         }
-        accessTmpl<F, MayAux, MayVirtual, MayPrefetch, MayBypass>(recs[i]);
+        accessTmpl<F>(recs[i]);
         if constexpr (observes(F)) {
             if (auditor_)
                 auditor_->afterAccess(*this, recs[i]);
@@ -113,31 +69,6 @@ SoftwareAssistedCache::runBatchTmpl(const trace::Record *recs,
     }
 }
 
-template <SoftwareAssistedCache::Fidelity F>
-void
-SoftwareAssistedCache::runBatchDispatch(const trace::Record *recs,
-                                        std::size_t n,
-                                        const sim::ShadowOutcome *outcomes)
-{
-    switch (featureSet_) {
-      case FeatureSet::Standard:
-        runBatchTmpl<F, false, false, false, false>(recs, n, outcomes);
-        return;
-      case FeatureSet::Victim:
-        runBatchTmpl<F, true, false, false, false>(recs, n, outcomes);
-        return;
-      case FeatureSet::Soft:
-        runBatchTmpl<F, true, true, false, false>(recs, n, outcomes);
-        return;
-      case FeatureSet::SoftPrefetch:
-        runBatchTmpl<F, true, true, true, false>(recs, n, outcomes);
-        return;
-      case FeatureSet::General:
-        break;
-    }
-    runBatchTmpl<F, true, true, true, true>(recs, n, outcomes);
-}
-
 void
 SoftwareAssistedCache::runBatch(const trace::Record *recs,
                                 std::size_t n,
@@ -145,7 +76,7 @@ SoftwareAssistedCache::runBatch(const trace::Record *recs,
 {
     SAC_ASSERT(n == 0 || !finished_, "access() after finish()");
     if (statsMode_ == StatsMode::Warming) {
-        runBatchDispatch<Fidelity::Warming>(recs, n, nullptr);
+        runBatchTmpl<Fidelity::Warming>(recs, n, nullptr);
         return;
     }
     if (!cfg_.classifyMisses) {
@@ -182,13 +113,12 @@ SoftwareAssistedCache::runCounted(const trace::Record *recs,
                                   const sim::ShadowOutcome *outcomes)
 {
     if (observed())
-        runBatchDispatch<Fidelity::Observed>(recs, n, outcomes);
+        runBatchTmpl<Fidelity::Observed>(recs, n, outcomes);
     else
-        runBatchDispatch<Fidelity::Detailed>(recs, n, outcomes);
+        runBatchTmpl<Fidelity::Detailed>(recs, n, outcomes);
 }
 
-template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
-          bool MayPrefetch, bool MayBypass>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
 {
@@ -219,15 +149,13 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     // Land a pending prefetch that has arrived; if this very access
     // wants the in-flight line, stall until it lands. pending_.valid
     // is only ever set by issuePrefetch, which requires cfg_.prefetch.
-    if constexpr (MayPrefetch) {
-        if (pending_.valid) {
-            if (pending_.readyAt <= start) {
-                installPendingPrefetch<F>();
-            } else if (aux_ && pending_.line <= line &&
-                       line < pending_.line + pending_.count) {
-                start = pending_.readyAt;
-                installPendingPrefetch<F>();
-            }
+    if (pending_.valid) {
+        if (pending_.readyAt <= start) {
+            installPendingPrefetch<F>();
+        } else if (aux_ && pending_.line <= line &&
+                   line < pending_.line + pending_.count) {
+            start = pending_.readyAt;
+            installPendingPrefetch<F>();
         }
     }
 
@@ -238,28 +166,23 @@ SoftwareAssistedCache::accessTmpl(const trace::Record &rec)
     }
 
     // 2. Bypassing of non-temporal references (Fig 3a baselines).
-    if constexpr (MayBypass) {
-        if (cfg_.bypass != BypassMode::None && !rec.temporal) {
-            handleBypass<F>(rec, line, start);
+    if (cfg_.bypass != BypassMode::None && !rec.temporal) {
+        handleBypass<F>(rec, line, start);
+        return;
+    }
+
+    // 3. Aux (bounce-back / victim / prefetch buffer) lookup.
+    if (aux_) {
+        const std::uint32_t aux_set = aux_->setIndexOf(line);
+        if (const auto way = aux_->findWay(line, aux_set)) {
+            handleAuxHit<F>(rec, line, set, aux_set,
+                            aux_->line(aux_set, *way), start);
             return;
         }
     }
 
-    // 3. Aux (bounce-back / victim / prefetch buffer) lookup.
-    if constexpr (MayAux) {
-        if (aux_) {
-            const std::uint32_t aux_set = aux_->setIndexOf(line);
-            if (const auto way = aux_->findWay(line, aux_set)) {
-                handleAuxHit<F, MayPrefetch>(rec, line, set, aux_set,
-                                             aux_->line(aux_set, *way),
-                                             start);
-                return;
-            }
-        }
-    }
-
     // 4. Demand miss.
-    handleMiss<F, MayAux, MayVirtual, MayPrefetch>(rec, line, set, start);
+    handleMiss<F>(rec, line, set, start);
 }
 
 template <SoftwareAssistedCache::Fidelity F>
@@ -281,7 +204,7 @@ SoftwareAssistedCache::handleMainHit(const trace::Record &rec,
     complete<F>(completion, completion);
 }
 
-template <SoftwareAssistedCache::Fidelity F, bool MayPrefetch>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::handleAuxHit(const trace::Record &rec, Addr line,
                                     std::uint32_t set,
@@ -291,8 +214,8 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec, Addr line,
 {
     SAC_ASSERT(aux_, "aux hit without an aux cache");
     // The prefetched bit is only ever set while installing a prefetch,
-    // which requires cfg_.prefetch: compile the check out otherwise.
-    const bool was_prefetched = MayPrefetch && a.prefetched();
+    // which requires cfg_.prefetch.
+    const bool was_prefetched = a.prefetched();
 
     if constexpr (counts(F)) {
         ++stats_.auxHits;
@@ -335,13 +258,11 @@ SoftwareAssistedCache::handleAuxHit(const trace::Record &rec, Addr line,
 
     const Cycle completion = start + cfg_.timing.auxHitTime;
     Cycle lock = completion + cfg_.timing.swapLockCycles;
-    if constexpr (MayPrefetch) {
-        if (was_prefetched) {
-            // After the swap the main cache stays stalled one extra
-            // cycle to check for the next prefetched line's presence.
-            lock += cfg_.timing.prefetchHitExtraStall;
-            issuePrefetch<F>(line + 1);
-        }
+    if (was_prefetched) {
+        // After the swap the main cache stays stalled one extra
+        // cycle to check for the next prefetched line's presence.
+        lock += cfg_.timing.prefetchHitExtraStall;
+        issuePrefetch<F>(line + 1);
     }
     complete<F>(completion, lock);
 }
@@ -401,8 +322,7 @@ SoftwareAssistedCache::handleBypass(const trace::Record &rec, Addr line,
     complete<F>(data_done, data_done);
 }
 
-template <SoftwareAssistedCache::Fidelity F, bool MayAux, bool MayVirtual,
-          bool MayPrefetch>
+template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::handleMiss(const trace::Record &rec, Addr line,
                                   std::uint32_t set, Cycle start)
@@ -423,7 +343,7 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Addr line,
     // so the hot path allocates only on the first miss.
     std::vector<Addr> &fetch_lines = fetchScratch_;
     fetch_lines.clear();
-    if (MayVirtual && cfg_.virtualLines && rec.spatial) {
+    if (cfg_.virtualLines && rec.spatial) {
         std::uint32_t n = cfg_.linesPerVirtualLine();
         if (cfg_.variableVirtualLines) {
             // Section 3.2 extension: the virtual line spans
@@ -476,22 +396,21 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Addr line,
     for (const Addr l : fetch_lines) {
         // Intra-fill checks only apply when the miss fetches more
         // than one line, which requires a virtual-line fill.
-        if constexpr (MayVirtual) {
-            // Bounce-back cache coherence (Section 2.2): if another
-            // line of the virtual block already sits in the aux
-            // cache, the fetch cannot be aborted; its main-cache
-            // slot is simply not filled (tagged invalid).
-            if (MayAux && l != line && aux_ && aux_->contains(l)) {
-                if constexpr (counts(F))
-                    ++stats_.coherenceInvalidations;
-                continue;
-            }
-            // A bounce-back triggered by an earlier fill of this
-            // very miss can have re-installed a pending line
-            // already; filling it again would duplicate it.
-            if (l != line && main_.contains(l))
-                continue;
+        //
+        // Bounce-back cache coherence (Section 2.2): if another line
+        // of the virtual block already sits in the aux cache, the
+        // fetch cannot be aborted; its main-cache slot is simply not
+        // filled (tagged invalid).
+        if (l != line && aux_ && aux_->contains(l)) {
+            if constexpr (counts(F))
+                ++stats_.coherenceInvalidations;
+            continue;
         }
+        // A bounce-back triggered by an earlier fill of this very miss
+        // can have re-installed a pending line already; filling it
+        // again would duplicate it.
+        if (l != line && main_.contains(l))
+            continue;
         traceEvent<F>(EventKind::Fill, start, l * cfg_.lineBytes,
                       l == line);
         cache::CacheArray::LineRef m = insertIntoMain<F>(
@@ -514,14 +433,11 @@ SoftwareAssistedCache::handleMiss(const trace::Record &rec, Addr line,
 
     // Software-assisted progressive prefetching (Section 4.4): fetch
     // the physical line following the (virtual) block as well.
-    if constexpr (MayPrefetch) {
-        if (cfg_.prefetch &&
-            (!cfg_.prefetchSpatialOnly || rec.spatial)) {
-            Addr last = line;
-            for (const Addr l : fetch_lines)
-                last = std::max(last, l);
-            issuePrefetch<F>(last + 1);
-        }
+    if (cfg_.prefetch && (!cfg_.prefetchSpatialOnly || rec.spatial)) {
+        Addr last = line;
+        for (const Addr l : fetch_lines)
+            last = std::max(last, l);
+        issuePrefetch<F>(last + 1);
     }
 }
 
@@ -959,19 +875,17 @@ shadowClassifierOf(const Config &cfg)
 }
 
 sim::RunStats
-simulateTrace(const trace::Trace &t, const Config &cfg,
-              DispatchMode dispatch)
+simulateTrace(const trace::Trace &t, const Config &cfg)
 {
-    SoftwareAssistedCache sim(cfg, dispatch);
+    SoftwareAssistedCache sim(cfg);
     sim.run(t);
     return sim.stats();
 }
 
 sim::RunStats
-simulateSource(trace::TraceSource &src, const Config &cfg,
-               DispatchMode dispatch)
+simulateSource(trace::TraceSource &src, const Config &cfg)
 {
-    SoftwareAssistedCache sim(cfg, dispatch);
+    SoftwareAssistedCache sim(cfg);
     sim.run(src);
     return sim.stats();
 }

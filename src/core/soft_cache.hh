@@ -50,38 +50,6 @@ namespace core {
 class SoftwareAssistedCache;
 
 /**
- * The common configuration lattice points served by a compile-time
- * specialized access path. Each named set compiles out the runtime
- * checks for the features it excludes; General keeps every check and
- * is bit-identical to the pre-specialization simulator.
- */
-enum class FeatureSet
-{
-    Standard,     //!< plain cache: no aux, no virtual lines, no prefetch
-    Victim,       //!< aux buffer only (victim / bounce-back)
-    Soft,         //!< aux + virtual lines (the paper's soft cache)
-    SoftPrefetch, //!< aux + virtual lines + progressive prefetch
-    General,      //!< fully general fallback (bypass, exotic combos)
-};
-
-/** Human-readable name of a feature set. */
-const char *toString(FeatureSet fs);
-
-/**
- * Classify @p cfg into the most specialized FeatureSet whose compiled
- * path handles it exactly. Anything with bypassing or an unusual
- * feature combination falls back to General.
- */
-FeatureSet featureSetOf(const Config &cfg);
-
-/** How the simulator picks its access path. */
-enum class DispatchMode
-{
-    Auto,    //!< featureSetOf(config): specialized when possible
-    General, //!< force the general path (differential testing)
-};
-
-/**
  * Fidelity of statistics collection. Warming is the functional-
  * warming mode of the sampled engine (sim::SampledEngine): every
  * architectural state transition — cache arrays, LRU stamps, temporal
@@ -118,16 +86,8 @@ class AccessAuditor
 class SoftwareAssistedCache
 {
   public:
-    /**
-     * Build the simulator for configuration @p cfg (validated).
-     * @param dispatch Auto selects the specialized access path
-     *        matching the config; General forces the fully general
-     *        path (used by the differential fuzzer to prove the two
-     *        never diverge)
-     */
-    explicit SoftwareAssistedCache(Config cfg,
-                                   DispatchMode dispatch =
-                                       DispatchMode::Auto);
+    /** Build the simulator for configuration @p cfg (validated). */
+    explicit SoftwareAssistedCache(Config cfg);
 
     /** Simulate one reference. References must arrive in issue order. */
     void access(const trace::Record &rec) { runBatch(&rec, 1, nullptr); }
@@ -183,9 +143,6 @@ class SoftwareAssistedCache
         setStatsMode(StatsMode::Warming);
         runBatch(recs, n, nullptr);
     }
-
-    /** The access path selected at construction. */
-    FeatureSet featureSet() const { return featureSet_; }
 
     /**
      * Final bookkeeping: drain the write buffer and seal the
@@ -358,32 +315,22 @@ class SoftwareAssistedCache
     }
 
     /**
-     * The per-reference simulation, templated over which features MAY
-     * be enabled. A true parameter keeps the runtime config check (so
-     * the all-true instantiation is the general path, behaviorally
-     * identical to the untemplated original); a false parameter
-     * compiles the check out, which is only selected when the config
-     * provably never takes that branch. @p F selects the fidelity.
+     * The per-reference simulation at fidelity @p F. Every feature
+     * (aux buffer, virtual lines, prefetch, bypass) is a runtime test
+     * of the configuration, so one instantiation per fidelity serves
+     * every configuration.
      */
-    template <Fidelity F, bool MayAux, bool MayVirtual, bool MayPrefetch,
-              bool MayBypass>
+    template <Fidelity F>
     void accessTmpl(const trace::Record &rec);
 
     /**
-     * Replay @p n records through one accessTmpl instantiation, then
-     * (Observed only) run the auditor and interval hooks per record.
-     * A counting fidelity classifies misses by @p outcomes when
-     * non-null.
+     * Replay @p n records through accessTmpl<F>, then (Observed only)
+     * run the auditor and interval hooks per record. A counting
+     * fidelity classifies misses by @p outcomes when non-null.
      */
-    template <Fidelity F, bool MayAux, bool MayVirtual, bool MayPrefetch,
-              bool MayBypass>
+    template <Fidelity F>
     void runBatchTmpl(const trace::Record *recs, std::size_t n,
                       const sim::ShadowOutcome *outcomes);
-
-    /** Dispatch once on the feature set at fidelity @p F. */
-    template <Fidelity F>
-    void runBatchDispatch(const trace::Record *recs, std::size_t n,
-                          const sim::ShadowOutcome *outcomes);
 
     /**
      * Replay @p n records at the fidelity the current state calls for:
@@ -426,7 +373,7 @@ class SoftwareAssistedCache
                        cache::CacheArray::LineRef l, Cycle start);
 
     /** Serve a hit in slot @p a of aux set @p aux_set. */
-    template <Fidelity F, bool MayPrefetch>
+    template <Fidelity F>
     void handleAuxHit(const trace::Record &rec, Addr line,
                       std::uint32_t set, std::uint32_t aux_set,
                       cache::CacheArray::LineRef a, Cycle start);
@@ -436,7 +383,7 @@ class SoftwareAssistedCache
     void handleBypass(const trace::Record &rec, Addr line, Cycle start);
 
     /** Serve a demand miss (possibly a virtual-line fill). */
-    template <Fidelity F, bool MayAux, bool MayVirtual, bool MayPrefetch>
+    template <Fidelity F>
     void handleMiss(const trace::Record &rec, Addr line, std::uint32_t set,
                     Cycle start);
 
@@ -561,8 +508,6 @@ class SoftwareAssistedCache
     std::vector<Addr> fetchScratch_;
     std::vector<FillTarget> fillScratch_;
 
-    /** Access path chosen at construction (fixed for the run). */
-    FeatureSet featureSet_ = FeatureSet::General;
     /** Statistics fidelity (switchable mid-run by the sampler). */
     StatsMode statsMode_ = StatsMode::Detailed;
 
@@ -587,12 +532,10 @@ class SoftwareAssistedCache
 sim::MissClassifier shadowClassifierOf(const Config &cfg);
 
 /** Simulate @p t under @p cfg and return the statistics. */
-sim::RunStats simulateTrace(const trace::Trace &t, const Config &cfg,
-                            DispatchMode dispatch = DispatchMode::Auto);
+sim::RunStats simulateTrace(const trace::Trace &t, const Config &cfg);
 
 /** Simulate a streamed trace under @p cfg and return the statistics. */
-sim::RunStats simulateSource(trace::TraceSource &src, const Config &cfg,
-                             DispatchMode dispatch = DispatchMode::Auto);
+sim::RunStats simulateSource(trace::TraceSource &src, const Config &cfg);
 
 } // namespace core
 } // namespace sac

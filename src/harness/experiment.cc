@@ -154,11 +154,11 @@ Runner::warmup(const std::vector<Workload> &workloads)
 bool
 stackFamilyEligible(const core::Config &cfg)
 {
-    // Only the Standard feature path is a plain LRU cache the stack
-    // model reproduces. featureSetOf() does not look at
-    // preferNonTemporalReplacement (it changes the victim choice, not
-    // the feature lattice), so it is excluded here explicitly.
-    return core::featureSetOf(cfg) == core::FeatureSet::Standard &&
+    // The stack model reproduces only a plain LRU cache: no aux
+    // buffer, virtual lines, prefetch or bypass, and no replacement
+    // priority for non-temporal lines (it changes the victim choice).
+    return cfg.auxLines == 0 && !cfg.virtualLines && !cfg.prefetch &&
+           cfg.bypass == core::BypassMode::None &&
            !cfg.preferNonTemporalReplacement &&
            stackPointOf(cfg).wellFormed();
 }
@@ -187,7 +187,7 @@ stackStatsFor(const sim::StackDistanceEngine &eng,
     s.reads = eng.reads();
     s.writes = eng.writes();
     s.misses = eng.missCount(stackPointOf(cfg));
-    // Standard path: every non-miss hits the main array, and every
+    // A plain cache: every non-miss hits the main array, and every
     // miss fetches exactly one physical line (write-allocate).
     s.mainHits = s.accesses - s.misses;
     s.linesFetched = s.misses;

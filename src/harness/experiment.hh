@@ -397,8 +397,8 @@ std::vector<Workload> paperWorkloads(std::uint64_t seed = 0x7ac3ull);
 /**
  * Is @p cfg a member of the stack family — a configuration whose
  * miss counts a single-pass stack traversal reproduces exactly? True
- * for plain LRU set-associative caches on the Standard feature path
- * (no aux cache, no virtual lines, no prefetch, no bypass) without
+ * for plain LRU set-associative caches (no aux cache, no virtual
+ * lines, no prefetch, no bypass) without
  * the non-temporal replacement preference (which alters the victim
  * choice), in a power-of-two bit-selection geometry.
  */

@@ -88,9 +88,10 @@ struct RunStats
 
     /**
      * Exact component-wise equality, timing fields included. The
-     * streaming engine and the specialized dispatch paths must be
-     * bit-identical to the materialized general path, not merely
-     * close, so tests compare whole RunStats objects.
+     * streaming engine and replay on supplied shadow outcomes must be
+     * bit-identical to materialized replay on the simulator's own
+     * classifier, not merely close, so tests compare whole RunStats
+     * objects.
      */
     bool operator==(const RunStats &) const = default;
 

@@ -4,8 +4,8 @@
  * (timing seed 1) through core::simulateTrace, and an FNV-1a digest
  * of every counter, the bit pattern of totalAccessCycles and the
  * completion cycle must equal its pinned value. The other simulator
- * tests compare the simulator with itself (specialized vs general
- * dispatch, Runner vs simulateTrace) or cover a subset of presets
+ * tests compare the simulator with itself (supplied vs owned shadow
+ * outcomes, Runner vs simulateTrace) or cover a subset of presets
  * (sim::ReferenceModel); this one pins the exact replay of every
  * preset to the values it had before the access path was last
  * restructured, so a change that moves any counter or any cycle of

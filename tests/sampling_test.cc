@@ -523,13 +523,13 @@ expectWarmingMatchesDetailed(const core::Config &cfg,
 
 TEST(WarmingStateTest, MatchesDetailedBitForBitOnPresets)
 {
+    // Every preset, so set-associative, bypassing and prefetching
+    // configurations (which the direct-mapped fuzz corpus below never
+    // draws) warm against detailed replay too.
     const auto t = workloads::makeBenchmarkTrace("MV");
-    for (const auto &key :
-         {"standard", "soft-temporal", "soft-spatial", "soft",
-          "soft-prefetch"}) {
-        SCOPED_TRACE(key);
-        expectWarmingMatchesDetailed(core::presets().get(key), t,
-                                     4096);
+    for (const auto &p : core::presets().all()) {
+        SCOPED_TRACE(p.key);
+        expectWarmingMatchesDetailed(p.config, t, 4096);
     }
 }
 

@@ -36,6 +36,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -408,7 +409,7 @@ expectStackMatchesReplay(const sim::StackDistanceEngine &eng,
 TEST(StackDifferential, StandardFamilyPresetsAcrossTheLattice)
 {
     const auto &t = mvTrace();
-    // Every preset on the Standard feature path, plus the standard
+    // Every stack-eligible (plain LRU) preset, plus the standard
     // baseline at the other physical line sizes of Fig 8b.
     const std::vector<core::Config> bases = {
         core::presets().get("standard"),
@@ -466,9 +467,10 @@ TEST(StackDifferential, FuzzCorpusStandardSubset)
 {
     // The standard-config subset of the fixed-seed 5000-case fuzz
     // corpus (the budget tools/check.sh address replays): for every
-    // case whose configuration lands on the Standard feature path,
-    // the stack pass must agree with exact replay across a small
-    // sets x assoc x line-size lattice around the fuzzed geometry.
+    // case whose configuration is a plain cache (no aux, virtual
+    // lines, prefetch or bypass), the stack pass must agree with
+    // exact replay across a small sets x assoc x line-size lattice
+    // around the fuzzed geometry.
     // The fuzzed aux/temporal/write-buffer/classifier knobs vary
     // freely, proving the pass folds exactly the fields that cannot
     // matter.
@@ -707,18 +709,24 @@ TEST(StackFamily, EligibilityFollowsTheStandardFeaturePath)
         core::presets().get("soft-prefetch")));
     EXPECT_FALSE(
         harness::stackFamilyEligible(core::presets().get("bypass")));
-    // Standard feature path, but a different replacement policy: the
-    // non-temporal preference must disqualify.
+    // No aux, virtual lines, prefetch or bypass, but a different
+    // replacement policy: the non-temporal preference must disqualify.
     EXPECT_FALSE(harness::stackFamilyEligible(
         core::presets().get("simplified-soft-2way")));
-    // Every eligible preset is on the Standard path (sanity sweep).
+    // Every eligible preset is a plain LRU cache, and the eligible
+    // presets are exactly standard and 2way (sanity sweep).
+    std::vector<std::string> eligible;
     for (const auto &p : core::presets().all()) {
-        if (harness::stackFamilyEligible(p.config)) {
-            EXPECT_EQ(core::featureSetOf(p.config),
-                      core::FeatureSet::Standard)
-                << p.key;
-        }
+        if (!harness::stackFamilyEligible(p.config))
+            continue;
+        eligible.push_back(p.key);
+        EXPECT_EQ(p.config.auxLines, 0u) << p.key;
+        EXPECT_FALSE(p.config.virtualLines) << p.key;
+        EXPECT_FALSE(p.config.prefetch) << p.key;
+        EXPECT_EQ(p.config.bypass, core::BypassMode::None) << p.key;
+        EXPECT_FALSE(p.config.preferNonTemporalReplacement) << p.key;
     }
+    EXPECT_EQ(eligible, (std::vector<std::string>{"standard", "2way"}));
 }
 
 TEST(StackFamily, OnlyCountMetricsAreStackDerivable)

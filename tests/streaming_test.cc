@@ -4,11 +4,11 @@
  * redesign: chunked trace sources must replay bit-identically to
  * materialized traces (for any chunk size), Runner::run's chunked
  * traversal of a streamed workload must match resident and direct
- * replay and share one traversal between concurrent requests, the
- * feature-specialized
- * dispatch paths must match the general path exactly, and the
- * Builder / preset registry must agree with the legacy factories and
- * reject the configurations validate() is documented to reject.
+ * replay and share one traversal between concurrent requests, replay
+ * on supplied shadow outcomes must match the simulator's own
+ * classifier on the fuzz corpus, and the Builder / preset registry
+ * must agree with the legacy factories and reject the configurations
+ * validate() is documented to reject.
  */
 
 #include <gtest/gtest.h>
@@ -35,8 +35,6 @@ namespace {
 
 using namespace sac;
 using core::Config;
-using core::DispatchMode;
-using core::FeatureSet;
 
 /**
  * Wraps another source and clamps every next() call to a fixed chunk
@@ -328,59 +326,13 @@ TEST(Streaming, FailedTraversalReleasesItsClaims)
                 core::simulateTrace(t, core::presets().get("soft")));
 }
 
-// --- Feature-specialized dispatch matches the general path ---------
+// --- Supplied shadow outcomes match the owned classifier -----------
 
-TEST(Dispatch, FeatureSetOfMapsPresetsToLatticePoints)
-{
-    EXPECT_EQ(core::featureSetOf(core::presets().get("standard")),
-              FeatureSet::Standard);
-    EXPECT_EQ(core::featureSetOf(core::presets().get("victim")),
-              FeatureSet::Victim);
-    EXPECT_EQ(core::featureSetOf(core::presets().get("soft")),
-              FeatureSet::Soft);
-    EXPECT_EQ(core::featureSetOf(core::presets().get("soft-prefetch")),
-              FeatureSet::SoftPrefetch);
-    // Bypassing is not a specialized lattice point.
-    EXPECT_EQ(core::featureSetOf(core::presets().get("bypass")),
-              FeatureSet::General);
-    // Prefetching without virtual lines is off the lattice too.
-    EXPECT_EQ(
-        core::featureSetOf(core::presets().get("standard-prefetch")),
-        FeatureSet::General);
-}
-
-TEST(Dispatch, SimulatorReportsSelectedFeatureSet)
-{
-    core::SoftwareAssistedCache auto_sim(core::presets().get("soft"));
-    EXPECT_EQ(auto_sim.featureSet(), FeatureSet::Soft);
-    core::SoftwareAssistedCache forced(core::presets().get("soft"),
-                                       DispatchMode::General);
-    EXPECT_EQ(forced.featureSet(), FeatureSet::General);
-    EXPECT_STRNE(toString(FeatureSet::Soft),
-                 toString(FeatureSet::General));
-}
-
-TEST(Dispatch, SpecializedPathsMatchGeneralPathOnAllPresets)
-{
-    // The fuzz sweep covers the oracle's scope; this covers the rest
-    // of the lattice (prefetching, bypassing, set-associativity) on
-    // an adversarial trace: forced-general replay must be identical,
-    // timing included.
-    const auto c = fuzzCases(4).back();
-    for (const auto &p : core::presets().all()) {
-        const sim::RunStats fast =
-            core::simulateTrace(c.trace, p.config);
-        const sim::RunStats general = core::simulateTrace(
-            c.trace, p.config, DispatchMode::General);
-        EXPECT_TRUE(fast == general) << "preset " << p.key;
-    }
-}
-
-TEST(Dispatch, FuzzCasesPassThroughBothPaths)
+TEST(Classify, FuzzCasesMatchOnSuppliedOutcomes)
 {
     for (const auto &c : fuzzCases(16)) {
         const auto out = check::runCase(c);
-        EXPECT_FALSE(out.dispatchDiverged) << out.dispatchDivergence;
+        EXPECT_FALSE(out.outcomesDiverged) << out.outcomesDivergence;
         EXPECT_TRUE(out.ok()) << "case seed 0x" << std::hex << c.seed;
     }
 }
