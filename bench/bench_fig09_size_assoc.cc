@@ -71,7 +71,9 @@ main(int argc, char **argv)
             core::Config cfg = core::scaledConfig(
                 core::presets().get("standard"), kb * 1024, 32);
             cfg.assoc = ways;
-            cfg.name += "/" + std::to_string(ways) + "w";
+            cfg.name += '/';
+            cfg.name += std::to_string(ways);
+            cfg.name += 'w';
             cfg.validate();
             lattice.push_back(std::move(cfg));
         }

@@ -180,7 +180,7 @@ BENCHMARK(BM_SimulateSoftInterval);
 
 /**
  * Functional-warming pair: the same trace and configuration as
- * BM_SimulateSoft, replayed in StatsMode::Warming, where the stats
+ * BM_SimulateSoft, replayed through runWarming(), where the stats
  * counters, miss classifier and observer hooks are compiled out and
  * only architectural state advances. perf_compare.py asserts the
  * warming path runs at least 2x the detailed path.
@@ -358,22 +358,6 @@ BM_GenerateThenSimulateStreamed(benchmark::State &state)
     runFresh(state, request);
 }
 BENCHMARK(BM_GenerateThenSimulateStreamed)->UseRealTime();
-
-/** In-memory chunked replay: the streaming loop's pure overhead. */
-void
-BM_ReplayStreamedMemory(benchmark::State &state)
-{
-    const core::Config cfg = core::presets().get("soft");
-    const auto &t = mvTrace();
-    for (auto _ : state) {
-        trace::MemoryTraceSource src(t);
-        const auto s = core::simulateSource(src, cfg);
-        benchmark::DoNotOptimize(s.totalAccessCycles);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * t.size()));
-}
-BENCHMARK(BM_ReplayStreamedMemory);
 
 /**
  * Full-matrix sweep through harness::Runner::run at a given worker

@@ -37,16 +37,6 @@ SoftwareAssistedCache::run(const trace::Trace &t)
     finish();
 }
 
-void
-SoftwareAssistedCache::run(trace::TraceSource &src)
-{
-    std::vector<trace::Record> batch(trace::TraceSource::defaultChunkRecords);
-    std::size_t n;
-    while ((n = src.next(batch.data(), batch.size())) > 0)
-        runBatch(batch.data(), n, nullptr);
-    finish();
-}
-
 template <SoftwareAssistedCache::Fidelity F>
 void
 SoftwareAssistedCache::runBatchTmpl(const trace::Record *recs,
@@ -75,7 +65,7 @@ SoftwareAssistedCache::runBatch(const trace::Record *recs,
                                 const sim::ShadowOutcome *outcomes)
 {
     SAC_ASSERT(n == 0 || !finished_, "access() after finish()");
-    if (statsMode_ == StatsMode::Warming) {
+    if (warming_) {
         runBatchTmpl<Fidelity::Warming>(recs, n, nullptr);
         return;
     }
@@ -781,7 +771,7 @@ SoftwareAssistedCache::finish()
     drainWriteBuffer<Fidelity::Detailed>();
     stats_.writeBufferFullStalls = writeBuffer_.fullStalls();
     finished_ = true;
-    if (interval_ && statsMode_ == StatsMode::Detailed)
+    if (interval_ && !warming_)
         interval_->finish(stats_, writeBuffer_.occupancy());
 }
 
@@ -879,14 +869,6 @@ simulateTrace(const trace::Trace &t, const Config &cfg)
 {
     SoftwareAssistedCache sim(cfg);
     sim.run(t);
-    return sim.stats();
-}
-
-sim::RunStats
-simulateSource(trace::TraceSource &src, const Config &cfg)
-{
-    SoftwareAssistedCache sim(cfg);
-    sim.run(src);
     return sim.stats();
 }
 

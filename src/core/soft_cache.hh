@@ -37,10 +37,6 @@
 #include "src/trace/trace.hh"
 
 namespace sac {
-namespace trace {
-class TraceSource;
-} // namespace trace
-
 namespace telemetry {
 class SetProfiler;
 } // namespace telemetry
@@ -48,22 +44,6 @@ class SetProfiler;
 namespace core {
 
 class SoftwareAssistedCache;
-
-/**
- * Fidelity of statistics collection. Warming is the functional-
- * warming mode of the sampled engine (sim::SampledEngine): every
- * architectural state transition — cache arrays, LRU stamps, temporal
- * and prefetched bits, bounce-backs, write buffer, clocks — is
- * bit-identical to Detailed (proven by the warming-state differential
- * tests), but RunStats counters, the three-C miss classifier and
- * every observer hook compile out of the access path, making warming
- * replay about twice as fast as full detail.
- */
-enum class StatsMode
-{
-    Detailed, //!< full statistics (the default)
-    Warming,  //!< state only: counters/classifier/hooks compiled out
-};
 
 /**
  * Post-access audit hook. The simulator calls an attached auditor
@@ -95,11 +75,8 @@ class SoftwareAssistedCache
     /** Simulate a whole trace (appends to the current state). */
     void run(const trace::Trace &t);
 
-    /** Streamed replay: drain @p src in chunks, then finish(). */
-    void run(trace::TraceSource &src);
-
     /**
-     * Replay @p n records in the current stats mode without sealing
+     * Replay @p n records at the current fidelity without sealing
      * the run (no finish()); the building block of windowed replay.
      *
      * Three-C classification reads each record's shadow outcome:
@@ -110,7 +87,7 @@ class SoftwareAssistedCache
      * before the same access loop. access(), run() and runDetailed()
      * always use the simulator's own. One run takes its outcomes
      * from one source: mixing the two panics. Outcomes are ignored
-     * when classifyMisses is off or in Warming mode.
+     * when classifyMisses is off or after runWarming().
      */
     void replay(const trace::Record *recs, std::size_t n,
                 const sim::ShadowOutcome *outcomes = nullptr)
@@ -118,29 +95,30 @@ class SoftwareAssistedCache
         runBatch(recs, n, outcomes);
     }
 
-    /**
-     * Switch statistics fidelity mid-run. Architectural state carries
-     * over untouched; in Warming mode the stats counters simply stop
-     * advancing.
-     */
-    void setStatsMode(StatsMode m) { statsMode_ = m; }
-
-    /** The active statistics fidelity. */
-    StatsMode statsMode() const { return statsMode_; }
-
     // --- sim::SampledEngine's Sim concept ------------------------
+    //
+    // The two calls below are the only fidelity switches; replay()
+    // and access() keep the fidelity the last of them set.
 
     /** Replay @p n records with full statistics (a detailed window). */
     void runDetailed(const trace::Record *recs, std::size_t n)
     {
-        setStatsMode(StatsMode::Detailed);
+        warming_ = false;
         runBatch(recs, n, nullptr);
     }
 
-    /** Replay @p n records updating state only (functional warming). */
+    /**
+     * Replay @p n records updating state only (functional warming):
+     * every architectural state transition — cache arrays, LRU
+     * stamps, temporal and prefetched bits, bounce-backs, write
+     * buffer, clocks — is bit-identical to runDetailed() (proven by
+     * the warming-state differential tests), but RunStats counters,
+     * the three-C miss classifier and every observer hook compile out
+     * of the access path.
+     */
     void runWarming(const trace::Record *recs, std::size_t n)
     {
-        setStatsMode(StatsMode::Warming);
+        warming_ = true;
         runBatch(recs, n, nullptr);
     }
 
@@ -334,7 +312,7 @@ class SoftwareAssistedCache
 
     /**
      * Replay @p n records at the fidelity the current state calls for:
-     * Warming when statsMode_ is Warming, else Observed when any
+     * Warming when warming_ is set, else Observed when any
      * observer is attached, else Detailed; a counting replay takes its
      * shadow outcomes from @p outcomes or, when null, from the
      * simulator's own classifier (see replay()).
@@ -508,8 +486,8 @@ class SoftwareAssistedCache
     std::vector<Addr> fetchScratch_;
     std::vector<FillTarget> fillScratch_;
 
-    /** Statistics fidelity (switchable mid-run by the sampler). */
-    StatsMode statsMode_ = StatsMode::Detailed;
+    /** Warming fidelity, set by runWarming() and runDetailed(). */
+    bool warming_ = false;
 
     /** Event sink; null = tracing off (the common, fast case). */
     telemetry::EventTracer *tracer_ = nullptr;
@@ -533,9 +511,6 @@ sim::MissClassifier shadowClassifierOf(const Config &cfg);
 
 /** Simulate @p t under @p cfg and return the statistics. */
 sim::RunStats simulateTrace(const trace::Trace &t, const Config &cfg);
-
-/** Simulate a streamed trace under @p cfg and return the statistics. */
-sim::RunStats simulateSource(trace::TraceSource &src, const Config &cfg);
 
 } // namespace core
 } // namespace sac

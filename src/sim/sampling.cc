@@ -146,6 +146,32 @@ SamplingOptions::validate() const
         util::fatal("invalid sampling options: ", *err);
 }
 
+bool
+SampledEngine::sampleWindow(SampleReport &rep, const RunStats &cur,
+                            RunStats &prev) const
+{
+    const double acc = static_cast<double>(cur.accesses - prev.accesses);
+    const double misses = static_cast<double>(cur.misses - prev.misses);
+    const double cycles = cur.totalAccessCycles - prev.totalAccessCycles;
+    const double words =
+        static_cast<double>(cur.bytesFetched - prev.bytesFetched) /
+        wordBytes;
+    rep.missRatio.add(misses / acc);
+    rep.amat.add(cycles / acc);
+    rep.wordsPerAccess.add(words / acc);
+    ++rep.windows;
+    prev = cur;
+
+    const bool capped =
+        opt_.maxWindows > 0 && rep.windows >= opt_.maxWindows;
+    const bool converged =
+        opt_.targetRelativeError > 0.0 &&
+        rep.windows >= opt_.minWindows &&
+        rep.missRatio.relativeError(opt_.confidence) <=
+            opt_.targetRelativeError;
+    return capped || converged;
+}
+
 std::uint64_t
 SampledEngine::drainSkip(trace::TraceSource &src)
 {

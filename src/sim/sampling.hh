@@ -19,8 +19,12 @@
  *  - SampleReport: the per-metric SampleStats, the record accounting
  *    and the exact-fallback flag of one sampled run;
  *  - SampledEngine: drives any trace::TraceSource through a simulator
- *    that models the DetailSim concept (core::SoftwareAssistedCache
- *    with its warming-specialized access path).
+ *    that models the Sim concept below (core::SoftwareAssistedCache
+ *    with its warming-specialized access path). Its three passes —
+ *    warmed (run), library-building (buildLibrary) and restored
+ *    (runCheckpointed) — are one private period walk that differs
+ *    only at a window start, in the window's fidelity, in the gap
+ *    and where the stream ends inside a gap.
  *
  * The engine is a template over the simulator so src/sim never links
  * against src/core (sac_core links sac_sim; the reverse edge would be
@@ -30,6 +34,9 @@
  *   void runWarming(const trace::Record *recs, std::size_t n);
  *   const sim::RunStats &stats() const;
  *   void finish();
+ *
+ * plus ArchState exportState() const for buildLibrary and
+ * void importState(const ArchState &) for runCheckpointed.
  *
  * Warming must update all architectural state (arrays, LRU, temporal
  * bits, write buffer, clocks) exactly as the detailed path does —
@@ -226,9 +233,11 @@ struct SampleReport
 };
 
 /**
- * The windowed sampler. Stateless apart from its options; run() may
- * be called any number of times (each call is one independent sampled
- * replay).
+ * The windowed sampler. Stateless apart from its options; each public
+ * call is one independent pass over a source. All three passes (the
+ * warmed run(), the library-building buildLibrary() and the restored
+ * runCheckpointed()) are the one period walk, walk(), so they visit
+ * the same window, skip and warm-up positions by construction.
  */
 class SampledEngine
 {
@@ -253,107 +262,7 @@ class SampledEngine
     SampleReport
     run(trace::TraceSource &src, Sim &sim) const
     {
-        SampleReport rep;
-        rep.confidence = opt_.confidence;
-
-        const std::uint64_t gap = opt_.stride - opt_.window;
-        const std::uint64_t warm = std::min(opt_.warmup, gap);
-        const std::uint64_t skip = gap - warm;
-
-        std::vector<trace::Record> buf(
-            std::min<std::uint64_t>(trace::TraceSource::defaultChunkRecords,
-                                    opt_.window));
-        RunStats prev; // stats snapshot at the last window boundary
-        bool more = true;
-        bool stopped_early = false;
-
-        while (more) {
-            // 1. Detailed measurement window.
-            std::uint64_t got = 0;
-            while (got < opt_.window) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(),
-                                            opt_.window - got));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runDetailed(buf.data(), n);
-                got += n;
-            }
-            rep.recordsDetailed += got;
-            if (got == opt_.window) {
-                // One complete window: sample the stats delta.
-                const RunStats &cur = sim.stats();
-                const double acc = static_cast<double>(
-                    cur.accesses - prev.accesses);
-                const double misses = static_cast<double>(
-                    cur.misses - prev.misses);
-                const double cycles =
-                    cur.totalAccessCycles - prev.totalAccessCycles;
-                const double words =
-                    static_cast<double>(cur.bytesFetched -
-                                        prev.bytesFetched) /
-                    wordBytes;
-                rep.missRatio.add(misses / acc);
-                rep.amat.add(cycles / acc);
-                rep.wordsPerAccess.add(words / acc);
-                ++rep.windows;
-                prev = cur;
-
-                const bool capped = opt_.maxWindows > 0 &&
-                                    rep.windows >= opt_.maxWindows;
-                const bool converged =
-                    opt_.targetRelativeError > 0.0 &&
-                    rep.windows >= opt_.minWindows &&
-                    rep.missRatio.relativeError(opt_.confidence) <=
-                        opt_.targetRelativeError;
-                if (more && (capped || converged)) {
-                    // Enough windows: fast-forward the rest.
-                    rep.recordsSkipped += drainSkip(src);
-                    stopped_early = true;
-                    break;
-                }
-            }
-            if (!more)
-                break;
-
-            // 2. Fast-forward the dead part of the period.
-            if (skip > 0) {
-                const std::uint64_t s = src.skip(skip);
-                rep.recordsSkipped += s;
-                if (s < skip)
-                    more = false;
-            }
-
-            // 3. Functional warming into the next window.
-            std::uint64_t warmed = 0;
-            while (more && warmed < warm) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(), warm - warmed));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runWarming(buf.data(), n);
-                warmed += n;
-            }
-            rep.recordsWarmed += warmed;
-            // The warmed records moved architectural state but not
-            // the statistics; resnapshot so the next window's delta
-            // covers exactly its own records.
-            prev = sim.stats();
-        }
-
-        sim.finish();
-        rep.recordsTotal = rep.recordsDetailed + rep.recordsWarmed +
-                           rep.recordsSkipped;
-        rep.exact = !stopped_early && rep.recordsWarmed == 0 &&
-                    rep.recordsSkipped == 0;
-        rep.detailed = sim.stats();
-        return rep;
+        return walk<Pass::Warmed>(src, sim, nullptr, nullptr);
     }
 
     /**
@@ -367,15 +276,15 @@ class SampledEngine
 
     /**
      * One warming pass that fills @p lib with the live-point at the
-     * start of every detailed window, mirroring run()'s replay/skip
-     * pattern exactly: window-position records and warmup records are
-     * replayed in warming mode (architecturally bit-identical to the
-     * detailed path), skip-position records are skipped. The sim must
-     * be freshly constructed. The builder never stops early — it has
-     * no statistics to converge on — so the library covers every
-     * window any later run() or runCheckpointed() can reach,
-     * including adaptive runs that stop sooner. Requires the extended
-     * Sim concept: ArchState exportState() const.
+     * start of every detailed window: run()'s walk with the window
+     * records replayed in warming mode (architecturally bit-identical
+     * to the detailed path). The sim must be freshly constructed. The
+     * builder never stops early — it has no statistics to converge on
+     * — so the library covers every window any later run() or
+     * runCheckpointed() can reach, including adaptive runs that stop
+     * sooner. A stream that ends inside a gap adds one trailing
+     * live-point. Calls sim.finish() before returning. Requires the
+     * extended Sim concept: ArchState exportState() const.
      */
     template <class Sim>
     void
@@ -383,67 +292,7 @@ class SampledEngine
                  CheckpointLibrary &lib) const
     {
         lib.clear();
-        const std::uint64_t gap = opt_.stride - opt_.window;
-        const std::uint64_t warm = std::min(opt_.warmup, gap);
-        const std::uint64_t skip = gap - warm;
-
-        std::vector<trace::Record> buf(
-            std::min<std::uint64_t>(trace::TraceSource::defaultChunkRecords,
-                                    opt_.window));
-        bool more = true;
-        while (more) {
-            // Live-point at this window's start (the first one is the
-            // fresh simulator; restoring it is what makes window 0
-            // identical between the warmed and checkpointed runs).
-            lib.append(sim.exportState());
-
-            // 1. The window position, replayed in warming mode.
-            std::uint64_t got = 0;
-            while (got < opt_.window) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(),
-                                            opt_.window - got));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runWarming(buf.data(), n);
-                got += n;
-            }
-            if (!more)
-                break;
-
-            // 2. The dead part of the period never touches state.
-            if (skip > 0) {
-                const std::uint64_t s = src.skip(skip);
-                if (s < skip)
-                    more = false;
-            }
-
-            // 3. Functional warming into the next window.
-            std::uint64_t warmed = 0;
-            while (more && warmed < warm) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(), warm - warmed));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
-                    break;
-                }
-                sim.runWarming(buf.data(), n);
-                warmed += n;
-            }
-            if (!more) {
-                // Stream ended inside the gap: the warmed run's state
-                // at finish() includes these trailing warm records,
-                // which the checkpointed run fast-forwards past. A
-                // trailing live-point closes that hole (restored by
-                // runCheckpointed when its gap skip comes up short).
-                lib.append(sim.exportState());
-                break;
-            }
-        }
+        walk<Pass::Build>(src, sim, nullptr, &lib);
     }
 
     /**
@@ -464,98 +313,120 @@ class SampledEngine
     runCheckpointed(trace::TraceSource &src, Sim &sim,
                     const CheckpointLibrary &lib) const
     {
+        return walk<Pass::Restored>(src, sim, &lib, nullptr);
+    }
+
+  private:
+    /** The three passes of walk(). */
+    enum class Pass
+    {
+        Warmed,   //!< detailed windows, warmed gaps (run)
+        Build,    //!< warming windows, live-points out (buildLibrary)
+        Restored, //!< live-points in, detailed windows, skipped gaps
+    };
+
+    /**
+     * The period walk: window, skip, warm-up, until the stream ends.
+     * The passes differ only at a window start (Build exports a
+     * live-point into @p out, Restored imports one from @p in and
+     * ends when @p in runs out), in the window's fidelity (Build
+     * warms and never samples or stops early), in the gap (Restored
+     * skips all of it) and where the stream ends inside a gap (Build
+     * exports a trailing live-point, Restored imports it). Every pass
+     * ends with sim.finish().
+     */
+    template <Pass P, class Sim>
+    SampleReport
+    walk(trace::TraceSource &src, Sim &sim, const CheckpointLibrary *in,
+         CheckpointLibrary *out) const
+    {
+        constexpr bool detailed = P != Pass::Build;
         SampleReport rep;
         rep.confidence = opt_.confidence;
 
         const std::uint64_t gap = opt_.stride - opt_.window;
+        // The restored pass fast-forwards the whole gap: the next
+        // live-point replaces its functional warming.
+        const std::uint64_t warm =
+            P == Pass::Restored ? 0 : std::min(opt_.warmup, gap);
+        const std::uint64_t skip = gap - warm;
 
         std::vector<trace::Record> buf(
             std::min<std::uint64_t>(trace::TraceSource::defaultChunkRecords,
                                     opt_.window));
-        RunStats prev; // stats snapshot at the last window boundary
-        bool more = true;
-        bool stopped_early = false;
-        std::size_t window_index = 0;
-
-        while (more) {
-            // Restore the live-point for this window. buildLibrary
-            // appends one checkpoint per window it enters, so a
-            // matching library always covers us; an exhausted library
-            // (defensive) ends the run like an exhausted stream.
-            const ArchState *cp = lib.checkpointAt(window_index);
-            if (!cp)
-                break;
-            sim.importState(*cp);
-            ++window_index;
-
-            // 1. Detailed measurement window (identical to run()).
+        // Replay up to @p n records; fewer means the stream ended.
+        const auto feed = [&](std::uint64_t n, bool warming) {
             std::uint64_t got = 0;
-            while (got < opt_.window) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(buf.size(),
-                                            opt_.window - got));
-                const std::size_t n = src.next(buf.data(), want);
-                if (n == 0) {
-                    more = false;
+            while (got < n) {
+                const std::size_t k = src.next(
+                    buf.data(), static_cast<std::size_t>(
+                                    std::min<std::uint64_t>(buf.size(),
+                                                            n - got)));
+                if (k == 0)
                     break;
-                }
-                sim.runDetailed(buf.data(), n);
-                got += n;
+                if (warming)
+                    sim.runWarming(buf.data(), k);
+                else
+                    sim.runDetailed(buf.data(), k);
+                got += k;
             }
+            return got;
+        };
+
+        RunStats prev; // stats snapshot at the last window boundary
+        bool stopped_early = false;
+        for (std::size_t window = 0;; ++window) {
+            // At the window start: the first live-point is the fresh
+            // simulator, which is what makes window 0 identical
+            // between the warmed and restored passes.
+            if constexpr (P == Pass::Build)
+                out->append(sim.exportState());
+            if constexpr (P == Pass::Restored) {
+                // A library built over the same source covers every
+                // window; an exhausted one (defensive) ends the run
+                // like an exhausted stream.
+                const ArchState *cp = in->checkpointAt(window);
+                if (!cp)
+                    break;
+                sim.importState(*cp);
+            }
+
+            // 1. The measurement window.
+            const std::uint64_t got = feed(opt_.window, !detailed);
             rep.recordsDetailed += got;
-            if (got == opt_.window) {
-                const RunStats &cur = sim.stats();
-                const double acc = static_cast<double>(
-                    cur.accesses - prev.accesses);
-                const double misses = static_cast<double>(
-                    cur.misses - prev.misses);
-                const double cycles =
-                    cur.totalAccessCycles - prev.totalAccessCycles;
-                const double words =
-                    static_cast<double>(cur.bytesFetched -
-                                        prev.bytesFetched) /
-                    wordBytes;
-                rep.missRatio.add(misses / acc);
-                rep.amat.add(cycles / acc);
-                rep.wordsPerAccess.add(words / acc);
-                ++rep.windows;
-                prev = cur;
-
-                const bool capped = opt_.maxWindows > 0 &&
-                                    rep.windows >= opt_.maxWindows;
-                const bool converged =
-                    opt_.targetRelativeError > 0.0 &&
-                    rep.windows >= opt_.minWindows &&
-                    rep.missRatio.relativeError(opt_.confidence) <=
-                        opt_.targetRelativeError;
-                if (more && (capped || converged)) {
-                    rep.recordsSkipped += drainSkip(src);
-                    stopped_early = true;
-                    break;
-                }
-            }
-            if (!more)
+            if (got < opt_.window)
                 break;
+            if (detailed && sampleWindow(rep, sim.stats(), prev)) {
+                // Enough windows: fast-forward the rest.
+                rep.recordsSkipped += drainSkip(src);
+                stopped_early = true;
+                break;
+            }
 
-            // 2. Fast-forward the whole gap: the next live-point
-            // replaces functional warming, so warm-position records
-            // are skipped too (recordsWarmed stays 0).
-            if (gap > 0) {
-                const std::uint64_t s = src.skip(gap);
-                rep.recordsSkipped += s;
-                if (s < gap) {
-                    more = false;
-                    // The stream ended inside the gap: adopt the
-                    // builder's trailing live-point so finish() seals
-                    // the same architectural state (write buffer,
-                    // clocks) the warmed run reached through the
-                    // trailing warm records.
-                    if (const ArchState *tail =
-                            lib.checkpointAt(window_index))
+            // 2. The gap: skip its dead part, then warm into the next
+            // window.
+            const std::uint64_t skipped = skip > 0 ? src.skip(skip) : 0;
+            const std::uint64_t warmed =
+                skipped == skip ? feed(warm, true) : 0;
+            rep.recordsSkipped += skipped;
+            rep.recordsWarmed += warmed;
+            // Warming moved architectural state but not the
+            // statistics; resnapshot so the next window's delta
+            // covers exactly its own records.
+            prev = sim.stats();
+            if (skipped + warmed < gap) {
+                // The stream ended inside the gap: the warmed run's
+                // state at finish() includes the trailing warm
+                // records, so the builder keeps a trailing live-point
+                // and the restored pass adopts it before finish().
+                if constexpr (P == Pass::Build)
+                    out->append(sim.exportState());
+                if constexpr (P == Pass::Restored) {
+                    if (const ArchState *tail = in->checkpointAt(window + 1))
                         sim.importState(*tail);
                 }
+                break;
             }
-            prev = sim.stats();
         }
 
         sim.finish();
@@ -567,7 +438,14 @@ class SampledEngine
         return rep;
     }
 
-  private:
+    /**
+     * Add the samples of the complete window that ends at @p cur
+     * (@p prev is the snapshot at its start, advanced to @p cur);
+     * returns whether the window cap or the adaptive target is met.
+     */
+    bool sampleWindow(SampleReport &rep, const RunStats &cur,
+                      RunStats &prev) const;
+
     /** Skip the rest of @p src; returns the records discarded. */
     static std::uint64_t drainSkip(trace::TraceSource &src);
 

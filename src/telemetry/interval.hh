@@ -5,7 +5,7 @@
  * misses, traffic, write-buffer occupancy, bounce-backs — and exports
  * the series as JSONL ("sac-intervals-v1") next to the run manifest.
  * The simulator hook exists only in its Observed access path (run
- * while an observer is attached, in detailed StatsMode), so plain
+ * while an observer is attached, outside runWarming()), so plain
  * detailed replay and functional warming pay nothing for it.
  *
  * Every uint64 counter is monotone non-decreasing within a run (the

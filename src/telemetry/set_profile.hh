@@ -8,8 +8,8 @@
  * only how many conflict misses disappeared in aggregate.
  *
  * The simulator hooks (attachSetProfiler) live in its Observed access
- * path with the interval engine's and only run in detailed
- * StatsMode. The profiler itself is simulator-agnostic: plain
+ * path with the interval engine's and never run in warming
+ * fidelity. The profiler itself is simulator-agnostic: plain
  * per-set vectors any array-indexed structure can drive.
  */
 

@@ -492,6 +492,47 @@ TEST(CheckpointDifferential, BitIdenticalWhenStreamEndsInTheGap)
     }
 }
 
+TEST(CheckpointDifferential, BitIdenticalWhereverTheStreamEnds)
+{
+    // Every end position over three periods and a window: inside a
+    // window, at its end, inside the skip, inside the warm-up and at
+    // a period boundary, for a geometry with both skip and warm-up,
+    // one whose warm-up covers the gap (no skip) and one with no
+    // warm-up (all skip).
+    const auto full = workloads::makeTaggedTrace(workloads::buildMv(30));
+    sim::SamplingOptions opt;
+    opt.window = 8;
+    opt.stride = 32;
+    const std::uint64_t longest = 3 * opt.stride + opt.window + 1;
+    ASSERT_GE(full.size(), longest);
+
+    for (const std::uint64_t warmup : {8u, 40u, 0u}) {
+        opt.warmup = warmup;
+        const sim::SampledEngine engine(opt);
+        trace::Trace t("prefix");
+        for (std::uint64_t len = 0; len <= longest; ++len) {
+            SCOPED_TRACE("warmup " + std::to_string(warmup) +
+                         ", length " + std::to_string(len));
+            expectCheckpointedMatchesWarmed(
+                core::presets().get("soft-prefetch"), t, opt);
+
+            // One live-point per window start reached, plus a
+            // trailing one when the stream ends at or inside a gap.
+            sim::CheckpointLibrary lib;
+            core::SoftwareAssistedCache warmer(
+                core::presets().get("soft-prefetch"));
+            trace::MemoryTraceSource src(t);
+            engine.buildLibrary(src, warmer, lib);
+            const std::uint64_t trailing =
+                len % opt.stride >= opt.window ? 1 : 0;
+            EXPECT_EQ(lib.size(), len / opt.stride + 1 + trailing);
+
+            if (len < longest)
+                t.push(full[len]);
+        }
+    }
+}
+
 TEST(CheckpointDifferential, BitIdenticalOnAdaptiveAndCappedRuns)
 {
     const auto t = workloads::makeTaggedTrace(workloads::buildMv(60));

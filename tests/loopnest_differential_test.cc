@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/loopnest/builder.hh"
 #include "src/loopnest/generator.hh"
 #include "src/util/rng.hh"
@@ -35,8 +38,11 @@ class RandomProgram
   public:
     explicit RandomProgram(std::uint64_t seed) : rng_(seed), p_("rand")
     {
-        for (int k = 0; k < 4; ++k)
-            vars_.push_back(p_.addVar("v" + std::to_string(k)));
+        for (int k = 0; k < 4; ++k) {
+            std::string name = "v";
+            name += std::to_string(k);
+            vars_.push_back(p_.addVar(std::move(name)));
+        }
         dense_.push_back(p_.addArray("A", {128}));
         dense_.push_back(p_.addArray("B", {128, 128}));
         dense_.push_back(p_.addArray("C", {128, 128, 128}));

@@ -76,6 +76,23 @@ fuzzCases(std::size_t n)
     return cases;
 }
 
+/**
+ * Pull @p src chunk by chunk with next() and replay each chunk into a
+ * fresh simulator of @p cfg, then finish(): the Runner's streamed
+ * traversal in miniature.
+ */
+sim::RunStats
+replayStreamed(trace::TraceSource &src, const Config &cfg)
+{
+    core::SoftwareAssistedCache sim(cfg);
+    std::vector<trace::Record> chunk(trace::TraceSource::defaultChunkRecords);
+    std::size_t n;
+    while ((n = src.next(chunk.data(), chunk.size())) > 0)
+        sim.replay(chunk.data(), n);
+    sim.finish();
+    return sim.stats();
+}
+
 // --- Streamed replay is bit-identical to materialized replay -------
 
 TEST(Streaming, ChunkedReplayMatchesMaterializedExactly)
@@ -91,7 +108,7 @@ TEST(Streaming, ChunkedReplayMatchesMaterializedExactly)
             trace::MemoryTraceSource mem(c.trace);
             ThrottledSource throttled(mem, chunk);
             const sim::RunStats streamed =
-                core::simulateSource(throttled, c.config);
+                replayStreamed(throttled, c.config);
             EXPECT_TRUE(streamed == materialized)
                 << "case seed 0x" << std::hex << c.seed << std::dec
                 << " chunk " << chunk << " diverged: "
@@ -110,8 +127,7 @@ TEST(Streaming, FileSourceMatchesMaterializedExactly)
 
     trace::FileTraceSource file(path);
     ASSERT_TRUE(file.ok());
-    const sim::RunStats streamed =
-        core::simulateSource(file, c.config);
+    const sim::RunStats streamed = replayStreamed(file, c.config);
     EXPECT_FALSE(file.failed());
     EXPECT_TRUE(streamed == core::simulateTrace(c.trace, c.config));
     std::remove(path.c_str());

@@ -67,8 +67,11 @@ TEST(CounterRegistry, ReferencesSurviveManyRegistrations)
 {
     CounterRegistry reg;
     auto &first = reg.counter("first", "kept");
-    for (int i = 0; i < 1000; ++i)
-        reg.counter("c" + std::to_string(i));
+    for (int i = 0; i < 1000; ++i) {
+        std::string name = "c";
+        name += std::to_string(i);
+        reg.counter(name);
+    }
     first += 7;
     EXPECT_EQ(reg.value("first"), 7u);
 }

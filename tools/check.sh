@@ -22,8 +22,10 @@
 #                               # manifests equal except "timing";
 #                               # prints each run's wall time and
 #                               # peak RSS (informational, no gate)
-#   tools/check.sh perf         # throughput gate: bench_simspeed vs
-#                               # BENCH_simspeed.json (tools/perf_compare.py)
+#   tools/check.sh perf         # Release -Werror build of every
+#                               # target, then the throughput gate:
+#                               # bench_simspeed vs BENCH_simspeed.json
+#                               # (tools/perf_compare.py)
 #   tools/check.sh sampling     # sampled-vs-full differential: the
 #                               # SampledDifferential dual-replay on the
 #                               # reduced fuzz corpus + paper workloads,
@@ -183,12 +185,15 @@ EOF
         # Perf leg: the Release throughput build the baseline was
         # taken on (perf_compare.py refuses any other), then compare
         # simulator throughput against the committed baseline and the
-        # within-run fast-vs-general ratios. Fails on >15% regression.
+        # within-run ratios. Fails on >15% regression. Every target is
+        # built with -Werror first, so a warning that only a Release
+        # build prints fails here too.
         build_dir="build-check-perf"
         echo "=== [perf] configure + build (${build_dir}) ==="
         cmake -B "${build_dir}" -S . -DSAC_SANITIZE="" \
-            -DCMAKE_BUILD_TYPE=Release > /dev/null
-        cmake --build "${build_dir}" -j "$(nproc)" --target bench_simspeed
+            -DCMAKE_BUILD_TYPE=Release \
+            -DCMAKE_CXX_FLAGS=-Werror > /dev/null
+        cmake --build "${build_dir}" -j "$(nproc)"
         echo "=== [perf] bench_simspeed ==="
         "${build_dir}/bench/bench_simspeed" \
             --benchmark_out="${build_dir}/simspeed.json" \
