@@ -39,13 +39,13 @@ runner()
     return instance;
 }
 
-/** Run @p request with the process-wide manifest dedup; exit on I/O
- *  failure. */
+/** Run @p request on the process-wide runner with the process-wide
+ *  manifest dedup; exit on I/O failure. */
 harness::SweepResult
-runRequest(harness::Runner &r, harness::SweepRequest &request)
+runRequest(harness::SweepRequest &request)
 {
     request.telemetry.dedup = &emittedCells();
-    harness::SweepResult result = r.run(request);
+    harness::SweepResult result = runner().run(request);
     if (result.manifestFailures > 0) {
         std::cerr << "failed to write run manifest under '"
                   << options().emitJsonDir << "'\n";
@@ -133,7 +133,7 @@ suiteTable(const std::vector<core::Config> &configs,
     harness::SweepRequest request =
         harness::SweepRequest::fromBenchOptions(options(), workloads,
                                                 configs, m);
-    return runRequest(runner(), request).table;
+    return runRequest(request).table;
 }
 
 harness::Workload
@@ -155,22 +155,35 @@ programWorkload(std::string name,
     return {std::move(name), materialize, stream};
 }
 
+harness::Workload
+tagVariant(const std::string &base, const std::string &tag,
+           std::function<analysis::TagMutator(const trace::Trace &)>
+               mutator)
+{
+    const trace::Trace &t = benchmarkTrace(base);
+    return {base + "-" + tag,
+            [&t, mutator] { return analysis::mapTags(t, mutator(t)); },
+            [&t, mutator](const trace::RecordSink &sink) {
+                analysis::streamTags(t, mutator(t), sink);
+            },
+            t.size()};
+}
+
 harness::SweepResult
 exactSweep(const std::vector<harness::Workload> &workloads,
-           const std::vector<core::Config> &configs,
-           harness::Runner *r)
+           const std::vector<core::Config> &configs)
 {
     const harness::BenchOptions &o = options();
     harness::SweepRequest request;
     request.workloads = workloads;
     request.configs = configs;
     request.metric = harness::amatMetric();
-    request.jobs = r ? 1 : o.jobs;
+    request.jobs = o.jobs;
     request.engine = harness::EngineSelect::Exact;
     request.telemetry.manifestDir = o.emitJsonDir;
     request.telemetry.intervalRecords = o.interval;
     request.telemetry.heatmap = o.heatmap;
-    return runRequest(r ? *r : runner(), request);
+    return runRequest(request);
 }
 
 void

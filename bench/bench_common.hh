@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/tag_transform.hh"
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/harness/bench_options.hh"
@@ -110,19 +111,27 @@ programWorkload(std::string name,
                 std::optional<util::DiscreteDistribution> deltas = {});
 
 /**
+ * The workload `<base>-<tag>`: benchmarkTrace(@p base), which stays
+ * resident, rewritten by the mutator @p mutator makes from it. Its
+ * stream applies a fresh mutator per traversal, so a sweep never
+ * materializes the variant; its build is the whole-trace map, and
+ * its records the base trace's length.
+ */
+harness::Workload
+tagVariant(const std::string &base, const std::string &tag,
+           std::function<analysis::TagMutator(const trace::Trace &)>
+               mutator);
+
+/**
  * Replay every (workload, config) cell exactly — whatever --sample
- * says — and emit their manifests under --emit-json (each cell once
- * per process): the sweep of sections that derive their columns from
- * the cells' RunStats. Runs on the process-wide runner at --jobs
- * workers unless @p runner is given; sections whose variant traces
- * have no stream pass a variant-scoped runner, so only one variant
- * trace is alive at a time, and its cells replay serially on the
- * calling thread.
+ * says — on the process-wide runner at --jobs workers, and emit
+ * their manifests under --emit-json (each cell once per process):
+ * the sweep of sections that derive their columns from the cells'
+ * RunStats, tag variants (tagVariant()) included.
  */
 harness::SweepResult
 exactSweep(const std::vector<harness::Workload> &workloads,
-           const std::vector<core::Config> &configs,
-           harness::Runner *runner = nullptr);
+           const std::vector<core::Config> &configs);
 
 /** Print a figure banner with the paper reference. */
 void printBanner(const std::string &figure, const std::string &what);

@@ -28,50 +28,40 @@ main(int argc, char **argv)
     util::Table table({"Benchmark", "Stand.", "Soft. no tags",
                        "Soft. compiler tags", "Soft. profile tags",
                        "headroom recovered"});
+    // Two streamed variants of each workload's resident trace, all in
+    // one sweep; the profile pass runs once per traversal.
     const auto ws = bench::suiteWorkloads();
-    // The retagged variants first, each on its own runner so only one
-    // is alive; then the shared sweep, whose pool workers would
-    // otherwise hold memory the retagging could have reused.
-    std::vector<double> none;
-    std::vector<double> profile;
+    std::vector<harness::Workload> variants;
     for (const auto &w : ws) {
-        const auto &t = bench::benchmarkTrace(w.name);
-        const auto soft_amat =
-            [&](const char *tag,
-                std::function<trace::Trace(const trace::Trace &)> f) {
-                harness::Runner variant_runner;
-                return bench::exactSweep(
-                           {{w.name + "-" + tag, [&t, &f] { return f(t); },
-                             {}}},
-                           bench::presetConfigs({"soft"}),
-                           &variant_runner)
-                    .at(0, 0)
-                    .stats.amat();
-            };
-        none.push_back(soft_amat("notags", analysis::stripAllTags));
-        profile.push_back(
-            soft_amat("profiletags", [](const trace::Trace &tr) {
-                return locality::retagFromProfile(tr);
+        variants.push_back(bench::tagVariant(
+            w.name, "notags", [](const trace::Trace &) {
+                return analysis::stripTags(true, true);
+            }));
+        variants.push_back(bench::tagVariant(
+            w.name, "profiletags", [](const trace::Trace &t) {
+                return analysis::retag(locality::profileTags(t).tags);
             }));
     }
+    const auto retagged =
+        bench::exactSweep(variants, bench::presetConfigs({"soft"}));
     const auto tagged = bench::exactSweep(
         ws, bench::presetConfigs({"standard", "soft"}));
     for (std::size_t wi = 0; wi < ws.size(); ++wi) {
         const double stand = tagged.at(wi, 0).stats.amat();
         const double compiler = tagged.at(wi, 1).stats.amat();
+        const double none = retagged.at(2 * wi, 0).stats.amat();
+        const double profile = retagged.at(2 * wi + 1, 0).stats.amat();
         const auto row = table.addRow();
         table.set(row, 0, ws[wi].name);
         table.setNumber(row, 1, stand);
-        table.setNumber(row, 2, none[wi]);
+        table.setNumber(row, 2, none);
         table.setNumber(row, 3, compiler);
-        table.setNumber(row, 4, profile[wi]);
+        table.setNumber(row, 4, profile);
         // Of the distance from no-tags to the better of the two
         // informed variants, how much does the compiler already get?
-        const double best = std::min(compiler, profile[wi]);
+        const double best = std::min(compiler, profile);
         const double recovered =
-            none[wi] - best > 1e-9
-                ? (none[wi] - compiler) / (none[wi] - best)
-                : 1.0;
+            none - best > 1e-9 ? (none - compiler) / (none - best) : 1.0;
         table.set(row, 5, util::formatPercent(recovered));
     }
     table.print(std::cout);

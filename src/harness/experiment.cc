@@ -398,19 +398,9 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
             feed(resident->data() + i,
                  std::min(chunk, resident->size() - i));
     } else {
-        // The generator runs on this thread and fills one chunk at a
-        // time; each full chunk is replayed before generation resumes.
-        std::vector<trace::Record> buf;
-        buf.reserve(chunk);
-        w.stream([&](const trace::Record &r) {
-            buf.push_back(r);
-            if (buf.size() == chunk) {
-                feed(buf.data(), buf.size());
-                buf.clear();
-            }
-        });
-        if (!buf.empty())
-            feed(buf.data(), buf.size());
+        // The generator runs on this thread; each full chunk is
+        // replayed before generation resumes.
+        trace::streamChunks(w.stream, feed);
         tracesGenerated_.fetch_add(1);
     }
 

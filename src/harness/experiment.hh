@@ -55,13 +55,16 @@ Metric auxHitShareMetric();
  * A named trace source. build() materializes the trace (cached per
  * runner); the optional stream() emits the same records into a sink
  * without materializing them, which Runner::run() prefers for a
- * workload whose trace is not resident.
+ * workload whose trace is not resident. records is the trace's length
+ * when known before generation (0 = unknown): Runner::run() starts the
+ * traversals of the longest traces first, streamed or resident.
  */
 struct Workload
 {
     std::string name;
     std::function<trace::Trace()> build;
-    std::function<void(const trace::RecordSink &)> stream;
+    trace::RecordStream stream;
+    std::size_t records = 0;
 };
 
 /**

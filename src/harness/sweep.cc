@@ -85,7 +85,7 @@ manifestHead(const ManifestCell &cell, EngineTag tag,
 
 /**
  * Render @p cell, running the instrumented re-replay when requested
- * (exact cells with a trace); @p recorder receives the interval
+ * (exact cells with records); @p recorder receives the interval
  * recorder so writeCellManifest() can emit the sidecar series.
  */
 telemetry::Manifest
@@ -189,7 +189,7 @@ renderCell(const ManifestCell &cell, EngineTag tag,
         cell.extraTiming->type() == util::Json::Type::Object)
         m.timing.set("phases", *cell.extraTiming);
 
-    const bool wants = cell.trace != nullptr &&
+    const bool wants = (cell.trace || cell.stream) &&
                        (cell.instrument.intervalRecords > 0 ||
                         cell.instrument.heatmap);
     if (!wants)
@@ -207,7 +207,14 @@ renderCell(const ManifestCell &cell, EngineTag tag,
         profiler.emplace(sim.mainArray().numSets());
         sim.attachSetProfiler(&*profiler);
     }
-    sim.run(*cell.trace);
+    if (cell.trace)
+        sim.replay(cell.trace->data(), cell.trace->size());
+    else
+        trace::streamChunks(*cell.stream, [&sim](const trace::Record *recs,
+                                                 std::size_t n) {
+            sim.replay(recs, n);
+        });
+    sim.finish();
     SAC_ASSERT(sim.stats() == stats,
                "instrumented replay diverged from the recorded run");
     if (profiler)
@@ -401,7 +408,7 @@ struct Runner::Emitter
     {
         const std::string file =
             telemetry::manifestFileName(cell.workload, cache_key);
-        const bool instrumented = cell.trace != nullptr;
+        const bool instrumented = cell.trace || cell.stream;
         std::string path;
         if (instrumented && !telemetry.sink) {
             ++renders;
@@ -652,15 +659,16 @@ Runner::run(const SweepRequest &request)
     // traversal of its own (the finest balance). A streamed trace is
     // regenerated by every traversal, so its units are dealt
     // round-robin over one traversal, or jobs / workloads when a
-    // request has fewer workloads than workers. The largest resident
-    // traces go first, so the longest tasks start earliest.
+    // request has fewer workloads than workers. The largest traces
+    // (resident, or streamed with a known length) go first, so the
+    // longest tasks start earliest.
     const unsigned jobs = std::max(1u, request.jobs);
     std::vector<std::size_t> shards(n_w);
     struct Task
     {
         std::size_t index; //!< the sampled cell, or the workload
         std::size_t shard; //!< traversal of the workload
-        std::size_t size;  //!< resident trace records (0 = unknown)
+        std::size_t size;  //!< trace records (0 = unknown)
         /** When the cell's trace hash is expected: the records its
          *  worker has hashed by then, in a greedy schedule of the hash
          *  tasks on jobs workers (0 = no hash pending). */
@@ -703,8 +711,9 @@ Runner::run(const SweepRequest &request)
                                   : std::clamp<std::size_t>(
                                         jobs / n_w, 1, units.size());
         for (std::size_t s = 0; s < shards[wi]; ++s)
-            tasks.push_back(
-                {wi, s, resident[wi] ? resident[wi]->size() : 0});
+            tasks.push_back({wi, s,
+                             resident[wi] ? resident[wi]->size()
+                                          : request.workloads[wi].records});
     }
     std::stable_sort(tasks.begin() + first_work, tasks.end(),
                      [](const Task &a, const Task &b) {
@@ -889,8 +898,15 @@ Runner::run(const SweepRequest &request)
             case EngineTag::ExactReplay:
                 mc.stats = &c.slot->stats;
                 mc.simSeconds = c.slot->seconds;
-                if (instrument)
-                    mc.trace = &traceOf(request.workloads[wi]);
+                // The re-replay reads the records the way the
+                // traversal did: a streamed trace stays streamed.
+                if (instrument) {
+                    const Workload &w = request.workloads[wi];
+                    if (!resident[wi] && w.stream)
+                        mc.stream = &w.stream;
+                    else
+                        mc.trace = resident[wi] ? resident[wi] : &traceOf(w);
+                }
                 mc.instrument = {request.telemetry.intervalRecords,
                                  request.telemetry.heatmap};
                 break;

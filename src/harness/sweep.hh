@@ -90,8 +90,10 @@ struct ManifestCell
     /** Stack cells: members in the family the pass covered. */
     std::size_t stackFamilySize = 0;
 
-    /** Exact cells: trace for an instrumented re-replay (optional). */
+    /** Exact cells: records for an instrumented re-replay (optional),
+     *  from a resident trace or else streamed chunk by chunk. */
     const trace::Trace *trace = nullptr;
+    const trace::RecordStream *stream = nullptr;
     InstrumentOptions instrument;
 
     double simSeconds = 0.0; //!< wall seconds of the cell (0 = omit)
@@ -103,9 +105,9 @@ struct ManifestCell
  * Render the manifest document of one sweep cell with its "engine"
  * key derived from @p tag. Pure: no filesystem access, so servers can
  * stream the document without writing it. The instrumented re-replay
- * (cell.trace + instrument flags, exact cells only) runs here and
- * embeds the heat profile; the interval series needs a sibling file
- * and is only written by writeCellManifest().
+ * (cell.trace or cell.stream + instrument flags, exact cells only)
+ * runs here and embeds the heat profile; the interval series needs a
+ * sibling file and is only written by writeCellManifest().
  */
 telemetry::Manifest renderCellManifest(const ManifestCell &cell,
                                        EngineTag tag);

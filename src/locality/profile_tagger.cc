@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <unordered_map>
 
+#include "src/analysis/tag_transform.hh"
 #include "src/util/logging.hh"
 
 namespace sac {
@@ -128,18 +129,8 @@ trace::Trace
 retagFromProfile(const trace::Trace &t,
                  const ProfileTaggerParams &params)
 {
-    const ProfileResult profile = profileTags(t, params);
-    trace::Trace out(t.name());
-    out.reserve(t.size());
-    for (const auto &r : t) {
-        trace::Record copy = r;
-        const auto &tag = profile.tags[r.ref];
-        copy.temporal = tag.temporal;
-        copy.spatial = tag.spatial;
-        copy.spatialLevel = tag.spatialLevel;
-        out.push(copy);
-    }
-    return out;
+    return analysis::mapTags(t,
+                             analysis::retag(profileTags(t, params).tags));
 }
 
 } // namespace locality

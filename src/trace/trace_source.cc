@@ -1,6 +1,7 @@
 #include "src/trace/trace_source.hh"
 
 #include <algorithm>
+#include <vector>
 
 namespace sac {
 namespace trace {
@@ -44,6 +45,23 @@ FileTraceSource::skip(std::uint64_t n)
     if (!ok_)
         return 0;
     return reader_.skip(n);
+}
+
+void
+streamChunks(const RecordStream &stream,
+             const std::function<void(const Record *, std::size_t)> &feed)
+{
+    std::vector<Record> buf;
+    buf.reserve(TraceSource::defaultChunkRecords);
+    stream([&](const Record &r) {
+        buf.push_back(r);
+        if (buf.size() == TraceSource::defaultChunkRecords) {
+            feed(buf.data(), buf.size());
+            buf.clear();
+        }
+    });
+    if (!buf.empty())
+        feed(buf.data(), buf.size());
 }
 
 } // namespace trace

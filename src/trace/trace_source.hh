@@ -31,6 +31,15 @@ namespace trace {
 /** Push-side callback: receives one record at a time, in issue order. */
 using RecordSink = std::function<void(const Record &)>;
 
+/** A generator: pushes every record of one trace into a sink. */
+using RecordStream = std::function<void(const RecordSink &)>;
+
+/** Run @p stream on this thread, handing @p feed its records in
+ *  chunks of TraceSource::defaultChunkRecords (the last one shorter). */
+void streamChunks(const RecordStream &stream,
+                  const std::function<void(const Record *, std::size_t)>
+                      &feed);
+
 /** A pull-based, single-consumer stream of trace records. */
 class TraceSource
 {

@@ -965,4 +965,68 @@ TEST(ManifestLatch, ConcurrentEmissionsAgree)
     EXPECT_EQ(r.manifestCounter("manifest.renders"), renders);
 }
 
+// ---- Instrumented re-replay ------------------------------------------
+
+/** Every file under @p dir, keyed by name; manifests without "timing". */
+std::map<std::string, std::string>
+readEmission(const std::string &dir)
+{
+    std::map<std::string, std::string> out;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        std::ifstream is(e.path());
+        std::ostringstream os;
+        os << is.rdbuf();
+        const std::string name = e.path().filename().string();
+        out[name] = e.path().extension() == ".json" ? stripTiming(os.str())
+                                                    : os.str();
+    }
+    return out;
+}
+
+TEST(InstrumentedReplay, StreamedWorkloadIsNeverMaterialized)
+{
+    // --interval/--heatmap re-replay each exact cell; for a workload
+    // whose trace the runner does not hold, the re-replay must read
+    // its stream, as the traversal did, and emit what a resident
+    // trace's sweep emits.
+    namespace fs = std::filesystem;
+    const std::string root = testing::TempDir() + "/instrumented_stream";
+    fs::remove_all(root);
+    const trace::Trace t = workloads::makeTaggedTrace(workloads::buildMv(24));
+    int builds = 0;
+    const Workload w{"MV-instr",
+                     [&builds, &t] {
+                         ++builds;
+                         return t;
+                     },
+                     [&t](const trace::RecordSink &sink) {
+                         for (const trace::Record &rec : t)
+                             sink(rec);
+                     }};
+    const std::vector<core::Config> cfgs{core::presets().get("soft"),
+                                         core::presets().get("victim")};
+    const auto sweep = [&](bool resident, const std::string &dir) {
+        SweepRequest req = testref::request({w}, cfgs, harness::amatMetric(),
+                                            2, EngineSelect::Exact);
+        req.telemetry.manifestDir = dir;
+        req.telemetry.intervalRecords = 100;
+        req.telemetry.heatmap = true;
+        Runner r;
+        if (resident)
+            r.warmup({w});
+        const SweepResult res = r.run(req);
+        EXPECT_EQ(res.manifestFailures, 0u);
+        EXPECT_EQ(res.manifestsWritten, cfgs.size());
+        return readEmission(dir);
+    };
+    const auto from_stream = sweep(false, root + "/streamed");
+    EXPECT_EQ(builds, 0);
+    const auto from_trace = sweep(true, root + "/resident");
+    EXPECT_EQ(builds, 1);
+    // Two manifests, each with its interval series.
+    EXPECT_EQ(from_stream.size(), 2 * cfgs.size());
+    EXPECT_EQ(from_stream, from_trace);
+    fs::remove_all(root);
+}
+
 } // namespace

@@ -11,7 +11,8 @@
 #                               # test, the claim-latch tests and the
 #                               # shared classify pass test, the
 #                               # concurrent manifest-latch test, the
-#                               # claim-first tests and the concurrent
+#                               # claim-first tests, the tag-variant
+#                               # sweep tests and the concurrent
 #                               # live-point test 50 times over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
@@ -538,7 +539,7 @@ EOF
         echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
         ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
             --repeat until-fail:50 \
-            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree|ClaimFirst\.|CheckpointRunnerTest\.ConcurrentLivepointRequestsMatchSerial'
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree|ClaimFirst\.|TagVariantSweep\.|CheckpointRunnerTest\.ConcurrentLivepointRequestsMatchSerial'
     fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="
