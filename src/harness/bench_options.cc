@@ -142,8 +142,8 @@ BenchOptions::validationError() const
                "--sample-ci/--sample-error require --sample";
     }
     if ((interval > 0 || heatmap) && !checkpointDir.empty()) {
-        return "--interval/--heatmap instrument an exact re-replay "
-               "and cannot be combined with --checkpoint-dir: "
+        return "--interval/--heatmap instrument each exact cell's "
+               "replay and cannot be combined with --checkpoint-dir: "
                "restored checkpoint state skips the accesses the "
                "instrumentation would observe";
     }

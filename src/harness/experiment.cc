@@ -335,6 +335,8 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
         }
         exact.push_back(c);
         sims.push_back(std::make_unique<core::SoftwareAssistedCache>(cfg));
+        sims.back()->attachIntervalRecorder(c->recorder);
+        sims.back()->attachSetProfiler(c->profiler);
         shadow_of.push_back(none);
         if (!cfg.classifyMisses)
             continue;

@@ -272,6 +272,10 @@ class Runner
         const core::Config *config = nullptr;
         StoredCell *slot = nullptr;
         bool stack = false; //!< served by the stack engine
+        /** Exact cells: observers attached to the cell's simulator
+         *  before its first chunk (nullptr = none). */
+        telemetry::IntervalRecorder *recorder = nullptr;
+        telemetry::SetProfiler *profiler = nullptr;
     };
 
     /** Decide every cell's engine, stack family and store slot. */
@@ -301,8 +305,9 @@ class Runner
     /**
      * One chunked traversal of @p w's records — from @p resident
      * when non-null, else from w.stream — feeding a stack engine over
-     * the stack cells of @p cells and one simulator per exact cell,
-     * then storing each cell's stats and seconds.
+     * the stack cells of @p cells and one simulator per exact cell
+     * (with the cell's observers attached), then storing each cell's
+     * stats and seconds.
      */
     void traverse(const Workload &w, const trace::Trace *resident,
                   const std::vector<const TraversalCell *> &cells);
@@ -426,19 +431,6 @@ sim::StackPoint stackPointOf(const core::Config &cfg);
  */
 sim::RunStats stackStatsFor(const sim::StackDistanceEngine &eng,
                             const core::Config &cfg);
-
-/** Time-resolved instrumentation of an exact cell manifest. */
-struct InstrumentOptions
-{
-    /**
-     * Interval-stats period in records: > 0 writes the sibling
-     * `<manifest stem>.intervals.jsonl` time series. 0 = off.
-     */
-    std::uint64_t intervalRecords = 0;
-
-    /** Embed the per-set heat profile ("profile" manifest block). */
-    bool heatmap = false;
-};
 
 /** Render a table as RFC-4180-style CSV (quoted where needed). */
 std::string toCsv(const util::Table &table);

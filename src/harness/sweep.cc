@@ -84,13 +84,26 @@ manifestHead(const ManifestCell &cell, EngineTag tag,
 }
 
 /**
- * Render @p cell, running the instrumented re-replay when requested
- * (exact cells with records); @p recorder receives the interval
- * recorder so writeCellManifest() can emit the sidecar series.
+ * Write the `<stem>.intervals.jsonl` series of @p cell beside its
+ * manifest at @p path: <workload>_<hash>.json ->
+ * <workload>_<hash>.intervals.jsonl. Returns false on I/O failure.
  */
+bool
+writeIntervals(const std::string &path, const ManifestCell &cell)
+{
+    std::string jsonl = path;
+    const std::string suffix = ".json";
+    jsonl.replace(jsonl.size() - suffix.size(), suffix.size(),
+                  ".intervals.jsonl");
+    return cell.intervals->writeJsonl(jsonl, cell.workload,
+                                      cell.config->name,
+                                      cell.config->cacheKey());
+}
+
+} // namespace
+
 telemetry::Manifest
-renderCell(const ManifestCell &cell, EngineTag tag,
-           std::optional<telemetry::IntervalRecorder> &recorder)
+renderCellManifest(const ManifestCell &cell, EngineTag tag)
 {
     SAC_ASSERT(cell.config != nullptr,
                "ManifestCell without a configuration");
@@ -171,7 +184,7 @@ renderCell(const ManifestCell &cell, EngineTag tag,
         return m;
     }
 
-    // Exact replay, optionally with the instrumented re-replay.
+    // Exact replay, with the heat profile its replay filled, if any.
     telemetry::Manifest m = manifestHead(cell, tag, stats);
     m.metrics = util::Json::object();
     m.metrics.set("amat", stats.amat());
@@ -189,68 +202,20 @@ renderCell(const ManifestCell &cell, EngineTag tag,
         cell.extraTiming->type() == util::Json::Type::Object)
         m.timing.set("phases", *cell.extraTiming);
 
-    const bool wants = (cell.trace || cell.stream) &&
-                       (cell.instrument.intervalRecords > 0 ||
-                        cell.instrument.heatmap);
-    if (!wants)
-        return m;
-
-    // Instrumented re-replay. The hooks observe without perturbing,
-    // so the result must reproduce the recorded run bit-for-bit.
-    core::SoftwareAssistedCache sim(*cell.config);
-    std::optional<telemetry::SetProfiler> profiler;
-    if (cell.instrument.intervalRecords > 0) {
-        recorder.emplace(cell.instrument.intervalRecords);
-        sim.attachIntervalRecorder(&*recorder);
-    }
-    if (cell.instrument.heatmap) {
-        profiler.emplace(sim.mainArray().numSets());
-        sim.attachSetProfiler(&*profiler);
-    }
-    if (cell.trace)
-        sim.replay(cell.trace->data(), cell.trace->size());
-    else
-        trace::streamChunks(*cell.stream, [&sim](const trace::Record *recs,
-                                                 std::size_t n) {
-            sim.replay(recs, n);
-        });
-    sim.finish();
-    SAC_ASSERT(sim.stats() == stats,
-               "instrumented replay diverged from the recorded run");
-    if (profiler)
-        m.profile = profiler->toJson();
+    if (cell.profile)
+        m.profile = cell.profile->toJson();
     return m;
-}
-
-} // namespace
-
-telemetry::Manifest
-renderCellManifest(const ManifestCell &cell, EngineTag tag)
-{
-    std::optional<telemetry::IntervalRecorder> recorder;
-    return renderCell(cell, tag, recorder);
 }
 
 std::string
 writeCellManifest(const std::string &dir, const ManifestCell &cell,
                   EngineTag tag)
 {
-    std::optional<telemetry::IntervalRecorder> recorder;
-    const telemetry::Manifest m = renderCell(cell, tag, recorder);
-    const std::string path = telemetry::writeManifestFile(dir, m);
-    if (path.empty() || !recorder)
+    const std::string path =
+        telemetry::writeManifestFile(dir, renderCellManifest(cell, tag));
+    if (path.empty() || !cell.intervals || writeIntervals(path, cell))
         return path;
-
-    // The interval series rides next to the manifest:
-    // <workload>_<hash>.json -> <workload>_<hash>.intervals.jsonl.
-    std::string jsonl = path;
-    const std::string suffix = ".json";
-    jsonl.replace(jsonl.size() - suffix.size(), suffix.size(),
-                  ".intervals.jsonl");
-    if (!recorder->writeJsonl(jsonl, cell.workload, cell.config->name,
-                              cell.config->cacheKey()))
-        return "";
-    return path;
+    return "";
 }
 
 std::optional<std::string>
@@ -280,6 +245,17 @@ SweepRequest::validationError() const
     if (checkpointRebuild && checkpointDir.empty()) {
         return std::string(
             "checkpoint rebuild requires a checkpoint directory");
+    }
+    // Instrumented cells bypass the store, so instrumentation whose
+    // output has nowhere to go would cost their replays for nothing.
+    if (telemetry.intervalRecords > 0 && telemetry.manifestDir.empty()) {
+        return std::string("an interval series is written beside the "
+                           "manifests and requires a manifest directory");
+    }
+    if (telemetry.heatmap && telemetry.manifestDir.empty() &&
+        !telemetry.sink) {
+        return std::string("a heat profile is embedded in the manifests "
+                           "and requires a manifest directory or sink");
     }
     if ((telemetry.intervalRecords > 0 || telemetry.heatmap) &&
         sampled) {
@@ -331,10 +307,10 @@ SweepRequest::fromBenchOptions(const BenchOptions &options,
  * cell's document is rendered by its first emission and latched on
  * its slot (StoredCell::manifest); later emissions reuse it while the
  * inputs beyond the store key match, and re-render otherwise. Suite
- * totals and instrumented cells are never latched, and an
- * instrumented cell written without a sink re-replays through
- * writeCellManifest(), whose interval series rides next to the
- * manifest. (The series is CLI-only and never combines with a sink.)
+ * totals and fresh cells (Plan::Fresh) are never latched. An
+ * instrumented cell's interval series is written next to its
+ * manifest under manifestDir (SweepRequest::validationError()
+ * rejects a series with nowhere to go).
  */
 struct Runner::Emitter
 {
@@ -408,20 +384,16 @@ struct Runner::Emitter
     {
         const std::string file =
             telemetry::manifestFileName(cell.workload, cache_key);
-        const bool instrumented = cell.trace || cell.stream;
-        std::string path;
-        if (instrumented && !telemetry.sink) {
-            ++renders;
-            path = writeCellManifest(telemetry.manifestDir, cell, tag);
-        } else {
-            const std::string &doc =
-                document(cell, tag, instrumented ? nullptr : slot);
-            if (telemetry.sink)
-                telemetry.sink(file, doc);
-            path = telemetry.manifestDir.empty()
-                       ? file // streamed only; count as written
-                       : telemetry::writeManifestDocument(
-                             telemetry.manifestDir, file, doc);
+        const std::string &doc = document(cell, tag, slot);
+        if (telemetry.sink)
+            telemetry.sink(file, doc);
+        std::string path = file; // streamed only; count as written
+        if (!telemetry.manifestDir.empty()) {
+            path = telemetry::writeManifestDocument(telemetry.manifestDir,
+                                                    file, doc);
+            if (!path.empty() && cell.intervals &&
+                !writeIntervals(path, cell))
+                path.clear();
         }
         if (path.empty())
             ++result.manifestFailures;
@@ -442,10 +414,22 @@ struct Runner::Emitter
  */
 struct Runner::Plan
 {
+    /**
+     * An unstored slot, for a cell that must run fresh: it neither
+     * hits nor fills the store, and never latches its manifest. With
+     * the observers an instrumented exact cell's one replay fills.
+     */
+    struct Fresh
+    {
+        StoredCell slot;
+        std::unique_ptr<telemetry::IntervalRecorder> recorder;
+        std::unique_ptr<telemetry::SetProfiler> profiler;
+    };
     struct Cell
     {
         EngineTag engine = EngineTag::ExactReplay;
         StoredCell *slot = nullptr;
+        Fresh *fresh = nullptr; //!< the unstored slot (nullptr = stored)
     };
     std::vector<Cell> cells;
     /**
@@ -459,8 +443,8 @@ struct Runner::Plan
     std::string libraryDir;
     /** The configs' Config::cacheKey(), built once per request. */
     std::vector<std::string> cacheKeys;
-    /** Unstored slots of --checkpoint-rebuild cells. */
-    std::vector<std::unique_ptr<StoredCell>> rebuilt;
+    /** The fresh cells' slots and observers. */
+    std::vector<std::unique_ptr<Fresh>> fresh;
 };
 
 namespace {
@@ -573,17 +557,32 @@ Runner::plan(const SweepRequest &request)
     for (const core::Config &cfg : request.configs)
         p.cacheKeys.push_back(cfg.cacheKey());
     const std::string sampling_key = samplingKey(request, p.libraryDir);
+    // Fresh cells: --checkpoint-rebuild must warm-and-rewrite, and an
+    // instrumented exact cell's observers ride its own replay, so
+    // neither may be served from the store (nor poison it: a later
+    // plain run still latches its own). Stack cells stay stored.
+    const SweepTelemetry &t = request.telemetry;
+    const bool rebuild = request.checkpointRebuild && !p.libraryDir.empty();
+    const bool instrument = t.intervalRecords > 0 || t.heatmap;
     p.cells.resize(n_cells);
     for (std::size_t wi = 0; wi < n_w; ++wi) {
         for (std::size_t ci = 0; ci < n_c; ++ci) {
             Plan::Cell &c = p.cells[wi * n_c + ci];
             c.engine = tags[ci];
-            // --checkpoint-rebuild must warm-and-rewrite, so its cells
-            // bypass the store (and never poison it with their fresh
-            // result: a later plain run still latches its own).
-            if (request.checkpointRebuild && !p.libraryDir.empty()) {
-                p.rebuilt.push_back(std::make_unique<StoredCell>());
-                c.slot = p.rebuilt.back().get();
+            if (rebuild ||
+                (instrument && c.engine == EngineTag::ExactReplay)) {
+                c.fresh = p.fresh.emplace_back(std::make_unique<Plan::Fresh>())
+                              .get();
+                c.slot = &c.fresh->slot;
+                if (t.intervalRecords > 0)
+                    c.fresh->recorder =
+                        std::make_unique<telemetry::IntervalRecorder>(
+                            t.intervalRecords);
+                if (t.heatmap)
+                    c.fresh->profiler =
+                        std::make_unique<telemetry::SetProfiler>(
+                            static_cast<std::uint32_t>(
+                                stackPointOf(request.configs[ci]).sets()));
             } else {
                 c.slot = &slot(storeKey(c.engine,
                                         request.workloads[wi].name,
@@ -730,8 +729,11 @@ Runner::run(const SweepRequest &request)
         for (std::size_t u = shard; u < units.size(); u += shards[wi]) {
             for (const std::size_t ci : units[u]) {
                 const Plan::Cell &c = p.cells[wi * n_c + ci];
+                const Plan::Fresh *f = c.fresh;
                 cells.push_back({&request.configs[ci], c.slot,
-                                 c.engine == EngineTag::StackSinglePass});
+                                 c.engine == EngineTag::StackSinglePass,
+                                 f ? f->recorder.get() : nullptr,
+                                 f ? f->profiler.get() : nullptr});
                 slots.push_back(c.slot);
             }
         }
@@ -864,8 +866,6 @@ Runner::run(const SweepRequest &request)
     if (!emitter.active())
         return out;
 
-    const bool instrument = request.telemetry.intervalRecords > 0 ||
-                            request.telemetry.heatmap;
     util::Json phases;
     if (request.telemetry.suiteTotals) {
         phases = phases_.toJson();
@@ -898,17 +898,10 @@ Runner::run(const SweepRequest &request)
             case EngineTag::ExactReplay:
                 mc.stats = &c.slot->stats;
                 mc.simSeconds = c.slot->seconds;
-                // The re-replay reads the records the way the
-                // traversal did: a streamed trace stays streamed.
-                if (instrument) {
-                    const Workload &w = request.workloads[wi];
-                    if (!resident[wi] && w.stream)
-                        mc.stream = &w.stream;
-                    else
-                        mc.trace = resident[wi] ? resident[wi] : &traceOf(w);
+                if (c.fresh) {
+                    mc.intervals = c.fresh->recorder.get();
+                    mc.profile = c.fresh->profiler.get();
                 }
-                mc.instrument = {request.telemetry.intervalRecords,
-                                 request.telemetry.heatmap};
                 break;
             case EngineTag::StackSinglePass:
                 mc.stats = &c.slot->stats;
@@ -932,9 +925,10 @@ Runner::run(const SweepRequest &request)
                 }
                 break;
             }
-            // A --checkpoint-rebuild cell's slot dies with the plan.
+            // A fresh cell's slot dies with the plan: only a stored
+            // one latches its document.
             emitter.emit(mc, c.engine, r.cacheKey,
-                         p.rebuilt.empty() ? c.slot : nullptr, &r);
+                         c.fresh ? nullptr : c.slot, &r);
         }
         if (request.telemetry.suiteTotals && exact_only &&
             emitter.claim("suite-total", p.cacheKeys[ci])) {

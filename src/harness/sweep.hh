@@ -70,8 +70,10 @@ const char *engineName(EngineTag tag);
  * Everything writeCellManifest() may need to render one sweep-cell
  * manifest, engine-independent: exact and stack cells carry stats,
  * sampled cells carry the report (+ sampling geometry and, on the
- * live-point path, the checkpoint-outcome block). Pointers reference
- * caller-owned data and are only read during the call.
+ * live-point path, the checkpoint-outcome block), and an instrumented
+ * exact cell the observers its one replay filled. Pointers reference
+ * caller-owned data and are only read during the call; nothing here
+ * is ever simulated again.
  */
 struct ManifestCell
 {
@@ -90,11 +92,10 @@ struct ManifestCell
     /** Stack cells: members in the family the pass covered. */
     std::size_t stackFamilySize = 0;
 
-    /** Exact cells: records for an instrumented re-replay (optional),
-     *  from a resident trace or else streamed chunk by chunk. */
-    const trace::Trace *trace = nullptr;
-    const trace::RecordStream *stream = nullptr;
-    InstrumentOptions instrument;
+    /** Instrumented exact cells: the finished interval series
+     *  (written beside the manifest) and heat profile (embedded). */
+    const telemetry::IntervalRecorder *intervals = nullptr;
+    const telemetry::SetProfiler *profile = nullptr;
 
     double simSeconds = 0.0; //!< wall seconds of the cell (0 = omit)
     /** Extra members merged into "timing" (e.g. phase totals). */
@@ -103,18 +104,18 @@ struct ManifestCell
 
 /**
  * Render the manifest document of one sweep cell with its "engine"
- * key derived from @p tag. Pure: no filesystem access, so servers can
- * stream the document without writing it. The instrumented re-replay
- * (cell.trace or cell.stream + instrument flags, exact cells only)
- * runs here and embeds the heat profile; the interval series needs a
- * sibling file and is only written by writeCellManifest().
+ * key derived from @p tag. Pure: it renders and never simulates, and
+ * touches no filesystem, so servers can stream the document without
+ * writing it. An exact cell's heat profile (cell.profile) is embedded;
+ * the interval series needs a sibling file and is only written by
+ * writeCellManifest() and Runner::run.
  */
 telemetry::Manifest renderCellManifest(const ManifestCell &cell,
                                        EngineTag tag);
 
 /**
  * Write the manifest of one sweep cell under @p dir, plus the
- * `<stem>.intervals.jsonl` series of an instrumented exact cell.
+ * `<stem>.intervals.jsonl` series of cell.intervals when set.
  * Returns the written path ("" on I/O failure).
  */
 std::string writeCellManifest(const std::string &dir,
@@ -126,7 +127,10 @@ struct SweepTelemetry
     /** Directory for per-cell manifests; empty = do not write. */
     std::string manifestDir;
 
-    /** Instrumented exact cells: interval period (0 = off). */
+    /**
+     * Instrumented exact cells: interval period (0 = off). The series
+     * is written beside each manifest, so it needs manifestDir.
+     */
     std::uint64_t intervalRecords = 0;
     /** Instrumented exact cells: embed per-set heat profiles. */
     bool heatmap = false;

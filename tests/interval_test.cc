@@ -6,7 +6,7 @@
  * bit-for-bit to the final RunStats,
  * that attaching the instrumentation never perturbs the simulation,
  * and that an instrumented exact-cell manifest (writeCellManifest with
- * ManifestCell::trace/instrument) carries the profile block plus the
+ * ManifestCell::intervals/profile) carries the profile block plus the
  * sibling interval series.
  */
 
@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -198,19 +199,33 @@ TEST(SetProfiler, CountsPerSetAndFindsTheHottest)
     EXPECT_EQ(SetProfiler(0).numSets(), 1u);
 }
 
-/** Write the exact-cell manifest of (t, cfg, stats) with @p io. */
+/**
+ * Write the exact-cell manifest of (t, cfg, stats) with the observers
+ * of one replay of @p t: an interval recorder when
+ * @p interval_records > 0, a heat profiler when @p heatmap.
+ */
 std::string
 writeInstrumented(const std::string &dir, const core::Config &cfg,
                   const trace::Trace &t, const sim::RunStats &stats,
-                  const harness::InstrumentOptions &io,
+                  std::uint64_t interval_records, bool heatmap,
                   double sim_seconds = 0.0)
 {
+    core::SoftwareAssistedCache sim(cfg);
+    std::optional<IntervalRecorder> rec;
+    std::optional<SetProfiler> prof;
+    if (interval_records > 0)
+        sim.attachIntervalRecorder(&rec.emplace(interval_records));
+    if (heatmap)
+        sim.attachSetProfiler(&prof.emplace(sim.mainArray().numSets()));
+    sim.run(t);
+    EXPECT_EQ(sim.stats(), stats);
+
     harness::ManifestCell cell;
     cell.workload = "MV";
     cell.config = &cfg;
     cell.stats = &stats;
-    cell.trace = &t;
-    cell.instrument = io;
+    cell.intervals = rec ? &*rec : nullptr;
+    cell.profile = prof ? &*prof : nullptr;
     cell.simSeconds = sim_seconds;
     return harness::writeCellManifest(dir, cell,
                                       harness::EngineTag::ExactReplay);
@@ -304,8 +319,7 @@ TEST(InstrumentedManifest, WritesProfileBlockAndIntervalSeries)
     const std::string dir =
         testing::TempDir() + "sac_instrumented_manifest_test";
 
-    const harness::InstrumentOptions io{400, true};
-    const auto path = writeInstrumented(dir, cfg, t, stats, io, 0.5);
+    const auto path = writeInstrumented(dir, cfg, t, stats, 400, true, 0.5);
     ASSERT_FALSE(path.empty());
 
     const auto doc = slurp(path);
@@ -338,8 +352,7 @@ TEST(InstrumentedManifest, NoInstrumentationRequestedWritesPlain)
     const std::string dir =
         testing::TempDir() + "sac_plain_manifest_test";
 
-    const auto path = writeInstrumented(dir, cfg, t, stats,
-                                        harness::InstrumentOptions{});
+    const auto path = writeInstrumented(dir, cfg, t, stats, 0, false);
     ASSERT_FALSE(path.empty());
     const auto doc = slurp(path);
     EXPECT_EQ(doc.find("\"profile\""), std::string::npos);

@@ -21,7 +21,9 @@
 #include <thread>
 
 #include "src/harness/sweep.hh"
+#include "src/telemetry/interval.hh"
 #include "src/telemetry/manifest.hh"
+#include "src/telemetry/set_profile.hh"
 #include "src/trace/trace_source.hh"
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
@@ -161,10 +163,26 @@ TEST(SweepRequestValidation, CatchesContradictions)
     EXPECT_EQ(req.validationError(), std::nullopt);
 
     req.telemetry.heatmap = true;
+    req.telemetry.manifestDir = "out";
     EXPECT_NE(req.validationError(), std::nullopt); // instrument + sampled
     req.engine = EngineSelect::Auto;
     EXPECT_EQ(req.validationError(), std::nullopt);
-    req.telemetry.heatmap = false;
+
+    // Instrumentation with nowhere to go: a profile needs a manifest
+    // directory or a sink, an interval series a manifest directory.
+    req.telemetry.manifestDir.clear();
+    ASSERT_NE(req.validationError(), std::nullopt);
+    EXPECT_NE(req.validationError()->find("heat profile"),
+              std::string::npos);
+    req.telemetry.sink = [](const std::string &, const std::string &) {};
+    EXPECT_EQ(req.validationError(), std::nullopt);
+    req.telemetry.intervalRecords = 100;
+    ASSERT_NE(req.validationError(), std::nullopt);
+    EXPECT_NE(req.validationError()->find("interval series"),
+              std::string::npos);
+    req.telemetry.manifestDir = "out";
+    EXPECT_EQ(req.validationError(), std::nullopt);
+    req.telemetry = {};
 
     req.engine = EngineSelect::Stack;
     req.metric = harness::amatMetric(); // timing: not stack-derivable
@@ -965,7 +983,7 @@ TEST(ManifestLatch, ConcurrentEmissionsAgree)
     EXPECT_EQ(r.manifestCounter("manifest.renders"), renders);
 }
 
-// ---- Instrumented re-replay ------------------------------------------
+// ---- Instrumented replay ---------------------------------------------
 
 /** Every file under @p dir, keyed by name; manifests without "timing". */
 std::map<std::string, std::string>
@@ -985,10 +1003,10 @@ readEmission(const std::string &dir)
 
 TEST(InstrumentedReplay, StreamedWorkloadIsNeverMaterialized)
 {
-    // --interval/--heatmap re-replay each exact cell; for a workload
-    // whose trace the runner does not hold, the re-replay must read
-    // its stream, as the traversal did, and emit what a resident
-    // trace's sweep emits.
+    // --interval/--heatmap observe each exact cell's own replay; for
+    // a workload whose trace the runner does not hold, that replay
+    // reads its stream and must emit what a resident trace's sweep
+    // emits.
     namespace fs = std::filesystem;
     const std::string root = testing::TempDir() + "/instrumented_stream";
     fs::remove_all(root);
@@ -1026,6 +1044,126 @@ TEST(InstrumentedReplay, StreamedWorkloadIsNeverMaterialized)
     // Two manifests, each with its interval series.
     EXPECT_EQ(from_stream.size(), 2 * cfgs.size());
     EXPECT_EQ(from_stream, from_trace);
+    fs::remove_all(root);
+}
+
+TEST(InstrumentedReplay, ObserversRideTheTraversal)
+{
+    // An instrumented request runs each exact cell once, fresh, with
+    // its observers on the traversal's own simulator: the same stats
+    // as a plain request, and the same profile and interval series as
+    // a standalone simulator over the whole trace. Stack cells stay
+    // stored and carry no profile.
+    namespace fs = std::filesystem;
+    const std::string root = testing::TempDir() + "/instrumented_traversal";
+    const trace::Trace streamed_trace =
+        workloads::makeTaggedTrace(workloads::buildMv(32));
+    int builds = 0;
+    const std::vector<Workload> ws{
+        mvWorkload("MV-resident", 28),
+        {"MV-streamed",
+         [&builds, &streamed_trace] {
+             ++builds;
+             return streamed_trace;
+         },
+         [&streamed_trace](const trace::RecordSink &sink) {
+             for (const trace::Record &rec : streamed_trace)
+                 sink(rec);
+         }}};
+    const std::vector<trace::Trace> traces{ws[0].build(), streamed_trace};
+    // Two stack-eligible configs, then soft and victim: two exact
+    // cells per workload, which share a streamed traversal at jobs 1.
+    auto cfgs = mixedConfigs();
+    cfgs.push_back(core::presets().get("victim"));
+    constexpr std::uint64_t period = 100;
+
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        fs::remove_all(root);
+        builds = 0;
+        const SweepRequest plain =
+            testref::request(ws, cfgs, harness::missRatioMetric(), jobs);
+        const auto instrumented = [&](const std::string &dir) {
+            SweepRequest req = plain;
+            req.telemetry.manifestDir = dir;
+            req.telemetry.intervalRecords = period;
+            req.telemetry.heatmap = true;
+            return req;
+        };
+
+        Runner r;
+        const SweepResult want = r.run(plain); // fills every stored slot
+        std::size_t exact_cells = 0;
+        for (const SweepResult::Cell &c : want.cells)
+            exact_cells += c.engine == EngineTag::ExactReplay;
+        ASSERT_EQ(exact_cells, 2 * ws.size());
+        ASSERT_LT(exact_cells, want.cells.size());
+
+        const std::size_t runs = r.runsExecuted();
+        const SweepResult got = r.run(instrumented(root + "/first"));
+        EXPECT_EQ(r.runsExecuted(), runs + exact_cells);
+        EXPECT_EQ(got.manifestFailures, 0u);
+        EXPECT_EQ(got.table.toString(), want.table.toString());
+        ASSERT_EQ(got.cells.size(), want.cells.size());
+        for (std::size_t k = 0; k < got.cells.size(); ++k)
+            EXPECT_EQ(got.cells[k].stats, want.cells[k].stats) << k;
+
+        // The reference: a standalone simulator per exact cell with a
+        // recorder and a profiler attached, written the same way.
+        const std::string reference_dir = root + "/reference";
+        for (std::size_t wi = 0; wi < ws.size(); ++wi) {
+            for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+                if (got.at(wi, ci).engine != EngineTag::ExactReplay)
+                    continue;
+                core::SoftwareAssistedCache sim(cfgs[ci]);
+                telemetry::IntervalRecorder rec(period);
+                telemetry::SetProfiler prof(sim.mainArray().numSets());
+                sim.attachIntervalRecorder(&rec);
+                sim.attachSetProfiler(&prof);
+                sim.run(traces[wi]);
+                harness::ManifestCell mc;
+                mc.workload = ws[wi].name;
+                mc.config = &cfgs[ci];
+                mc.stats = &sim.stats();
+                mc.intervals = &rec;
+                mc.profile = &prof;
+                ASSERT_FALSE(harness::writeCellManifest(
+                                 reference_dir, mc, EngineTag::ExactReplay)
+                                 .empty());
+            }
+        }
+        const auto reference = readEmission(reference_dir);
+        const auto first = readEmission(root + "/first");
+        ASSERT_EQ(reference.size(), 2 * exact_cells);
+        for (const auto &[file, content] : reference) {
+            SCOPED_TRACE(file);
+            const auto it = first.find(file);
+            ASSERT_NE(it, first.end());
+            EXPECT_EQ(it->second, content);
+        }
+
+        // Stack cells: stored, plain, without a series.
+        for (const SweepResult::Cell &c : got.cells) {
+            if (c.engine != EngineTag::StackSinglePass)
+                continue;
+            SCOPED_TRACE(c.manifestFile);
+            const auto it = first.find(c.manifestFile);
+            ASSERT_NE(it, first.end());
+            const auto parsed = Json::parse(it->second);
+            ASSERT_TRUE(parsed.has_value());
+            EXPECT_EQ(parsed->find("profile"), nullptr);
+            std::string series = c.manifestFile;
+            series.replace(series.rfind(".json"), 5, ".intervals.jsonl");
+            EXPECT_EQ(first.count(series), 0u);
+        }
+
+        // A repeat runs the exact cells fresh again, to the same files.
+        const SweepResult again = r.run(instrumented(root + "/again"));
+        EXPECT_EQ(r.runsExecuted(), runs + 2 * exact_cells);
+        EXPECT_EQ(again.table.toString(), want.table.toString());
+        EXPECT_EQ(readEmission(root + "/again"), first);
+        EXPECT_EQ(builds, 0);
+    }
     fs::remove_all(root);
 }
 

@@ -12,8 +12,9 @@
 #                               # shared classify pass test, the
 #                               # concurrent manifest-latch test, the
 #                               # claim-first tests, the tag-variant
-#                               # sweep tests and the concurrent
-#                               # live-point test 50 times over (-j4)
+#                               # sweep tests, the instrumented-replay
+#                               # tests and the concurrent live-point
+#                               # test 50 times over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
@@ -539,7 +540,7 @@ EOF
         echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
         ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
             --repeat until-fail:50 \
-            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree|ClaimFirst\.|TagVariantSweep\.|CheckpointRunnerTest\.ConcurrentLivepointRequestsMatchSerial'
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree|ClaimFirst\.|TagVariantSweep\.|InstrumentedReplay\.|CheckpointRunnerTest\.ConcurrentLivepointRequestsMatchSerial'
     fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="
