@@ -95,7 +95,9 @@ suiteWorkloads()
 const trace::Trace &
 benchmarkTrace(const std::string &name)
 {
-    for (const auto &w : suiteWorkloads()) {
+    const auto workloads = suiteWorkloads();
+    runner().warmup(workloads, options().jobs);
+    for (const auto &w : workloads) {
         if (w.name == name)
             return runner().traceOf(w);
     }
@@ -129,7 +131,7 @@ suiteTable(const std::vector<core::Config> &configs,
     // Runner::run() routes, sweeps, and emits the manifests (engine
     // tags, suite totals, instrumentation).
     const auto workloads = suiteWorkloads();
-    runner().warmup(workloads);
+    runner().warmup(workloads, options().jobs);
     harness::SweepRequest request =
         harness::SweepRequest::fromBenchOptions(options(), workloads,
                                                 configs, m);

@@ -69,7 +69,8 @@ std::vector<harness::Workload> suiteWorkloads();
 
 /**
  * The trace of a registered paper benchmark (--trace-seed), generated
- * once per process and cached.
+ * once per process and cached. The first call builds all nine suite
+ * traces on --jobs threads.
  */
 const trace::Trace &benchmarkTrace(const std::string &name);
 

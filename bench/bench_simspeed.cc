@@ -671,7 +671,7 @@ BM_SweepStackLatticeNoLocality(benchmark::State &state)
         trace::Trace out("uniform-1MiB");
         util::Rng rng(1);
         for (std::size_t i = 0; i < mvTrace().size(); ++i)
-            out.push({.addr = rng.nextBelow(1 << 18) * 4});
+            out.push(trace::Record{.addr = rng.nextBelow(1 << 18) * 4});
         return out;
     }();
     sweepStackLattice(state, t);

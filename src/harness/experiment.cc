@@ -12,6 +12,7 @@
 #include "src/sim/checkpoint.hh"
 #include "src/telemetry/counter_registry.hh"
 #include "src/telemetry/manifest.hh"
+#include "src/util/thread_pool.hh"
 #include "src/workloads/workloads.hh"
 
 namespace sac {
@@ -144,11 +145,33 @@ Runner::outcomesOf(const Workload &w, const trace::Trace &t,
 }
 
 void
-Runner::warmup(const std::vector<Workload> &workloads)
+Runner::warmup(const std::vector<Workload> &workloads, unsigned jobs)
 {
     const telemetry::ScopedPhase phase(phases_, "warmup");
-    for (const auto &w : workloads)
-        traceOf(w);
+    std::vector<const Workload *> cold;
+    for (const auto &w : workloads) {
+        if (!residentTrace(w))
+            cold.push_back(&w);
+    }
+    if (jobs <= 1 || cold.size() <= 1) {
+        for (const Workload *w : cold)
+            traceOf(*w);
+        return;
+    }
+    // traceOf() latches each slot, so a workload listed twice or
+    // requested by another thread meanwhile is still built once.
+    util::ThreadPool pool(
+        static_cast<unsigned>(std::min<std::size_t>(jobs, cold.size())));
+    std::vector<std::future<void>> futures;
+    futures.reserve(cold.size());
+    for (const Workload *w : cold)
+        futures.push_back(pool.submit([this, w] { traceOf(*w); }));
+    // Every task must finish before get() re-raises an exception one
+    // threw: the tasks reference the caller's workloads.
+    for (auto &f : futures)
+        f.wait();
+    for (auto &f : futures)
+        f.get();
 }
 
 bool

@@ -94,9 +94,10 @@ class Runner
 
     /**
      * Pre-generate every trace of @p workloads (the "warmup" phase),
-     * so subsequent sweeps measure simulation alone.
+     * so subsequent sweeps measure simulation alone. Traces not yet
+     * resident are built on up to @p jobs threads; each is built once.
      */
-    void warmup(const std::vector<Workload> &workloads);
+    void warmup(const std::vector<Workload> &workloads, unsigned jobs = 1);
 
     /**
      * THE sweep entry point: plan one batched request (route each

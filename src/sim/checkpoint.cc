@@ -269,7 +269,8 @@ hashTrace(const trace::Trace &t)
         mix(&r.addr, sizeof(r.addr));
         mix(&r.ref, sizeof(r.ref));
         mix(&r.delta, sizeof(r.delta));
-        mix(&r.size, sizeof(r.size));
+        const std::uint8_t size = r.size;
+        mix(&size, sizeof(size));
         const std::uint8_t type = static_cast<std::uint8_t>(r.type);
         mix(&type, sizeof(type));
         const std::uint8_t tags =

@@ -23,7 +23,13 @@ namespace trace {
 /** Kind of memory access. */
 enum class AccessType : std::uint8_t { Read = 1, Write = 2 };
 
-/** One traced memory reference. */
+/**
+ * One traced memory reference, 16 bytes: the access size, the access
+ * type and the two software tags share one bit-field byte. Aggregate
+ * initialization must be direct-list (`push(Record{.addr = a})`):
+ * GCC 12 rejects copy-list-init (`push({.addr = a})`) of a struct
+ * whose scoped-enum bit-field has a default member initializer.
+ */
 struct Record
 {
     /** Byte address of the referenced datum. */
@@ -32,14 +38,15 @@ struct Record
     RefId ref = invalidRefId;
     /** Cycles elapsed since the previous reference was issued. */
     std::uint16_t delta = 1;
-    /** Access size in bytes (8 for double-precision data). */
-    std::uint8_t size = elementBytes;
+    /** Access size in bytes (8 for double-precision data), at most
+        15; readTrace() rejects a file that holds a larger one. */
+    std::uint8_t size : 4 = elementBytes;
     /** Read or write. */
-    AccessType type = AccessType::Read;
+    AccessType type : 2 = AccessType::Read;
     /** Software tag: reference exhibits temporal locality. */
-    bool temporal = false;
+    bool temporal : 1 = false;
     /** Software tag: reference exhibits spatial locality. */
-    bool spatial = false;
+    bool spatial : 1 = false;
     /**
      * Spatial-locality level for the variable-virtual-line extension
      * (paper Section 3.2): the virtual line spans 2^level physical
@@ -60,6 +67,11 @@ struct Record
                spatialLevel == o.spatialLevel;
     }
 };
+
+/** Largest access size a Record holds (its 4-bit size field). */
+inline constexpr unsigned maxRecordSize = 15;
+
+static_assert(sizeof(Record) == 16, "trace::Record must stay 16 bytes");
 
 } // namespace trace
 } // namespace sac

@@ -85,7 +85,7 @@ writeTrace(const Trace &t, std::ostream &os)
         writeScalar(os, r.addr);
         writeScalar(os, r.ref);
         writeScalar(os, r.delta);
-        writeScalar(os, r.size);
+        writeScalar(os, static_cast<std::uint8_t>(r.size));
         writeScalar(os, static_cast<std::uint8_t>(r.type));
         const std::uint8_t tags = static_cast<std::uint8_t>(
             (r.temporal ? 1u : 0u) | (r.spatial ? 2u : 0u));
@@ -134,18 +134,20 @@ TraceStreamReader::read(Record *out, std::size_t max)
     std::size_t n = 0;
     while (n < max && read_ < count_) {
         Record r;
-        std::uint8_t type = 0, tags = 0;
+        std::uint8_t size = 0, type = 0, tags = 0;
         if (!readScalar(*is_, r.addr) || !readScalar(*is_, r.ref) ||
-            !readScalar(*is_, r.delta) || !readScalar(*is_, r.size) ||
+            !readScalar(*is_, r.delta) || !readScalar(*is_, size) ||
             !readScalar(*is_, type) || !readScalar(*is_, tags) ||
             !readScalar(*is_, r.spatialLevel)) {
             failed_ = true;
             return 0;
         }
-        if (type != 1 && type != 2) {
+        // The size field is 4 bits wide: a larger byte would wrap.
+        if (size > maxRecordSize || (type != 1 && type != 2)) {
             failed_ = true;
             return 0;
         }
+        r.size = size;
         r.type = static_cast<AccessType>(type);
         r.temporal = (tags & 1u) != 0;
         r.spatial = (tags & 2u) != 0;

@@ -79,4 +79,19 @@ TEST(FuzzSweep, CasesAreDeterministic)
         EXPECT_EQ(a.trace[i], b.trace[i]) << "record " << i;
 }
 
+TEST(FuzzSweep, RecordSizesFitTheRecord)
+{
+    // trace::Record holds the access size in 4 bits, so a fuzzed size
+    // above 15 would be stored modulo 16: 16 reads back as 0, and any
+    // other wrapped size as something the fuzzer never draws.
+    const check::TraceFuzzer fuzzer;
+    for (std::uint64_t i = 0; i < casesPerShard * numShards; ++i) {
+        const auto c = fuzzer.makeCase(i);
+        for (const trace::Record &r : c.trace) {
+            ASSERT_TRUE(r.size == 4 || r.size == 8)
+                << "fuzz case " << i << " size " << unsigned(r.size);
+        }
+    }
+}
+
 } // namespace

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <fstream>
 
 #include "src/harness/experiment.hh"
+#include "src/sim/checkpoint.hh"
 #include "src/workloads/workloads.hh"
 #include "tests/reference_sweep.hh"
 
@@ -54,6 +57,41 @@ TEST(HarnessRunner, TracesAreGeneratedOnce)
     const auto &b = r.traceOf(w);
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(r.tracesGenerated(), 1u);
+}
+
+TEST(ParallelWarmup, BuildsEachTraceOnceAndMatchesSerial)
+{
+    // Six workloads of different sizes, each listed twice so two
+    // pool tasks race for the same slot; every build is counted.
+    constexpr std::size_t n = 6;
+    std::array<std::atomic<int>, n> builds{};
+    std::vector<Workload> ws;
+    for (std::size_t i = 0; i < n; ++i) {
+        ws.push_back({"mv" + std::to_string(i),
+                      [&builds, i] {
+                          builds[i].fetch_add(1);
+                          return workloads::makeTaggedTrace(
+                              workloads::buildMv(16 + 8 * i));
+                      },
+                      nullptr});
+    }
+    std::vector<Workload> twice = ws;
+    twice.insert(twice.end(), ws.begin(), ws.end());
+
+    Runner parallel;
+    parallel.warmup(twice, 4);
+    EXPECT_EQ(parallel.tracesGenerated(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(builds[i].load(), 1) << ws[i].name;
+    parallel.warmup(twice, 4); // all resident: builds nothing
+    EXPECT_EQ(parallel.tracesGenerated(), n);
+
+    Runner serial;
+    serial.warmup(ws);
+    for (const auto &w : ws)
+        EXPECT_EQ(sim::hashTrace(parallel.traceOf(w)),
+                  sim::hashTrace(serial.traceOf(w)))
+            << w.name;
 }
 
 TEST(HarnessRunner, ResultsAreCachedPerConfig)

@@ -152,8 +152,8 @@ TEST(StackEngine, ConflictThrashMissesDirectMappedHitsTwoWay)
 
     trace::Trace t("thrash");
     for (int i = 0; i < 10; ++i) {
-        t.push({.addr = 0x0});
-        t.push({.addr = 0x1000}); // 4096 = one image apart
+        t.push(trace::Record{.addr = 0x0});
+        t.push(trace::Record{.addr = 0x1000}); // 4096 = one image apart
     }
     trace::MemoryTraceSource src(t);
     EXPECT_EQ(eng.run(src), 20u);
@@ -181,7 +181,7 @@ TEST(StackEngine, ReuseBeyondTrackedDepthStaysAMiss)
     trace::Trace t("cycle3");
     for (int rep = 0; rep < 4; ++rep) {
         for (Addr a : {Addr{0}, Addr{0x1000}, Addr{0x2000}})
-            t.push({.addr = a});
+            t.push(trace::Record{.addr = a});
     }
     eng.feed(t.data(), t.size());
     EXPECT_EQ(eng.missCount(one_way), 12u);
@@ -194,9 +194,9 @@ TEST(StackEngine, ReadWriteSplitFollowsTheRecords)
 {
     sim::StackDistanceEngine eng({{1024, 32, 1}});
     trace::Trace t("rw");
-    t.push({.addr = 0, .type = trace::AccessType::Read});
-    t.push({.addr = 32, .type = trace::AccessType::Write});
-    t.push({.addr = 0, .type = trace::AccessType::Write});
+    t.push(trace::Record{.addr = 0, .type = trace::AccessType::Read});
+    t.push(trace::Record{.addr = 32, .type = trace::AccessType::Write});
+    t.push(trace::Record{.addr = 0, .type = trace::AccessType::Write});
     eng.feed(t.data(), t.size());
     EXPECT_EQ(eng.reads(), 1u);
     EXPECT_EQ(eng.writes(), 2u);
@@ -243,7 +243,7 @@ TEST(StackEngine, ResidentAndDeepMissesSplitAcrossSetCounts)
 
     trace::Trace t("growth");
     for (Addr line = 0; line < 1000; ++line)
-        t.push({.addr = line * 32});
+        t.push(trace::Record{.addr = line * 32});
     eng.feed(t.data(), t.size());
     EXPECT_EQ(compulsoryLines(t, 32), 1000u);
     for (const auto &p : {big, small1, small2})
@@ -254,7 +254,7 @@ TEST(StackEngine, ResidentAndDeepMissesSplitAcrossSetCounts)
     // ways, a miss at one.
     trace::Trace recent("recent");
     for (Addr line = 968; line < 1000; ++line)
-        recent.push({.addr = line * 32});
+        recent.push(trace::Record{.addr = line * 32});
     eng.feed(recent.data(), recent.size());
     EXPECT_EQ(eng.missCount(big), 1000u);
     EXPECT_EQ(eng.missCount(small1), 1032u);
@@ -265,7 +265,7 @@ TEST(StackEngine, ResidentAndDeepMissesSplitAcrossSetCounts)
     // touches, so the whole stream still touches 1000 lines.
     trace::Trace early("early");
     for (Addr line = 0; line < 100; ++line)
-        early.push({.addr = line * 32});
+        early.push(trace::Record{.addr = line * 32});
     eng.feed(early.data(), early.size());
     trace::Trace all("all");
     for (const trace::Trace *part : {&t, &recent, &early}) {
@@ -343,7 +343,7 @@ TEST(StackEngine, EarlyStopMatchesNaivePerPointLru)
             for (int i = 0; i < 6000; ++i) {
                 const std::uint64_t pick = rng.nextBelow(10);
                 if (pick < 3 && i > 0) {
-                    t.push({.addr = last});
+                    t.push(trace::Record{.addr = last});
                     continue;
                 }
                 if (pick < 5 && t.size() > 8) {
@@ -352,7 +352,7 @@ TEST(StackEngine, EarlyStopMatchesNaivePerPointLru)
                     last = rng.nextBelow(32) * 2048 +
                            rng.nextBelow(6) * 16 + rng.nextBelow(16);
                 }
-                t.push({.addr = last});
+                t.push(trace::Record{.addr = last});
             }
             sim::StackDistanceEngine eng(lattices[l]);
             std::vector<NaiveLru> naive;
@@ -596,7 +596,7 @@ TEST(StackAnalytic, ConvergesToIndependentReferenceModel)
     t.reserve(records);
     util::Rng rng(0x57ac4a11u);
     for (std::uint64_t i = 0; i < records; ++i)
-        t.push({.addr = rng.nextBelow(population) * line});
+        t.push(trace::Record{.addr = rng.nextBelow(population) * line});
 
     // Lattice spanning C = 256 .. 4096 cached lines, mixed sets and
     // ways. The last point holds the whole population: its steady-
@@ -775,7 +775,7 @@ TEST(StackFamily, MruRecordsCounterCountsRepeats)
     constexpr std::size_t n = 40;
     trace::Trace t("one-line");
     for (std::size_t i = 0; i < n; ++i)
-        t.push({.addr = 0x1000});
+        t.push(trace::Record{.addr = 0x1000});
     const harness::Workload w{"one-line", [t] { return t; }, nullptr};
     harness::Runner r;
     r.run(testref::request({w}, eightCellFamily(),

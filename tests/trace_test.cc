@@ -8,11 +8,14 @@
 
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <streambuf>
+#include <vector>
 
 #include "src/trace/trace_source.hh"
 
+#include "src/sim/checkpoint.hh"
 #include "src/trace/record.hh"
 #include "src/trace/timing_model.hh"
 #include "src/trace/trace.hh"
@@ -180,6 +183,177 @@ TEST(TraceIoTest, RejectsBadAccessType)
     std::stringstream bad(data);
     Trace back;
     EXPECT_FALSE(sac::trace::readTrace(bad, back));
+}
+
+TEST(TraceIoTest, RejectsSizeAbove15)
+{
+    Trace t("x");
+    t.push(makeRecord(0));
+    std::stringstream ss;
+    ASSERT_TRUE(sac::trace::writeTrace(t, ss));
+    const std::string data = ss.str();
+    // The size byte precedes the access-type, tag and spatial-level
+    // bytes at the end of the record. The record's size field is 4
+    // bits wide, so 16 would read back as 0 if it were accepted.
+    for (const unsigned char size : {16, 255}) {
+        std::string patched = data;
+        patched[patched.size() - 4] = static_cast<char>(size);
+        std::stringstream bad(patched);
+        Trace back;
+        EXPECT_FALSE(sac::trace::readTrace(bad, back))
+            << "size byte " << unsigned(size);
+    }
+
+    Record r = makeRecord(0x40);
+    r.size = 15;
+    Trace widest("x");
+    widest.push(r);
+    std::stringstream out;
+    ASSERT_TRUE(sac::trace::writeTrace(widest, out));
+    Trace back;
+    ASSERT_TRUE(sac::trace::readTrace(out, back));
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0].size, 15u);
+    EXPECT_EQ(back[0], r);
+}
+
+/** Append the native bytes of @p v, as writeTrace() does. */
+template <typename T>
+void
+appendBytes(std::string &buf, T v)
+{
+    buf.append(reinterpret_cast<const char *>(&v), sizeof(v));
+}
+
+/**
+ * One record per access type and tag combination, each field at its
+ * widest value: a bit lost or shared by the packed tag byte shows as
+ * a wrong field in memory, in the file bytes or in the trace hash.
+ */
+std::vector<Record>
+extremeRecords()
+{
+    std::vector<Record> out;
+    for (const AccessType type : {AccessType::Read, AccessType::Write}) {
+        for (const unsigned tags : {0u, 1u, 2u, 3u}) {
+            Record r;
+            r.addr = ~sac::Addr{0} - out.size();
+            r.ref = sac::invalidRefId;
+            r.delta = 0xffff;
+            r.size = 15;
+            r.type = type;
+            r.temporal = (tags & 1u) != 0;
+            r.spatial = (tags & 2u) != 0;
+            r.spatialLevel = 255;
+            out.push_back(r);
+        }
+    }
+    return out;
+}
+
+TEST(RecordPackingTest, ExtremeFieldsSurviveInMemory)
+{
+    const std::vector<Record> records = extremeRecords();
+    ASSERT_EQ(records.size(), 8u);
+    std::size_t i = 0;
+    for (const AccessType type : {AccessType::Read, AccessType::Write}) {
+        for (const unsigned tags : {0u, 1u, 2u, 3u}) {
+            const Record &r = records[i];
+            EXPECT_EQ(r.addr, ~sac::Addr{0} - i);
+            EXPECT_EQ(r.ref, sac::invalidRefId);
+            EXPECT_EQ(r.delta, 0xffffu);
+            EXPECT_EQ(r.size, 15u);
+            EXPECT_EQ(r.type, type);
+            EXPECT_EQ(r.temporal, (tags & 1u) != 0);
+            EXPECT_EQ(r.spatial, (tags & 2u) != 0);
+            EXPECT_EQ(r.spatialLevel, 255u);
+            const Record copy = r;
+            EXPECT_EQ(copy, r);
+            ++i;
+        }
+    }
+}
+
+/**
+ * The file writeTrace() must produce for extremeRecords() under the
+ * name "packed", built by hand: header, then addr, ref, delta, size,
+ * type, tags (temporal = 1, spatial = 2) and spatial level per record.
+ */
+std::string
+expectedPackedFile()
+{
+    std::string out;
+    appendBytes(out, std::uint32_t{0x53414354});
+    appendBytes(out, std::uint32_t{2});
+    appendBytes(out, std::uint32_t{6});
+    out += "packed";
+    appendBytes(out, std::uint64_t{extremeRecords().size()});
+    for (const Record &r : extremeRecords()) {
+        appendBytes(out, r.addr);
+        appendBytes(out, sac::invalidRefId);
+        appendBytes(out, std::uint16_t{0xffff});
+        appendBytes(out, std::uint8_t{15});
+        appendBytes(out, std::uint8_t(r.type == AccessType::Read ? 1 : 2));
+        appendBytes(out, std::uint8_t((r.temporal ? 1 : 0) |
+                                      (r.spatial ? 2 : 0)));
+        appendBytes(out, std::uint8_t{255});
+    }
+    return out;
+}
+
+TEST(RecordPackingTest, ExtremeFieldsRoundTripThroughTheFileFormat)
+{
+    Trace t("packed");
+    for (const Record &r : extremeRecords())
+        t.push(r);
+    std::stringstream ss;
+    ASSERT_TRUE(sac::trace::writeTrace(t, ss));
+    EXPECT_EQ(ss.str(), expectedPackedFile());
+
+    Trace back;
+    ASSERT_TRUE(sac::trace::readTrace(ss, back));
+    ASSERT_EQ(back.size(), t.size());
+    for (std::size_t i = 0; i < t.size(); ++i)
+        EXPECT_EQ(back[i], t[i]) << "record " << i;
+}
+
+TEST(RecordPackingTest, TraceHashSeesEveryField)
+{
+    const auto hashOf = [](const Record &r) {
+        Trace t;
+        t.push(r);
+        return sac::sim::hashTrace(t);
+    };
+    for (const Record &base : extremeRecords()) {
+        // Each variant changes one field; every hash must differ from
+        // the base's and from each other's.
+        std::vector<Record> variants(8, base);
+        variants[0].addr ^= 1;
+        variants[1].ref = 0;
+        variants[2].delta = 0xfffe;
+        variants[3].size = 14;
+        variants[4].type = base.isRead() ? AccessType::Write
+                                         : AccessType::Read;
+        variants[5].temporal = !base.temporal;
+        variants[6].spatial = !base.spatial;
+        variants[7].spatialLevel = 254;
+        std::set<std::uint64_t> hashes = {hashOf(base)};
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+            EXPECT_FALSE(variants[v] == base) << "field " << v;
+            EXPECT_TRUE(hashes.insert(hashOf(variants[v])).second)
+                << "field " << v;
+        }
+    }
+
+    // The hash mixes the record count and then each record's fields
+    // in file order, so it equals FNV-1a over the file after its
+    // magic, version and name (4 + 4 + 4 + 6 bytes).
+    Trace t;
+    for (const Record &r : extremeRecords())
+        t.push(r);
+    const std::string file = expectedPackedFile();
+    EXPECT_EQ(sac::sim::hashTrace(t),
+              sac::sim::fnv1a(file.data() + 18, file.size() - 18));
 }
 
 TEST(TraceIoTest, RejectsBadVersion)

@@ -13,8 +13,9 @@
 #                               # concurrent manifest-latch test, the
 #                               # claim-first tests, the tag-variant
 #                               # sweep tests, the instrumented-replay
-#                               # tests and the concurrent live-point
-#                               # test 50 times over (-j4)
+#                               # tests, the parallel warmup test and
+#                               # the concurrent live-point test 50
+#                               # times over (-j4)
 #   tools/check.sh --quick      # lint + plain mode only (no sanitizer rebuilds)
 #   tools/check.sh thread 'ThreadPool*:ParallelSweep*'   # mode + ctest -R filter
 #   tools/check.sh --fuzz-seconds 60   # add a time-boxed fuzz soak (plain leg)
@@ -540,7 +541,7 @@ EOF
         echo "=== [${mode}] repeat leg (50x concurrency suites) ==="
         ctest --test-dir "${build_dir}" --output-on-failure -j 4 \
             --repeat until-fail:50 \
-            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree|ClaimFirst\.|TagVariantSweep\.|InstrumentedReplay\.|CheckpointRunnerTest\.ConcurrentLivepointRequestsMatchSerial'
+            -R 'ThreadPool|ParallelSweep|SweepRequest|Service|StackFamily\.(PooledFamiliesMatchSerial|ConcurrentRequestsShareLineGroups)|Streaming\.(ConcurrentRequests|FailedTraversal)|Classify\.ConcurrentRequestsShareOnePass|ManifestLatch\.ConcurrentEmissionsAgree|ClaimFirst\.|TagVariantSweep\.|InstrumentedReplay\.|ParallelWarmup\.|CheckpointRunnerTest\.ConcurrentLivepointRequestsMatchSerial'
     fi
     if [[ "$mode" == "address" ]]; then
         echo "=== [${mode}] fixed-seed fuzz budget ==="
