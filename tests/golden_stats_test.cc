@@ -11,7 +11,15 @@
  * restructured, so a change that moves any counter or any cycle of
  * any preset fails here.
  *
- * One test case runs per preset, so `ctest -j` spreads them.
+ * GoldenSampled pins the sampled engines the same way: the digest of
+ * SampleReport::detailed (every counter, the three miss classes
+ * included, and both time fields) and of the window count, for the
+ * warmed pass (SampledEngine::run) and for the restored pass
+ * (buildLibrary, then runCheckpointed) of three presets. The two
+ * passes are bit-identical, so both are held to one digest.
+ *
+ * One test case runs per preset (and pass), so `ctest -j` spreads
+ * them.
  */
 
 #include <bit>
@@ -27,7 +35,10 @@
 
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
+#include "src/sim/checkpoint.hh"
 #include "src/sim/run_stats.hh"
+#include "src/sim/sampling.hh"
+#include "src/trace/trace_source.hh"
 #include "src/workloads/workloads.hh"
 
 namespace {
@@ -141,6 +152,102 @@ TEST(GoldenStatsCoverage, EveryPresetIsPinned)
     // A preset added to the registry must get a pinned digest here.
     EXPECT_EQ(core::presets().all().size(), 14u);
 }
+
+/** The sampled engine's two counting passes. */
+enum class SampledPass
+{
+    Warmed,   //!< SampledEngine::run
+    Restored, //!< buildLibrary, then runCheckpointed
+};
+
+/** A preset, a sampled pass and the digest of its reports. */
+struct GoldenSample
+{
+    Golden golden;
+    SampledPass pass;
+};
+
+void
+PrintTo(const GoldenSample &g, std::ostream *os)
+{
+    *os << g.golden.preset
+        << (g.pass == SampledPass::Warmed ? " warmed" : " restored");
+}
+
+std::string
+sampleCaseName(const testing::TestParamInfo<GoldenSample> &info)
+{
+    std::string out;
+    for (const char ch : info.param.golden.preset)
+        out += std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_';
+    return out +
+           (info.param.pass == SampledPass::Warmed ? "_Warmed" : "_Restored");
+}
+
+class GoldenSampled : public testing::TestWithParam<GoldenSample>
+{
+};
+
+TEST_P(GoldenSampled, PaperTracesDigestIsPinned)
+{
+    const GoldenSample &g = GetParam();
+    const core::Config cfg = core::presets().get(g.golden.preset);
+    sim::SamplingOptions opt;
+    opt.window = 512;
+    opt.stride = 4096;
+    opt.warmup = 2048;
+    const sim::SampledEngine engine(opt);
+    Fnv1a h;
+    for (const trace::Trace &t : paperTraces()) {
+        sim::SampleReport rep;
+        if (g.pass == SampledPass::Warmed) {
+            trace::MemoryTraceSource src(t);
+            core::SoftwareAssistedCache sim(cfg);
+            rep = engine.run(src, sim);
+        } else {
+            sim::CheckpointLibrary lib;
+            trace::MemoryTraceSource warm_src(t);
+            core::SoftwareAssistedCache warmer(cfg);
+            engine.buildLibrary(warm_src, warmer, lib);
+            trace::MemoryTraceSource src(t);
+            core::SoftwareAssistedCache sim(cfg);
+            rep = engine.runCheckpointed(src, sim, lib);
+        }
+        EXPECT_FALSE(rep.exact) << t.name();
+        // Every window miss is classified (none of the three presets
+        // bypasses), so the digest covers the three classes.
+        EXPECT_EQ(rep.detailed.compulsoryMisses +
+                      rep.detailed.capacityMisses +
+                      rep.detailed.conflictMisses,
+                  rep.detailed.misses)
+            << t.name();
+        h.add(t.name());
+        digestStats(h, rep.detailed);
+        h.add(rep.windows);
+    }
+    EXPECT_EQ(hex(h.value()), hex(g.golden.digest))
+        << "preset " << g.golden.preset;
+}
+
+/** One golden per preset, held by both passes. */
+std::vector<GoldenSample>
+sampledGoldens()
+{
+    const Golden goldens[] = {
+        {"standard", 0x77cf57ea331ca8d0ull},
+        {"soft", 0x345722b4174d5935ull},
+        {"soft-prefetch", 0x6d62002fda5f767dull},
+    };
+    std::vector<GoldenSample> out;
+    for (const Golden &g : goldens)
+        for (const SampledPass p : {SampledPass::Warmed, SampledPass::Restored})
+            out.push_back({g, p});
+    return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Preset, GoldenSampled,
+                         testing::ValuesIn(sampledGoldens()),
+                         sampleCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     Preset, GoldenStats,
