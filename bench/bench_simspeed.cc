@@ -97,6 +97,10 @@ BM_LocalityAnalysis(benchmark::State &state)
 }
 BENCHMARK(BM_LocalityAnalysis);
 
+/**
+ * core::simulateTrace of @p cfg: the classifier runs beside the
+ * simulator; the *Preclassified rows time the replay alone.
+ */
 void
 simulateConfig(benchmark::State &state, const core::Config &cfg)
 {
@@ -181,8 +185,8 @@ BENCHMARK(BM_SimulateSoftInterval);
 /**
  * Functional-warming pair: the same trace and configuration as
  * BM_SimulateSoft, replayed through runWarming(), where the stats
- * counters, miss classifier and observer hooks are compiled out and
- * only architectural state advances. perf_compare.py asserts the
+ * counters and observer hooks are compiled out, no shadow classifier
+ * runs beside the simulator and only architectural state advances. perf_compare.py asserts the
  * warming path runs at least 2x the detailed path.
  */
 void
@@ -200,6 +204,7 @@ BM_SimulateSoftWarming(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateSoftWarming);
 
+/** BM_SimulateSoft with classifyMisses off: no shadow beside it. */
 void
 BM_SimulateNoClassifier(benchmark::State &state)
 {
@@ -221,7 +226,7 @@ BM_ClassifyShadow(benchmark::State &state)
     const core::Config cfg = core::presets().get("soft");
     std::vector<sim::ShadowOutcome> outcomes(t.size());
     for (auto _ : state) {
-        sim::MissClassifier shadow = core::shadowClassifierOf(cfg);
+        sim::MissClassifier shadow = sim::shadowClassifierOf(cfg);
         shadow.classify(t.data(), t.size(), outcomes.data());
         benchmark::DoNotOptimize(outcomes.data());
     }
@@ -241,7 +246,7 @@ replayPreclassified(benchmark::State &state, const char *preset)
     const auto &t = mvTrace();
     const core::Config cfg = core::presets().get(preset);
     std::vector<sim::ShadowOutcome> outcomes(t.size());
-    core::shadowClassifierOf(cfg).classify(t.data(), t.size(),
+    sim::shadowClassifierOf(cfg).classify(t.data(), t.size(),
                                            outcomes.data());
     for (auto _ : state) {
         core::SoftwareAssistedCache sim(cfg);

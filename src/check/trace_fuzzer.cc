@@ -222,23 +222,24 @@ runCase(const trace::Trace &t, const core::Config &cfg,
     if (corrupt)
         corrupt(t, out.got);
 
-    // Replay again on outcomes from a separate shadow pass, as a
-    // harness::Runner traversal supplies them, with no observer
-    // attached: every counter, timing included, must equal the run on
-    // the simulator's own classifier with the auditor riding along.
+    // Replay again with no observer attached, in one batch, on the
+    // outcomes of a separate whole-trace shadow pass (run() classifies
+    // chunk by chunk beside the audited replay): every counter, timing
+    // included, must be equal, so neither the observers nor the
+    // chunking change any counter.
     std::vector<sim::ShadowOutcome> outcomes(t.size());
-    core::shadowClassifierOf(cfg).classify(t.data(), t.size(),
+    sim::shadowClassifierOf(cfg).classify(t.data(), t.size(),
                                            outcomes.data());
-    core::SoftwareAssistedCache supplied(cfg);
-    supplied.replay(t.data(), t.size(), outcomes.data());
-    supplied.finish();
-    if (!(supplied.stats() == sim.stats())) {
+    core::SoftwareAssistedCache whole(cfg);
+    whole.replay(t.data(), t.size(), outcomes.data());
+    whole.finish();
+    if (!(whole.stats() == sim.stats())) {
         out.outcomesDiverged = true;
         const std::string counter_diff = sim::describeDivergence(
-            sim::countsOf(supplied.stats()), sim::countsOf(sim.stats()));
+            sim::countsOf(whole.stats()), sim::countsOf(sim.stats()));
         out.outcomesDivergence =
-            "replay on supplied shadow outcomes disagrees with the "
-            "simulator's own classifier" +
+            "unobserved whole-trace replay disagrees with the audited "
+            "run()" +
             (counter_diff.empty() ? std::string(" (timing fields only)")
                                   : ": " + counter_diff);
     }

@@ -48,7 +48,7 @@ struct CaseOutcome
 {
     bool diverged = false;
     std::string divergence; //!< describeDivergence() report
-    bool outcomesDiverged = false; //!< supplied vs owned shadow outcomes
+    bool outcomesDiverged = false; //!< whole-trace replay vs run()
     std::string outcomesDivergence;
     std::uint64_t auditViolations = 0;
     std::string firstAuditViolation;
@@ -71,11 +71,13 @@ using CountsCorruption =
 
 /**
  * Replay @p t under @p cfg through both models and diff the counters.
- * The simulator side runs twice: once with its own miss classifier
- * and a Record-mode Auditor attached, once without observers on
- * shadow outcomes supplied by a separate shadowClassifierOf() pass
- * (as a harness::Runner traversal supplies them). The two full
- * RunStats must be identical; outcomesDiverged reports any mismatch.
+ * The simulator side runs twice: once through run(), which classifies
+ * chunk by chunk beside the simulator, with a Record-mode Auditor
+ * attached; once without observers, as one replay() of the whole
+ * trace on the outcomes of a separate whole-trace
+ * sim::shadowClassifierOf() pass. The two full RunStats must be
+ * identical (observers and chunking change no counter);
+ * outcomesDiverged reports any mismatch.
  * The first replay's counters are diffed against the oracle and the
  * auditor's violations are reported in the outcome. @p cfg must
  * satisfy sim::ReferenceModel::supports().

@@ -15,12 +15,6 @@ ColumnAssocCache::ColumnAssocCache(ColumnAssocConfig cfg)
     SAC_ASSERT(main_.numSets() >= 2,
                "column associativity needs at least two sets");
     rehash_.assign(main_.numSets(), false);
-    if (cfg_.classifyMisses) {
-        classifier_.emplace(
-            static_cast<std::uint32_t>(cfg_.cacheSizeBytes /
-                                       cfg_.lineBytes),
-            cfg_.lineBytes);
-    }
 }
 
 std::uint32_t
@@ -38,17 +32,21 @@ ColumnAssocCache::alternateSet(Addr line) const
 }
 
 void
-ColumnAssocCache::run(const trace::Trace &t)
+ColumnAssocCache::replay(const trace::Record *recs, std::size_t n,
+                         const sim::ShadowOutcome *outcomes)
 {
-    for (const auto &rec : t)
-        access(rec);
-    finish();
+    SAC_ASSERT(n == 0 || !finished_, "replay after finish()");
+    SAC_ASSERT(outcomes,
+               "a counting replay of a classifying config needs shadow "
+               "outcomes");
+    for (std::size_t i = 0; i < n; ++i)
+        access(recs[i], outcomes[i]);
 }
 
 void
-ColumnAssocCache::access(const trace::Record &rec)
+ColumnAssocCache::access(const trace::Record &rec,
+                         sim::ShadowOutcome outcome)
 {
-    SAC_ASSERT(!finished_, "access() after finish()");
     now_ = procReadyAt_ + rec.delta - 1;
     ++stats_.accesses;
     if (rec.isRead())
@@ -63,11 +61,6 @@ ColumnAssocCache::access(const trace::Record &rec)
 
     cache::CacheArray::LineRef p = main_.line(sp, 0);
     cache::CacheArray::LineRef a = main_.line(sa, 0);
-
-    // The shadow sees every access; only a miss reads the outcome.
-    sim::ShadowOutcome outcome = sim::ShadowOutcome::ShadowHit;
-    if (classifier_)
-        classifier_->classify(&rec, 1, &outcome);
 
     // First probe: the primary set.
     if (p.valid() && p.lineAddr() == line) {
@@ -112,18 +105,16 @@ ColumnAssocCache::access(const trace::Record &rec)
     // Miss: the primary resident retreats to the alternate set
     // (clobbering its occupant), the new line fills the primary set.
     ++stats_.misses;
-    if (classifier_) {
-        switch (sim::missClassOf(outcome)) {
-          case sim::MissClass::Compulsory:
-            ++stats_.compulsoryMisses;
-            break;
-          case sim::MissClass::Capacity:
-            ++stats_.capacityMisses;
-            break;
-          case sim::MissClass::Conflict:
-            ++stats_.conflictMisses;
-            break;
-        }
+    switch (sim::missClassOf(outcome)) {
+      case sim::MissClass::Compulsory:
+        ++stats_.compulsoryMisses;
+        break;
+      case sim::MissClass::Capacity:
+        ++stats_.capacityMisses;
+        break;
+      case sim::MissClass::Conflict:
+        ++stats_.conflictMisses;
+        break;
     }
 
     // The second probe is skipped when the rehash bit already says
@@ -223,8 +214,12 @@ sim::RunStats
 simulateColumnAssoc(const trace::Trace &t,
                     const ColumnAssocConfig &cfg)
 {
+    std::vector<sim::ShadowOutcome> outcomes(t.size());
+    sim::shadowClassifierOf(cfg).classify(t.data(), t.size(),
+                                          outcomes.data());
     ColumnAssocCache sim(cfg);
-    sim.run(t);
+    sim.replay(t.data(), t.size(), outcomes.data());
+    sim.finish();
     return sim.stats();
 }
 

@@ -22,7 +22,6 @@
 #include "src/sim/write_buffer.hh"
 #include "src/trace/trace.hh"
 
-#include <optional>
 #include <vector>
 
 namespace sac {
@@ -38,7 +37,6 @@ struct ColumnAssocConfig
     Cycle rehashProbeCycles = 1;
     sim::TimingParams timing;
     std::uint32_t writeBufferEntries = 8;
-    bool classifyMisses = true;
 };
 
 /** Trace-driven simulator of a column-associative cache. */
@@ -47,11 +45,13 @@ class ColumnAssocCache
   public:
     explicit ColumnAssocCache(ColumnAssocConfig cfg);
 
-    /** Simulate one reference (issue order). */
-    void access(const trace::Record &rec);
-
-    /** Simulate a whole trace and finish(). */
-    void run(const trace::Trace &t);
+    /**
+     * Replay @p n records in issue order, classifying misses by the
+     * caller's shadow outcomes (outcomes[i] for recs[i], as
+     * SoftwareAssistedCache::replay() reads them; null panics).
+     */
+    void replay(const trace::Record *recs, std::size_t n,
+                const sim::ShadowOutcome *outcomes);
 
     /** Drain the write buffer; idempotent. */
     void finish();
@@ -69,6 +69,9 @@ class ColumnAssocCache
     std::uint32_t primarySet(Addr line) const;
     std::uint32_t alternateSet(Addr line) const;
 
+    /** Simulate one reference whose shadow outcome is @p outcome. */
+    void access(const trace::Record &rec, sim::ShadowOutcome outcome);
+
     void installLine(Addr line, std::uint32_t set, bool write);
     void evictSlot(cache::CacheArray::LineRef slot);
     void completeAccess(Cycle completion);
@@ -78,7 +81,6 @@ class ColumnAssocCache
     /** Per-set rehash bit: the resident lives in its flipped set. */
     std::vector<bool> rehash_;
     sim::WriteBuffer writeBuffer_;
-    std::optional<sim::MissClassifier> classifier_;
     sim::RunStats stats_;
 
     Cycle now_ = 0;
@@ -88,7 +90,7 @@ class ColumnAssocCache
     bool finished_ = false;
 };
 
-/** Simulate @p t under the column-associative baseline. */
+/** Simulate @p t under the baseline, a shadow classifier beside it. */
 sim::RunStats simulateColumnAssoc(const trace::Trace &t,
                                   const ColumnAssocConfig &cfg);
 

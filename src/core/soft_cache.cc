@@ -33,7 +33,19 @@ SoftwareAssistedCache::SoftwareAssistedCache(Config cfg)
 void
 SoftwareAssistedCache::run(const trace::Trace &t)
 {
-    runBatch(t.data(), t.size(), nullptr);
+    if (!cfg_.classifyMisses) {
+        replay(t.data(), t.size(), nullptr);
+        finish();
+        return;
+    }
+    constexpr std::size_t chunk = trace::TraceSource::defaultChunkRecords;
+    sim::MissClassifier shadow = sim::shadowClassifierOf(cfg_);
+    std::vector<sim::ShadowOutcome> outcomes(std::min(chunk, t.size()));
+    for (std::size_t i = 0; i < t.size(); i += chunk) {
+        const std::size_t n = std::min(chunk, t.size() - i);
+        shadow.classify(t.data() + i, n, outcomes.data());
+        replay(t.data() + i, n, outcomes.data());
+    }
     finish();
 }
 
@@ -64,44 +76,16 @@ SoftwareAssistedCache::runBatch(const trace::Record *recs,
                                 std::size_t n,
                                 const sim::ShadowOutcome *outcomes)
 {
-    SAC_ASSERT(n == 0 || !finished_, "access() after finish()");
+    SAC_ASSERT(n == 0 || !finished_, "replay after finish()");
     if (warming_) {
         runBatchTmpl<Fidelity::Warming>(recs, n, nullptr);
         return;
     }
-    if (!cfg_.classifyMisses) {
-        runCounted(recs, n, nullptr);
-        return;
-    }
-    const OutcomeSource source =
-        outcomes ? OutcomeSource::Supplied : OutcomeSource::Owned;
-    SAC_ASSERT(outcomeSource_ == OutcomeSource::Unset ||
-                   outcomeSource_ == source,
-               "one run mixes supplied and owned shadow outcomes");
-    outcomeSource_ = source;
-    if (outcomes) {
-        runCounted(recs, n, outcomes);
-        return;
-    }
-    // The owned classifier fills one batch of outcomes at a time, and
-    // the batch then runs the same access loop as supplied outcomes.
-    constexpr std::size_t batch = trace::TraceSource::defaultChunkRecords;
-    if (!classifier_) {
-        classifier_.emplace(shadowClassifierOf(cfg_));
-        ownedOutcomes_.resize(batch);
-    }
-    for (std::size_t i = 0; i < n; i += batch) {
-        const std::size_t m = std::min(batch, n - i);
-        classifier_->classify(recs + i, m, ownedOutcomes_.data());
-        runCounted(recs + i, m, ownedOutcomes_.data());
-    }
-}
-
-void
-SoftwareAssistedCache::runCounted(const trace::Record *recs,
-                                  std::size_t n,
-                                  const sim::ShadowOutcome *outcomes)
-{
+    SAC_ASSERT(outcomes || !cfg_.classifyMisses,
+               "a counting replay of a classifying config needs shadow "
+               "outcomes");
+    if (!cfg_.classifyMisses)
+        outcomes = nullptr;
     if (observed())
         runBatchTmpl<Fidelity::Observed>(recs, n, outcomes);
     else
@@ -854,14 +838,6 @@ SoftwareAssistedCache::auxTemporalBit(Addr addr) const
     if (!way)
         return false;
     return aux_->line(aux_->setIndexOf(line), *way).temporal;
-}
-
-sim::MissClassifier
-shadowClassifierOf(const Config &cfg)
-{
-    return sim::MissClassifier(
-        static_cast<std::uint32_t>(cfg.cacheSizeBytes / cfg.lineBytes),
-        cfg.lineBytes);
 }
 
 sim::RunStats

@@ -69,28 +69,28 @@ class SoftwareAssistedCache
     /** Build the simulator for configuration @p cfg (validated). */
     explicit SoftwareAssistedCache(Config cfg);
 
-    /** Simulate one reference. References must arrive in issue order. */
-    void access(const trace::Record &rec) { runBatch(&rec, 1, nullptr); }
-
-    /** Simulate a whole trace (appends to the current state). */
+    /**
+     * Simulate a whole trace (appends to the current state), then
+     * finish(), with a shadow classifier of this config beside the
+     * simulator, fed one chunk ahead of the replay.
+     */
     void run(const trace::Trace &t);
 
     /**
-     * Replay @p n records at the current fidelity without sealing
-     * the run (no finish()); the building block of windowed replay.
+     * Replay @p n records (in issue order) at the current fidelity
+     * without sealing the run (no finish()); the building block of
+     * every caller that streams records itself.
      *
-     * Three-C classification reads each record's shadow outcome:
-     * from @p outcomes (outcomes[i] for recs[i], computed by a
-     * sim::MissClassifier of this config's line size and capacity
-     * over the same record stream) when non-null, else from the
-     * simulator's own classifier, which fills a batch of outcomes
-     * before the same access loop. access(), run() and runDetailed()
-     * always use the simulator's own. One run takes its outcomes
-     * from one source: mixing the two panics. Outcomes are ignored
-     * when classifyMisses is off or after runWarming().
+     * The simulator owns no miss classifier: three-C classification
+     * reads outcomes[i] for recs[i], the shadow outcome that the
+     * caller's sim::MissClassifier of this config's line size and
+     * capacity computed over the same record stream. A counting
+     * replay of a config with classifyMisses on panics when
+     * @p outcomes is null. Outcomes are ignored when classifyMisses
+     * is off or after runWarming().
      */
     void replay(const trace::Record *recs, std::size_t n,
-                const sim::ShadowOutcome *outcomes = nullptr)
+                const sim::ShadowOutcome *outcomes)
     {
         runBatch(recs, n, outcomes);
     }
@@ -98,13 +98,17 @@ class SoftwareAssistedCache
     // --- sim::SampledEngine's Sim concept ------------------------
     //
     // The two calls below are the only fidelity switches; replay()
-    // and access() keep the fidelity the last of them set.
+    // keeps the fidelity the last of them set.
 
-    /** Replay @p n records with full statistics (a detailed window). */
-    void runDetailed(const trace::Record *recs, std::size_t n)
+    /**
+     * Replay @p n records with full statistics (a detailed window),
+     * classifying misses by @p outcomes as replay() does.
+     */
+    void runDetailed(const trace::Record *recs, std::size_t n,
+                     const sim::ShadowOutcome *outcomes)
     {
         warming_ = false;
-        runBatch(recs, n, nullptr);
+        runBatch(recs, n, outcomes);
     }
 
     /**
@@ -113,8 +117,9 @@ class SoftwareAssistedCache
      * stamps, temporal and prefetched bits, bounce-backs, write
      * buffer, clocks — is bit-identical to runDetailed() (proven by
      * the warming-state differential tests), but RunStats counters,
-     * the three-C miss classifier and every observer hook compile out
-     * of the access path.
+     * the three-C miss classification (it reads no shadow outcomes,
+     * so a caller feeds its classifier none of these records) and
+     * every observer hook compile out of the access path.
      */
     void runWarming(const trace::Record *recs, std::size_t n)
     {
@@ -253,8 +258,9 @@ class SoftwareAssistedCache
 
     /**
      * Restore a state captured by exportState() on an identically
-     * configured simulator. RunStats and the miss classifier are left
-     * untouched, and the run is unsealed so finish() runs again.
+     * configured simulator. RunStats are left untouched (as is the
+     * caller's shadow classifier, which is not simulator state), and
+     * the run is unsealed so finish() runs again.
      */
     void importState(const sim::ArchState &s);
 
@@ -269,7 +275,8 @@ class SoftwareAssistedCache
     /**
      * Fidelity of an access-path instantiation. Warming performs the
      * same architectural state transitions as Detailed but compiles
-     * out every stats counter and the miss classifier. Observed is
+     * out every stats counter and the miss classification (it reads
+     * no shadow outcomes). Observed is
      * Detailed plus the observer hooks (tracer, auditor, interval
      * recorder, set profiler); only it contains them.
      */
@@ -313,16 +320,11 @@ class SoftwareAssistedCache
     /**
      * Replay @p n records at the fidelity the current state calls for:
      * Warming when warming_ is set, else Observed when any
-     * observer is attached, else Detailed; a counting replay takes its
-     * shadow outcomes from @p outcomes or, when null, from the
-     * simulator's own classifier (see replay()).
+     * observer is attached, else Detailed; a counting replay of a
+     * classifying config must be given @p outcomes (see replay()).
      */
     void runBatch(const trace::Record *recs, std::size_t n,
                   const sim::ShadowOutcome *outcomes);
-
-    /** Detailed or Observed replay of @p n records. */
-    void runCounted(const trace::Record *recs, std::size_t n,
-                    const sim::ShadowOutcome *outcomes);
 
     /** Is any observer attached? */
     bool observed() const
@@ -444,18 +446,6 @@ class SoftwareAssistedCache
     Cycle lineMissPenalty_;
     Cycle prefetchPenalty_;
 
-    /** Where a run's shadow outcomes come from (see replay()). */
-    enum class OutcomeSource
-    {
-        Unset,
-        Owned,    //!< classifier_, one batch at a time
-        Supplied, //!< the caller of replay()
-    };
-    OutcomeSource outcomeSource_ = OutcomeSource::Unset;
-    /** The owned classifier, built on the first owned batch. */
-    std::optional<sim::MissClassifier> classifier_;
-    /** The owned classifier's outcomes of the current batch. */
-    std::vector<sim::ShadowOutcome> ownedOutcomes_;
     /** Does the current batch classify misses? */
     bool classifying_ = false;
     /** Shadow outcome of the record being simulated. */
@@ -502,14 +492,7 @@ class SoftwareAssistedCache
     telemetry::SetProfiler *setProfiler_ = nullptr;
 };
 
-/**
- * A three-C shadow classifier of @p cfg's geometry: a fully
- * associative LRU of the cache's capacity in @p cfg's lines. Its
- * outcomes serve every config with the same line size and capacity.
- */
-sim::MissClassifier shadowClassifierOf(const Config &cfg);
-
-/** Simulate @p t under @p cfg and return the statistics. */
+/** Simulate @p t under @p cfg (run()) and return the statistics. */
 sim::RunStats simulateTrace(const trace::Trace &t, const Config &cfg);
 
 } // namespace core

@@ -126,7 +126,7 @@ Runner::outcomesOf(const Workload &w, const trace::Trace &t,
     }
     std::call_once(latch->once, [&] {
         const telemetry::ScopedPhase phase(phases_, "classify");
-        sim::MissClassifier classifier = core::shadowClassifierOf(cfg);
+        sim::MissClassifier classifier = sim::shadowClassifierOf(cfg);
         std::vector<sim::ShadowOutcome> chunk(
             trace::TraceSource::defaultChunkRecords);
         latch->value.reserve(t.size());
@@ -385,7 +385,7 @@ Runner::traverse(const Workload &w, const trace::Trace *resident,
         if (resident)
             sh.latched = &outcomesOf(w, *resident, *sh.config);
         else
-            sh.classifier.emplace(core::shadowClassifierOf(*sh.config));
+            sh.classifier.emplace(sim::shadowClassifierOf(*sh.config));
         sh.chunk.resize(chunk);
     }
 

@@ -141,6 +141,20 @@ class MissClassifier
 };
 
 /**
+ * A shadow classifier of @p cfg's geometry (cacheSizeBytes in
+ * lineBytes lines); its outcomes serve every config of that geometry.
+ * A template, so src/sim need not link against src/core.
+ */
+template <class Cfg>
+MissClassifier
+shadowClassifierOf(const Cfg &cfg)
+{
+    return MissClassifier(
+        static_cast<std::uint32_t>(cfg.cacheSizeBytes / cfg.lineBytes),
+        cfg.lineBytes);
+}
+
+/**
  * The shadow outcomes of a record stream, 2 bits per record (a
  * quarter of a byte per record, where a MissClassifier holds 12 bytes
  * per touched line plus 16 per shadow line).

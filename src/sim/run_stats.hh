@@ -88,10 +88,10 @@ struct RunStats
 
     /**
      * Exact component-wise equality, timing fields included. The
-     * streaming engine and replay on supplied shadow outcomes must be
-     * bit-identical to materialized replay on the simulator's own
-     * classifier, not merely close, so tests compare whole RunStats
-     * objects.
+     * streaming engine and replay on a Runner's shared shadow
+     * outcomes must be bit-identical to materialized replay
+     * (simulateTrace), not merely close, so tests compare whole
+     * RunStats objects.
      */
     bool operator==(const RunStats &) const = default;
 

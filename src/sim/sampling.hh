@@ -30,13 +30,17 @@
  * against src/core (sac_core links sac_sim; the reverse edge would be
  * a cycle). The concept a simulator must model:
  *
- *   void runDetailed(const trace::Record *recs, std::size_t n);
+ *   void runDetailed(const trace::Record *recs, std::size_t n,
+ *                    const sim::ShadowOutcome *outcomes);
  *   void runWarming(const trace::Record *recs, std::size_t n);
  *   const sim::RunStats &stats() const;
  *   void finish();
+ *   config() (classifyMisses, cacheSizeBytes, lineBytes);
  *
  * plus ArchState exportState() const for buildLibrary and
- * void importState(const ArchState &) for runCheckpointed.
+ * void importState(const ArchState &) for runCheckpointed. The
+ * simulator owns no miss classifier: a counting walk holds one shadow
+ * of sim.config() and feeds it the detailed windows' records only.
  *
  * Warming must update all architectural state (arrays, LRU, temporal
  * bits, write buffer, clocks) exactly as the detailed path does —
@@ -55,6 +59,7 @@
 #include <vector>
 
 #include "src/sim/checkpoint.hh"
+#include "src/sim/miss_classifier.hh"
 #include "src/sim/run_stats.hh"
 #include "src/trace/record.hh"
 #include "src/trace/trace_source.hh"
@@ -354,6 +359,13 @@ class SampledEngine
         std::vector<trace::Record> buf(
             std::min<std::uint64_t>(trace::TraceSource::defaultChunkRecords,
                                     opt_.window));
+        // The walk's shadow: gap records never reach it.
+        std::optional<MissClassifier> shadow;
+        std::vector<ShadowOutcome> outcomes;
+        if (detailed && sim.config().classifyMisses) {
+            shadow.emplace(shadowClassifierOf(sim.config()));
+            outcomes.resize(buf.size());
+        }
         // Replay up to @p n records; fewer means the stream ended.
         const auto feed = [&](std::uint64_t n, bool warming) {
             std::uint64_t got = 0;
@@ -364,10 +376,14 @@ class SampledEngine
                                                             n - got)));
                 if (k == 0)
                     break;
-                if (warming)
+                if (warming) {
                     sim.runWarming(buf.data(), k);
-                else
-                    sim.runDetailed(buf.data(), k);
+                } else {
+                    if (shadow)
+                        shadow->classify(buf.data(), k, outcomes.data());
+                    sim.runDetailed(buf.data(), k,
+                                    shadow ? outcomes.data() : nullptr);
+                }
                 got += k;
             }
             return got;

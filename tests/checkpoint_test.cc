@@ -42,6 +42,7 @@
 #include "src/trace/trace_source.hh"
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
@@ -131,9 +132,9 @@ TEST(ArchStateTest, ExportImportIsBitIdenticalMidStream)
     const auto t = workloads::makeTaggedTrace(workloads::buildMv(40));
     const core::Config cfg = core::presets().get("soft");
 
-    core::SoftwareAssistedCache a(cfg);
+    test::ShadowedCache a(cfg);
     a.runWarming(t.data(), 1500);
-    core::SoftwareAssistedCache b(cfg);
+    test::ShadowedCache b(cfg);
     b.importState(a.exportState());
     EXPECT_EQ(check::stateDifference(a, b), "");
 

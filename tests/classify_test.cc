@@ -3,11 +3,12 @@
  * Shadow outcomes shared across a traversal: harness::Runner
  * classifies each (trace, line size, capacity) once and every exact
  * cell of that geometry replays on the supplied outcomes. Those cells
- * must equal core::simulateTrace (which runs the simulator's own
- * classifier) bit for bit, resident and streamed, at any job count;
- * one resident trace is classified once per geometry across
- * requests and threads (so a warm session over the nine paper traces
- * runs nine passes); and a run mixing the two outcome sources panics.
+ * must equal core::simulateTrace (which classifies chunk by chunk
+ * beside its simulator) bit for bit, resident and streamed, at any
+ * job count; one resident trace is classified once per geometry
+ * across requests and threads (so a warm session over the nine paper
+ * traces runs nine passes); and a counting replay of a classifying
+ * config that is given no outcomes panics, in either simulator.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/column_assoc.hh"
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/harness/experiment.hh"
 #include "src/harness/sweep.hh"
-#include "src/sim/miss_classifier.hh"
 #include "src/workloads/workloads.hh"
 #include "tests/reference_sweep.hh"
 
@@ -217,30 +218,45 @@ TEST(Classify, ConcurrentRequestsShareOnePass)
     }
 }
 
-TEST(ClassifyDeathTest, MixingOutcomeSourcesPanics)
+TEST(ClassifyDeathTest, CountingReplayWithoutOutcomesPanics)
 {
     const trace::Trace t =
         workloads::makeTaggedTrace(workloads::buildMv(10));
     const Config cfg = core::presets().get("soft");
-    std::vector<sim::ShadowOutcome> outcomes(t.size());
-    core::shadowClassifierOf(cfg).classify(t.data(), t.size(),
-                                           outcomes.data());
-    const std::size_t half = t.size() / 2;
     EXPECT_DEATH(
         {
             core::SoftwareAssistedCache sim(cfg);
-            sim.replay(t.data(), half, outcomes.data());
-            sim.replay(t.data() + half, t.size() - half);
+            sim.replay(t.data(), t.size(), nullptr);
         },
-        "mixes supplied and owned");
+        "classifying config needs shadow outcomes");
     EXPECT_DEATH(
         {
             core::SoftwareAssistedCache sim(cfg);
-            sim.replay(t.data(), half);
-            sim.replay(t.data() + half, t.size() - half,
-                       outcomes.data() + half);
+            sim.runDetailed(t.data(), t.size(), nullptr);
         },
-        "mixes supplied and owned");
+        "classifying config needs shadow outcomes");
+    EXPECT_DEATH(
+        {
+            core::ColumnAssocCache sim{core::ColumnAssocConfig{}};
+            sim.replay(t.data(), t.size(), nullptr);
+        },
+        "classifying config needs shadow outcomes");
+
+    // Warming counts nothing, so it needs no outcomes.
+    core::SoftwareAssistedCache warmed(cfg);
+    warmed.runWarming(t.data(), t.size());
+
+    // Without classification a counting replay needs none either, and
+    // no miss lands in a class.
+    Config unclassified = cfg;
+    unclassified.classifyMisses = false;
+    core::SoftwareAssistedCache sim(unclassified);
+    sim.replay(t.data(), t.size(), nullptr);
+    sim.finish();
+    EXPECT_GT(sim.stats().misses, 0u);
+    EXPECT_EQ(sim.stats().compulsoryMisses, 0u);
+    EXPECT_EQ(sim.stats().capacityMisses, 0u);
+    EXPECT_EQ(sim.stats().conflictMisses, 0u);
 }
 
 } // namespace

@@ -10,11 +10,12 @@
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
 using namespace sac;
-using core::ColumnAssocCache;
+using test::ShadowedColumnAssoc;
 using core::ColumnAssocConfig;
 using trace::AccessType;
 using trace::Record;
@@ -48,7 +49,7 @@ TEST(ColumnAssoc, ConflictingLinesCoexist)
 {
     // Lines 2 and 10 share primary set 2; the alternate set (2 ^ 4
     // = 6) holds the demoted one.
-    ColumnAssocCache sim(smallCfg());
+    ShadowedColumnAssoc sim(smallCfg());
     sim.access(rec(lineAddr(2)));
     sim.access(rec(lineAddr(10)));
     sim.finish();
@@ -60,7 +61,7 @@ TEST(ColumnAssoc, ConflictingLinesCoexist)
 
 TEST(ColumnAssoc, RehashHitSwapsToPrimary)
 {
-    ColumnAssocCache sim(smallCfg());
+    ShadowedColumnAssoc sim(smallCfg());
     sim.access(rec(lineAddr(2)));
     sim.access(rec(lineAddr(10)));
     sim.access(rec(lineAddr(2))); // alternate-set hit, swap
@@ -73,7 +74,7 @@ TEST(ColumnAssoc, RehashHitSwapsToPrimary)
 
 TEST(ColumnAssoc, RehashHitCostsOneExtraCycle)
 {
-    ColumnAssocCache sim(smallCfg());
+    ShadowedColumnAssoc sim(smallCfg());
     sim.access(rec(lineAddr(2)));
     sim.access(rec(lineAddr(10)));
     sim.access(rec(lineAddr(2)));
@@ -85,7 +86,7 @@ TEST(ColumnAssoc, RehashHitCostsOneExtraCycle)
 
 TEST(ColumnAssoc, PingPongConvergesViaSwap)
 {
-    ColumnAssocCache sim(smallCfg());
+    ShadowedColumnAssoc sim(smallCfg());
     sim.access(rec(lineAddr(2)));
     sim.access(rec(lineAddr(10)));
     // Alternate the two conflicting lines: after the fills, every
@@ -102,7 +103,7 @@ TEST(ColumnAssoc, PingPongConvergesViaSwap)
 TEST(ColumnAssoc, ThreeWayConflictStillMisses)
 {
     // Three lines on one primary set exceed the two columns.
-    ColumnAssocCache sim(smallCfg());
+    ShadowedColumnAssoc sim(smallCfg());
     for (int round = 0; round < 3; ++round) {
         sim.access(rec(lineAddr(2), 10));
         sim.access(rec(lineAddr(10), 10));
@@ -114,7 +115,7 @@ TEST(ColumnAssoc, ThreeWayConflictStillMisses)
 
 TEST(ColumnAssoc, DirtyDemotedLinesWriteBackWhenClobbered)
 {
-    ColumnAssocCache sim(smallCfg());
+    ShadowedColumnAssoc sim(smallCfg());
     sim.access(rec(lineAddr(2), 1, true)); // dirty in primary 2
     sim.access(rec(lineAddr(10)));         // demotes dirty 2 to set 6
     sim.access(rec(lineAddr(6)));          // primary set 6: demote 10?

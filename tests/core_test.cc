@@ -14,13 +14,14 @@
 
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
 using namespace sac;
 using core::BypassMode;
 using core::Config;
-using core::SoftwareAssistedCache;
+using test::ShadowedCache;
 using trace::AccessType;
 using trace::Record;
 
@@ -78,7 +79,7 @@ smallVictim()
 
 TEST(CoreTiming, SingleMissLatencyIsOnePlusPenalty)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0)));
     sim.finish();
     // 1 (hit check) + 20 (latency) + 2 (32 B over a 16 B/cy bus).
@@ -88,7 +89,7 @@ TEST(CoreTiming, SingleMissLatencyIsOnePlusPenalty)
 
 TEST(CoreTiming, HitAfterMissCostsOneCycle)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0)));
     sim.access(rec(lineAddr(0) + 8));
     sim.finish();
@@ -99,7 +100,7 @@ TEST(CoreTiming, HitAfterMissCostsOneCycle)
 
 TEST(CoreTiming, AuxHitCostsThreeCycles)
 {
-    SoftwareAssistedCache sim(smallVictim());
+    ShadowedCache sim(smallVictim());
     sim.access(rec(lineAddr(2)));  // miss
     sim.access(rec(lineAddr(10))); // same set: line 2 -> aux
     EXPECT_TRUE(sim.auxContains(lineAddr(2)));
@@ -115,7 +116,7 @@ TEST(CoreTiming, AuxHitCostsThreeCycles)
 
 TEST(CoreTiming, SwapLockDelaysNextAccess)
 {
-    SoftwareAssistedCache sim(smallVictim());
+    ShadowedCache sim(smallVictim());
     sim.access(rec(lineAddr(2)));
     sim.access(rec(lineAddr(10)));
     sim.access(rec(lineAddr(2)));          // aux hit at cycle 47..50
@@ -128,7 +129,7 @@ TEST(CoreTiming, SwapLockDelaysNextAccess)
 
 TEST(CoreTiming, IssueDeltasSeparateAccesses)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0)));
     sim.access(rec(lineAddr(0), 50)); // issued long after the miss
     sim.finish();
@@ -137,7 +138,7 @@ TEST(CoreTiming, IssueDeltasSeparateAccesses)
 
 TEST(CoreWrites, WriteAllocatesAndWritesBackOnEviction)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0), 1, true)); // write miss, allocate
     EXPECT_TRUE(sim.mainContains(lineAddr(0)));
     sim.access(rec(lineAddr(256))); // same set: dirty line 0 evicted
@@ -147,7 +148,7 @@ TEST(CoreWrites, WriteAllocatesAndWritesBackOnEviction)
 
 TEST(CoreWrites, CleanEvictionWritesNothing)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0)));
     sim.access(rec(lineAddr(256)));
     sim.finish();
@@ -156,7 +157,7 @@ TEST(CoreWrites, CleanEvictionWritesNothing)
 
 TEST(CoreVirtualLines, SpatialMissFetchesWholeBlock)
 {
-    SoftwareAssistedCache sim(smallSoftVl());
+    ShadowedCache sim(smallSoftVl());
     sim.access(rec(lineAddr(0), 1, false, false, true));
     sim.finish();
     EXPECT_TRUE(sim.mainContains(lineAddr(0)));
@@ -170,7 +171,7 @@ TEST(CoreVirtualLines, SpatialMissFetchesWholeBlock)
 
 TEST(CoreVirtualLines, BlockIsAligned)
 {
-    SoftwareAssistedCache sim(smallSoftVl());
+    ShadowedCache sim(smallSoftVl());
     // A miss on line 3 fetches the aligned block {2, 3}, not {3, 4}.
     sim.access(rec(lineAddr(3), 1, false, false, true));
     sim.finish();
@@ -181,7 +182,7 @@ TEST(CoreVirtualLines, BlockIsAligned)
 
 TEST(CoreVirtualLines, ResidentLinesAreNotRefetched)
 {
-    SoftwareAssistedCache sim(smallSoftVl());
+    ShadowedCache sim(smallSoftVl());
     sim.access(rec(lineAddr(1)));
     const auto fetched_before = sim.stats().linesFetched;
     sim.access(rec(lineAddr(0), 1, false, false, true));
@@ -193,7 +194,7 @@ TEST(CoreVirtualLines, ResidentLinesAreNotRefetched)
 
 TEST(CoreVirtualLines, NonSpatialMissFetchesOneLine)
 {
-    SoftwareAssistedCache sim(smallSoftVl());
+    ShadowedCache sim(smallSoftVl());
     sim.access(rec(lineAddr(0), 1, false, false, false));
     sim.finish();
     EXPECT_EQ(sim.stats().linesFetched, 1u);
@@ -202,7 +203,7 @@ TEST(CoreVirtualLines, NonSpatialMissFetchesOneLine)
 
 TEST(CoreVirtualLines, StandardConfigIgnoresSpatialTags)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0), 1, false, false, true));
     sim.finish();
     EXPECT_EQ(sim.stats().linesFetched, 1u);
@@ -211,7 +212,7 @@ TEST(CoreVirtualLines, StandardConfigIgnoresSpatialTags)
 
 TEST(CoreVirtualLines, AuxResidentLineInvalidatesFillNotFetch)
 {
-    SoftwareAssistedCache sim(smallSoftVl());
+    ShadowedCache sim(smallSoftVl());
     // Park line 1 in the aux cache: load it, then displace it.
     sim.access(rec(lineAddr(1)));
     sim.access(rec(lineAddr(9))); // same set -> line 1 to aux
@@ -232,7 +233,7 @@ TEST(CoreVirtualLines, AuxResidentLineInvalidatesFillNotFetch)
 
 TEST(CoreVictim, AllVictimsEnterAuxCleanOrDirty)
 {
-    SoftwareAssistedCache sim(smallVictim());
+    ShadowedCache sim(smallVictim());
     sim.access(rec(lineAddr(2), 1, true)); // dirty
     sim.access(rec(lineAddr(10)));
     EXPECT_TRUE(sim.auxContains(lineAddr(2)));
@@ -244,7 +245,7 @@ TEST(CoreVictim, AllVictimsEnterAuxCleanOrDirty)
 
 TEST(CoreVictim, PlainVictimDiscardsLruWithoutBounce)
 {
-    SoftwareAssistedCache sim(smallVictim());
+    ShadowedCache sim(smallVictim());
     // Fill the 4-line aux with victims from sets 2..5.
     for (Addr s = 2; s <= 5; ++s) {
         sim.access(rec(lineAddr(s)));
@@ -262,7 +263,7 @@ TEST(CoreVictim, PlainVictimDiscardsLruWithoutBounce)
 
 TEST(CoreBounceBack, TemporalLineBouncesBackToMainCache)
 {
-    SoftwareAssistedCache sim(smallSoft());
+    ShadowedCache sim(smallSoft());
     sim.access(rec(lineAddr(2), 1, false, true)); // temporal
     EXPECT_TRUE(sim.mainTemporalBit(lineAddr(2)));
     sim.access(rec(lineAddr(10))); // line 2 -> aux
@@ -287,7 +288,7 @@ TEST(CoreBounceBack, TemporalLineBouncesBackToMainCache)
 
 TEST(CoreBounceBack, NonTemporalAuxVictimIsDiscarded)
 {
-    SoftwareAssistedCache sim(smallSoft());
+    ShadowedCache sim(smallSoft());
     sim.access(rec(lineAddr(2))); // no temporal tag
     sim.access(rec(lineAddr(10)));
     for (Addr s = 3; s <= 6; ++s) {
@@ -302,7 +303,7 @@ TEST(CoreBounceBack, NonTemporalAuxVictimIsDiscarded)
 
 TEST(CoreBounceBack, BounceAimedAtMissTargetIsCancelled)
 {
-    SoftwareAssistedCache sim(smallSoft());
+    ShadowedCache sim(smallSoft());
     sim.access(rec(lineAddr(2), 1, false, true)); // temporal
     sim.access(rec(lineAddr(10)));                // line 2 -> aux
     for (Addr s = 3; s <= 5; ++s) {               // fill aux
@@ -326,7 +327,7 @@ TEST(CoreBounceBack, BounceOntoDirtyLineAbortsWhenBufferFull)
 {
     Config cfg = smallSoftVl();
     cfg.writeBufferEntries = 1;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
 
     sim.access(rec(lineAddr(5)));          // victim-to-be in set 5
     sim.access(rec(lineAddr(1), 1, true)); // X1, dirty
@@ -356,7 +357,7 @@ TEST(CoreBounceBack, BounceOntoDirtyLineAbortsWhenBufferFull)
 
 TEST(CoreBounceBack, SwapPreservesTemporalAndDirtyBits)
 {
-    SoftwareAssistedCache sim(smallSoft());
+    ShadowedCache sim(smallSoft());
     sim.access(rec(lineAddr(2), 1, true, true)); // dirty + temporal
     sim.access(rec(lineAddr(10)));               // -> aux
     sim.access(rec(lineAddr(2)));                // swap back, untagged
@@ -369,7 +370,7 @@ TEST(CoreBounceBack, SwapPreservesTemporalAndDirtyBits)
 
 TEST(CoreTemporalBits, UntaggedAccessLeavesBitUnchanged)
 {
-    SoftwareAssistedCache sim(smallSoft());
+    ShadowedCache sim(smallSoft());
     sim.access(rec(lineAddr(2), 1, false, true));
     sim.access(rec(lineAddr(2), 1, false, false));
     EXPECT_TRUE(sim.mainTemporalBit(lineAddr(2)));
@@ -377,14 +378,14 @@ TEST(CoreTemporalBits, UntaggedAccessLeavesBitUnchanged)
 
 TEST(CoreTemporalBits, DisabledWhenConfigOff)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(2), 1, false, true));
     EXPECT_FALSE(sim.mainTemporalBit(lineAddr(2)));
 }
 
 TEST(CoreBypass, NonTemporalReadDoesNotAllocate)
 {
-    SoftwareAssistedCache sim(core::presets().get("bypass"));
+    ShadowedCache sim(core::presets().get("bypass"));
     sim.access(rec(lineAddr(0)));
     sim.finish();
     EXPECT_EQ(sim.stats().bypasses, 1u);
@@ -397,7 +398,7 @@ TEST(CoreBypass, NonTemporalReadDoesNotAllocate)
 
 TEST(CoreBypass, TemporalReferencesStillAllocate)
 {
-    SoftwareAssistedCache sim(core::presets().get("bypass"));
+    ShadowedCache sim(core::presets().get("bypass"));
     sim.access(rec(lineAddr(0), 1, false, true));
     sim.finish();
     EXPECT_EQ(sim.stats().misses, 1u);
@@ -406,7 +407,7 @@ TEST(CoreBypass, TemporalReferencesStillAllocate)
 
 TEST(CoreBypass, BufferedBypassRecoversSpatialLocality)
 {
-    SoftwareAssistedCache sim(core::presets().get("bypass-buffer"));
+    ShadowedCache sim(core::presets().get("bypass-buffer"));
     for (Addr off = 0; off < 32; off += 8)
         sim.access(rec(lineAddr(0) + off));
     sim.finish();
@@ -419,7 +420,7 @@ TEST(CoreBypass, BufferedBypassRecoversSpatialLocality)
 
 TEST(CoreBypass, BufferThrashesOnInterleavedStreams)
 {
-    SoftwareAssistedCache sim(core::presets().get("bypass-buffer"));
+    ShadowedCache sim(core::presets().get("bypass-buffer"));
     // Two interleaved streams evict each other from the one-line
     // buffer: every access refetches.
     for (int i = 0; i < 4; ++i) {
@@ -433,7 +434,7 @@ TEST(CoreBypass, BufferThrashesOnInterleavedStreams)
 
 TEST(CoreBypass, NonTemporalWriteGoesThroughWriteBuffer)
 {
-    SoftwareAssistedCache sim(core::presets().get("bypass"));
+    ShadowedCache sim(core::presets().get("bypass"));
     sim.access(rec(lineAddr(0), 1, true));
     sim.finish();
     EXPECT_EQ(sim.stats().bypasses, 1u);
@@ -443,7 +444,7 @@ TEST(CoreBypass, NonTemporalWriteGoesThroughWriteBuffer)
 
 TEST(CorePrefetch, SpatialMissTriggersNextLinePrefetch)
 {
-    SoftwareAssistedCache sim(core::presets().get("soft-prefetch"));
+    ShadowedCache sim(core::presets().get("soft-prefetch"));
     sim.access(rec(lineAddr(0), 1, false, false, true));
     sim.finish();
     // Virtual block {0,1} fetched; line 2 prefetched.
@@ -453,7 +454,7 @@ TEST(CorePrefetch, SpatialMissTriggersNextLinePrefetch)
 
 TEST(CorePrefetch, PrefetchedLineHitsInAuxAndChains)
 {
-    SoftwareAssistedCache sim(core::presets().get("soft-prefetch"));
+    ShadowedCache sim(core::presets().get("soft-prefetch"));
     sim.access(rec(lineAddr(0), 1, false, false, true));
     // Far enough in the future for the prefetch to land.
     sim.access(rec(lineAddr(2), 200, false, false, true));
@@ -467,7 +468,7 @@ TEST(CorePrefetch, PrefetchedLineHitsInAuxAndChains)
 
 TEST(CorePrefetch, DemandStallsOnInFlightPrefetch)
 {
-    SoftwareAssistedCache sim(core::presets().get("soft-prefetch"));
+    ShadowedCache sim(core::presets().get("soft-prefetch"));
     sim.access(rec(lineAddr(0), 1, false, false, true));
     // Issued immediately after: the prefetch of line 2 is still in
     // flight, so the access waits for it instead of re-fetching.
@@ -479,7 +480,7 @@ TEST(CorePrefetch, DemandStallsOnInFlightPrefetch)
 
 TEST(CorePrefetch, SpatialOnlyGateRespectsTags)
 {
-    SoftwareAssistedCache sim(core::presets().get("soft-prefetch"));
+    ShadowedCache sim(core::presets().get("soft-prefetch"));
     sim.access(rec(lineAddr(0), 1, false, false, false));
     sim.finish();
     EXPECT_EQ(sim.stats().prefetchesIssued, 0u);
@@ -487,7 +488,7 @@ TEST(CorePrefetch, SpatialOnlyGateRespectsTags)
 
 TEST(CorePrefetch, StandardPrefetchFiresOnEveryMiss)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard-prefetch"));
+    ShadowedCache sim(core::presets().get("standard-prefetch"));
     sim.access(rec(lineAddr(0)));
     sim.finish();
     EXPECT_EQ(sim.stats().prefetchesIssued, 1u);
@@ -495,7 +496,7 @@ TEST(CorePrefetch, StandardPrefetchFiresOnEveryMiss)
 
 TEST(CorePrefetch, StandardPrefetchVictimsDoNotEnterAux)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard-prefetch"));
+    ShadowedCache sim(core::presets().get("standard-prefetch"));
     sim.access(rec(lineAddr(0)));
     sim.access(rec(lineAddr(256))); // evicts line 0
     sim.finish();
@@ -507,7 +508,7 @@ TEST(CoreReplacement, SimplifiedSoftPrefersNonTemporalVictims)
     Config cfg = core::presets().get("simplified-soft-2way");
     cfg.cacheSizeBytes = 512; // 8 sets x 2 ways
     cfg.virtualLines = false;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(2), 1, false, true)); // temporal, older
     sim.access(rec(lineAddr(10)));                // non-temporal
     sim.access(rec(lineAddr(18)));                // set 2 is full
@@ -521,7 +522,7 @@ TEST(CoreReplacement, PlainTwoWayEvictsLru)
 {
     Config cfg = core::presets().get("2way");
     cfg.cacheSizeBytes = 512;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(2), 1, false, true));
     sim.access(rec(lineAddr(10)));
     sim.access(rec(lineAddr(18)));
@@ -532,7 +533,7 @@ TEST(CoreReplacement, PlainTwoWayEvictsLru)
 
 TEST(CoreStats, HitMissBypassPartitionAccesses)
 {
-    SoftwareAssistedCache sim(smallSoft());
+    ShadowedCache sim(smallSoft());
     for (Addr i = 0; i < 64; ++i)
         sim.access(rec(lineAddr(i % 16) + (i % 4) * 8, 2, i % 3 == 0,
                        i % 5 == 0, i % 2 == 0));
@@ -546,7 +547,7 @@ TEST(CoreStats, HitMissBypassPartitionAccesses)
 
 TEST(CoreStats, MissClassesSumToMisses)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     for (Addr i = 0; i < 2000; ++i)
         sim.access(rec(lineAddr((i * 7) % 512) + (i % 4) * 8));
     sim.finish();
@@ -625,7 +626,7 @@ TEST(CoreConfig, ScaledConfigAdjustsVirtualLine)
 
 TEST(CoreLifecycle, AccessAfterFinishPanics)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0)));
     sim.finish();
     EXPECT_DEATH(sim.access(rec(lineAddr(1))), "finish");
@@ -633,7 +634,7 @@ TEST(CoreLifecycle, AccessAfterFinishPanics)
 
 TEST(CoreLifecycle, FinishIsIdempotent)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0), 1, true));
     sim.access(rec(lineAddr(256)));
     sim.finish();

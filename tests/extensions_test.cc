@@ -13,13 +13,14 @@
 #include "src/locality/analyzer.hh"
 #include "src/loopnest/builder.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
 using namespace sac;
 using namespace sac::loopnest::builder;
 using core::Config;
-using core::SoftwareAssistedCache;
+using test::ShadowedCache;
 using loopnest::Program;
 using trace::AccessType;
 using trace::Record;
@@ -109,20 +110,20 @@ TEST(VariableVl, FetchSpansTwoToTheLevel)
 {
     Config cfg = core::presets().get("variable");
     {
-        SoftwareAssistedCache sim(cfg);
+        ShadowedCache sim(cfg);
         sim.access(rec(lineAddr(8), 1, false, false, 3));
         sim.finish();
         EXPECT_EQ(sim.stats().linesFetched, 8u); // 256-byte block
         EXPECT_TRUE(sim.mainContains(lineAddr(15)));
     }
     {
-        SoftwareAssistedCache sim(cfg);
+        ShadowedCache sim(cfg);
         sim.access(rec(lineAddr(8), 1, false, false, 1));
         sim.finish();
         EXPECT_EQ(sim.stats().linesFetched, 2u);
     }
     {
-        SoftwareAssistedCache sim(cfg);
+        ShadowedCache sim(cfg);
         sim.access(rec(lineAddr(8), 1, false, false, 0));
         sim.finish();
         EXPECT_EQ(sim.stats().linesFetched, 1u);
@@ -133,7 +134,7 @@ TEST(VariableVl, CapRespectsConfig)
 {
     Config cfg = core::presets().get("variable");
     cfg.virtualLineBytes = 64; // cap at 2 lines
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(0), 1, false, false, 3));
     sim.finish();
     EXPECT_EQ(sim.stats().linesFetched, 2u);
@@ -141,7 +142,7 @@ TEST(VariableVl, CapRespectsConfig)
 
 TEST(VariableVl, FixedModeIgnoresLevels)
 {
-    SoftwareAssistedCache sim(core::presets().get("soft")); // fixed 64 B
+    ShadowedCache sim(core::presets().get("soft")); // fixed 64 B
     sim.access(rec(lineAddr(0), 1, false, false, 3));
     sim.finish();
     EXPECT_EQ(sim.stats().linesFetched, 2u);
@@ -172,7 +173,7 @@ TEST(AuxAssoc, FourWayBounceBackStillWorks)
     Config cfg = core::presets().get("soft");
     cfg.auxAssoc = 4; // 8 lines = 2 sets x 4 ways
     cfg.virtualLines = false;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(2), 1, false, true)); // temporal
     sim.access(rec(lineAddr(258)));               // line 2 -> aux
     EXPECT_TRUE(sim.auxContains(lineAddr(2)));
@@ -219,7 +220,7 @@ TEST(PrefetchDegree, FetchesSeveralLinesPerRequest)
 {
     Config cfg = core::presets().get("soft-prefetch");
     cfg.prefetchDegree = 2;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(0), 1, false, false, 1));
     sim.finish();
     // Virtual block {0,1} plus a 2-line prefetch {2,3}.
@@ -231,7 +232,7 @@ TEST(PrefetchDegree, BothPrefetchedLinesAreUsable)
 {
     Config cfg = core::presets().get("soft-prefetch");
     cfg.prefetchDegree = 2;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(0), 1, false, false, 1));
     sim.access(rec(lineAddr(2), 300, false, false, 1));
     sim.access(rec(lineAddr(3), 300, false, false, 1));
@@ -256,7 +257,7 @@ TEST(ResetAblation, WithoutResetBitSurvivesBounce)
     cfg.auxLines = 4;
     cfg.virtualLines = false;
     cfg.resetTemporalBitOnBounce = false;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(2), 1, false, true));
     sim.access(rec(lineAddr(10)));
     for (Addr s = 3; s <= 5; ++s) {
@@ -277,7 +278,7 @@ TEST(CoherenceAblation, WithoutCheckResidentLinesAreRefetched)
 {
     Config cfg = core::presets().get("soft");
     cfg.virtualLineCoherenceCheck = false;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(1)));
     const auto before = sim.stats().bytesFetched;
     sim.access(rec(lineAddr(0), 1, false, false, 1));
@@ -304,7 +305,7 @@ TEST(AuxAssoc, DirectMappedAuxDiscardsMismappedSwapVictim)
     Config cfg = core::presets().get("soft");
     cfg.auxAssoc = 1; // 8 aux sets of 1 way
     cfg.virtualLines = false;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(2), 1, false));
     sim.access(rec(lineAddr(258), 1, true)); // same main set, dirty
     ASSERT_TRUE(sim.auxContains(lineAddr(2)));
@@ -325,7 +326,7 @@ TEST(AuxAssoc, MismappedDirtySwapVictimIsWrittenBack)
     cfg.auxLines = 4;
     cfg.auxAssoc = 1; // 4 aux sets of 1 way
     cfg.virtualLines = false;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     // Line 2 (aux set 2) and line 10 (aux set 2) share main set 2.
     // Use lines 2 and 18: main set 2 both; aux sets 2 both. Need a
     // displaced line whose aux set differs from the hit line's:

@@ -20,6 +20,7 @@
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
@@ -193,7 +194,7 @@ TEST(Integration, TraceReplayMatchesIncrementalRuns)
     // simulateTrace == manual access loop + finish.
     const auto t = workloads::makeBenchmarkTrace("DYF");
     const auto batch = simulateTrace(t, core::presets().get("soft"));
-    core::SoftwareAssistedCache sim(core::presets().get("soft"));
+    test::ShadowedCache sim(core::presets().get("soft"));
     for (const auto &r : t)
         sim.access(r);
     sim.finish();

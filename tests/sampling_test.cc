@@ -30,6 +30,7 @@
 #include "src/trace/trace_source.hh"
 #include "src/util/rng.hh"
 #include "src/workloads/workloads.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
@@ -507,7 +508,7 @@ expectWarmingMatchesDetailed(const core::Config &cfg,
                              const trace::Trace &t, std::size_t n)
 {
     n = std::min(n, t.size());
-    core::SoftwareAssistedCache detailed(cfg);
+    test::ShadowedCache detailed(cfg);
     core::SoftwareAssistedCache warming(cfg);
     detailed.runDetailed(t.data(), n);
     warming.runWarming(t.data(), n);
@@ -550,7 +551,7 @@ TEST(WarmingStateTest, StateDifferenceDetectsDivergence)
     // must report a nonempty difference.
     const auto t = workloads::makeBenchmarkTrace("MV");
     const core::Config cfg = core::presets().get("soft");
-    core::SoftwareAssistedCache a(cfg);
+    test::ShadowedCache a(cfg);
     core::SoftwareAssistedCache b(cfg);
     a.runDetailed(t.data(), 2048);
     b.runWarming(t.data(), 1024);

@@ -17,6 +17,7 @@
 #include "src/sim/run_stats.hh"
 #include "src/sim/timing.hh"
 #include "src/sim/write_buffer.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
@@ -201,7 +202,7 @@ TEST(MissClassifierTest, HitsAreNeverClassified)
     // misses are counted in a class: repeated hits on one line must
     // not inflate the conflict bucket.
     const auto cfg = sac::core::presets().get("standard");
-    sac::core::SoftwareAssistedCache sim(cfg);
+    sac::test::ShadowedCache sim(cfg);
     sac::trace::Record r;
     r.addr = 0x1000;
     for (int i = 0; i < 5; ++i)

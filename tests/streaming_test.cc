@@ -4,9 +4,9 @@
  * redesign: chunked trace sources must replay bit-identically to
  * materialized traces (for any chunk size), Runner::run's chunked
  * traversal of a streamed workload must match resident and direct
- * replay and share one traversal between concurrent requests, replay
- * on supplied shadow outcomes must match the simulator's own
- * classifier on the fuzz corpus, and the Builder / preset registry
+ * replay and share one traversal between concurrent requests, an
+ * unobserved whole-trace replay must match the audited chunked run()
+ * on the fuzz corpus, and the Builder / preset registry
  * must agree with the legacy factories and reject the configurations
  * validate() is documented to reject.
  */
@@ -30,6 +30,7 @@
 #include "src/util/distribution.hh"
 #include "src/workloads/workloads.hh"
 #include "tests/reference_sweep.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
@@ -84,7 +85,7 @@ fuzzCases(std::size_t n)
 sim::RunStats
 replayStreamed(trace::TraceSource &src, const Config &cfg)
 {
-    core::SoftwareAssistedCache sim(cfg);
+    test::ShadowedCache sim(cfg);
     std::vector<trace::Record> chunk(trace::TraceSource::defaultChunkRecords);
     std::size_t n;
     while ((n = src.next(chunk.data(), chunk.size())) > 0)
@@ -342,7 +343,7 @@ TEST(Streaming, FailedTraversalReleasesItsClaims)
                 core::simulateTrace(t, core::presets().get("soft")));
 }
 
-// --- Supplied shadow outcomes match the owned classifier -----------
+// --- Observers and chunking change no counter ----------------------
 
 TEST(Classify, FuzzCasesMatchOnSuppliedOutcomes)
 {

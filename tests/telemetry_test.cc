@@ -25,6 +25,7 @@
 #include "src/util/json.hh"
 #include "src/workloads/workloads.hh"
 #include "tests/reference_sweep.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
@@ -524,7 +525,7 @@ TEST(EventTracer, DetachedTracerRecordsNothing)
     const std::size_t half = t.size() / 2;
     ASSERT_GT(half, 0u);
 
-    core::SoftwareAssistedCache sim(cfg);
+    test::ShadowedCache sim(cfg);
     EventTracer tr(1 << 20);
     check::Auditor auditor(check::Auditor::OnViolation::Record);
     telemetry::IntervalRecorder rec(half);

@@ -12,12 +12,13 @@
 
 #include "src/core/config.hh"
 #include "src/core/soft_cache.hh"
+#include "tests/shadowed_sim.hh"
 
 namespace {
 
 using namespace sac;
 using core::Config;
-using core::SoftwareAssistedCache;
+using test::ShadowedCache;
 using trace::AccessType;
 using trace::Record;
 
@@ -43,7 +44,7 @@ rec(Addr addr, std::uint16_t delta = 1, bool write = false,
 
 TEST(Timing, BackToBackHitsAreOneCycleEach)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0))); // miss: completes at 24
     for (int i = 0; i < 10; ++i)
         sim.access(rec(lineAddr(0) + 8 * (i % 4)));
@@ -57,7 +58,7 @@ TEST(Timing, MissPenaltyScalesWithLineSize)
 {
     // A 128-byte physical line costs 1 + 20 + 128/16 = 29 cycles.
     Config cfg = core::standardWithLineSize(128);
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(0));
     sim.finish();
     EXPECT_DOUBLE_EQ(sim.stats().totalAccessCycles, 29.0);
@@ -68,10 +69,10 @@ TEST(Timing, VirtualLinePenaltyMatchesPaperFormula)
     // Loading a 256-byte virtual line requires 14 more cycles than a
     // 32-byte physical line (paper Section 2.1).
     Config cfg = core::softWithVirtualLineSize(256);
-    SoftwareAssistedCache a(cfg);
+    ShadowedCache a(cfg);
     a.access(rec(0, 1, false, false, true));
     a.finish();
-    SoftwareAssistedCache b(core::presets().get("standard"));
+    ShadowedCache b(core::presets().get("standard"));
     b.access(rec(0));
     b.finish();
     EXPECT_DOUBLE_EQ(a.stats().totalAccessCycles -
@@ -81,7 +82,7 @@ TEST(Timing, VirtualLinePenaltyMatchesPaperFormula)
 
 TEST(Timing, BackToBackMissesQueueOnTheBus)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0)));       // request at 2, done at 24
     sim.access(rec(lineAddr(100), 1));  // issues at 24
     sim.finish();
@@ -93,7 +94,7 @@ TEST(Timing, BackToBackMissesQueueOnTheBus)
 
 TEST(Timing, WritebackDrainDelaysNextMiss)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0), 1, true));  // write miss, dirty
     sim.access(rec(lineAddr(256)));         // evicts dirty line 0
     sim.access(rec(lineAddr(512)));         // bus busy with the drain
@@ -108,12 +109,12 @@ TEST(Timing, VictimTransfersHideUnderMissLatency)
 {
     // A dirty victim's 2-cycle transfer fits in the 22-cycle miss
     // shadow: same latency as a clean-victim miss.
-    SoftwareAssistedCache dirty_case(core::presets().get("standard"));
+    ShadowedCache dirty_case(core::presets().get("standard"));
     dirty_case.access(rec(lineAddr(0), 1, true));
     dirty_case.access(rec(lineAddr(256)));
     dirty_case.finish();
 
-    SoftwareAssistedCache clean_case(core::presets().get("standard"));
+    ShadowedCache clean_case(core::presets().get("standard"));
     clean_case.access(rec(lineAddr(0), 1, false));
     clean_case.access(rec(lineAddr(256)));
     clean_case.finish();
@@ -124,7 +125,7 @@ TEST(Timing, VictimTransfersHideUnderMissLatency)
 
 TEST(Timing, DeltaLargerThanStallAbsorbsIt)
 {
-    SoftwareAssistedCache sim(core::presets().get("standard"));
+    ShadowedCache sim(core::presets().get("standard"));
     sim.access(rec(lineAddr(0)));        // completes at 24
     sim.access(rec(lineAddr(100), 40));  // issues at 63, well clear
     sim.finish();
@@ -134,7 +135,7 @@ TEST(Timing, DeltaLargerThanStallAbsorbsIt)
 
 TEST(Timing, SwapLockStallsOnlyCloseSuccessors)
 {
-    SoftwareAssistedCache sim(
+    ShadowedCache sim(
         [] {
             Config c = core::presets().get("victim");
             c.cacheSizeBytes = 256;
@@ -152,7 +153,7 @@ TEST(Timing, SwapLockStallsOnlyCloseSuccessors)
 TEST(Timing, PrefetchOccupiesTheBus)
 {
     Config cfg = core::presets().get("standard-prefetch");
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(0)));      // miss + prefetch of line 1
     sim.access(rec(lineAddr(100), 1)); // demand behind the prefetch
     sim.finish();
@@ -165,7 +166,7 @@ TEST(Timing, PrefetchOccupiesTheBus)
 TEST(Timing, PrefetchHitAvoidsTheFullMissPenalty)
 {
     Config cfg = core::presets().get("standard-prefetch");
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(0)));
     sim.access(rec(lineAddr(1), 100)); // prefetched line, landed
     sim.finish();
@@ -176,7 +177,7 @@ TEST(Timing, PrefetchHitAvoidsTheFullMissPenalty)
 TEST(Timing, InFlightPrefetchStallsDemandUntilReady)
 {
     Config cfg = core::presets().get("standard-prefetch");
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     sim.access(rec(lineAddr(0)));     // miss done 24; prefetch ready 46
     sim.access(rec(lineAddr(1), 1));  // issues at 24, wants line 1
     sim.finish();
@@ -189,7 +190,7 @@ TEST(Timing, WriteBufferFullStallExtendsMiss)
 {
     Config cfg = core::presets().get("standard");
     cfg.writeBufferEntries = 1;
-    SoftwareAssistedCache sim(cfg);
+    ShadowedCache sim(cfg);
     // Two dirty victims in one virtual-line-free sequence: the
     // second forced drain cannot hide and surfaces as stall cycles.
     sim.access(rec(lineAddr(0), 1, true));

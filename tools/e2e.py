@@ -11,9 +11,13 @@ binary runs --repeats times at --jobs 1 and at --jobs $(nproc),
 alternating the two; the artifact records every run's wall time, its
 peak RSS (the child's ru_maxrss) and the SHA-256 of its stdout, the
 per-binary medians, and the host shape (nproc, clock, compiler, build
-type). A binary that exits non-zero, or whose stdout differs between
-runs or job counts, fails the script (exit 1) after the artifact is
-written.
+type). Each binary then runs once more at --jobs 1 with --emit-json
+into a temporary directory, outside the timed runs, and the artifact
+stores the phase split of its suite-total manifest (timing.phases,
+the Runner's lifetime phase timer; the last one the binary wrote). A
+binary that exits non-zero, or whose stdout differs between runs, job
+counts or with --emit-json, fails the script (exit 1) after the
+artifact is written.
 """
 
 import argparse
@@ -24,6 +28,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -90,10 +95,10 @@ def host_shape(build_dir):
     }
 
 
-def run_once(binary, jobs):
+def run_once(binary, jobs, extra=()):
     """One run: (wall seconds, peak RSS MiB, stdout sha256, status)."""
     start = time.monotonic()
-    proc = subprocess.Popen([binary, "--jobs", str(jobs)],
+    proc = subprocess.Popen([binary, "--jobs", str(jobs), *extra],
                             stdout=subprocess.PIPE,
                             stderr=subprocess.DEVNULL)
     digest = hashlib.sha256()
@@ -106,6 +111,30 @@ def run_once(binary, jobs):
     proc.returncode = os.waitstatus_to_exitcode(status)
     return wall, usage.ru_maxrss / 1024.0, digest.hexdigest(), \
         proc.returncode
+
+
+def suite_phases(binary):
+    """(phase split of the suite-total manifest or None, stdout sha256,
+    status) of one --jobs 1 --emit-json run of @p binary."""
+    with tempfile.TemporaryDirectory(prefix="sac-e2e-") as out:
+        _, _, sha, code = run_once(binary, 1, ("--emit-json", out))
+        # The phases are the Runner's lifetime totals, so the suite
+        # total written last holds the most seconds.
+        phases = None
+        for name in os.listdir(out):
+            if not name.startswith("suite_total_"):
+                continue
+            with open(os.path.join(out, name)) as f:
+                p = json.load(f).get("timing", {}).get("phases")
+            if p and (phases is None or
+                      total_seconds(p) > total_seconds(phases)):
+                phases = p
+    return phases, sha, code
+
+
+def total_seconds(phases):
+    return sum(v["seconds"] for v in phases.values()
+               if isinstance(v, dict))
 
 
 def main():
@@ -145,14 +174,19 @@ def main():
                     statistics.median(r["peak_rss_mib"] for r in rs), 1),
                 "runs": rs,
             }
-        shas = {r["stdout_sha256"] for rs in runs.values() for r in rs}
-        if len(shas) != 1:
-            failures.append(f"{name}: stdout differs between runs")
-        binaries[name] = entry
         line = ", ".join(
             f"--jobs {j}: {e['wall_s_median']:.2f} s "
             f"{e['peak_rss_mib_median']:.0f} MiB" for j, e in entry.items())
         print(f"{name}: {line}", file=sys.stderr)
+        shas = {r["stdout_sha256"] for rs in runs.values() for r in rs}
+        if len(shas) != 1:
+            failures.append(f"{name}: stdout differs between runs")
+        entry["phases"], phase_sha, code = suite_phases(binary)
+        if code != 0:
+            failures.append(f"{name} --emit-json: exit {code}")
+        elif phase_sha not in shas:
+            failures.append(f"{name}: --emit-json changes stdout")
+        binaries[name] = entry
 
     totals = {}
     for jobs in map(str, job_counts):
